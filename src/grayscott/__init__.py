@@ -32,7 +32,7 @@ from .fixedpoint import (
     picard_solve,
 )
 from .integrate import (
-    CutoffState,
+    MildIntegrator,
     ModelParams,
     PathRecord,
     pathspace_norm,
@@ -40,18 +40,8 @@ from .integrate import (
     simulate_glued,
     simulate_path,
     smooth_cutoff,
-    step_mild,
 )
-from .noise import (
-    NoiseConfig,
-    WienerIncrement,
-    WienerSource,
-    apply_g,
-    hs_tail_sum,
-    noise_term,
-    sample_increments,
-    stratonovich_correction,
-)
+from .noise import NoiseConfig, WienerSource, hs_tail_sum
 from .paramgate import (
     GateCondition,
     GateReport,

@@ -23,6 +23,7 @@ from .config import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
+    parse_document,
 )
 from .convergence import deterministic_order_study, strong_order_study
 from .errors import (
@@ -41,7 +42,7 @@ from .estimators import (
 )
 from .fixedpoint import compute_kset_constants, kset_check, picard_solve
 from .integrate import PathRecord, simulate_ensemble, simulate_glued
-from .paramgate import evaluate_gate, gate_sweep
+from .paramgate import evaluate_gate, gate_args, gate_sweep
 from .spectral import lp_norm, sobolev_norm
 
 OUT_ENV_VAR = "GRAYSCOTT_OUT"
@@ -61,12 +62,8 @@ def _fmt(x: float) -> str:
 
 
 def write_norm_series(path: str, record: PathRecord):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(name for name, _ in NORM_FILE_COLUMNS) + "\n")
-        for n in range(record.times.size):
-            row = [_fmt(record.times[n])]
-            row += [_fmt(record.series[col][n]) for _, col in NORM_FILE_COLUMNS[1:]]
-            fh.write(",".join(row) + "\n")
+    columns = [record.series[col] for _, col in NORM_FILE_COLUMNS[1:]]
+    write_csv(path, [name for name, _ in NORM_FILE_COLUMNS], zip(record.times, *columns))
 
 
 def write_field_dump(path: str, coeffs: np.ndarray, space, name: str, t: float):
@@ -108,12 +105,7 @@ class RunContext:
         return os.path.join(self.out_dir, name)
 
     def finish(self, status: str, partial: bool = False):
-        gate = evaluate_gate(
-            q=self.cfg.model.q, aleph=self.cfg.model.aleph,
-            alpha=self.cfg.model.alpha, d=self.cfg.space.d,
-            p_star0=self.cfg.model.p_star, gamma1=self.cfg.noise.gamma1,
-            gamma2=self.cfg.noise.gamma2, rho=self.cfg.model.rho,
-        )
+        gate = evaluate_gate(**gate_args(self.cfg.model, self.cfg.noise, self.cfg.space))
         manifest = {
             "subcommand": self.subcommand,
             "config": config_to_dict(self.cfg),
@@ -129,36 +121,29 @@ class RunContext:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _initial_data(cfg: RunConfig):
+    return cfg.u0.build(cfg.space), cfg.v0.build(cfg.space)
+
+
 def _simulate_records(cfg: RunConfig) -> list[PathRecord]:
-    u0 = cfg.u0.build(cfg.space)
-    v0 = cfg.v0.build(cfg.space)
     return simulate_ensemble(
-        cfg.model, cfg.space, cfg.noise, u0, v0, cfg.kappa,
+        cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa,
         cfg.T, cfg.dt, np.arange(cfg.paths),
     )
 
 
 def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:
-    report = evaluate_gate(
-        q=cfg.model.q, aleph=cfg.model.aleph, alpha=cfg.model.alpha,
-        d=cfg.space.d, p_star0=cfg.model.p_star,
-        gamma1=cfg.noise.gamma1, gamma2=cfg.noise.gamma2, rho=cfg.model.rho,
-    )
+    report = evaluate_gate(**gate_args(cfg.model, cfg.noise, cfg.space))
     text = "\n".join(report.lines())
     print(text)
     with open(ctx.path("gate_report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     for i, sweep in enumerate(args.sweep or []):
         name, lo, hi, n = sweep[0], float(sweep[1]), float(sweep[2]), int(sweep[3])
-        base = dict(
-            q=cfg.model.q, aleph=cfg.model.aleph, alpha=cfg.model.alpha,
-            d=cfg.space.d, p_star0=cfg.model.p_star,
-            gamma1=cfg.noise.gamma1, gamma2=cfg.noise.gamma2, rho=cfg.model.rho,
-        )
         values = list(np.linspace(lo, hi, n))
         rows = [
             [row[0], int(row[1]), row[2], row[3]]
-            for row in gate_sweep(base, (name, values))
+            for row in gate_sweep(gate_args(cfg.model, cfg.noise, cfg.space), (name, values))
         ]
         write_csv(ctx.path(f"gate_sweep_{i}_{name}.csv"),
                   [name, "admissible", "n_failed", "worst_margin"], rows)
@@ -189,17 +174,14 @@ def cmd_simulate(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 
 def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
-    u0 = cfg.u0.build(cfg.space)
-    v0 = cfg.v0.build(cfg.space)
+    records = simulate_glued(
+        cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa_schedule,
+        cfg.T, cfg.dt, np.arange(cfg.paths),
+    )
     rows = []
-    for pid in range(cfg.paths):
-        rec = simulate_glued(
-            cfg.model, cfg.space, cfg.noise, u0, v0, cfg.kappa_schedule,
-            cfg.T, cfg.dt, path_id=pid,
-        )
-        write_norm_series(ctx.path(f"path_{pid:05d}.csv"), rec)
-        for kappa, tbar in rec.glue_events:
-            rows.append([pid, kappa, tbar])
+    for rec in records:
+        write_norm_series(ctx.path(f"path_{rec.path_id:05d}.csv"), rec)
+        rows += [[rec.path_id, kappa, tbar] for kappa, tbar in rec.glue_events]
     write_csv(ctx.path("glue_events.csv"), ["path", "kappa", "stop_time"], rows)
     print(f"glued {cfg.paths} paths; {len(rows)} glue events")
     ctx.finish("ok")
@@ -207,8 +189,7 @@ def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 
 def cmd_fixed_point(cfg: RunConfig, ctx: RunContext, args) -> int:
-    u0 = cfg.u0.build(cfg.space)
-    v0 = cfg.v0.build(cfg.space)
+    u0, v0 = _initial_data(cfg)
     rows, margin_rows = [], []
     for pid in range(cfg.paths):
         result = picard_solve(
@@ -258,8 +239,7 @@ def cmd_estimate(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, ctx: RunContext, args) -> int:
-    u0 = cfg.u0.build(cfg.space)
-    v0 = cfg.v0.build(cfg.space)
+    u0, v0 = _initial_data(cfg)
     dts = [cfg.T * 2.0**-j for j in range(5, 9)]
     det = deterministic_order_study(cfg.model, cfg.space, u0, v0, cfg.T, dts)
     strong_params = dataclasses.replace(cfg.model, c1=0.0, c2=0.0)
@@ -306,15 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> RunConfig:
+    doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{args.config}: line {err.lineno}, column {err.colno}: {err.msg}")
-    else:
-        doc = {}
+            doc = parse_document(fh.read(), args.config)
     if args.override:
         doc = apply_overrides(doc, args.override)
     if args.seed is not None:

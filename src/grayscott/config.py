@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .integrate import ModelParams
+from .integrate import ModelParams, step_count
 from .noise import NoiseConfig
 from .spectral import SpaceConfig, SpectralField
 
@@ -76,13 +77,17 @@ class RunConfig:
         v = []
         if self.paths < 1:
             v.append(f"paths must be >= 1, got {self.paths}")
-        if self.T <= 0 or self.dt <= 0:
-            v.append(f"T and dt must be > 0, got T={self.T}, dt={self.dt}")
-        if self.kappa <= 0:
-            v.append(f"kappa must be > 0, got {self.kappa}")
+        try:
+            step_count(self.T, self.dt)
+        except ValidationError as err:
+            v.extend(err.violations)
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            v.append(f"kappa must be finite and > 0, got {self.kappa}")
         ks = self.kappa_schedule
         if len(ks) == 0 or any(b <= a for a, b in zip(ks, ks[1:])):
             v.append("kappa_schedule must be non-empty and strictly increasing")
+        if not all(math.isfinite(k) for k in ks):
+            v.append(f"kappa_schedule entries must be finite, got {list(ks)}")
         if self.tol <= 0:
             v.append(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
@@ -142,7 +147,11 @@ def config_from_dict(doc: dict) -> RunConfig:
         if name in doc:
             value = doc[name]
             if name == "kappa_schedule":
-                value = tuple(float(x) for x in value)
+                try:
+                    value = tuple(float(x) for x in value)
+                except (TypeError, ValueError):
+                    violations.append(f"kappa_schedule must be a list of numbers, got {value!r}")
+                    continue
             kwargs[name] = value
     # validate run-level constraints even when a section failed, so the
     # error lists every violation at once
@@ -158,17 +167,22 @@ def config_from_dict(doc: dict) -> RunConfig:
     raise ValidationError(violations)
 
 
+def parse_document(text: str, source: str = "") -> dict:
+    """JSON text to a raw document; ParseError with line context when malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        where = f"{source}: " if source else ""
+        raise ParseError(f"{where}line {err.lineno}, column {err.colno}: {err.msg}") from err
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
     Raises ParseError with line context for malformed JSON and
     ValidationError listing every violated constraint otherwise.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
-    return config_from_dict(doc)
+    return config_from_dict(parse_document(text))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

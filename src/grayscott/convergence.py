@@ -13,8 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .integrate import MildIntegrator, ModelParams
+from .integrate import MildIntegrator, ModelParams, step_count
 from .noise import NoiseConfig, WienerSource
 from .spectral import SpaceConfig, SpectralField
 
@@ -43,13 +42,13 @@ def deterministic_order_study(params: ModelParams, space: SpaceConfig,
     """Global-error decay of the noise-free scheme vs a dt/ref reference."""
     params = replace(params, sigma1=0.0, sigma2=0.0)
     noise = NoiseConfig(seed=0)
-    integ = MildIntegrator(params, space, noise, _NO_CUTOFF)
+    integ = MildIntegrator(params, space, noise)
     dts = sorted(dts, reverse=True)
     zero = np.zeros((1, integ.k_noise))
 
     def run(dt: float):
-        state = integ.initial_state(u0.coeffs, v0.coeffs)
-        for _ in range(int(round(T / dt))):
+        state = integ.initial_state(u0.coeffs, v0.coeffs, _NO_CUTOFF)
+        for _ in range(step_count(T, dt)):
             state = integ.step_raw(state, zero, zero, dt)
         return state
 
@@ -66,15 +65,10 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     by block sums of one shared fine increment stream."""
     dts = sorted(dts, reverse=True)
     dt_ref = min(dts) / ref_refinement
-    n_fine = int(round(T / dt_ref))
-    strides = []
-    for dt in dts:
-        s = dt / dt_ref
-        if abs(s - round(s)) > 1e-9:
-            raise ValidationError([f"dt {dt} is not a multiple of the reference step"])
-        strides.append(int(round(s)))
+    n_fine = step_count(T, dt_ref)
+    strides = [step_count(dt, dt_ref) for dt in dts]  # each dt a whole multiple of dt_ref
 
-    integ = MildIntegrator(params, space, noise, _NO_CUTOFF)
+    integ = MildIntegrator(params, space, noise)
     path_ids = np.arange(path_id0, path_id0 + n_paths)
     source = WienerSource(noise, space, path_ids)
     k = integ.k_noise
@@ -82,23 +76,19 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     ref_state = integ.initial_state(
         np.broadcast_to(u0.coeffs, (n_paths, u0.coeffs.size)),
         np.broadcast_to(v0.coeffs, (n_paths, v0.coeffs.size)),
+        _NO_CUTOFF,
     )
-    level_states = [integ.initial_state(ref_state.u, ref_state.v) for _ in dts]
-    acc1 = [np.zeros((n_paths, k)) for _ in dts]
-    acc2 = [np.zeros((n_paths, k)) for _ in dts]
+    level_states = [integ.initial_state(ref_state.u, ref_state.v, _NO_CUTOFF) for _ in dts]
+    acc = [np.zeros((2, n_paths, k)) for _ in dts]  # summed (dW1, dW2) per level
 
     for n in range(n_fine):
-        dw1, dw2 = source.increments(n, dt_ref)
-        ref_state = integ.step_raw(ref_state, dw1, dw2, dt_ref)
+        dw = np.stack([source.increment_block(n, 1, dt_ref, j)[:, 0] for j in (1, 2)])
+        ref_state = integ.step_raw(ref_state, dw[0], dw[1], dt_ref)
         for i, stride in enumerate(strides):
-            acc1[i] += dw1
-            acc2[i] += dw2
+            acc[i] += dw
             if (n + 1) % stride == 0:
-                level_states[i] = integ.step_raw(
-                    level_states[i], acc1[i], acc2[i], dts[i]
-                )
-                acc1[i][:] = 0.0
-                acc2[i][:] = 0.0
+                level_states[i] = integ.step_raw(level_states[i], acc[i][0], acc[i][1], dts[i])
+                acc[i][:] = 0.0
 
     errors = [
         float(np.sqrt(np.mean(_state_error(st, ref_state) ** 2)))

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, ValidationError
-from .integrate import MildIntegrator, ModelParams, smooth_cutoff
+from .integrate import (
+    MildIntegrator,
+    ModelParams,
+    path_norm_series,
+    smooth_cutoff,
+    step_count,
+)
 from .noise import NoiseConfig, WienerSource
 from .spectral import SpaceConfig, SpectralField, get_basis
 
@@ -63,7 +69,7 @@ class KSetConstants:
 
 def constant_control(u0: SpectralField, v0: SpectralField, T: float, dt: float) -> ControlPair:
     """Constant-in-time extension of the initial data."""
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     times = np.arange(n_steps + 1) * dt
     eta = np.broadcast_to(u0.coeffs, (n_steps + 1, u0.coeffs.size)).copy()
     xi = np.broadcast_to(v0.coeffs, (n_steps + 1, v0.coeffs.size)).copy()
@@ -73,64 +79,51 @@ def constant_control(u0: SpectralField, v0: SpectralField, T: float, dt: float) 
 def _cutoff_series(integ: MildIntegrator, xi: np.ndarray, dt: float,
                    kappa: float) -> np.ndarray:
     """phi_kappa driven by the control's running path norm, per time step."""
-    rho_norm = np.sqrt(np.sum(integ.w_rho * xi**2, axis=-1))
-    diss_sq = np.sum(integ.w_rho_aleph * xi**2, axis=-1)
-    sup = np.maximum.accumulate(rho_norm)
-    inner = 0.5 * dt * (diss_sq[:-1] + diss_sq[1:])
-    intg = np.concatenate([[0.0], np.cumsum(inner)])
-    return smooth_cutoff((sup + np.sqrt(intg)) / kappa)
+    p = integ.params
+    return smooth_cutoff(path_norm_series(integ.space, xi, p.rho, p.aleph, dt) / kappa)
 
 
-def apply_V(control: ControlPair, params: ModelParams, space: SpaceConfig,
-            noise: NoiseConfig, u0: SpectralField, v0: SpectralField,
-            kappa: float, path_id: int, segment: int = 0) -> ControlPair:
+def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
+            v0: SpectralField, kappa: float, path_id: int,
+            segment: int = 0) -> ControlPair:
     """Solve the linear decoupled system forced by the frozen control.
 
     The reaction eta * xi^q is exogenous (the power follows the
     configured power_mode; 'abs' gives the modulus convention), the
     cutoff is evaluated on xi's running path norm, and only the noise
-    factor depends on the evolving state.
+    factor depends on the evolving state.  The frozen noise path is
+    drawn once, as one block.
     """
-    integ = MildIntegrator(params, space, noise, kappa)
     dt = control.dt
     n_steps = control.times.size - 1
-    basis = get_basis(space)
-    m = integ.grid_m
-    eta_vals = basis.synthesize(control.eta, m)
-    xi_vals = basis.synthesize(control.xi, m)
-    forcing = eta_vals * integ.v_power(xi_vals)
+    forcing = integ.synth(control.eta) * integ.v_power(integ.synth(control.xi))
     phi = _cutoff_series(integ, control.xi, dt, kappa)
 
-    source = WienerSource(noise, space, [path_id], segment=segment)
-    state = integ.initial_state(u0.coeffs, v0.coeffs)
+    source = WienerSource(integ.noise, integ.space, [path_id], segment=segment)
+    dw1 = source.increment_block(0, n_steps, dt, 1)
+    dw2 = source.increment_block(0, n_steps, dt, 2)
+    state = integ.initial_state(u0.coeffs, v0.coeffs, kappa)
     u_out = np.empty((n_steps + 1, u0.coeffs.size))
     v_out = np.empty_like(u_out)
     u_out[0] = state.u[0]
     v_out[0] = state.v[0]
     for n in range(n_steps):
-        dw1, dw2 = source.increments(n, dt)
         state = integ.step_raw(
-            state, dw1, dw2, dt,
+            state, dw1[:, n], dw2[:, n], dt,
             forcing_vals=forcing[n][None, ...],
             phi_override=phi[n : n + 1],
         )
         u_out[n + 1] = state.u[0]
         v_out[n + 1] = state.v[0]
-    return ControlPair(u_out, v_out, control.times.copy(), space)
+    return ControlPair(u_out, v_out, control.times.copy(), integ.space)
 
 
 def control_m_norm(eta: np.ndarray, xi: np.ndarray, times: np.ndarray,
                    space: SpaceConfig, rho: float, aleph: float) -> float:
     """Single-path discrete norm: L2-in-time L2 of eta plus the
     sup/dissipation path norm of xi."""
-    lam = get_basis(space).eigenvalues
-    eta_l2_sq = np.sum(eta**2, axis=-1)
-    part1 = math.sqrt(float(np.trapezoid(eta_l2_sq, times)))
-    w_rho = (1.0 + lam) ** rho
-    w_da = (1.0 + lam) ** (rho + aleph / 2.0)
-    sup = float(np.max(np.sqrt(np.sum(w_rho * xi**2, axis=-1))))
-    diss = float(np.trapezoid(np.sum(w_da * xi**2, axis=-1), times))
-    return part1 + sup + math.sqrt(diss)
+    part1 = math.sqrt(float(np.trapezoid(np.sum(eta**2, axis=-1), times)))
+    return part1 + float(path_norm_series(space, xi, rho, aleph, np.diff(times))[-1])
 
 
 def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -149,10 +142,10 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     if tol <= 0:
         raise ValidationError(["tol must be > 0"])
     current = constant_control(u0, v0, T, dt)
+    integ = MildIntegrator(params, space, noise)
     residuals: list[float] = []
     for _ in range(max_iter):
-        new = apply_V(current, params, space, noise, u0, v0, kappa, path_id,
-                      segment=segment)
+        new = apply_V(current, integ, u0, v0, kappa, path_id, segment=segment)
         res = control_m_norm(
             new.eta - current.eta, new.xi - current.xi, new.times, space,
             params.rho, params.aleph,
@@ -177,24 +170,15 @@ def kset_functionals(control: ControlPair, rho: float, aleph: float,
     """
     space = control.space
     basis = get_basis(space)
-    ev = basis.eigenvalues
-    times = control.times
-
-    w_half = (1.0 + ev) ** (aleph / 2.0)
-    sup_l2 = float(np.max(np.sqrt(np.sum(control.eta**2, axis=-1))))
-    diss = float(np.trapezoid(np.sum(w_half * control.eta**2, axis=-1), times))
-    m1 = (sup_l2 + math.sqrt(diss)) ** 2
+    dt = np.diff(control.times)
+    m1 = float(path_norm_series(space, control.eta, 0.0, aleph, dt)[-1]) ** 2
 
     m_grid = basis.dealias_points(1.0)
     vals = basis.synthesize(control.eta, m_grid)
     lp_pow = basis.quadrature(np.abs(vals) ** p_star, m_grid)
-    m2 = float(np.max(np.exp(-lam * times) * lp_pow))
+    m2 = float(np.max(np.exp(-lam * control.times) * lp_pow))
 
-    w_rho = (1.0 + ev) ** rho
-    w_da = (1.0 + ev) ** (rho + aleph / 2.0)
-    sup_rho = float(np.max(np.sqrt(np.sum(w_rho * control.xi**2, axis=-1))))
-    diss_x = float(np.trapezoid(np.sum(w_da * control.xi**2, axis=-1), times))
-    m3 = (sup_rho + math.sqrt(diss_x)) ** 2
+    m3 = float(path_norm_series(space, control.xi, rho, aleph, dt)[-1]) ** 2
     return m1, m2, m3
 
 

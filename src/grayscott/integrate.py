@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFinite, ScheduleExhausted, ValidationError
 from .noise import (
     NoiseConfig,
-    WienerIncrement,
     WienerSource,
     coloring_weights,
     noise_mode_indices,
     squared_eigenfunction_sum,
 )
-from .spectral import SpaceConfig, SpectralField, get_basis
+from .spectral import (
+    SpaceConfig,
+    SpectralField,
+    get_basis,
+    semigroup_factors,
+    sobolev_weights,
+)
 
 SCHEMES = ("explicit", "semi_implicit")
 POWER_MODES = ("clip", "abs")
@@ -113,28 +118,6 @@ def smooth_cutoff(x):
     return out
 
 
-@dataclass
-class CutoffState:
-    """Running path-norm bookkeeping for the inhibitor cutoff.
-
-    h_value = sup_{s<=t} |v(s)|_{H^rho} + sqrt(int_0^t |v|^2_{H^{rho+aleph/2}});
-    phi_value = psi(h_value / kappa).
-    """
-
-    kappa: float
-    running_sup: float = 0.0
-    running_int: float = 0.0
-    last_diss_sq: float = 0.0
-
-    @property
-    def h_value(self) -> float:
-        return self.running_sup + math.sqrt(self.running_int)
-
-    @property
-    def phi_value(self) -> float:
-        return smooth_cutoff(self.h_value / self.kappa)
-
-
 # ---------------------------------------------------------------------------
 # batched state and the integrator
 # ---------------------------------------------------------------------------
@@ -142,11 +125,18 @@ class CutoffState:
 
 @dataclass
 class _BatchState:
+    """A batch of paths: coefficients, running path norms, and per path
+    the cutoff level, glue level, noise segment and fallback flag."""
+
     u: np.ndarray  # (P, K)
     v: np.ndarray
     sup: np.ndarray  # (P,)
     intg: np.ndarray
     last_diss_sq: np.ndarray
+    kappa: np.ndarray  # (P,) cutoff level
+    level: np.ndarray  # (P,) index into the glue schedule
+    segment: np.ndarray  # (P,) noise segment
+    fallback: np.ndarray  # (P,) past the last level: linear continuation
     step: int
     t: float
 
@@ -160,47 +150,51 @@ class MildIntegrator:
 
     Precomputes semigroup factors, Sobolev weights, noise coloring and
     the Stratonovich correction profile; all heavy per-step work is
-    batched numpy.
+    batched numpy.  Cutoff levels live on the batch state, so one
+    integrator serves every level.
     """
 
-    def __init__(self, params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
-                 kappa: float):
+    def __init__(self, params: ModelParams, space: SpaceConfig, noise: NoiseConfig):
         self.params = params
         self.space = space
         self.noise = noise
-        self.kappa = float(kappa)
         self.basis = get_basis(space)
-        lam = self.basis.eigenvalues
         self.grid_m = self.basis.dealias_points(max(params.q, 1.0))
         self.k_noise = noise.mode_cutoff or noise_mode_indices(space).size
-        self.idx1, self.w1 = coloring_weights(space, noise.gamma1, self.k_noise)
-        self.idx2, self.w2 = coloring_weights(space, noise.gamma2, self.k_noise)
+        self.coloring = {j: coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)}
         self._exp_cache: dict[tuple[float, bool], tuple[np.ndarray, np.ndarray]] = {}
-        self.w_rho = (1.0 + lam) ** params.rho
-        self.w_rho_aleph = (1.0 + lam) ** (params.rho + params.aleph / 2.0)
-        self.w_alpha = (1.0 + lam) ** params.alpha
-        self.w_alpha_aleph = (1.0 + lam) ** (params.alpha + params.aleph / 2.0)
+        self.w_rho = sobolev_weights(space, params.rho)
+        self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
+        self.w_alpha = sobolev_weights(space, params.alpha)
+        self.w_alpha_aleph = sobolev_weights(space, params.alpha + params.aleph / 2.0)
+        self.ito_profile = {}  # per process: (sigma^2 / 2) sum_k lambda_k^(-gamma) phi_k^2
         if noise.interpretation == "stratonovich":
-            self.s1_vals = squared_eigenfunction_sum(space, noise.gamma1, self.k_noise, self.grid_m)
-            self.s2_vals = squared_eigenfunction_sum(space, noise.gamma2, self.k_noise, self.grid_m)
-        else:
-            self.s1_vals = self.s2_vals = None
+            for j, sigma in ((1, params.sigma1), (2, params.sigma2)):
+                s_vals = squared_eigenfunction_sum(space, noise.gamma(j), self.k_noise, self.grid_m)
+                self.ito_profile[j] = 0.5 * sigma**2 * s_vals
 
     # -- helpers -----------------------------------------------------------
 
-    def _semigroups(self, dt: float, fallback: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _factors(self, dt: float, fallback: bool) -> tuple[np.ndarray, np.ndarray]:
         got = self._exp_cache.get((dt, fallback))
-        if got is not None:
-            return got
-        lam = self.basis.eigenvalues
-        p = self.params
-        if fallback and p.linear_fallback == "heat":
-            e1 = np.exp(-p.r1 * lam * dt)
-            e2 = np.exp(-p.r2 * lam * dt)  # plain heat continuation for both
-        else:
-            e1 = np.exp((-p.r1 * lam + p.a1) * dt)
-            e2 = np.exp((-p.r2 * lam ** (p.aleph / 2.0) + p.a2) * dt)
-        self._exp_cache[(dt, fallback)] = (e1, e2)
+        if got is None:
+            p, sp = self.params, self.space
+            if fallback and p.linear_fallback == "heat":  # plain heat continuation for both
+                got = (semigroup_factors(sp, "laplace", p.r1, 0.0, dt),
+                       semigroup_factors(sp, "laplace", p.r2, 0.0, dt))
+            else:
+                got = (semigroup_factors(sp, "laplace", p.r1, p.a1, dt),
+                       semigroup_factors(sp, "fractional", p.r2, p.a2, dt, p.aleph))
+            self._exp_cache[(dt, fallback)] = got
+        return got
+
+    def _semigroups(self, dt: float, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path semigroup factors: fallback paths take the continuation's."""
+        e1, e2 = self._factors(dt, False)
+        if fallback.any():
+            f1, f2 = self._factors(dt, True)
+            col = fallback[:, None]
+            e1, e2 = np.where(col, f1, e1), np.where(col, f2, e2)
         return e1, e2
 
     def v_power(self, v_vals: np.ndarray) -> np.ndarray:
@@ -216,21 +210,34 @@ class MildIntegrator:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return self.basis.analyze(values, self.grid_m)
 
-    def color(self, dw: np.ndarray, process: int) -> np.ndarray:
-        """Coefficients of (-Laplace)^(-gamma/2) dW, zero-padded to all modes."""
-        idx, w = (self.idx1, self.w1) if process == 1 else (self.idx2, self.w2)
-        z = np.zeros(dw.shape[:-1] + (self.space.total_modes,))
-        z[..., idx] = w * dw
-        return z
+    def g_dw(self, vals: np.ndarray, dw: np.ndarray, process: int) -> np.ndarray:
+        """g_gamma(u)[dW]: the grid product of u (grid values) with the
+        coloring (-Laplace)^(-gamma/2) dW of dW (per noise mode), projected
+        back to the basis."""
+        idx, w = self.coloring[process]
+        colored = np.zeros(dw.shape[:-1] + (self.space.total_modes,))
+        colored[..., idx] = w * dw
+        return self.analyze(vals * self.synth(colored))
+
+    def to_ito(self, drift, vals: np.ndarray, process: int):
+        """The drift (grid values) plus the correction (sigma^2/2) sum_k
+        lambda_k^(-gamma) phi_k^2 u that turns the Stratonovich system into
+        Ito form; the drift itself under the Ito interpretation."""
+        profile = self.ito_profile.get(process)
+        return drift if profile is None else drift + profile * vals
+
+    def norm_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(|v|_{H^rho}, |v|^2_{H^{rho+aleph/2}}) per path: what h accumulates."""
+        return (np.sqrt(np.sum(self.w_rho * v**2, axis=-1)),
+                np.sum(self.w_rho_aleph * v**2, axis=-1))
 
     def phi_of(self, state: _BatchState) -> np.ndarray:
-        return smooth_cutoff(state.h / self.kappa)
+        return np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
 
     # -- stepping ------------------------------------------------------------
 
     def step_raw(self, state: _BatchState, dw1: np.ndarray, dw2: np.ndarray,
                  dt: float, forcing_vals: np.ndarray | None = None,
-                 fallback: bool = False,
                  phi_override: np.ndarray | None = None,
                  uv_vals: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchState:
         """Advance one step.  dw1/dw2 have shape (P, K_noise).
@@ -240,9 +247,10 @@ class MildIntegrator:
         operator); the cutoff factor still multiplies it.  phi_override
         substitutes an externally computed cutoff value per path;
         uv_vals passes already synthesized grid values of the state.
+        Fallback paths have no reaction and no feed.
         """
         p = self.params
-        e1, e2 = self._semigroups(dt, fallback)
+        e1, e2 = self._semigroups(dt, state.fallback)
         if uv_vals is None:
             u_vals = self.synth(state.u)
             v_vals = self.synth(state.v)
@@ -251,35 +259,29 @@ class MildIntegrator:
         phi_flat = self.phi_of(state) if phi_override is None else np.asarray(phi_override)
         phi = phi_flat.reshape((-1,) + (1,) * self.space.d)
 
-        if fallback:
-            react = None
-        elif forcing_vals is not None:
+        if forcing_vals is not None:
             react = phi * forcing_vals
         else:
             react = phi * u_vals * self.v_power(v_vals)
+        drift_u = p.b1 - p.c1 * react
+        drift_v = p.b2 + p.c2 * react
+        drift_u[state.fallback] = 0.0  # fallback paths: no reaction and no feed
+        drift_v[state.fallback] = 0.0
+        drift_u = self.to_ito(drift_u, u_vals, 1)
+        drift_v = self.to_ito(drift_v, v_vals, 2)
 
-        feed1, feed2 = (0.0, 0.0) if fallback else (p.b1, p.b2)
-        drift_u = feed1 if react is None else feed1 - p.c1 * react
-        drift_v = feed2 if react is None else feed2 + p.c2 * react
-        if self.s1_vals is not None:
-            drift_u = drift_u + 0.5 * p.sigma1**2 * self.s1_vals * u_vals
-            drift_v = drift_v + 0.5 * p.sigma2**2 * self.s2_vals * v_vals
+        gu = self.g_dw(u_vals, dw1, 1)
+        gv = self.g_dw(v_vals, dw2, 2)
 
-        gu = self.analyze(u_vals * self.synth(self.color(dw1, 1)))
-        gv = self.analyze(v_vals * self.synth(self.color(dw2, 2)))
-
-        if p.scheme == "semi_implicit" and react is not None and forcing_vals is None:
+        if p.scheme == "semi_implicit" and forcing_vals is None:
             decay = np.exp(-dt * p.c1 * phi * self.v_power(v_vals))
-            u_base = self.analyze(u_vals * decay)
+            u_base = np.where(state.fallback[:, None], state.u, self.analyze(u_vals * decay))
             drift_u = drift_u + p.c1 * react  # reaction handled by the decay factor
         else:
             u_base = state.u
 
-        du = _constant_coeffs(drift_u, state.u) if np.isscalar(drift_u) \
-            else self.analyze(np.broadcast_to(drift_u, u_vals.shape))
-        dv = _constant_coeffs(drift_v, state.v) if np.isscalar(drift_v) \
-            else self.analyze(np.broadcast_to(drift_v, v_vals.shape))
-
+        du = self.analyze(drift_u)
+        dv = self.analyze(drift_v)
         u_new = e1 * (u_base + dt * du + p.sigma1 * gu)
         v_new = e2 * (state.v + dt * dv + p.sigma2 * gv)
 
@@ -289,29 +291,32 @@ class MildIntegrator:
                 step=state.step + 1, time=state.t + dt,
             )
 
-        diss_sq = np.sum(self.w_rho_aleph * v_new**2, axis=-1)
-        sup = np.maximum(state.sup, np.sqrt(np.sum(self.w_rho * v_new**2, axis=-1)))
+        rho_norm, diss_sq = self.norm_terms(v_new)
         intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
-        return _BatchState(u_new, v_new, sup, intg, diss_sq, state.step + 1, state.t + dt)
+        return _BatchState(u_new, v_new, np.maximum(state.sup, rho_norm), intg, diss_sq,
+                           state.kappa, state.level, state.segment, state.fallback,
+                           state.step + 1, state.t + dt)
 
-    def initial_state(self, u0: np.ndarray, v0: np.ndarray, step: int = 0,
-                      t: float = 0.0) -> _BatchState:
+    def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
+        """Batch state at t=0 with cutoff level kappa (scalar or per path)."""
         u0 = np.atleast_2d(np.asarray(u0, dtype=float))
         v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-        sup = np.sqrt(np.sum(self.w_rho * v0**2, axis=-1))
-        diss = np.sum(self.w_rho_aleph * v0**2, axis=-1)
-        return _BatchState(u0.copy(), v0.copy(), sup, np.zeros(u0.shape[0]), diss, step, t)
+        n = u0.shape[0]
+        sup, diss = self.norm_terms(v0)
+        return _BatchState(
+            u0.copy(), v0.copy(), sup, np.zeros(n), diss,
+            kappa=np.broadcast_to(np.asarray(kappa, dtype=float), (n,)).copy(),
+            level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
+            fallback=np.zeros(n, dtype=bool), step=0, t=0.0,
+        )
 
     # -- per-step norm recording ----------------------------------------------
 
     def record_norms(self, state: _BatchState, out: dict[str, np.ndarray], n: int,
-                     uv_vals: tuple[np.ndarray, np.ndarray] | None = None):
+                     uv_vals: tuple[np.ndarray, np.ndarray]):
+        """Fill column n of every norm series; uv_vals are the grid values of (u, v)."""
         p = self.params
-        if uv_vals is None:
-            u_vals = self.synth(state.u)
-            v_vals = self.synth(state.v)
-        else:
-            u_vals, v_vals = uv_vals
+        u_vals, v_vals = uv_vals
         quad = self.basis.quadrature
         m = self.grid_m
         out["u_l2"][:, n] = np.sqrt(np.sum(state.u**2, axis=-1))
@@ -329,12 +334,6 @@ class MildIntegrator:
         out["couple"][:, n] = quad(
             np.maximum(u_vals, 0.0) ** p.p_star * np.maximum(v_vals, 0.0) ** p.q, m
         )
-
-
-def _constant_coeffs(value: float, like: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(like)
-    out[..., 0] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,42 +362,22 @@ class PathRecord:
         return self.times.size - 1
 
 
+def step_count(T: float, dt: float) -> int:
+    """Number of dt steps from 0 to T; T must be a whole multiple of dt."""
+    if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0):
+        raise ValidationError([f"T and dt must be finite and > 0, got T={T}, dt={dt}"])
+    n = round(T / dt)
+    if n < 1 or abs(n * dt - T) > 1e-9 * T:
+        raise ValidationError([f"T={T} is not a whole multiple of dt={dt}"])
+    return int(n)
+
+
 def _detect_stop(times: np.ndarray, h_series: np.ndarray, kappa: float):
     crossed = np.nonzero(h_series >= kappa)[0]
     if crossed.size == 0:
         return math.inf, None
     i = int(crossed[0])
     return float(times[i]), i
-
-
-def step_mild(u: SpectralField, v: SpectralField, params: ModelParams,
-              noise: NoiseConfig, cutoff: CutoffState,
-              inc1: WienerIncrement, inc2: WienerIncrement, dt: float,
-              ) -> tuple[SpectralField, SpectralField, CutoffState]:
-    """One exponential-Euler update of the cutoff system.
-
-    The cutoff factor is frozen at the left endpoint; the returned
-    CutoffState includes the new inhibitor state in its running norms.
-    """
-    if dt <= 0:
-        raise ValidationError(["dt must be > 0"])
-    integ = MildIntegrator(params, u.space, noise, cutoff.kappa)
-    state = integ.initial_state(u.coeffs, v.coeffs)
-    state.sup = np.asarray([cutoff.running_sup], dtype=float)
-    state.intg = np.asarray([cutoff.running_int], dtype=float)
-    state.last_diss_sq = np.asarray([cutoff.last_diss_sq], dtype=float)
-    new = integ.step_raw(state, inc1.dW[None, :], inc2.dW[None, :], dt)
-    cutoff_new = CutoffState(
-        kappa=cutoff.kappa,
-        running_sup=float(new.sup[0]),
-        running_int=float(new.intg[0]),
-        last_diss_sq=float(new.last_diss_sq[0]),
-    )
-    return (
-        SpectralField(new.u[0], u.space),
-        SpectralField(new.v[0], v.space),
-        cutoff_new,
-    )
 
 
 def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
@@ -408,48 +387,42 @@ def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
             warnings.warn(f"initial datum {name} is negative somewhere on the grid")
 
 
-def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
-                      u0: SpectralField, v0: SpectralField, kappa: float,
-                      T: float, dt: float, path_ids,
-                      snapshot_steps=None, store_trajectory: bool = False,
-                      check_gate: bool = True) -> list[PathRecord]:
-    """Simulate the cutoff system for a batch of independent paths.
-
-    All paths share (params, space, noise, initial data); the noise of
-    path ``p`` is keyed by its id, so any sub-batch replays bit-equal.
-    """
-    if dt <= 0 or T <= 0:
-        raise ValidationError(["T and dt must be > 0"])
-    if check_gate:
-        _warn_if_inadmissible(params, noise, space)
+def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
+               u0: SpectralField, v0: SpectralField, kappa: float,
+               T: float, dt: float, path_ids, snapshot_steps=None,
+               store_trajectory: bool = False, glue=None) -> list[PathRecord]:
+    """The time loop: record the norms, let ``glue`` restart the paths
+    that reached their level, keep snapshots, then step every path."""
+    n_steps = step_count(T, dt)
     _check_initial(u0, v0, space)
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-    n_steps = int(round(T / dt))
-    integ = MildIntegrator(params, space, noise, kappa)
+    shape = (path_ids.size, u0.coeffs.size)
+    integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, path_ids)
-    n_paths = path_ids.size
     state = integ.initial_state(
-        np.broadcast_to(u0.coeffs, (n_paths, u0.coeffs.size)),
-        np.broadcast_to(v0.coeffs, (n_paths, v0.coeffs.size)),
+        np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
     )
-    series = {c: np.empty((n_paths, n_steps + 1)) for c in NORM_COLUMNS}
+    series = {c: np.empty((path_ids.size, n_steps + 1)) for c in NORM_COLUMNS}
     times = np.arange(n_steps + 1) * dt
     snap_at = set(snapshot_steps if snapshot_steps is not None else (0, n_steps))
     snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    traj_u = np.empty((n_paths, n_steps + 1, u0.coeffs.size)) if store_trajectory else None
-    traj_v = np.empty_like(traj_u) if store_trajectory else None
+    traj = np.empty((2, shape[0], n_steps + 1, shape[1])) if store_trajectory else None
 
     for n in range(n_steps + 1):
         uv = (integ.synth(state.u), integ.synth(state.v))
         integ.record_norms(state, series, n, uv_vals=uv)
+        if glue is not None:
+            state = glue(integ, state, series, n, float(times[n]))
+            source.segment = state.segment
         if n in snap_at:
             snaps[n] = (state.u.copy(), state.v.copy())
-        if store_trajectory:
-            traj_u[:, n] = state.u
-            traj_v[:, n] = state.v
+        if traj is not None:
+            traj[0, :, n] = state.u
+            traj[1, :, n] = state.v
         if n == n_steps:
             break
-        dw1, dw2 = source.increments(n, dt)
+        dw1 = source.increment_block(n, 1, dt, 1)[:, 0]
+        dw2 = source.increment_block(n, 1, dt, 2)[:, 0]
         state = integ.step_raw(state, dw1, dw2, dt, uv_vals=uv)
 
     records = []
@@ -462,9 +435,25 @@ def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfi
             snapshots=[(float(times[n]), snaps[n][0][i].copy(), snaps[n][1][i].copy())
                        for n in sorted(snaps)],
             params=params, space=space,
-            trajectory=(traj_u[i].copy(), traj_v[i].copy()) if store_trajectory else None,
+            trajectory=(traj[0, i].copy(), traj[1, i].copy()) if traj is not None else None,
         ))
     return records
+
+
+def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
+                      u0: SpectralField, v0: SpectralField, kappa: float,
+                      T: float, dt: float, path_ids,
+                      snapshot_steps=None, store_trajectory: bool = False,
+                      check_gate: bool = True) -> list[PathRecord]:
+    """Simulate the cutoff system for a batch of independent paths.
+
+    All paths share (params, space, noise, initial data); the noise of
+    path ``p`` is keyed by its id, so any sub-batch replays bit-equal.
+    """
+    if check_gate:
+        _warn_if_inadmissible(params, noise, space)
+    return _run_batch(params, space, noise, u0, v0, kappa, T, dt, path_ids,
+                      snapshot_steps, store_trajectory)
 
 
 def simulate_path(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -479,81 +468,77 @@ def simulate_path(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
 
 def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                    u0: SpectralField, v0: SpectralField, kappa_schedule,
-                   T: float, dt: float, path_id: int = 0,
+                   T: float, dt: float, path_ids,
                    linear_fallback: bool = True,
-                   store_trajectory: bool = False) -> PathRecord:
-    """Concatenate cutoff-level local solutions along their stopping times.
+                   store_trajectory: bool = False) -> list[PathRecord]:
+    """Concatenate cutoff-level local solutions along their stopping times,
+    for a batch of paths.
 
-    Runs the kappa-cutoff system until its path norm first reaches kappa,
-    restarts from the stopped state at the next level with a fresh noise
-    sub-stream, and past the last level follows the linear continuation
-    (or raises ScheduleExhausted when disabled).
+    Each path runs the kappa-cutoff system until its path norm first
+    reaches kappa, restarts from the stopped state at the next level
+    with a fresh noise segment, and past the last level follows the
+    linear continuation (or raises ScheduleExhausted when disabled).
+    Warns when h(0) already reaches the first level.
     """
     schedule = [float(k) for k in kappa_schedule]
     if len(schedule) == 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError(["kappa_schedule must be non-empty and strictly increasing"])
-    _check_initial(u0, v0, space)
-    n_steps = int(round(T / dt))
-    times = np.arange(n_steps + 1) * dt
-    series = {c: np.empty(n_steps + 1) for c in NORM_COLUMNS}
-    traj_u = np.empty((n_steps + 1, u0.coeffs.size)) if store_trajectory else None
-    traj_v = np.empty_like(traj_u) if store_trajectory else None
-    glue_events: list[tuple[float, float]] = []
-    snaps: list[tuple[float, np.ndarray, np.ndarray]] = []
+    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    levels = np.asarray(schedule)
+    events: list[list[tuple[float, float]]] = [[] for _ in path_ids]
 
-    segment = 0
-    level = 0
-    fallback = False
-    integ = MildIntegrator(params, space, noise, schedule[level])
-    source = WienerSource(noise, space, [path_id], segment=segment)
-    state = integ.initial_state(u0.coeffs, v0.coeffs)
-    batch = {c: np.empty((1, n_steps + 1)) for c in NORM_COLUMNS}
-    first_stop = math.inf
-    first_stop_step = None
+    def glue(integ: MildIntegrator, state: _BatchState, series: dict[str, np.ndarray],
+             n: int, t: float) -> _BatchState:
+        """Restart the paths whose norm reached their level: next level (or
+        the linear fallback), fresh path norms, next noise segment."""
+        crossed = ~state.fallback & (state.h >= state.kappa)
+        if not crossed.any():
+            return state
+        if n == 0:
+            warnings.warn(f"h(0) >= kappa_0 = {levels[0]:g} on paths "
+                          f"{path_ids[crossed].tolist()}; they glue at t=0")
+        last = crossed & (state.level + 1 == levels.size)
+        if last.any() and not linear_fallback:
+            i = int(np.argmax(last))
+            raise ScheduleExhausted(
+                f"path {path_ids[i]}: path norm reached {state.h[i]:.4g} >= "
+                f"kappa={state.kappa[i]} at t={t:.6g} with no further level"
+            )
+        for i in np.flatnonzero(crossed):
+            events[i].append((float(state.kappa[i]), t))
+        series["phi"][last, n] = 0.0
+        level = state.level + (crossed & ~last)
+        rho_norm, diss_sq = integ.norm_terms(state.v)
+        return replace(
+            state, sup=np.where(crossed, rho_norm, state.sup),
+            intg=np.where(crossed, 0.0, state.intg),
+            last_diss_sq=np.where(crossed, diss_sq, state.last_diss_sq),
+            kappa=levels[level], level=level,
+            segment=state.segment + crossed, fallback=state.fallback | last,
+        )
 
-    for n in range(n_steps + 1):
-        uv = (integ.synth(state.u), integ.synth(state.v))
-        integ.record_norms(state, batch, n, uv_vals=uv)
-        for c in NORM_COLUMNS:
-            series[c][n] = batch[c][0, n]
-        if fallback:
-            series["phi"][n] = 0.0
-        if store_trajectory:
-            traj_u[n] = state.u[0]
-            traj_v[n] = state.v[0]
-        if n in (0, n_steps):
-            snaps.append((float(times[n]), state.u[0].copy(), state.v[0].copy()))
-        if not fallback and state.h[0] >= schedule[level]:
-            if math.isinf(first_stop):
-                first_stop = float(times[n])
-                first_stop_step = n
-            glue_events.append((schedule[level], float(times[n])))
-            segment += 1
-            if level + 1 < len(schedule):
-                level += 1
-                integ = MildIntegrator(params, space, noise, schedule[level])
-            elif linear_fallback:
-                fallback = True
-                series["phi"][n] = 0.0
-            else:
-                raise ScheduleExhausted(
-                    f"path norm reached {state.h[0]:.4g} >= kappa={schedule[level]} "
-                    f"at t={times[n]:.6g} with no further level"
-                )
-            # restart the running path norms from the stopped state
-            state = integ.initial_state(state.u, state.v, step=n, t=float(times[n]))
-            source = WienerSource(noise, space, [path_id], segment=segment)
-        if n == n_steps:
-            break
-        dw1, dw2 = source.increments(n, dt)
-        state = integ.step_raw(state, dw1, dw2, dt, fallback=fallback, uv_vals=uv)
+    records = _run_batch(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
+                         store_trajectory=store_trajectory, glue=glue)
+    for rec, path_events in zip(records, events):
+        rec.glue_events = path_events
+    return records
 
-    return PathRecord(
-        path_id=path_id, kappa=schedule[0], times=times, series=series,
-        stop_time=first_stop, stop_step=first_stop_step,
-        glue_events=glue_events, snapshots=snaps, params=params, space=space,
-        trajectory=(traj_u, traj_v) if store_trajectory else None,
-    )
+
+def _path_norm(norms: np.ndarray, diss_sq: np.ndarray, dt) -> np.ndarray:
+    """Running path norm h_n = max_{m<=n} |v_m|_{H^s} + (int_0^{t_n}
+    |v|^2_{H^{s+aleph/2}})^(1/2) from its per-time terms; trapezoid rule
+    with step dt (a scalar, or one per step)."""
+    intg = np.concatenate([[0.0], np.cumsum(0.5 * dt * (diss_sq[:-1] + diss_sq[1:]))])
+    return np.maximum.accumulate(norms) + np.sqrt(intg)
+
+
+def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
+                     dt) -> np.ndarray:
+    """The running path norm of a coefficient series v of shape (n+1, K),
+    sup_{m<=n} |v_m|_{H^s} + (int_0^{t_n} |v|^2_{H^{s+aleph/2}})^(1/2)."""
+    norms = np.sqrt(np.sum(sobolev_weights(space, s) * v**2, axis=-1))
+    diss_sq = np.sum(sobolev_weights(space, s + aleph / 2.0) * v**2, axis=-1)
+    return _path_norm(norms, diss_sq, dt)
 
 
 def pathspace_norm(record: PathRecord, rho: float, aleph: float, t: float) -> float:
@@ -562,32 +547,25 @@ def pathspace_norm(record: PathRecord, rho: float, aleph: float, t: float) -> fl
     if t < 0 or t > times[-1] + 1e-12:
         raise ValidationError([f"t={t} outside the record range [0, {times[-1]}]"])
     n = int(np.searchsorted(times, t + 1e-12) - 1) if t > 0 else 0
+    steps = np.diff(times[: n + 1])
     p = record.params
     if p is not None and (rho, aleph) == (p.rho, p.aleph):
-        sup = float(np.max(record.series["v_hrho"][: n + 1]))
-        diss = record.series["v_hrho_diss"][: n + 1] ** 2
+        h = _path_norm(record.series["v_hrho"][: n + 1],
+                       record.series["v_hrho_diss"][: n + 1] ** 2, steps)
     elif record.trajectory is not None and record.space is not None:
-        lam = get_basis(record.space).eigenvalues
-        vv = record.trajectory[1][: n + 1]
-        sup = float(np.max(np.sqrt(np.sum((1 + lam) ** rho * vv**2, axis=-1))))
-        diss = np.sum((1 + lam) ** (rho + aleph / 2.0) * vv**2, axis=-1)
+        h = path_norm_series(record.space, record.trajectory[1][: n + 1], rho, aleph, steps)
     else:
         raise ValidationError(
             ["record lacks a stored trajectory; rerun with store_trajectory=True "
              "to evaluate a path norm at non-recorded smoothness indices"]
         )
-    integral = float(np.trapezoid(diss, record.times[: n + 1])) if n > 0 else 0.0
-    return sup + math.sqrt(integral)
+    return float(h[-1])
 
 
 def _warn_if_inadmissible(params: ModelParams, noise: NoiseConfig, space: SpaceConfig):
-    from .paramgate import evaluate_gate  # local import to avoid a cycle
+    from .paramgate import evaluate_gate, gate_args  # local import to avoid a cycle
 
-    report = evaluate_gate(
-        q=params.q, aleph=params.aleph, alpha=params.alpha, d=space.d,
-        p_star0=params.p_star, gamma1=noise.gamma1, gamma2=noise.gamma2,
-        rho=params.rho, p_star=params.p_star,
-    )
+    report = evaluate_gate(**gate_args(params, noise, space))
     if not report.overall:
         failing = [c.name for c in report.conditions if not c.satisfied]
         warnings.warn(

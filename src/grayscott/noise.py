@@ -1,5 +1,4 @@
-"""Cylindrical Wiener noise in the eigenbasis and the linear
-multiplication operator coloring it.
+"""Cylindrical Wiener noise in the eigenbasis and its coloring.
 
 Increments are produced by a stateless counter-based generator: every
 scalar draw is a pure function of (seed, path, process, segment, step,
@@ -35,13 +34,19 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_MIX1, _U_MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix_arr(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, elementwise on uint64 words."""
+    z = z.astype(np.uint64)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
 
 
 def _role_arr(words: np.ndarray, mult: int) -> np.ndarray:
@@ -49,21 +54,22 @@ def _role_arr(words: np.ndarray, mult: int) -> np.ndarray:
     return _mix_arr((w + np.uint64(_GOLDEN)) * np.uint64(mult))
 
 
-def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment: int,
+def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
                     steps: np.ndarray, n_modes: int) -> np.ndarray:
     """Standard normals of shape (len(path_ids), len(steps), n_modes).
 
+    segment is one glue segment for all paths or one per path.
     Deterministic in every index; distinct tuples give independent draws.
     """
     base = _mix_int(seed)
     base = _mix_int(base ^ _mix_int(((process + 1) * _MULT_PROC) & _MASK))
-    base = _mix_int(base ^ _mix_int(((segment + 1) * _MULT_SEG) & _MASK))
-    rp = _role_arr(np.asarray(path_ids), _MULT_PATH)
+    # the segment word mixed into the base, per path when segment is an array
+    seg = np.atleast_1d(np.asarray(segment, dtype=np.uint64))
+    rseg = _mix_arr(np.uint64(base) ^ _mix_arr((seg + np.uint64(1)) * np.uint64(_MULT_SEG)))
+    rp = rseg ^ _role_arr(np.asarray(path_ids), _MULT_PATH)
     rs = _role_arr(np.asarray(steps), _MULT_STEP)
     rm = _role_arr(np.arange(n_modes), _MULT_MODE)
-    bits = _mix_arr(
-        np.uint64(base) ^ rp[:, None, None] ^ rs[None, :, None] ^ rm[None, None, :]
-    )
+    bits = _mix_arr(rp[:, None, None] ^ rs[None, :, None] ^ rm[None, None, :])
     # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
     u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
     return ndtri(u)
@@ -127,49 +133,29 @@ def coloring_weights(space: SpaceConfig, gamma: float,
     return idx, lam ** (-gamma / 2.0)
 
 
-@dataclass
-class WienerIncrement:
-    """One step of one coordinate-expanded Wiener process."""
-
-    dW: np.ndarray  # (K_noise,) i.i.d. Normal(0, dt)
-    t: float
-    dt: float
-    process: int  # j in {1, 2}
-
-
 class WienerSource:
     """Per-path increment stream bound to (config, space, segment).
 
-    Vectorized over a fixed tuple of path ids; every draw is addressed by
-    its step index, so two sources with overlapping keys replay bit-equal
-    increments.
+    Vectorized over a fixed tuple of path ids; segment is one glue
+    segment for all paths or one per path.  Every draw is addressed by
+    its step index, so two sources with overlapping keys replay
+    bit-equal increments.
     """
 
     def __init__(self, config: NoiseConfig, space: SpaceConfig,
-                 path_ids, segment: int = 0):
+                 path_ids, segment=0):
         self.config = config
         self.space = space
         self.segment = segment
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
         self.k_noise = config.mode_cutoff or noise_mode_indices(space).size
 
-    def increments(self, step: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(dW1, dW2), each of shape (n_paths, K_noise), variance dt."""
-        if dt <= 0:
-            raise ValidationError(["dt must be > 0"])
-        scale = np.sqrt(dt)
-        out = []
-        for process in (1, 2):
-            z = counter_normals(
-                self.config.seed, self.path_ids, process, self.segment,
-                np.asarray([step]), self.k_noise,
-            )[:, 0, :]
-            out.append(scale * z)
-        return out[0], out[1]
-
     def increment_block(self, step0: int, count: int, dt: float,
                         process: int) -> np.ndarray:
-        """(n_paths, count, K_noise) increments for consecutive steps."""
+        """(n_paths, count, K_noise) increments of variance dt for
+        consecutive steps."""
+        if dt <= 0:
+            raise ValidationError(["dt must be > 0"])
         z = counter_normals(
             self.config.seed, self.path_ids, process, self.segment,
             np.arange(step0, step0 + count), self.k_noise,
@@ -189,101 +175,37 @@ def aggregate_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(paths, steps // factor, factor, modes).sum(axis=2)
 
 
-def sample_increments(config: NoiseConfig, space: SpaceConfig, t: float, dt: float,
-                      path_id: int, segment: int = 0) -> tuple[WienerIncrement, WienerIncrement]:
-    """Increments of both processes at the step containing time t.
-
-    The step index is round(t / dt); t is expected to sit on the grid.
-    """
-    if dt <= 0:
-        raise ValidationError(["dt must be > 0"])
-    step = int(round(t / dt))
-    source = WienerSource(config, space, [path_id], segment)
-    dw1, dw2 = source.increments(step, dt)
-    return (
-        WienerIncrement(dw1[0], t, dt, 1),
-        WienerIncrement(dw2[0], t, dt, 2),
-    )
-
-
 # ---------------------------------------------------------------------------
-# the multiplication operator g_gamma and derived quantities
+# quantities of the colored noise modes
 # ---------------------------------------------------------------------------
 
 
-def apply_g(u: SpectralField, h_coeffs: np.ndarray, gamma: float,
-            k_noise: int | None = None) -> SpectralField:
-    """g_gamma(u)[h]: pointwise product of u with the (-Laplace)^(-gamma/2)
-    coloring of h, projected back to the basis.
-
-    h_coeffs is indexed by noise mode (zero mode excluded under 'drop').
-    """
-    space = u.space
-    basis = get_basis(space)
-    h_coeffs = np.asarray(h_coeffs, dtype=float)
-    idx, weights = coloring_weights(space, gamma, k_noise or h_coeffs.shape[-1])
-    if h_coeffs.shape[-1] != idx.size:
-        raise ValidationError(
-            [f"h has {h_coeffs.shape[-1]} modes, expected {idx.size}"]
-        )
-    z = np.zeros(space.total_modes)
-    z[idx] = weights * h_coeffs
-    m = basis.dealias_points(1.0)
-    vals = basis.synthesize(u.coeffs, m) * basis.synthesize(z, m)
-    return SpectralField(basis.analyze(vals, m), space)
-
-
-def noise_term(u: SpectralField, inc: WienerIncrement, gamma: float,
-               sigma: float) -> SpectralField:
-    """sigma * g_gamma(u)[dW] for one increment."""
-    out = apply_g(u, inc.dW, gamma)
-    out.coeffs *= sigma
-    return out
+def _colored_modes(space: SpaceConfig, gamma: float, k_noise: int | None,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_k**(-gamma/2), phi_k on the m-point grid) for the noise modes."""
+    idx, weights = coloring_weights(space, gamma, k_noise)
+    eye = np.zeros((idx.size, space.total_modes))
+    eye[np.arange(idx.size), idx] = 1.0
+    return weights, get_basis(space).synthesize(eye, m)
 
 
 def squared_eigenfunction_sum(space: SpaceConfig, gamma: float,
                               k_noise: int | None = None,
                               points_per_axis: int | None = None) -> np.ndarray:
     """Grid values of sum_k lambda_k^(-gamma) phi_k(x)^2 over noise modes."""
-    basis = get_basis(space)
-    idx, weights = coloring_weights(space, gamma, k_noise)
-    m = points_per_axis or basis.dealias_points(1.0)
-    eye = np.zeros((idx.size, space.total_modes))
-    eye[np.arange(idx.size), idx] = 1.0
-    phi_vals = basis.synthesize(eye, m)
+    m = points_per_axis or get_basis(space).dealias_points(1.0)
+    weights, phi_vals = _colored_modes(space, gamma, k_noise, m)
     return np.tensordot(weights**2, phi_vals**2, axes=(0, 0))
-
-
-def stratonovich_correction(u: SpectralField, gamma: float, sigma: float,
-                            k_noise: int | None = None,
-                            interpretation: str = "stratonovich") -> SpectralField:
-    """Drift converting the Stratonovich system to Ito form for linear g:
-    (sigma^2 / 2) sum_k lambda_k^(-gamma) u phi_k^2.
-
-    Returns the zero field under the Ito interpretation.
-    """
-    space = u.space
-    if interpretation == "ito":
-        return SpectralField(np.zeros_like(u.coeffs), space)
-    basis = get_basis(space)
-    m = basis.dealias_points(1.0)
-    s_vals = squared_eigenfunction_sum(space, gamma, k_noise, m)
-    vals = 0.5 * sigma**2 * basis.synthesize(u.coeffs, m) * s_vals
-    return SpectralField(basis.analyze(vals, m), space)
 
 
 def hilbert_schmidt_sum(u: SpectralField, gamma: float,
                         k_noise: int | None = None) -> float:
     """Truncated Hilbert-Schmidt norm sum_k lambda_k^(-gamma) |P(u phi_k)|_{L2}^2
     with P the Galerkin projection the scheme lives in."""
-    space = u.space
-    basis = get_basis(space)
-    idx, weights = coloring_weights(space, gamma, k_noise)
+    basis = get_basis(u.space)
     m = basis.dealias_points(1.0)
-    u_vals = basis.synthesize(u.coeffs, m)
-    eye = np.zeros((idx.size, space.total_modes))
-    eye[np.arange(idx.size), idx] = 1.0
-    prod = basis.analyze(u_vals[None, ...] * basis.synthesize(eye, m), m)
+    weights, phi_vals = _colored_modes(u.space, gamma, k_noise, m)
+    prod = basis.analyze(basis.synthesize(u.coeffs, m)[None, ...] * phi_vals, m)
     return float(np.sum(weights**2 * np.sum(prod**2, axis=-1)))
 
 

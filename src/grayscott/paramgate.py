@@ -63,6 +63,13 @@ def _vacuous(name, formula, note):
     return GateCondition(name, formula, True, math.inf, note=note)
 
 
+def _pstar_floor(scale: float, denom: float) -> tuple[float, str]:
+    """max(scale / denom, 4), with the first branch vacuous when denom <= 0."""
+    if denom <= 0:
+        return 4.0, "first branch vacuous: denominator <= 0"
+    return max(scale / denom, 4.0), ""
+
+
 def is_special_case(q: float, aleph: float, d: int) -> bool:
     return d == 2 and aleph == 2.0 and q == 2.0
 
@@ -100,13 +107,7 @@ def check_spaces(q: float, aleph: float, alpha: float, d: int,
         larger=False, note=note,
     ))
 
-    denom0 = aleph + 2 * d - d * q + 2 * q * alpha
-    if denom0 <= 0:
-        bound0 = 4.0
-        note0 = "first branch vacuous: denominator <= 0"
-    else:
-        bound0 = max(2.0 * d / denom0, 4.0)
-        note0 = ""
+    bound0, note0 = _pstar_floor(2.0 * d, aleph + 2 * d - d * q + 2 * q * alpha)
     rep.conditions.append(_strict(
         "pstar0-lower", f"p*_0 > max(2d/(aleph+2d-dq+2q alpha), 4) = {bound0:.6g}",
         p_star0, bound0, larger=True, note=note0,
@@ -191,13 +192,7 @@ def check_rho_window(rho: float, q: float, aleph: float, d: int,
         "rho-upper", f"rho <= aleph/2 - d/2 = {upper:.6g}",
         margin_up >= 0, margin_up, strict=False, note=note,
     ))
-    denom = aleph + d - d * q + 2 * q * rho
-    if denom <= 0:
-        bound = 4.0
-        pnote = "first branch vacuous: denominator <= 0"
-    else:
-        bound = max(4.0 * d / denom, 4.0)
-        pnote = ""
+    bound, pnote = _pstar_floor(4.0 * d, aleph + d - d * q + 2 * q * rho)
     rep.conditions.append(_strict(
         "pstar-rho-lower", f"p* > max(4d/(aleph+d-dq+2q rho), 4) = {bound:.6g}",
         p_star, bound, larger=True, note=pnote,
@@ -223,6 +218,13 @@ def evaluate_gate(q: float, aleph: float, alpha: float, d: int,
     if rho is not None:
         rep.extend(check_rho_window(rho, q, aleph, d, effective))
     return rep
+
+
+def gate_args(params, noise, space) -> dict:
+    """evaluate_gate arguments of a (ModelParams, NoiseConfig, SpaceConfig)."""
+    return dict(q=params.q, aleph=params.aleph, alpha=params.alpha, d=space.d,
+                p_star0=params.p_star, gamma1=noise.gamma1, gamma2=noise.gamma2,
+                rho=params.rho)
 
 
 def gate_sweep(base: dict, axis1: tuple[str, list], axis2: tuple[str, list] | None = None):

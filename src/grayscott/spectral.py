@@ -114,33 +114,25 @@ def _axis_eigenvalues(space: SpaceConfig, labels: np.ndarray) -> np.ndarray:
     return (4.0 * np.pi**2) * labels.astype(float) ** 2
 
 
-def _axis_values(space: SpaceConfig, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Basis function values, shape (len(x), len(labels))."""
-    out = np.empty((x.size, labels.size))
+def _axis_functions(space: SpaceConfig, labels: np.ndarray,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis function values and derivatives, each of shape (len(x), len(labels))."""
+    values = np.zeros((x.size, labels.size))
+    derivatives = np.zeros((x.size, labels.size))
+    r2 = math.sqrt(2.0)
     for j, m in enumerate(labels):
         if m == 0:
-            out[:, j] = 1.0
+            values[:, j] = 1.0
         elif space.boundary == "neumann":
-            out[:, j] = math.sqrt(2.0) * np.cos(m * np.pi * x)
+            values[:, j] = r2 * np.cos(m * np.pi * x)
+            derivatives[:, j] = -r2 * m * np.pi * np.sin(m * np.pi * x)
         elif m > 0:
-            out[:, j] = math.sqrt(2.0) * np.cos(2.0 * np.pi * m * x)
+            values[:, j] = r2 * np.cos(2.0 * np.pi * m * x)
+            derivatives[:, j] = -r2 * 2.0 * np.pi * m * np.sin(2.0 * np.pi * m * x)
         else:
-            out[:, j] = math.sqrt(2.0) * np.sin(2.0 * np.pi * (-m) * x)
-    return out
-
-
-def _axis_derivatives(space: SpaceConfig, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty((x.size, labels.size))
-    for j, m in enumerate(labels):
-        if m == 0:
-            out[:, j] = 0.0
-        elif space.boundary == "neumann":
-            out[:, j] = -math.sqrt(2.0) * m * np.pi * np.sin(m * np.pi * x)
-        elif m > 0:
-            out[:, j] = -math.sqrt(2.0) * 2.0 * np.pi * m * np.sin(2.0 * np.pi * m * x)
-        else:
-            out[:, j] = math.sqrt(2.0) * 2.0 * np.pi * (-m) * np.cos(2.0 * np.pi * (-m) * x)
-    return out
+            values[:, j] = r2 * np.sin(2.0 * np.pi * (-m) * x)
+            derivatives[:, j] = r2 * 2.0 * np.pi * (-m) * np.cos(2.0 * np.pi * (-m) * x)
+    return values, derivatives
 
 
 def _grid_nodes(space: SpaceConfig, m: int) -> np.ndarray:
@@ -156,8 +148,7 @@ class GridPlan:
         space = basis.space
         self.points_per_axis = points_per_axis
         self.nodes = _grid_nodes(space, points_per_axis)
-        self.values = _axis_values(space, basis.axis_labels, self.nodes)
-        self.derivatives = _axis_derivatives(space, basis.axis_labels, self.nodes)
+        self.values, self.derivatives = _axis_functions(space, basis.axis_labels, self.nodes)
         self.weight = points_per_axis ** (-space.d)
 
 

@@ -74,6 +74,33 @@ class TestConfigParsing:
         assert cfg.paths == 3
         assert cfg.space.boundary == "periodic"
 
+    def test_scalar_kappa_schedule_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="kappa_schedule must be a list"):
+            config_from_dict({"kappa_schedule": 3})
+        cfg_path = write_config(tmp_path, {**FAST_DOC, "kappa_schedule": 3})
+        assert main(["glue", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "kappa_schedule" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, needle", [
+        ({"T": 0.5, "dt": 0.3}, "not a whole multiple"),
+        ({"T": 0.001, "dt": 0.003}, "not a whole multiple"),
+        ({"T": math.nan}, "finite"),
+        ({"T": math.inf}, "finite"),
+        ({"dt": math.nan}, "finite"),
+        ({"dt": math.inf}, "finite"),
+        ({"kappa": math.nan}, "kappa must be finite"),
+        ({"kappa": math.inf}, "kappa must be finite"),
+        ({"kappa_schedule": [1.0, math.inf]}, "entries must be finite"),
+    ])
+    def test_non_finite_and_rounded_horizons_rejected(self, doc, needle):
+        with pytest.raises(ValidationError, match=needle):
+            config_from_dict(doc)
+
+    def test_whole_multiple_within_tolerance_accepted(self):
+        cfg = config_from_dict({"T": 0.35, "dt": 0.001})  # 349.99999999999994 steps
+        assert cfg.T == 0.35
+
     def test_bump_mode_out_of_range(self):
         cfg = parse_config(json.dumps(
             {"space": {"modes_per_axis": 8, "grid_points_per_axis": 16},

@@ -14,7 +14,7 @@ from grayscott.fixedpoint import (
     kset_check,
     picard_solve,
 )
-from grayscott.integrate import ModelParams, simulate_path
+from grayscott.integrate import MildIntegrator, ModelParams, simulate_path
 from grayscott.noise import NoiseConfig
 from grayscott.spectral import SpaceConfig, constant_field, lp_norm, sobolev_norm
 
@@ -33,7 +33,7 @@ class TestApplyV:
         params = ModelParams(b1=0.0, b2=0.0)
         z = constant_field(0.0, SP)
         control = constant_control(z, z, T=0.05, dt=1e-3)
-        out = apply_V(control, params, SP, NZ, z, z, kappa=1e9, path_id=0)
+        out = apply_V(control, MildIntegrator(params, SP, NZ), z, z, kappa=1e9, path_id=0)
         assert np.all(out.eta == 0.0)
         assert np.all(out.xi == 0.0)
 
@@ -43,7 +43,7 @@ class TestApplyV:
         res = picard_solve(params, SP, NZ, u0, v0, 1e9, path_id=0,
                            T=0.1, dt=1e-3, tol=1e-12, max_iter=30)
         fp = res["fixed_point"]
-        again = apply_V(fp, params, SP, NZ, u0, v0, 1e9, path_id=0)
+        again = apply_V(fp, MildIntegrator(params, SP, NZ), u0, v0, 1e9, path_id=0)
         drift = control_m_norm(again.eta - fp.eta, again.xi - fp.xi,
                                fp.times, SP, params.rho, params.aleph)
         assert drift < 1e-10
@@ -52,8 +52,9 @@ class TestApplyV:
         params = ModelParams(c1=0.05, c2=0.05)
         u0 = v0 = bump()
         control = constant_control(u0, v0, T=0.05, dt=1e-3)
-        a = apply_V(control, params, SP, NZ, u0, v0, kappa=50.0, path_id=4)
-        b = apply_V(control, params, SP, NZ, u0, v0, kappa=500.0, path_id=4)
+        integ = MildIntegrator(params, SP, NZ)
+        a = apply_V(control, integ, u0, v0, kappa=50.0, path_id=4)
+        b = apply_V(control, integ, u0, v0, kappa=500.0, path_id=4)
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
 
@@ -141,11 +142,12 @@ class TestKSet:
         u0 = v0 = bump()
         T, dt = 0.1, 1e-3
         control = constant_control(u0, v0, T, dt)
+        integ = MildIntegrator(params, SP, NZ)
 
         def functionals(path_ids):
             out = []
             for pid in path_ids:
-                v_out = apply_V(control, params, SP, NZ, u0, v0, 1e9, pid)
+                v_out = apply_V(control, integ, u0, v0, 1e9, pid)
                 out.append(kset_check(
                     v_out, KSetConstants(math.inf, math.inf, math.inf),
                     params.rho, params.aleph, params.p_star,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,17 +7,17 @@ import pytest
 from oracles import planar_ode
 
 from grayscott.errors import NonFinite, ScheduleExhausted, ValidationError
+from grayscott.cli import main
 from grayscott.integrate import (
-    CutoffState,
+    MildIntegrator,
     ModelParams,
     pathspace_norm,
     simulate_ensemble,
     simulate_glued,
     simulate_path,
     smooth_cutoff,
-    step_mild,
 )
-from grayscott.noise import NoiseConfig, sample_increments
+from grayscott.noise import NoiseConfig, WienerSource
 from grayscott.spectral import (
     SpaceConfig,
     SpectralField,
@@ -59,17 +60,25 @@ class TestSmoothCutoff:
         assert np.all((y >= 0) & (y <= 1))
 
 
+def first_increments(noise, dt, path_id=0):
+    source = WienerSource(noise, SP, [path_id])
+    return (source.increment_block(0, 1, dt, 1)[:, 0],
+            source.increment_block(0, 1, dt, 2)[:, 0])
+
+
 class TestStepMild:
+    """One exponential-Euler step of MildIntegrator.step_raw."""
+
     def test_pure_semigroup_reduction(self):
         params = ModelParams(sigma1=0.0, sigma2=0.0, c1=0.0, c2=0.0,
                              b1=0.0, b2=0.0, a1=-1.0, a2=0.5, aleph=1.5)
-        inc1, inc2 = sample_increments(NZ, SP, 0.0, 0.01, 0)
+        integ = MildIntegrator(params, SP, NZ)
         u, v = mode_field(SP, 5), mode_field(SP, 2)
-        cut = CutoffState(kappa=1e9)
-        u1, v1, _cut1 = step_mild(u, v, params, NZ, cut, inc1, inc2, 0.01)
+        state = integ.initial_state(u.coeffs, v.coeffs, 1e9)
+        new = integ.step_raw(state, *first_increments(NZ, 0.01), 0.01)
         lam = get_basis(SP).eigenvalues
-        assert u1.coeffs[5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
-        assert v1.coeffs[2] == pytest.approx(
+        assert new.u[0, 5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
+        assert new.v[0, 2] == pytest.approx(
             math.exp((-lam[2] ** 0.75 + 0.5) * 0.01), rel=1e-14)
 
     def test_matches_simulate_path_one_step(self):
@@ -77,15 +86,12 @@ class TestStepMild:
         u0, v0 = bump(SP), bump(SP)
         rec = simulate_path(params, SP, NZ, u0, v0, 1e9, T=0.002, dt=0.001,
                             store_trajectory=True)
-        inc1, inc2 = sample_increments(NZ, SP, 0.0, 0.001, 0)
-        cut = CutoffState(kappa=1e9,
-                          running_sup=rec.series["v_hrho"][0],
-                          running_int=0.0,
-                          last_diss_sq=rec.series["v_hrho_diss"][0] ** 2)
-        u1, v1, cut1 = step_mild(u0, v0, params, NZ, cut, inc1, inc2, 0.001)
-        assert np.array_equal(u1.coeffs, rec.trajectory[0][1])
-        assert np.array_equal(v1.coeffs, rec.trajectory[1][1])
-        assert cut1.h_value == pytest.approx(rec.series["h"][1], rel=1e-14)
+        integ = MildIntegrator(params, SP, NZ)
+        state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
+        new = integ.step_raw(state, *first_increments(NZ, 0.001), 0.001)
+        assert np.array_equal(new.u[0], rec.trajectory[0][1])
+        assert np.array_equal(new.v[0], rec.trajectory[1][1])
+        assert new.h[0] == pytest.approx(rec.series["h"][1], rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection(self):
@@ -241,7 +247,7 @@ class TestGlueing:
     def test_vacuous_glueing_matches_single(self):
         params = ModelParams()
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1e9, 2e9],
-                               T=0.1, dt=1e-3)
+                               T=0.1, dt=1e-3, path_ids=[0])[0]
         single = simulate_path(params, SP, NZ, bump(SP), bump(SP), 1e9,
                                T=0.1, dt=1e-3)
         assert glued.glue_events == []
@@ -252,7 +258,7 @@ class TestGlueing:
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
         schedule = [1.8, 2.6, 3.4]
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
-                               T=1.2, dt=2e-3, store_trajectory=True)
+                               T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
         assert len(glued.glue_events) >= 1
         single = simulate_path(params, SP, NZ, bump(SP), bump(SP), schedule[0],
                                T=1.2, dt=2e-3, store_trajectory=True)
@@ -267,19 +273,81 @@ class TestGlueing:
 
     def test_schedule_exhausted_raises(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
-        with pytest.raises(ScheduleExhausted):
+        with pytest.raises(ScheduleExhausted, match="path 0"):
             simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                           T=2.0, dt=2e-3, linear_fallback=False)
+                           T=2.0, dt=2e-3, path_ids=[0], linear_fallback=False)
 
     def test_linear_fallback_runs_to_T(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
         rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                             T=2.0, dt=2e-3, linear_fallback=True)
+                             T=2.0, dt=2e-3, path_ids=[0], linear_fallback=True)[0]
         assert len(rec.glue_events) == 1
         stop = rec.glue_events[0][1]
         past = rec.times > stop
         assert np.all(rec.series["phi"][past] == 0.0)
         assert np.all(np.isfinite(rec.series["u_l2"]))
+
+    def test_batch_matches_single_path_runs(self):
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        schedule = [1.8, 2.6, 3.4]
+        batch = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
+                               T=1.2, dt=2e-3, path_ids=[0, 1, 2, 3])
+        assert [r.path_id for r in batch] == [0, 1, 2, 3]
+        for rec in batch:
+            solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
+                                  T=1.2, dt=2e-3, path_ids=[rec.path_id])[0]
+            assert rec.glue_events == solo.glue_events
+            assert rec.stop_step == solo.stop_step
+            for col, values in solo.series.items():
+                np.testing.assert_allclose(rec.series[col], values, rtol=1e-12, atol=0)
+        # paths cross at different times, so the batch really mixes levels
+        assert len({tuple(r.glue_events) for r in batch}) > 1
+
+    def test_exhausted_batch_names_first_path(self):
+        params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
+        solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
+                              T=2.0, dt=2e-3, path_ids=[5, 6])
+        stops = [r.glue_events[0][1] for r in solo]
+        assert stops[0] != stops[1]
+        first = solo[int(np.argmin(stops))]
+        with pytest.raises(ScheduleExhausted,
+                           match=rf"path {first.path_id}: .* at t={min(stops):.6g} "):
+            simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
+                           T=2.0, dt=2e-3, path_ids=[5, 6], linear_fallback=False)
+
+    def test_warns_when_first_level_is_reached_at_start(self):
+        # v0 = 1 has h(0) = 1 >= kappa_0, so every path glues at t=0
+        one = constant_field(1.0, SP)
+        with pytest.warns(UserWarning, match=r"h\(0\) >= kappa_0 = 1 on paths \[3, 4\]"):
+            recs = simulate_glued(ModelParams(), SP, NZ, one, one, [1.0, 2.0],
+                                  T=0.01, dt=1e-3, path_ids=[3, 4])
+        assert all(r.glue_events[0] == (1.0, 0.0) for r in recs)
+
+    def test_cli_batch_writes_single_path_events(self, tmp_path):
+        doc = {
+            "space": {"d": 1, "modes_per_axis": 16, "grid_points_per_axis": 32},
+            "model": {"a2": 0.4, "b2": 1.2, "sigma2": 0.2, "c1": 0.2, "c2": 0.2},
+            "noise": {"gamma1": 1.0, "gamma2": 0.75, "seed": 99},
+            "u0": {"kind": "bump", "value": 1.0, "amplitude": 0.2, "mode": 1},
+            "v0": {"kind": "bump", "value": 1.0, "amplitude": 0.2, "mode": 1},
+            "kappa_schedule": [1.8, 2.6, 3.4],
+            "T": 1.2,
+            "dt": 0.002,
+        }
+        cfg_path = tmp_path / "glue.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["glue", "--config", str(cfg_path), "--paths", "3",
+                     "--out", str(out)]) == 0
+        rows = (out / "glue_events.csv").read_text().splitlines()
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        expected = ["path,kappa,stop_time"]
+        for pid in range(3):
+            solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.6, 3.4],
+                                  T=1.2, dt=2e-3, path_ids=[pid])[0]
+            expected += [f"{pid},{k:.17g},{t:.17g}" for k, t in solo.glue_events]
+        assert rows == expected
+        assert len(rows) > 4
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -3,41 +3,45 @@ import math
 import numpy as np
 import pytest
 
+from grayscott.integrate import MildIntegrator, ModelParams
 from grayscott.noise import (
     NoiseConfig,
     WienerSource,
     aggregate_increments,
-    apply_g,
     coloring_weights,
+    counter_normals,
     hilbert_schmidt_sum,
     hs_tail_sum,
-    noise_term,
-    sample_increments,
     squared_eigenfunction_sum,
-    stratonovich_correction,
 )
-from grayscott.spectral import SpaceConfig, constant_field, get_basis, mode_field
+from grayscott.spectral import SpaceConfig, SpectralField, constant_field, get_basis, mode_field
 
 SP = SpaceConfig(d=1, boundary="neumann", modes_per_axis=16, grid_points_per_axis=32)
 CFG = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=123)
 
 
+def step_increments(config, step, dt, path_id, segment=0):
+    source = WienerSource(config, SP, [path_id], segment)
+    return (source.increment_block(step, 1, dt, 1)[0, 0],
+            source.increment_block(step, 1, dt, 2)[0, 0])
+
+
 class TestSampling:
     def test_determinism(self):
-        a1, a2 = sample_increments(CFG, SP, 0.004, 0.001, path_id=7)
-        b1, b2 = sample_increments(CFG, SP, 0.004, 0.001, path_id=7)
-        assert np.array_equal(a1.dW, b1.dW)
-        assert np.array_equal(a2.dW, b2.dW)
-        assert a1.dW.shape == (15,)
+        a1, a2 = step_increments(CFG, 4, 0.001, path_id=7)
+        b1, b2 = step_increments(CFG, 4, 0.001, path_id=7)
+        assert np.array_equal(a1, b1)
+        assert np.array_equal(a2, b2)
+        assert a1.shape == (15,)
 
     def test_distinct_keys_differ(self):
-        base, _ = sample_increments(CFG, SP, 0.0, 0.001, path_id=0)
-        other_path, _ = sample_increments(CFG, SP, 0.0, 0.001, path_id=1)
-        other_step, _ = sample_increments(CFG, SP, 0.001, 0.001, path_id=0)
-        other_seed, _ = sample_increments(
-            NoiseConfig(gamma1=1.0, gamma2=0.75, seed=124), SP, 0.0, 0.001, 0)
+        base, _ = step_increments(CFG, 0, 0.001, path_id=0)
+        other_path, _ = step_increments(CFG, 0, 0.001, path_id=1)
+        other_step, _ = step_increments(CFG, 1, 0.001, path_id=0)
+        other_seed, _ = step_increments(
+            NoiseConfig(gamma1=1.0, gamma2=0.75, seed=124), 0, 0.001, 0)
         for arr in (other_path, other_step, other_seed):
-            assert not np.array_equal(base.dW, arr.dW)
+            assert not np.array_equal(base, arr)
 
     def test_sample_mean_clt_band(self):
         dt = 0.01
@@ -72,54 +76,107 @@ class TestSampling:
         assert abs(var - 0.002) < 5 * 0.002 * math.sqrt(2.0 / halved.size)
 
     def test_segments_are_fresh_streams(self):
-        s0 = WienerSource(CFG, SP, [5], segment=0)
-        s1 = WienerSource(CFG, SP, [5], segment=1)
-        a, _ = s0.increments(3, 0.01)
-        b, _ = s1.increments(3, 0.01)
+        a, _ = step_increments(CFG, 3, 0.01, path_id=5, segment=0)
+        b, _ = step_increments(CFG, 3, 0.01, path_id=5, segment=1)
         assert not np.array_equal(a, b)
 
 
+class TestNoiseAddress:
+    def test_per_path_segments_equal_stacked_scalar_segments(self):
+        paths = np.array([0, 3, 7, 12])
+        segments = np.array([0, 2, 1, 4])
+        steps = np.arange(5, 12)
+        for process in (1, 2):
+            mixed = counter_normals(9, paths, process, segments, steps, 15)
+            stacked = np.concatenate([
+                counter_normals(9, paths[i:i + 1], process, int(segments[i]), steps, 15)
+                for i in range(paths.size)
+            ])
+            assert np.array_equal(mixed, stacked)
+        # a uniform segment array is the scalar segment
+        assert np.array_equal(counter_normals(9, paths, 1, np.full(4, 2), steps, 15),
+                              counter_normals(9, paths, 1, 2, steps, 15))
+        source = WienerSource(CFG, SP, paths, segment=segments)
+        block = source.increment_block(3, 2, 0.01, process=2)
+        for i, pid in enumerate(paths):
+            solo = WienerSource(CFG, SP, [pid], segment=int(segments[i]))
+            assert np.array_equal(block[i], solo.increment_block(3, 2, 0.01, process=2)[0])
+
+    def test_block_slices_equal_single_steps(self):
+        source = WienerSource(CFG, SP, [0, 4, 9], segment=1)
+        for process in (1, 2):
+            block = source.increment_block(6, 10, 0.002, process)
+            for k in range(10):
+                one = source.increment_block(6 + k, 1, 0.002, process)
+                assert np.array_equal(block[:, k], one[:, 0])
+
+
+def integrator(gamma1=1.0, sigma1=0.1, interpretation="ito"):
+    noise = NoiseConfig(gamma1=gamma1, gamma2=0.75, seed=123, interpretation=interpretation)
+    return MildIntegrator(ModelParams(sigma1=sigma1), SP, noise)
+
+
 class TestMultiplicationOperator:
+    """g_gamma(u)[h] as MildIntegrator.g_dw, on the scheme's product grid."""
+
+    def g(self, u, h, gamma):
+        integ = integrator(gamma1=gamma)
+        return integ.g_dw(integ.synth(u.coeffs), h, 1)
+
     def test_single_mode_on_constant(self):
         h = np.zeros(15)
         h[2] = 1.0  # noise mode 2 is eigen index 3
-        out = apply_g(constant_field(1.0, SP), h, gamma=1.5)
-        assert out.coeffs[3] == pytest.approx((9 * math.pi**2) ** -0.75, rel=1e-12)
+        out = self.g(constant_field(1.0, SP), h, gamma=1.5)
+        assert out[3] == pytest.approx((9 * math.pi**2) ** -0.75, rel=1e-12)
         mask = np.arange(16) != 3
-        assert np.max(np.abs(out.coeffs[mask])) < 1e-14
+        assert np.max(np.abs(out[mask])) < 1e-14
 
     def test_zero_h_gives_zero(self):
-        out = apply_g(mode_field(SP, 2), np.zeros(15), gamma=1.0)
-        assert np.all(out.coeffs == 0.0)
+        out = self.g(mode_field(SP, 2), np.zeros(15), gamma=1.0)
+        assert np.all(out == 0.0)
 
     def test_trig_product_identity(self):
         h = np.zeros(15)
         h[0] = 1.0  # eigen index 1
-        out = apply_g(mode_field(SP, 1), h, gamma=1.0)
+        out = self.g(mode_field(SP, 1), h, gamma=1.0)
         lam1 = math.pi**2
-        assert out.coeffs[0] == pytest.approx(lam1**-0.5, rel=1e-12)
-        assert out.coeffs[2] == pytest.approx(lam1**-0.5 / math.sqrt(2), rel=1e-12)
+        assert out[0] == pytest.approx(lam1**-0.5, rel=1e-12)
+        assert out[2] == pytest.approx(lam1**-0.5 / math.sqrt(2), rel=1e-12)
 
     def test_noise_term_linearity(self):
-        inc, _ = sample_increments(CFG, SP, 0.0, 0.01, path_id=0)
+        # the step's noise term sigma * g(u)[dW] vanishes at sigma = 0 and
+        # is linear in sigma
+        dw1, dw2 = step_increments(CFG, 0, 0.01, path_id=0)
         u = constant_field(1.0, SP)
-        zero = noise_term(u, inc, gamma=1.0, sigma=0.0)
-        assert np.all(zero.coeffs == 0.0)
-        one = noise_term(u, inc, gamma=1.0, sigma=0.5)
-        two = noise_term(u, inc, gamma=1.0, sigma=1.0)
-        assert np.allclose(2.0 * one.coeffs, two.coeffs, rtol=1e-14)
+        new = {}
+        for sigma in (0.0, 0.5, 1.0):
+            integ = MildIntegrator(ModelParams(sigma1=sigma, sigma2=0.0), SP, CFG)
+            state = integ.initial_state(u.coeffs, u.coeffs, 1e9)
+            new[sigma] = integ.step_raw(state, dw1[None], dw2[None], 0.01).u[0]
+            if sigma == 0.0:
+                quiet = integ.step_raw(state, 0 * dw1[None], 0 * dw2[None], 0.01).u[0]
+                assert np.array_equal(new[0.0], quiet)
+        half, one = new[0.5] - new[0.0], new[1.0] - new[0.0]
+        assert np.max(np.abs(one)) > 1e-3
+        assert np.allclose(2.0 * half, one, rtol=1e-14)
 
 
 class TestStratonovichCorrection:
+    """The Stratonovich-to-Ito drift as added by MildIntegrator.to_ito."""
+
+    def correction(self, u, gamma, sigma, interpretation="stratonovich"):
+        integ = integrator(gamma1=gamma, sigma1=sigma, interpretation=interpretation)
+        drift = integ.to_ito(np.zeros(integ.grid_m), integ.synth(u.coeffs), 1)
+        return integ.analyze(drift)
+
     def test_ito_mode_is_zero(self):
-        out = stratonovich_correction(constant_field(1.0, SP), 1.0, 0.5,
-                                      interpretation="ito")
-        assert np.all(out.coeffs == 0.0)
+        out = self.correction(constant_field(1.0, SP), 1.0, 0.5, interpretation="ito")
+        assert np.all(out == 0.0)
 
     def test_direct_summation_on_constant(self):
         # oracle: (sigma^2/2) sum_k lambda_k^-gamma 2 cos^2(k pi x), projected
         sigma, gamma = 0.6, 1.2
-        out = stratonovich_correction(constant_field(1.0, SP), gamma, sigma)
+        out = self.correction(constant_field(1.0, SP), gamma, sigma)
         basis = get_basis(SP)
         m = basis.dealias_points(1.0)
         x = basis.plan(m).nodes
@@ -128,17 +185,15 @@ class TestStratonovichCorrection:
             lam = (math.pi * k) ** 2
             direct += lam**-gamma * 2.0 * np.cos(k * math.pi * x) ** 2
         direct *= 0.5 * sigma**2
-        assert np.allclose(out.coeffs, basis.analyze(direct, m), atol=1e-13)
+        assert np.allclose(out, basis.analyze(direct, m), atol=1e-13)
 
     def test_linearity_in_u(self):
         rng = np.random.default_rng(2)
-        from grayscott.spectral import SpectralField
-
         u = SpectralField(rng.standard_normal(16), SP)
         u2 = SpectralField(2.0 * u.coeffs, SP)
-        one = stratonovich_correction(u, 1.0, 0.3)
-        two = stratonovich_correction(u2, 1.0, 0.3)
-        assert np.allclose(2.0 * one.coeffs, two.coeffs, rtol=1e-13)
+        one = self.correction(u, 1.0, 0.3)
+        two = self.correction(u2, 1.0, 0.3)
+        assert np.allclose(2.0 * one, two, rtol=1e-13)
 
 
 class TestBurkholderSanity:
