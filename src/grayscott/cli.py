@@ -178,10 +178,8 @@ def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
         cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa_schedule,
         cfg.T, cfg.dt, np.arange(cfg.paths),
     )
-    rows = []
-    for rec in records:
-        write_norm_series(ctx.path(f"path_{rec.path_id:05d}.csv"), rec)
-        rows += [[rec.path_id, kappa, tbar] for kappa, tbar in rec.glue_events]
+    _write_records(cfg, ctx, records)
+    rows = [[rec.path_id, kappa, tbar] for rec in records for kappa, tbar in rec.glue_events]
     write_csv(ctx.path("glue_events.csv"), ["path", "kappa", "stop_time"], rows)
     print(f"glued {cfg.paths} paths; {len(rows)} glue events")
     ctx.finish("ok")
@@ -190,24 +188,24 @@ def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 def cmd_fixed_point(cfg: RunConfig, ctx: RunContext, args) -> int:
     u0, v0 = _initial_data(cfg)
-    rows, margin_rows = [], []
+    m = cfg.model
+    result = picard_solve(
+        m, cfg.space, cfg.noise, u0, v0, cfg.kappa, np.arange(cfg.paths),
+        cfg.T, cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter,
+    )
+    constants = compute_kset_constants(
+        u0.l2_norm() ** 2, lp_norm(u0, m.p_star) ** m.p_star,
+        sobolev_norm(v0, m.rho) ** 2, cfg.kappa, cfg.T, m.lam, m.p_star,
+    )
+    check = kset_check(result["fixed_point"], constants, m.rho, m.aleph, m.p_star)
+    rows = [[pid, i + 1, res] for pid, trace in enumerate(result["residuals"])
+            for i, res in enumerate(trace)]
+    margin_rows = []
     for pid in range(cfg.paths):
-        result = picard_solve(
-            cfg.model, cfg.space, cfg.noise, u0, v0, cfg.kappa, pid,
-            cfg.T, cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter,
-        )
-        for i, res in enumerate(result["residuals"]):
-            rows.append([pid, i + 1, res])
-        constants = compute_kset_constants(
-            u0.l2_norm() ** 2, lp_norm(u0, cfg.model.p_star) ** cfg.model.p_star,
-            sobolev_norm(v0, cfg.model.rho) ** 2, cfg.kappa, cfg.T,
-            cfg.model.lam, cfg.model.p_star,
-        )
-        check = kset_check(result["fixed_point"], constants, cfg.model.rho,
-                           cfg.model.aleph, cfg.model.p_star)
-        margin_rows.append([pid, int(check["in_set"]), *check["margins"]])
-        print(f"path {pid}: fixed point in {result['iterates']} iterations, "
-              f"in_set={check['in_set']}")
+        in_set = bool(check["in_set"][pid])
+        margin_rows.append([pid, int(in_set), *check["margins"][pid]])
+        print(f"path {pid}: fixed point in {result['iterates'][pid]} iterations, "
+              f"in_set={in_set}")
     write_csv(ctx.path("residuals.csv"), ["path", "iteration", "residual"], rows)
     write_csv(ctx.path("kset_margins.csv"),
               ["path", "in_set", "margin_K1", "margin_K2", "margin_K3"], margin_rows)

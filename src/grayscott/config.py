@@ -111,12 +111,31 @@ _RUN_KEYS = {
 }
 
 
+def _number_violations(cls, data: dict) -> dict[str, str]:
+    """Per offending key: integer fields take integers and float fields
+    finite numbers; a JSON boolean is neither."""
+    bad = {}
+    for f in dataclasses.fields(cls):
+        value = data.get(f.name)
+        if f.name not in data or value is None and f.type == "int | None":
+            continue
+        if f.type in ("int", "int | None") and type(value) is not int:
+            bad[f.name] = f"{f.name} must be an integer, got {value!r}"
+        elif f.type == "float" and type(value) not in (int, float):
+            bad[f.name] = f"{f.name} must be a number, got {value!r}"
+        elif f.type == "float" and type(value) is float and not math.isfinite(value):
+            bad[f.name] = f"{f.name} must be finite, got {value!r}"
+    return bad
+
+
 def _build_section(cls, data: dict, where: str, violations: list[str]):
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         violations.append(f"unknown keys in {where}: {', '.join(sorted(unknown))}")
-        data = {k: v for k, v in data.items() if k in allowed}
+    bad = _number_violations(cls, data)
+    violations.extend(f"{where}: {msg}" for msg in bad.values())
+    data = {k: v for k, v in data.items() if k in allowed and k not in bad}
     try:
         return cls(**data)
     except ValidationError as err:
@@ -143,21 +162,22 @@ def config_from_dict(doc: dict) -> RunConfig:
         built = _build_section(cls, section, name, violations)
         if built is not None:
             kwargs[name] = built
+    bad = _number_violations(RunConfig, doc)
+    violations.extend(bad.values())
     for name in _RUN_KEYS:
-        if name in doc:
+        if name in doc and name not in bad:
             value = doc[name]
             if name == "kappa_schedule":
-                try:
-                    value = tuple(float(x) for x in value)
-                except (TypeError, ValueError):
+                if not (isinstance(value, (list, tuple))
+                        and all(type(x) in (int, float) for x in value)):
                     violations.append(f"kappa_schedule must be a list of numbers, got {value!r}")
                     continue
+                value = tuple(float(x) for x in value)
             kwargs[name] = value
     # validate run-level constraints even when a section failed, so the
     # error lists every violation at once
     try:
-        probe = {k: v for k, v in kwargs.items() if k in _SECTIONS or k in _RUN_KEYS}
-        built = RunConfig(**probe)
+        built = RunConfig(**kwargs)
         if not violations:
             return built
     except ValidationError as err:

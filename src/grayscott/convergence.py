@@ -59,8 +59,7 @@ def deterministic_order_study(params: ModelParams, space: SpaceConfig,
 
 def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                        u0: SpectralField, v0: SpectralField, T: float, dts,
-                       n_paths: int = 256, ref_refinement: int = 8,
-                       path_id0: int = 0) -> dict:
+                       n_paths: int = 256, ref_refinement: int = 8) -> dict:
     """Root-mean-square strong error at T per step size, all levels driven
     by block sums of one shared fine increment stream."""
     dts = sorted(dts, reverse=True)
@@ -69,8 +68,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     strides = [step_count(dt, dt_ref) for dt in dts]  # each dt a whole multiple of dt_ref
 
     integ = MildIntegrator(params, space, noise)
-    path_ids = np.arange(path_id0, path_id0 + n_paths)
-    source = WienerSource(noise, space, path_ids)
+    source = WienerSource(noise, space, np.arange(n_paths))
     k = integ.k_noise
 
     ref_state = integ.initial_state(

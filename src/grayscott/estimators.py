@@ -34,8 +34,7 @@ class MomentReport:
                 f"(M={self.n_paths})")
 
 
-def reduce_mean(name: str, values, extras: dict | None = None,
-                keep_raw: bool = False) -> MomentReport:
+def reduce_mean(name: str, values, extras: dict | None = None) -> MomentReport:
     values = np.sort(np.asarray(values, dtype=float))
     m = values.size
     if m < 2:
@@ -44,10 +43,7 @@ def reduce_mean(name: str, values, extras: dict | None = None,
     if not math.isfinite(est):
         raise ValidationError([f"estimate for {name} is not finite"])
     hw = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
-    extras = dict(extras or {})
-    if keep_raw:
-        extras["raw"] = values
-    return MomentReport(name, m, est, hw, extras)
+    return MomentReport(name, m, est, hw, dict(extras or {}))
 
 
 def _sorted_records(records) -> list[PathRecord]:
@@ -57,8 +53,7 @@ def _sorted_records(records) -> list[PathRecord]:
     return recs
 
 
-def estimate_u_L2(records, u0_l2_sq: float | None = None,
-                  keep_raw: bool = False) -> MomentReport:
+def estimate_u_L2(records, u0_l2_sq: float | None = None) -> MomentReport:
     """Ensemble mean of sup_t |u|_{L2}^2, with a fitted constant against
     the bound shape C (1 + E|u0|_{L2}^2) when the initial moment is given."""
     recs = _sorted_records(records)
@@ -68,11 +63,10 @@ def estimate_u_L2(records, u0_l2_sq: float | None = None,
         rhs = 1.0 + u0_l2_sq
         extras["rhs"] = rhs
         extras["fitted_C"] = float(np.mean(vals)) / rhs
-    return reduce_mean("sup_t |u|_L2^2", vals, extras, keep_raw)
+    return reduce_mean("sup_t |u|_L2^2", vals, extras)
 
 
-def estimate_u_pstar(records, p_star: float | None = None, lam: float = 0.0,
-                     keep_raw: bool = False) -> dict:
+def estimate_u_pstar(records, p_star: float | None = None, lam: float = 0.0) -> dict:
     """Sup of the (optionally e^{-lam t} weighted) p* mass of u together
     with the time-integrated gradient dissipation int |u^{p*/2-1} grad u|_{L2}^2.
 
@@ -92,15 +86,13 @@ def estimate_u_pstar(records, p_star: float | None = None, lam: float = 0.0,
     grad_vals = [float(np.trapezoid(r.series["u_grad_p"], r.times)) for r in recs]
     return {
         "sup": reduce_mean(f"sup_t e^(-lam t)|u|_Lp*^p* (p*={ps})", sup_vals,
-                           {"lam": lam}, keep_raw),
-        "gradient": reduce_mean("int |u^(p*/2-1) grad u|_L2^2 dt", grad_vals,
-                                {}, keep_raw),
+                           {"lam": lam}),
+        "gradient": reduce_mean("int |u^(p*/2-1) grad u|_L2^2 dt", grad_vals),
     }
 
 
 def estimate_v_Halpha(records, alpha: float | None = None,
-                      aleph: float | None = None, rhs: float | None = None,
-                      keep_raw: bool = False) -> dict:
+                      aleph: float | None = None, rhs: float | None = None) -> dict:
     """Sup of |v|^2 in H^alpha and the dissipation int |v|^2 in
     H^{alpha + aleph/2}, with a fitted constant when the bound's
     right-hand side is supplied."""
@@ -123,19 +115,18 @@ def estimate_v_Halpha(records, alpha: float | None = None,
         combined = float(np.mean(sup_vals)) + 2.0 * float(np.mean(diss_vals))
         extras = {"rhs": rhs, "fitted_C1": combined / rhs, "combined_lhs": combined}
     return {
-        "sup": reduce_mean("sup_t |v|_Halpha^2", sup_vals, extras, keep_raw),
-        "dissipation": reduce_mean("int |v|_H(alpha+aleph/2)^2 dt", diss_vals,
-                                   {}, keep_raw),
+        "sup": reduce_mean("sup_t |v|_Halpha^2", sup_vals, extras),
+        "dissipation": reduce_mean("int |v|_H(alpha+aleph/2)^2 dt", diss_vals),
     }
 
 
-def estimate_coupling(records, m: int = 1, keep_raw: bool = False) -> MomentReport:
+def estimate_coupling(records, m: int = 1) -> MomentReport:
     """Ensemble mean of ( int int u^{p*} v^q dx dt )^m, clip-then-power."""
     if m < 1:
         raise ValidationError(["the power m must be >= 1"])
     recs = _sorted_records(records)
     vals = [float(np.trapezoid(r.series["couple"], r.times)) ** m for r in recs]
-    return reduce_mean(f"(int int u^p* v^q)^{m}", vals, {}, keep_raw)
+    return reduce_mean(f"(int int u^p* v^q)^{m}", vals)
 
 
 # ---------------------------------------------------------------------------

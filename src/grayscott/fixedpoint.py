@@ -2,9 +2,9 @@
 controls, Picard iteration to a discrete fixed point, and invariant-set
 membership diagnostics.
 
-The construction is deliberately pathwise: one noise realization is
-frozen (path id and segment) and the operator is iterated on it.  A
-fixed point then satisfies the same discrete update rule as the direct
+The construction is deliberately pathwise: each path's noise
+realization is frozen by its path id and the operator is iterated on it.
+A fixed point then satisfies the same discrete update rule as the direct
 cutoff simulation under the shared seed.
 """
 
@@ -29,9 +29,9 @@ from .spectral import SpaceConfig, SpectralField, get_basis
 
 @dataclass
 class ControlPair:
-    """Time-indexed control fields on the integrator grid.
+    """Time-indexed control fields on the integrator grid, for P paths.
 
-    eta and xi have shape (n_steps + 1, K) of eigenbasis coefficients.
+    eta and xi have shape (P, n_steps + 1, K) of eigenbasis coefficients.
     """
 
     eta: np.ndarray
@@ -42,15 +42,11 @@ class ControlPair:
     def __post_init__(self):
         n = self.times.size
         k = self.space.total_modes
-        if self.eta.shape != (n, k) or self.xi.shape != (n, k):
+        if self.eta.shape[1:] != (n, k) or self.xi.shape != self.eta.shape:
             raise ValidationError(
-                [f"control arrays must have shape ({n}, {k}), got "
+                [f"control arrays must have shape (P, {n}, {k}), got "
                  f"{self.eta.shape} and {self.xi.shape}"]
             )
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 @dataclass
@@ -67,129 +63,130 @@ class KSetConstants:
             raise ValidationError(["K-set constants and lam must be non-negative"])
 
 
-def constant_control(u0: SpectralField, v0: SpectralField, T: float, dt: float) -> ControlPair:
-    """Constant-in-time extension of the initial data."""
+def constant_control(u0: SpectralField, v0: SpectralField, T: float, dt: float,
+                     n_paths: int) -> ControlPair:
+    """Constant-in-time extension of the initial data, for n_paths paths."""
     n_steps = step_count(T, dt)
     times = np.arange(n_steps + 1) * dt
-    eta = np.broadcast_to(u0.coeffs, (n_steps + 1, u0.coeffs.size)).copy()
-    xi = np.broadcast_to(v0.coeffs, (n_steps + 1, v0.coeffs.size)).copy()
+    shape = (n_paths, n_steps + 1, u0.coeffs.size)
+    eta = np.broadcast_to(u0.coeffs, shape).copy()
+    xi = np.broadcast_to(v0.coeffs, shape).copy()
     return ControlPair(eta, xi, times, u0.space)
 
 
-def _cutoff_series(integ: MildIntegrator, xi: np.ndarray, dt: float,
-                   kappa: float) -> np.ndarray:
-    """phi_kappa driven by the control's running path norm, per time step."""
-    p = integ.params
-    return smooth_cutoff(path_norm_series(integ.space, xi, p.rho, p.aleph, dt) / kappa)
-
-
 def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
-            v0: SpectralField, kappa: float, path_id: int,
-            segment: int = 0) -> ControlPair:
+            v0: SpectralField, kappa: float, path_ids) -> ControlPair:
     """Solve the linear decoupled system forced by the frozen control.
 
-    The reaction eta * xi^q is exogenous (the power follows the
-    configured power_mode; 'abs' gives the modulus convention), the
-    cutoff is evaluated on xi's running path norm, and only the noise
-    factor depends on the evolving state.  The frozen noise path is
-    drawn once, as one block.
+    Row i of the control is driven by the frozen noise of path_ids[i],
+    drawn as one block per process.  The reaction phi * eta * xi^q is
+    exogenous (the power follows the configured power_mode; 'abs' gives
+    the modulus convention), the cutoff phi is evaluated on xi's running
+    path norm, and only the noise factor depends on the evolving state.
     """
-    dt = control.dt
+    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    if path_ids.size != control.eta.shape[0]:
+        raise ValidationError([f"{path_ids.size} path ids for {control.eta.shape[0]} paths"])
+    dt = float(control.times[1] - control.times[0])
     n_steps = control.times.size - 1
+    p = integ.params
+    phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
     forcing = integ.synth(control.eta) * integ.v_power(integ.synth(control.xi))
-    phi = _cutoff_series(integ, control.xi, dt, kappa)
+    react = phi.reshape(phi.shape + (1,) * integ.space.d) * forcing
 
-    source = WienerSource(integ.noise, integ.space, [path_id], segment=segment)
+    source = WienerSource(integ.noise, integ.space, path_ids)
     dw1 = source.increment_block(0, n_steps, dt, 1)
     dw2 = source.increment_block(0, n_steps, dt, 2)
-    state = integ.initial_state(u0.coeffs, v0.coeffs, kappa)
-    u_out = np.empty((n_steps + 1, u0.coeffs.size))
-    v_out = np.empty_like(u_out)
-    u_out[0] = state.u[0]
-    v_out[0] = state.v[0]
+    shape = (path_ids.size, u0.coeffs.size)
+    state = integ.initial_state(
+        np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
+    )
+    us, vs = [state.u], [state.v]
     for n in range(n_steps):
-        state = integ.step_raw(
-            state, dw1[:, n], dw2[:, n], dt,
-            forcing_vals=forcing[n][None, ...],
-            phi_override=phi[n : n + 1],
-        )
-        u_out[n + 1] = state.u[0]
-        v_out[n + 1] = state.v[0]
-    return ControlPair(u_out, v_out, control.times.copy(), integ.space)
+        state = integ.step_raw(state, dw1[:, n], dw2[:, n], dt, react=react[:, n])
+        us.append(state.u)
+        vs.append(state.v)
+    return ControlPair(np.stack(us, axis=1), np.stack(vs, axis=1), control.times.copy(),
+                       integ.space)
 
 
 def control_m_norm(eta: np.ndarray, xi: np.ndarray, times: np.ndarray,
-                   space: SpaceConfig, rho: float, aleph: float) -> float:
-    """Single-path discrete norm: L2-in-time L2 of eta plus the
+                   space: SpaceConfig, rho: float, aleph: float) -> np.ndarray:
+    """Discrete norm per path: L2-in-time L2 of eta plus the
     sup/dissipation path norm of xi."""
-    part1 = math.sqrt(float(np.trapezoid(np.sum(eta**2, axis=-1), times)))
-    return part1 + float(path_norm_series(space, xi, rho, aleph, np.diff(times))[-1])
+    part1 = np.sqrt(np.trapezoid(np.sum(eta**2, axis=-1), times, axis=-1))
+    return part1 + path_norm_series(space, xi, rho, aleph, np.diff(times))[..., -1]
 
 
 def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                  u0: SpectralField, v0: SpectralField, kappa: float,
-                 path_id: int, T: float, dt: float,
-                 tol: float = 1e-8, max_iter: int = 20,
-                 segment: int = 0) -> dict:
-    """Iterate the solution operator on a frozen noise path.
+                 path_ids, T: float, dt: float,
+                 tol: float = 1e-8, max_iter: int = 20) -> dict:
+    """Iterate the solution operator on the frozen noise of each path.
 
-    Starts from the constant-in-time extension of the initial data and
-    stops when the discrete control-space norm of successive iterates
-    falls below tol.  Raises NoConvergence with the residual trace after
-    max_iter; non-convergence at large coupling is a reportable outcome,
-    not a bug.
+    Starts from the constant-in-time extension of the initial data.  A
+    path's iterate is frozen once the discrete control-space norm of its
+    last update falls below tol; returns the batched fixed point and, per
+    path, the iteration count and residual trace.  Raises NoConvergence
+    with the trace of the first path still above tol after max_iter;
+    non-convergence at large coupling is a reportable outcome, not a bug.
     """
     if tol <= 0:
         raise ValidationError(["tol must be > 0"])
-    current = constant_control(u0, v0, T, dt)
+    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    current = constant_control(u0, v0, T, dt, path_ids.size)
     integ = MildIntegrator(params, space, noise)
-    residuals: list[float] = []
+    residuals: list[list[float]] = [[] for _ in path_ids]
+    active = np.arange(path_ids.size)
     for _ in range(max_iter):
-        new = apply_V(current, integ, u0, v0, kappa, path_id, segment=segment)
-        res = control_m_norm(
-            new.eta - current.eta, new.xi - current.xi, new.times, space,
-            params.rho, params.aleph,
-        )
-        residuals.append(res)
-        current = new
-        if res < tol:
-            return {"fixed_point": current, "iterates": len(residuals),
+        eta, xi = current.eta[active], current.xi[active]
+        new = apply_V(ControlPair(eta, xi, current.times, space), integ, u0, v0,
+                      kappa, path_ids[active])
+        res = control_m_norm(new.eta - eta, new.xi - xi, new.times, space,
+                             params.rho, params.aleph)
+        current.eta[active] = new.eta
+        current.xi[active] = new.xi
+        for i, r in zip(active, res):
+            residuals[i].append(float(r))
+        active = active[~(res < tol)]
+        if active.size == 0:
+            return {"fixed_point": current, "iterates": [len(r) for r in residuals],
                     "residuals": residuals}
+    i = int(active[0])
     raise NoConvergence(
-        f"no fixed point after {max_iter} iterations (last residual "
-        f"{residuals[-1]:.3e})", residuals=residuals,
+        f"path {path_ids[i]}: no fixed point after {max_iter} iterations (last "
+        f"residual {residuals[i][-1]:.3e})", residuals=residuals[i],
     )
 
 
 def kset_functionals(control: ControlPair, rho: float, aleph: float,
-                     p_star: float, lam: float) -> tuple[float, float, float]:
-    """The three path functionals bounded on the invariant set.
-
-    Returns (activator energy-norm squared, weighted sup of the p* mass,
-    inhibitor path-norm squared).
+                     p_star: float, lam: float) -> np.ndarray:
+    """The three path functionals bounded on the invariant set, one row
+    per path: activator energy-norm squared, weighted sup of the p* mass,
+    inhibitor path-norm squared.
     """
     space = control.space
     basis = get_basis(space)
     dt = np.diff(control.times)
-    m1 = float(path_norm_series(space, control.eta, 0.0, aleph, dt)[-1]) ** 2
+    m1 = path_norm_series(space, control.eta, 0.0, aleph, dt)[:, -1] ** 2
 
     m_grid = basis.dealias_points(1.0)
     vals = basis.synthesize(control.eta, m_grid)
     lp_pow = basis.quadrature(np.abs(vals) ** p_star, m_grid)
-    m2 = float(np.max(np.exp(-lam * control.times) * lp_pow))
+    m2 = np.max(np.exp(-lam * control.times) * lp_pow, axis=-1)
 
-    m3 = float(path_norm_series(space, control.xi, rho, aleph, dt)[-1]) ** 2
-    return m1, m2, m3
+    m3 = path_norm_series(space, control.xi, rho, aleph, dt)[:, -1] ** 2
+    return np.stack([m1, m2, m3], axis=-1)
 
 
 def kset_check(control: ControlPair, constants: KSetConstants, rho: float,
-               aleph: float, p_star: float, lam: float | None = None) -> dict:
-    """Membership of a control pair in the invariant set, with signed margins."""
-    lam = constants.lam if lam is None else lam
-    m1, m2, m3 = kset_functionals(control, rho, aleph, p_star, lam)
-    margins = (constants.K1 - m1, constants.K2 - m2, constants.K3 - m3)
-    return {"in_set": all(m >= 0 for m in margins), "margins": margins,
-            "functionals": (m1, m2, m3)}
+               aleph: float, p_star: float) -> dict:
+    """Membership of each path's control in the invariant set, with signed
+    margins; margins and functionals have one row (K1, K2, K3) per path."""
+    functionals = kset_functionals(control, rho, aleph, p_star, constants.lam)
+    margins = np.array([constants.K1, constants.K2, constants.K3]) - functionals
+    return {"in_set": np.all(margins >= 0, axis=-1), "margins": margins,
+            "functionals": functionals}
 
 
 def compute_kset_constants(u0_l2_sq: float, u0_lpstar_pow: float,

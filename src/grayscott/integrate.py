@@ -237,17 +237,14 @@ class MildIntegrator:
     # -- stepping ------------------------------------------------------------
 
     def step_raw(self, state: _BatchState, dw1: np.ndarray, dw2: np.ndarray,
-                 dt: float, forcing_vals: np.ndarray | None = None,
-                 phi_override: np.ndarray | None = None,
+                 dt: float, react: np.ndarray | None = None,
                  uv_vals: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchState:
         """Advance one step.  dw1/dw2 have shape (P, K_noise).
 
-        forcing_vals, when given, replaces the state-coupled reaction
-        u * v^q by an exogenous grid profile (used by the fixed-point
-        operator); the cutoff factor still multiplies it.  phi_override
-        substitutes an externally computed cutoff value per path;
-        uv_vals passes already synthesized grid values of the state.
-        Fallback paths have no reaction and no feed.
+        react, when given, replaces the cutoff reaction phi * u * v^q by
+        exogenous grid values per path (the fixed-point operator's frozen
+        reaction); uv_vals passes already synthesized grid values of the
+        state.  Fallback paths have no reaction and no feed.
         """
         p = self.params
         e1, e2 = self._semigroups(dt, state.fallback)
@@ -256,12 +253,9 @@ class MildIntegrator:
             v_vals = self.synth(state.v)
         else:
             u_vals, v_vals = uv_vals
-        phi_flat = self.phi_of(state) if phi_override is None else np.asarray(phi_override)
-        phi = phi_flat.reshape((-1,) + (1,) * self.space.d)
-
-        if forcing_vals is not None:
-            react = phi * forcing_vals
-        else:
+        semi_implicit = p.scheme == "semi_implicit" and react is None
+        if react is None:
+            phi = self.phi_of(state).reshape((-1,) + (1,) * self.space.d)
             react = phi * u_vals * self.v_power(v_vals)
         drift_u = p.b1 - p.c1 * react
         drift_v = p.b2 + p.c2 * react
@@ -273,7 +267,7 @@ class MildIntegrator:
         gu = self.g_dw(u_vals, dw1, 1)
         gv = self.g_dw(v_vals, dw2, 2)
 
-        if p.scheme == "semi_implicit" and forcing_vals is None:
+        if semi_implicit:
             decay = np.exp(-dt * p.c1 * phi * self.v_power(v_vals))
             u_base = np.where(state.fallback[:, None], state.u, self.analyze(u_vals * decay))
             drift_u = drift_u + p.c1 * react  # reaction handled by the decay factor
@@ -389,8 +383,8 @@ def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
 
 def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                u0: SpectralField, v0: SpectralField, kappa: float,
-               T: float, dt: float, path_ids, snapshot_steps=None,
-               store_trajectory: bool = False, glue=None) -> list[PathRecord]:
+               T: float, dt: float, path_ids, store_trajectory: bool = False,
+               glue=None) -> list[PathRecord]:
     """The time loop: record the norms, let ``glue`` restart the paths
     that reached their level, keep snapshots, then step every path."""
     n_steps = step_count(T, dt)
@@ -404,7 +398,6 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     )
     series = {c: np.empty((path_ids.size, n_steps + 1)) for c in NORM_COLUMNS}
     times = np.arange(n_steps + 1) * dt
-    snap_at = set(snapshot_steps if snapshot_steps is not None else (0, n_steps))
     snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     traj = np.empty((2, shape[0], n_steps + 1, shape[1])) if store_trajectory else None
 
@@ -414,7 +407,7 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         if glue is not None:
             state = glue(integ, state, series, n, float(times[n]))
             source.segment = state.segment
-        if n in snap_at:
+        if n in (0, n_steps):
             snaps[n] = (state.u.copy(), state.v.copy())
         if traj is not None:
             traj[0, :, n] = state.u
@@ -442,8 +435,7 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
 
 def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                       u0: SpectralField, v0: SpectralField, kappa: float,
-                      T: float, dt: float, path_ids,
-                      snapshot_steps=None, store_trajectory: bool = False,
+                      T: float, dt: float, path_ids, store_trajectory: bool = False,
                       check_gate: bool = True) -> list[PathRecord]:
     """Simulate the cutoff system for a batch of independent paths.
 
@@ -453,7 +445,7 @@ def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfi
     if check_gate:
         _warn_if_inadmissible(params, noise, space)
     return _run_batch(params, space, noise, u0, v0, kappa, T, dt, path_ids,
-                      snapshot_steps, store_trajectory)
+                      store_trajectory)
 
 
 def simulate_path(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -526,15 +518,16 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
 
 def _path_norm(norms: np.ndarray, diss_sq: np.ndarray, dt) -> np.ndarray:
     """Running path norm h_n = max_{m<=n} |v_m|_{H^s} + (int_0^{t_n}
-    |v|^2_{H^{s+aleph/2}})^(1/2) from its per-time terms; trapezoid rule
-    with step dt (a scalar, or one per step)."""
-    intg = np.concatenate([[0.0], np.cumsum(0.5 * dt * (diss_sq[:-1] + diss_sq[1:]))])
-    return np.maximum.accumulate(norms) + np.sqrt(intg)
+    |v|^2_{H^{s+aleph/2}})^(1/2) from its per-time terms along the last
+    axis; trapezoid rule with step dt (a scalar, or one per step)."""
+    steps = np.cumsum(0.5 * dt * (diss_sq[..., :-1] + diss_sq[..., 1:]), axis=-1)
+    intg = np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
+    return np.maximum.accumulate(norms, axis=-1) + np.sqrt(intg)
 
 
 def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
                      dt) -> np.ndarray:
-    """The running path norm of a coefficient series v of shape (n+1, K),
+    """The running path norm of a coefficient series v of shape (..., n+1, K),
     sup_{m<=n} |v_m|_{H^s} + (int_0^{t_n} |v|^2_{H^{s+aleph/2}})^(1/2)."""
     norms = np.sqrt(np.sum(sobolev_weights(space, s) * v**2, axis=-1))
     diss_sq = np.sum(sobolev_weights(space, s + aleph / 2.0) * v**2, axis=-1)

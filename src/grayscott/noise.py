@@ -97,6 +97,8 @@ class NoiseConfig:
             )
         if self.mode_cutoff is not None and self.mode_cutoff < 1:
             violations.append(f"mode_cutoff must be >= 1, got {self.mode_cutoff}")
+        if self.seed < 0:
+            violations.append(f"seed must be >= 0, got {self.seed}")
         if violations:
             raise ValidationError(violations)
 

@@ -210,17 +210,17 @@ def test_08_fixed_point_direct_equivalence():
     noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=8)
     T, dt = 0.25, 2e-3
     worst = 0.0
+    res = picard_solve(params, sp, noise, bump(sp), bump(sp), 1e9,
+                       range(10), T, dt, tol=1e-8, max_iter=20)
+    fp = res["fixed_point"]
     for path_id in range(10):
-        res = picard_solve(params, sp, noise, bump(sp), bump(sp), 1e9,
-                           path_id, T, dt, tol=1e-8, max_iter=20)
-        assert res["iterates"] <= 20
-        assert res["residuals"][-1] < 1e-8
+        assert res["iterates"][path_id] <= 20
+        assert res["residuals"][path_id][-1] < 1e-8
         rec = simulate_path(params, sp, noise, bump(sp), bump(sp), 1e9,
                             T, dt, path_id=path_id, store_trajectory=True)
-        fp = res["fixed_point"]
-        diff = control_m_norm(fp.eta - rec.trajectory[0],
-                              fp.xi - rec.trajectory[1],
-                              fp.times, sp, params.rho, params.aleph)
+        diff = float(control_m_norm(fp.eta[path_id] - rec.trajectory[0],
+                                    fp.xi[path_id] - rec.trajectory[1],
+                                    fp.times, sp, params.rho, params.aleph))
         worst = max(worst, diff)
         assert diff < 1e-6, (path_id, diff)
     ok(8, f"(worst M-norm gap {worst:.2e} over 10 seeds)")

@@ -75,12 +75,28 @@ class TestConfigParsing:
         assert cfg.space.boundary == "periodic"
 
     def test_scalar_kappa_schedule_rejected(self, tmp_path, capsys):
-        with pytest.raises(ValidationError, match="kappa_schedule must be a list"):
-            config_from_dict({"kappa_schedule": 3})
-        cfg_path = write_config(tmp_path, {**FAST_DOC, "kappa_schedule": 3})
-        assert main(["glue", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        for schedule in (3, "123"):  # a string is not split into characters
+            with pytest.raises(ValidationError, match="kappa_schedule must be a list"):
+                config_from_dict({"kappa_schedule": schedule})
+            cfg_path = write_config(tmp_path, {**FAST_DOC, "kappa_schedule": schedule})
+            assert main(["glue", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "kappa_schedule" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override, needle", [
+        ("paths=2.5", "paths must be an integer"),
+        ("paths=true", "paths must be an integer"),
+        ("noise.mode_cutoff=3.5", "mode_cutoff must be an integer"),
+        ("space.d=1.0", "d must be an integer"),
+        ("model.q=NaN", "q must be finite"),
+        ("noise.seed=-1", "seed must be >= 0"),
+    ])
+    def test_mistyped_numbers_exit_two(self, tmp_path, capsys, override, needle):
+        cfg_path = write_config(tmp_path, FAST_DOC)
+        assert main(["simulate", "--config", cfg_path, "--override", override,
+                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "kappa_schedule" in err and "Traceback" not in err
+        assert needle in err and "Traceback" not in err
 
     @pytest.mark.parametrize("doc, needle", [
         ({"T": 0.5, "dt": 0.3}, "not a whole multiple"),
@@ -195,6 +211,17 @@ class TestCliRuns:
         events = (out / "glue_events.csv").read_text().splitlines()
         assert events[0] == "path,kappa,stop_time"
         assert len(events) >= 2
+
+    def test_glue_field_dumps(self, tmp_path):
+        doc = {**FAST_DOC, "paths": 1, "field_dumps": True, "kappa_schedule": [10.0]}
+        out = tmp_path / "out"
+        assert main(["glue", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        names = {p.name for p in out.glob("field_*.bin")}
+        assert names == {f"field_{f}_00000_t{t}.bin" for f in "uv" for t in ("0", "0.01")}
+        for name in names:
+            meta, data = read_field_dump(str(out / name))
+            assert meta["field"] == name[6] and data.shape == (8,)
 
     def test_estimate_writes_reports(self, tmp_path):
         cfg_path = write_config(tmp_path, {**FAST_DOC, "paths": 4})

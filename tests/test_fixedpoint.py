@@ -32,29 +32,29 @@ class TestApplyV:
     def test_zero_forcing_zero_data(self):
         params = ModelParams(b1=0.0, b2=0.0)
         z = constant_field(0.0, SP)
-        control = constant_control(z, z, T=0.05, dt=1e-3)
-        out = apply_V(control, MildIntegrator(params, SP, NZ), z, z, kappa=1e9, path_id=0)
+        control = constant_control(z, z, T=0.05, dt=1e-3, n_paths=1)
+        out = apply_V(control, MildIntegrator(params, SP, NZ), z, z, kappa=1e9, path_ids=[0])
         assert np.all(out.eta == 0.0)
         assert np.all(out.xi == 0.0)
 
     def test_fixed_point_consistency(self):
         params = ModelParams(c1=0.01, c2=0.01)
         u0 = v0 = bump()
-        res = picard_solve(params, SP, NZ, u0, v0, 1e9, path_id=0,
+        res = picard_solve(params, SP, NZ, u0, v0, 1e9, path_ids=[0],
                            T=0.1, dt=1e-3, tol=1e-12, max_iter=30)
         fp = res["fixed_point"]
-        again = apply_V(fp, MildIntegrator(params, SP, NZ), u0, v0, 1e9, path_id=0)
+        again = apply_V(fp, MildIntegrator(params, SP, NZ), u0, v0, 1e9, path_ids=[0])
         drift = control_m_norm(again.eta - fp.eta, again.xi - fp.xi,
-                               fp.times, SP, params.rho, params.aleph)
+                               fp.times, SP, params.rho, params.aleph)[0]
         assert drift < 1e-10
 
     def test_cutoff_level_irrelevant_below_threshold(self):
         params = ModelParams(c1=0.05, c2=0.05)
         u0 = v0 = bump()
-        control = constant_control(u0, v0, T=0.05, dt=1e-3)
+        control = constant_control(u0, v0, T=0.05, dt=1e-3, n_paths=1)
         integ = MildIntegrator(params, SP, NZ)
-        a = apply_V(control, integ, u0, v0, kappa=50.0, path_id=4)
-        b = apply_V(control, integ, u0, v0, kappa=500.0, path_id=4)
+        a = apply_V(control, integ, u0, v0, kappa=50.0, path_ids=[4])
+        b = apply_V(control, integ, u0, v0, kappa=500.0, path_ids=[4])
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
 
@@ -62,64 +62,87 @@ class TestApplyV:
 class TestPicard:
     def test_linear_problem_converges_after_one_extra_solve(self):
         params = ModelParams(c1=0.0, c2=0.0)
-        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_id=0,
+        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_ids=[0],
                            T=0.05, dt=1e-3, tol=1e-8)
-        assert res["iterates"] == 2
-        assert res["residuals"][-1] == 0.0
+        assert res["iterates"][0] == 2
+        assert res["residuals"][0][-1] == 0.0
 
     def test_small_coupling_contraction(self):
         params = ModelParams(c1=0.01, c2=0.01)
-        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_id=1,
+        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_ids=[1],
                            T=0.25, dt=1e-3, tol=1e-8, max_iter=20)
-        r = res["residuals"]
-        assert res["iterates"] <= 20
+        r = res["residuals"][0]
+        assert res["iterates"][0] <= 20
         assert r[-1] < 1e-8
         assert all(b < a for a, b in zip(r[1:], r[2:]))  # monotone after iter 2
 
     def test_fixed_point_matches_direct_simulation(self):
         params = ModelParams(c1=0.01, c2=0.01)
-        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_id=3,
+        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_ids=[3],
                            T=0.25, dt=2e-3, tol=1e-8)
         rec = simulate_path(params, SP, NZ, bump(), bump(), 1e9, T=0.25,
                             dt=2e-3, path_id=3, store_trajectory=True)
         fp = res["fixed_point"]
-        diff = control_m_norm(fp.eta - rec.trajectory[0], fp.xi - rec.trajectory[1],
+        diff = control_m_norm(fp.eta[0] - rec.trajectory[0], fp.xi[0] - rec.trajectory[1],
                               fp.times, SP, params.rho, params.aleph)
         assert diff < 1e-6
 
     def test_residuals_reproducible(self):
         params = ModelParams(c1=0.01, c2=0.01)
-        r1 = picard_solve(params, SP, NZ, bump(), bump(), 1e9, 7, 0.1, 1e-3)
-        r2 = picard_solve(params, SP, NZ, bump(), bump(), 1e9, 7, 0.1, 1e-3)
+        r1 = picard_solve(params, SP, NZ, bump(), bump(), 1e9, [7], 0.1, 1e-3)
+        r2 = picard_solve(params, SP, NZ, bump(), bump(), 1e9, [7], 0.1, 1e-3)
         assert r1["residuals"] == r2["residuals"]
 
     def test_no_convergence_reported(self):
         params = ModelParams(c1=0.01, c2=0.01)
         with pytest.raises(NoConvergence) as err:
-            picard_solve(params, SP, NZ, bump(), bump(), 1e9, 0, 0.1, 1e-3,
+            picard_solve(params, SP, NZ, bump(), bump(), 1e9, [0], 0.1, 1e-3,
                          tol=1e-16, max_iter=3)
         assert len(err.value.residuals) == 3
+
+    def test_batch_matches_per_path_runs(self):
+        # sigma=3 makes the paths converge at different iterations
+        params = ModelParams(c1=0.05, c2=0.05, sigma1=3.0, sigma2=3.0)
+        batch = picard_solve(params, SP, NZ, bump(), bump(), 1e9, range(8), 0.1, 1e-3)
+        single = [picard_solve(params, SP, NZ, bump(), bump(), 1e9, [p], 0.1, 1e-3)
+                  for p in range(8)]
+        assert len(set(batch["iterates"])) > 1
+        assert batch["iterates"] == [s["iterates"][0] for s in single]
+        for p, s in enumerate(single):
+            assert len(batch["residuals"][p]) == batch["iterates"][p]
+            for got, want in ((batch["fixed_point"].eta[p], s["fixed_point"].eta[0]),
+                              (batch["fixed_point"].xi[p], s["fixed_point"].xi[0])):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_no_convergence_names_first_unconverged_path(self):
+        # per-path counts at this config: path 1 and 3 need 4, path 2 needs 5
+        params = ModelParams(c1=0.05, c2=0.05, sigma1=3.0, sigma2=3.0)
+        with pytest.raises(NoConvergence, match="path 2:") as err:
+            picard_solve(params, SP, NZ, bump(), bump(), 1e9, [1, 2, 3], 0.1, 1e-3,
+                         max_iter=4)
+        assert len(err.value.residuals) == 4
+        assert err.value.residuals[-1] >= 1e-8
 
 
 class TestKSet:
     def test_zero_control_in_any_set(self):
         z = constant_field(0.0, SP)
-        control = constant_control(z, z, T=0.1, dt=1e-3)
+        control = constant_control(z, z, T=0.1, dt=1e-3, n_paths=1)
         constants = KSetConstants(K1=0.5, K2=0.5, K3=0.5)
         out = kset_check(control, constants, rho=0.25, aleph=2.0, p_star=4.5)
-        assert out["in_set"] is True
-        assert all(m >= 0 for m in out["margins"])
+        assert out["in_set"].tolist() == [True]
+        assert all(m >= 0 for m in out["margins"][0])
 
     def test_huge_scaling_fails_k2(self):
         u0 = v0 = bump()
-        control = constant_control(u0, v0, T=0.1, dt=1e-3)
+        control = constant_control(u0, v0, T=0.1, dt=1e-3, n_paths=1)
         scaled = ControlPair(1e4 * control.eta, control.xi, control.times, SP)
         constants = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, 4.5) ** 4.5,
             sobolev_norm(v0, 0.25) ** 2, kappa=1.0, T=0.1, lam=0.0, p_star=4.5)
         out = kset_check(scaled, constants, rho=0.25, aleph=2.0, p_star=4.5)
-        assert out["in_set"] is False
-        assert out["margins"][1] < 0
+        assert out["in_set"].tolist() == [False]
+        assert out["margins"][0][1] < 0
 
     def test_constants_formulas(self):
         base = compute_kset_constants(1.0, 2.0, 3.0, kappa=1.0, T=0.5,
@@ -141,18 +164,15 @@ class TestKSet:
         params = ModelParams(c1=0.05, c2=0.05)
         u0 = v0 = bump()
         T, dt = 0.1, 1e-3
-        control = constant_control(u0, v0, T, dt)
         integ = MildIntegrator(params, SP, NZ)
 
         def functionals(path_ids):
-            out = []
-            for pid in path_ids:
-                v_out = apply_V(control, integ, u0, v0, 1e9, pid)
-                out.append(kset_check(
-                    v_out, KSetConstants(math.inf, math.inf, math.inf),
-                    params.rho, params.aleph, params.p_star,
-                )["functionals"])
-            return np.asarray(out)
+            control = constant_control(u0, v0, T, dt, len(path_ids))
+            v_out = apply_V(control, integ, u0, v0, 1e9, path_ids)
+            return kset_check(
+                v_out, KSetConstants(math.inf, math.inf, math.inf),
+                params.rho, params.aleph, params.p_star,
+            )["functionals"]
 
         pilot = functionals(range(10)).mean(axis=0)
         growth_free = compute_kset_constants(
@@ -176,13 +196,13 @@ class TestKSet:
     def test_fixed_point_lies_in_calibrated_set(self):
         params = ModelParams(c1=0.01, c2=0.01)
         u0 = v0 = bump()
-        res = picard_solve(params, SP, NZ, u0, v0, 1e9, path_id=2,
+        res = picard_solve(params, SP, NZ, u0, v0, 1e9, path_ids=[2],
                            T=0.1, dt=1e-3, tol=1e-8)
         functionals = kset_check(
             res["fixed_point"],
             KSetConstants(K1=math.inf, K2=math.inf, K3=math.inf),
             rho=params.rho, aleph=params.aleph, p_star=params.p_star,
-        )["functionals"]
+        )["functionals"][0]
         # calibrate scheme constants so the set is tight but containing
         constants = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, params.p_star) ** params.p_star,
@@ -193,4 +213,4 @@ class TestKSet:
         )
         out = kset_check(res["fixed_point"], constants, params.rho,
                          params.aleph, params.p_star)
-        assert out["in_set"] is True
+        assert out["in_set"].tolist() == [True]
