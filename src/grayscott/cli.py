@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ from .config import (
     config_to_dict,
     parse_document,
 )
-from .convergence import deterministic_order_study, strong_order_study
+from .convergence import strong_order_study
 from .errors import (
     GrayScottError,
     NoConvergence,
@@ -132,19 +133,38 @@ def _simulate_records(cfg: RunConfig) -> list[PathRecord]:
     )
 
 
+def _sweep_axis(sweep: list[str], names) -> tuple[str, list]:
+    """(NAME, N values from LO to HI) of one --sweep NAME LO HI N."""
+    name, lo, hi, n = sweep
+    violations = []
+    if name not in names:
+        violations.append(f"--sweep NAME must be one of {', '.join(names)}, got {name!r}")
+    bounds = []
+    for label, raw in (("LO", lo), ("HI", hi)):
+        try:
+            bounds.append(float(raw))
+        except ValueError:
+            bounds.append(math.nan)
+        if not math.isfinite(bounds[-1]):
+            violations.append(f"--sweep {label} must be a finite number, got {raw!r}")
+    count = int(n) if n.strip().isdecimal() else 0
+    if count < 1:
+        violations.append(f"--sweep N must be an integer >= 1, got {n!r}")
+    if violations:
+        raise ValidationError(violations)
+    return name, list(np.linspace(*bounds, count))
+
+
 def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:
-    report = evaluate_gate(**gate_args(cfg.model, cfg.noise, cfg.space))
+    base = gate_args(cfg.model, cfg.noise, cfg.space)
+    axes = [_sweep_axis(sweep, base) for sweep in args.sweep or []]
+    report = evaluate_gate(**base)
     text = "\n".join(report.lines())
     print(text)
     with open(ctx.path("gate_report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    for i, sweep in enumerate(args.sweep or []):
-        name, lo, hi, n = sweep[0], float(sweep[1]), float(sweep[2]), int(sweep[3])
-        values = list(np.linspace(lo, hi, n))
-        rows = [
-            [row[0], int(row[1]), row[2], row[3]]
-            for row in gate_sweep(gate_args(cfg.model, cfg.noise, cfg.space), (name, values))
-        ]
+    for i, (name, values) in enumerate(axes):
+        rows = [[row[0], int(row[1]), row[2], row[3]] for row in gate_sweep(base, (name, values))]
         write_csv(ctx.path(f"gate_sweep_{i}_{name}.csv"),
                   [name, "admissible", "n_failed", "worst_margin"], rows)
     ctx.finish("ok")
@@ -195,7 +215,7 @@ def cmd_fixed_point(cfg: RunConfig, ctx: RunContext, args) -> int:
     )
     constants = compute_kset_constants(
         u0.l2_norm() ** 2, lp_norm(u0, m.p_star) ** m.p_star,
-        sobolev_norm(v0, m.rho) ** 2, cfg.kappa, cfg.T, m.lam, m.p_star,
+        sobolev_norm(v0, m.rho) ** 2, cfg.T, m.lam, m.p_star,
     )
     check = kset_check(result["fixed_point"], constants, m.rho, m.aleph, m.p_star)
     rows = [[pid, i + 1, res] for pid, trace in enumerate(result["residuals"])
@@ -239,11 +259,13 @@ def cmd_estimate(cfg: RunConfig, ctx: RunContext, args) -> int:
 def cmd_convergence(cfg: RunConfig, ctx: RunContext, args) -> int:
     u0, v0 = _initial_data(cfg)
     dts = [cfg.T * 2.0**-j for j in range(5, 9)]
-    det = deterministic_order_study(cfg.model, cfg.space, u0, v0, cfg.T, dts)
-    strong_params = dataclasses.replace(cfg.model, c1=0.0, c2=0.0)
+    det = strong_order_study(
+        dataclasses.replace(cfg.model, sigma1=0.0, sigma2=0.0), cfg.space, cfg.noise,
+        u0, v0, cfg.T, dts, n_paths=1, ref_refinement=16,
+    )
     strong = strong_order_study(
-        strong_params, cfg.space, cfg.noise, u0, v0, cfg.T, dts,
-        n_paths=min(cfg.paths, 128),
+        dataclasses.replace(cfg.model, c1=0.0, c2=0.0), cfg.space, cfg.noise,
+        u0, v0, cfg.T, dts, n_paths=min(cfg.paths, 128),
     )
     rows = [["deterministic", dt, err] for dt, err in zip(det["dts"], det["errors"])]
     rows += [["strong", dt, err] for dt, err in zip(strong["dts"], strong["errors"])]

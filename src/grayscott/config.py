@@ -112,8 +112,9 @@ _RUN_KEYS = {
 
 
 def _number_violations(cls, data: dict) -> dict[str, str]:
-    """Per offending key: integer fields take integers and float fields
-    finite numbers; a JSON boolean is neither."""
+    """Per offending key: integer fields take integers, float fields
+    finite numbers and boolean fields booleans; a JSON boolean is not a
+    number."""
     bad = {}
     for f in dataclasses.fields(cls):
         value = data.get(f.name)
@@ -125,6 +126,8 @@ def _number_violations(cls, data: dict) -> dict[str, str]:
             bad[f.name] = f"{f.name} must be a number, got {value!r}"
         elif f.type == "float" and type(value) is float and not math.isfinite(value):
             bad[f.name] = f"{f.name} must be finite, got {value!r}"
+        elif f.type == "bool" and type(value) is not bool:
+            bad[f.name] = f"{f.name} must be true or false, got {value!r}"
     return bad
 
 

@@ -190,7 +190,7 @@ def kset_check(control: ControlPair, constants: KSetConstants, rho: float,
 
 
 def compute_kset_constants(u0_l2_sq: float, u0_lpstar_pow: float,
-                           v0_hrho_sq: float, kappa: float, T: float,
+                           v0_hrho_sq: float, T: float,
                            lam: float, p_star: float,
                            C_T: float = 1.0, C_kappa: float = 1.0,
                            C2: float = 1.0) -> KSetConstants:

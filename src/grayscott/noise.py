@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ValidationError
-from .spectral import SpaceConfig, SpectralField, get_basis
+from .spectral import SpaceConfig, SpectralField, fractional_weights, get_basis
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,9 +130,7 @@ def coloring_weights(space: SpaceConfig, gamma: float,
                      k_noise: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(eigen indices, lambda_k**(-gamma/2)) for the retained noise modes."""
     idx = noise_mode_indices(space, k_noise)
-    lam = get_basis(space).eigenvalues[idx]
-    lam = np.where(lam > 0.0, lam, 1.0)  # only reachable under 'shift'
-    return idx, lam ** (-gamma / 2.0)
+    return idx, fractional_weights(space, -gamma / 2.0)[idx]
 
 
 class WienerSource:

@@ -364,13 +364,12 @@ def apply_fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
 def semigroup_factors(space: SpaceConfig, operator_kind: str, r: float, a: float,
                       t: float, aleph: float | None = None) -> np.ndarray:
     """Per-mode factors exp((-r lambda_k**power + a) t)."""
-    lam = get_basis(space).eigenvalues
     if operator_kind == "laplace":
-        powered = lam
+        powered = get_basis(space).eigenvalues
     elif operator_kind == "fractional":
         if aleph is None:
             raise ValidationError(["fractional semigroup requires an 'aleph' exponent"])
-        powered = lam ** (aleph / 2.0)
+        powered = fractional_weights(space, aleph / 2.0)
     else:
         raise ValidationError([f"unknown operator kind {operator_kind!r}"])
     return np.exp((-r * powered + a) * t)

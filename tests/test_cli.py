@@ -22,6 +22,14 @@ FAST_DOC = {
     "dt": 0.001,
 }
 
+CONVERGENCE_DOC = {
+    "space": {"d": 1, "modes_per_axis": 8, "grid_points_per_axis": 16},
+    "model": {"c1": 0.5, "c2": 0.5, "sigma1": 0.2, "sigma2": 0.2},
+    "paths": 16,
+    "T": 0.1,
+    "dt": 0.001,
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     p = tmp_path / name
@@ -90,6 +98,8 @@ class TestConfigParsing:
         ("space.d=1.0", "d must be an integer"),
         ("model.q=NaN", "q must be finite"),
         ("noise.seed=-1", "seed must be >= 0"),
+        ('field_dumps="false"', "field_dumps must be true or false"),
+        ("field_dumps=1", "field_dumps must be true or false"),
     ])
     def test_mistyped_numbers_exit_two(self, tmp_path, capsys, override, needle):
         cfg_path = write_config(tmp_path, FAST_DOC)
@@ -190,6 +200,23 @@ class TestCliRuns:
         assert rows[0] == "gamma1,admissible,n_failed,worst_margin"
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("sweep, needle", [
+        (["bogus", "1", "2", "3"], "NAME must be one of"),
+        (["q", "abc", "2", "3"], "LO must be a finite number"),
+        (["q", "1", "inf", "3"], "HI must be a finite number"),
+        (["q", "1", "2", "abc"], "N must be an integer >= 1"),
+        (["q", "1", "2", "-1"], "N must be an integer >= 1"),
+        (["q", "1", "2", "0"], "N must be an integer >= 1"),
+    ])
+    def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, sweep, needle):
+        cfg_path = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        assert main(["check-params", "--config", cfg_path, "--out", str(out),
+                     "--sweep", *sweep]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+        assert not list(out.glob("gate_sweep_*.csv"))
+
     def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"model": {"r1": -1.0}})
         assert main(["simulate", "--config", cfg_path,
@@ -251,20 +278,30 @@ class TestCliRuns:
         assert margins[0] == "path,in_set,margin_K1,margin_K2,margin_K3"
 
     def test_convergence_subcommand(self, tmp_path):
-        doc = {
-            "space": {"d": 1, "modes_per_axis": 8, "grid_points_per_axis": 16},
-            "model": {"c1": 0.5, "c2": 0.5, "sigma1": 0.2, "sigma2": 0.2},
-            "paths": 16,
-            "T": 0.1,
-            "dt": 0.001,
-        }
-        cfg_path = write_config(tmp_path, doc)
+        cfg_path = write_config(tmp_path, CONVERGENCE_DOC)
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg_path, "--out", str(out)]) == 0
         rows = (out / "convergence.csv").read_text().splitlines()
         assert rows[0] == "study,dt,error"
         assert sum(r.startswith("deterministic") for r in rows) == 4
         assert sum(r.startswith("strong") for r in rows) == 4
+
+    def test_convergence_errors_golden(self, tmp_path):
+        # both studies' errors, pinned so that refactors of the refinement
+        # loop keep the numbers
+        golden = {
+            "deterministic": [2.6690560400245723e-05, 1.3247685794197579e-05,
+                              6.520545093375384e-06, 3.1555482980273212e-06],
+            "strong": [0.0012027944271539596, 0.0006676237961172975,
+                       0.0003383202622781543, 0.00016271680875715175],
+        }
+        cfg_path = write_config(tmp_path, CONVERGENCE_DOC)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg_path, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "convergence.csv").read_text().splitlines()[1:]]
+        for study, errors in golden.items():
+            got = [float(err) for name, _dt, err in rows if name == study]
+            assert got == pytest.approx(errors, rel=1e-10), study
 
     def test_manifest_lists_every_numeric_knob(self, tmp_path):
         import dataclasses

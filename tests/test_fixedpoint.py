@@ -139,21 +139,21 @@ class TestKSet:
         scaled = ControlPair(1e4 * control.eta, control.xi, control.times, SP)
         constants = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, 4.5) ** 4.5,
-            sobolev_norm(v0, 0.25) ** 2, kappa=1.0, T=0.1, lam=0.0, p_star=4.5)
+            sobolev_norm(v0, 0.25) ** 2, T=0.1, lam=0.0, p_star=4.5)
         out = kset_check(scaled, constants, rho=0.25, aleph=2.0, p_star=4.5)
         assert out["in_set"].tolist() == [False]
         assert out["margins"][0][1] < 0
 
     def test_constants_formulas(self):
-        base = compute_kset_constants(1.0, 2.0, 3.0, kappa=1.0, T=0.5,
+        base = compute_kset_constants(1.0, 2.0, 3.0, T=0.5,
                                       lam=0.0, p_star=4.0, C2=0.0)
         assert base.K2 == pytest.approx(4.0 * 2.0)
 
-        zero = compute_kset_constants(0.0, 0.0, 0.0, kappa=1.0, T=0.5,
+        zero = compute_kset_constants(0.0, 0.0, 0.0, T=0.5,
                                       lam=0.3, p_star=4.0)
         assert (zero.K1, zero.K2, zero.K3) == (0.0, 0.0, 0.0)
 
-        twice = compute_kset_constants(1.0, 4.0, 3.0, kappa=1.0, T=0.5,
+        twice = compute_kset_constants(1.0, 4.0, 3.0, T=0.5,
                                        lam=0.0, p_star=4.0, C2=0.0)
         assert twice.K2 == pytest.approx(2.0 * base.K2)
 
@@ -177,11 +177,11 @@ class TestKSet:
         pilot = functionals(range(10)).mean(axis=0)
         growth_free = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, params.p_star) ** params.p_star,
-            sobolev_norm(v0, params.rho) ** 2, kappa=1e9, T=T,
+            sobolev_norm(v0, params.rho) ** 2, T=T,
             lam=params.lam, p_star=params.p_star, C2=0.0)
         constants = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, params.p_star) ** params.p_star,
-            sobolev_norm(v0, params.rho) ** 2, kappa=1e9, T=T,
+            sobolev_norm(v0, params.rho) ** 2, T=T,
             lam=params.lam, p_star=params.p_star,
             C_T=1.5 * max(pilot[0] / growth_free.K1, pilot[2] / growth_free.K3),
             C_kappa=1.0,
@@ -206,7 +206,7 @@ class TestKSet:
         # calibrate scheme constants so the set is tight but containing
         constants = compute_kset_constants(
             u0.l2_norm() ** 2, lp_norm(u0, params.p_star) ** params.p_star,
-            sobolev_norm(v0, params.rho) ** 2, kappa=1e9, T=0.1,
+            sobolev_norm(v0, params.rho) ** 2, T=0.1,
             lam=params.lam, p_star=params.p_star,
             C_T=1.2 * max(functionals[0], functionals[2]),
             C2=0.0,

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,16 +211,26 @@ class TestPostCutoffLinearization:
 
 class TestDeterministicOrder:
     def test_noise_free_order_at_least_09(self):
-        from grayscott.convergence import deterministic_order_study
+        from grayscott.convergence import strong_order_study
 
         sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
         params = ModelParams(a1=-0.5, a2=-0.4, b1=0.3, b2=0.3, c1=0.5, c2=0.5)
         u0, v0 = bump(sp, 0.5, 0.1), bump(sp, 0.5, 0.1)
         T = 0.25
         dts = [T * 2.0**-j for j in range(8, 13)]
-        out = deterministic_order_study(params, sp, u0, v0, T, dts,
-                                        ref_refinement=16)
+        out = strong_order_study(replace(params, sigma1=0.0, sigma2=0.0), sp,
+                                 NoiseConfig(seed=0), u0, v0, T, dts,
+                                 n_paths=1, ref_refinement=16)
         assert out["order"] >= 0.9, out
+
+    def test_dt_not_dividing_T_rejected(self):
+        from grayscott.convergence import strong_order_study
+
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        u0, v0 = bump(sp, 0.5, 0.1), bump(sp, 0.5, 0.1)
+        with pytest.raises(ValidationError, match="not a whole multiple of dt=0.3"):
+            strong_order_study(ModelParams(), sp, NoiseConfig(seed=0), u0, v0,
+                               T=0.5, dts=[0.3, 0.1], n_paths=2)
 
 
 class TestEnsembleAndNonNegativity:
