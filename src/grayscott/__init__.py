@@ -52,11 +52,9 @@ from .paramgate import (
     evaluate_gate,
 )
 from .spectral import (
-    EigenSystem,
     SpaceConfig,
     SpectralField,
     apply_fractional_laplacian,
-    build_eigensystem,
     constant_field,
     field_from_values,
     lp_norm,

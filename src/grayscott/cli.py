@@ -152,7 +152,13 @@ def _sweep_axis(sweep: list[str], names) -> tuple[str, list]:
         violations.append(f"--sweep N must be an integer >= 1, got {n!r}")
     if violations:
         raise ValidationError(violations)
-    return name, list(np.linspace(*bounds, count))
+    values = list(np.linspace(*bounds, count))
+    if name == "d":  # an integer the gate knows only as 1 or 2
+        if not set(values) <= {1.0, 2.0}:
+            raise ValidationError(
+                [f"--sweep d takes only the values 1 and 2, got {[float(x) for x in values]}"])
+        values = [int(x) for x in values]
+    return name, values
 
 
 def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:

@@ -66,56 +66,38 @@ def estimate_u_L2(records, u0_l2_sq: float | None = None) -> MomentReport:
     return reduce_mean("sup_t |u|_L2^2", vals, extras)
 
 
-def estimate_u_pstar(records, p_star: float | None = None, lam: float = 0.0) -> dict:
+def estimate_u_pstar(records, lam: float = 0.0) -> dict:
     """Sup of the (optionally e^{-lam t} weighted) p* mass of u together
-    with the time-integrated gradient dissipation int |u^{p*/2-1} grad u|_{L2}^2.
+    with the time-integrated gradient dissipation int |u^{p*/2-1} grad u|_{L2}^2,
+    at the p* the records were produced with.
 
     The gradient is applied spectrally before the pointwise powers; the
     reported dissipation carries no p*(p*-1) prefactor.
     """
     recs = _sorted_records(records)
-    ps = p_star if p_star is not None else recs[0].params.p_star
-    for r in recs:
-        if r.params is not None and r.params.p_star != ps:
-            raise ValidationError(
-                [f"records were produced with p_star={r.params.p_star}, requested {ps}"]
-            )
+    ps = recs[0].params.p_star
+    if any(r.params.p_star != ps for r in recs):
+        mixed = sorted({r.params.p_star for r in recs})
+        raise ValidationError([f"records were produced with different p_star values {mixed}"])
     weight = [np.exp(-lam * r.times) for r in recs]
     sup_vals = [float(np.max(w * r.series["u_lpstar"] ** ps))
                 for w, r in zip(weight, recs)]
     grad_vals = [float(np.trapezoid(r.series["u_grad_p"], r.times)) for r in recs]
     return {
-        "sup": reduce_mean(f"sup_t e^(-lam t)|u|_Lp*^p* (p*={ps})", sup_vals,
-                           {"lam": lam}),
+        "sup": reduce_mean(f"sup_t e^(-lam t)|u|_Lp*^p* (p*={ps})", sup_vals),
         "gradient": reduce_mean("int |u^(p*/2-1) grad u|_L2^2 dt", grad_vals),
     }
 
 
-def estimate_v_Halpha(records, alpha: float | None = None,
-                      aleph: float | None = None, rhs: float | None = None) -> dict:
+def estimate_v_Halpha(records) -> dict:
     """Sup of |v|^2 in H^alpha and the dissipation int |v|^2 in
-    H^{alpha + aleph/2}, with a fitted constant when the bound's
-    right-hand side is supplied."""
+    H^{alpha + aleph/2}, at the alpha and aleph the records were produced with."""
     recs = _sorted_records(records)
-    p = recs[0].params
-    if p is not None:
-        if alpha is not None and alpha != p.alpha:
-            raise ValidationError(
-                [f"records were produced with alpha={p.alpha}, requested {alpha}"]
-            )
-        if aleph is not None and aleph != p.aleph:
-            raise ValidationError(
-                [f"records were produced with aleph={p.aleph}, requested {aleph}"]
-            )
     sup_vals = [float(np.max(r.series["v_halpha"] ** 2)) for r in recs]
     diss_vals = [float(np.trapezoid(r.series["v_halpha_diss"] ** 2, r.times))
                  for r in recs]
-    extras = {}
-    if rhs is not None:
-        combined = float(np.mean(sup_vals)) + 2.0 * float(np.mean(diss_vals))
-        extras = {"rhs": rhs, "fitted_C1": combined / rhs, "combined_lhs": combined}
     return {
-        "sup": reduce_mean("sup_t |v|_Halpha^2", sup_vals, extras),
+        "sup": reduce_mean("sup_t |v|_Halpha^2", sup_vals),
         "dissipation": reduce_mean("int |v|_H(alpha+aleph/2)^2 dt", diss_vals),
     }
 

@@ -79,10 +79,10 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     """Solve the linear decoupled system forced by the frozen control.
 
     Row i of the control is driven by the frozen noise of path_ids[i],
-    drawn as one block per process.  The reaction phi * eta * xi^q is
-    exogenous (the power follows the configured power_mode; 'abs' gives
-    the modulus convention), the cutoff phi is evaluated on xi's running
-    path norm, and only the noise factor depends on the evolving state.
+    drawn as one block per process.  The reaction phi * eta * max(xi, 0)^q
+    is exogenous (the integrator's v_power, as in the direct step), the
+    cutoff phi is evaluated on xi's running path norm, and only the noise
+    factor depends on the evolving state.
     """
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     if path_ids.size != control.eta.shape[0]:

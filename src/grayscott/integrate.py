@@ -33,8 +33,6 @@ from .spectral import (
 )
 
 SCHEMES = ("explicit", "semi_implicit")
-POWER_MODES = ("clip", "abs")
-FALLBACKS = ("heat", "full")
 
 NORM_COLUMNS = (
     "u_l2", "u_lpstar", "v_halpha", "v_halpha_diss", "h", "phi",
@@ -69,8 +67,6 @@ class ModelParams:
     p_star: float = 4.5
     lam: float = 0.0
     scheme: str = "explicit"
-    power_mode: str = "clip"
-    linear_fallback: str = "heat"
 
     def __post_init__(self):
         v = []
@@ -95,10 +91,6 @@ class ModelParams:
             v.append(f"lam must be >= 0, got {self.lam}")
         if self.scheme not in SCHEMES:
             v.append(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.power_mode not in POWER_MODES:
-            v.append(f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}")
-        if self.linear_fallback not in FALLBACKS:
-            v.append(f"linear_fallback must be one of {FALLBACKS}, got {self.linear_fallback!r}")
         if v:
             raise ValidationError(v)
 
@@ -179,12 +171,12 @@ class MildIntegrator:
         got = self._exp_cache.get((dt, fallback))
         if got is None:
             p, sp = self.params, self.space
-            if fallback and p.linear_fallback == "heat":  # plain heat continuation for both
-                got = (semigroup_factors(sp, "laplace", p.r1, 0.0, dt),
-                       semigroup_factors(sp, "laplace", p.r2, 0.0, dt))
+            if fallback:  # plain heat continuation for both
+                got = (semigroup_factors(sp, p.r1, 0.0, dt),
+                       semigroup_factors(sp, p.r2, 0.0, dt))
             else:
-                got = (semigroup_factors(sp, "laplace", p.r1, p.a1, dt),
-                       semigroup_factors(sp, "fractional", p.r2, p.a2, dt, p.aleph))
+                got = (semigroup_factors(sp, p.r1, p.a1, dt),
+                       semigroup_factors(sp, p.r2, p.a2, dt, p.aleph))
             self._exp_cache[(dt, fallback)] = got
         return got
 
@@ -198,11 +190,8 @@ class MildIntegrator:
         return e1, e2
 
     def v_power(self, v_vals: np.ndarray) -> np.ndarray:
-        if self.params.power_mode == "clip":
-            base = np.maximum(v_vals, 0.0)
-        else:
-            base = np.abs(v_vals)
-        return base**self.params.q
+        """max(v, 0)^q, for the direct step and the fixed-point forcing alike."""
+        return np.maximum(v_vals, 0.0) ** self.params.q
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self.basis.synthesize(coeffs, self.grid_m)
@@ -340,15 +329,14 @@ class PathRecord:
     """Time-indexed norms and snapshots of one simulated path."""
 
     path_id: int
-    kappa: float
     times: np.ndarray
     series: dict[str, np.ndarray]
     stop_time: float
     stop_step: int | None
+    params: ModelParams
+    space: SpaceConfig
     glue_events: list[tuple[float, float]] = field(default_factory=list)
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
-    params: ModelParams | None = None
-    space: SpaceConfig | None = None
     trajectory: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -423,7 +411,7 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         per = {c: series[c][i].copy() for c in NORM_COLUMNS}
         stop_time, stop_step = _detect_stop(times, per["h"], kappa)
         records.append(PathRecord(
-            path_id=int(pid), kappa=kappa, times=times.copy(), series=per,
+            path_id=int(pid), times=times.copy(), series=per,
             stop_time=stop_time, stop_step=stop_step,
             snapshots=[(float(times[n]), snaps[n][0][i].copy(), snaps[n][1][i].copy())
                        for n in sorted(snaps)],
@@ -542,10 +530,10 @@ def pathspace_norm(record: PathRecord, rho: float, aleph: float, t: float) -> fl
     n = int(np.searchsorted(times, t + 1e-12) - 1) if t > 0 else 0
     steps = np.diff(times[: n + 1])
     p = record.params
-    if p is not None and (rho, aleph) == (p.rho, p.aleph):
+    if (rho, aleph) == (p.rho, p.aleph):
         h = _path_norm(record.series["v_hrho"][: n + 1],
                        record.series["v_hrho_diss"][: n + 1] ** 2, steps)
-    elif record.trajectory is not None and record.space is not None:
+    elif record.trajectory is not None:
         h = path_norm_series(record.space, record.trajectory[1][: n + 1], rho, aleph, steps)
     else:
         raise ValidationError(

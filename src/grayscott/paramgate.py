@@ -200,24 +200,17 @@ def check_rho_window(rho: float, q: float, aleph: float, d: int,
     return rep
 
 
-def evaluate_gate(q: float, aleph: float, alpha: float, d: int,
-                  p_star0: float, gamma1: float | None = None,
-                  gamma2: float | None = None, rho: float | None = None,
-                  p_star: float | None = None) -> GateReport:
+def evaluate_gate(q: float, aleph: float, alpha: float, d: int, p_star0: float,
+                  gamma1: float, gamma2: float, rho: float) -> GateReport:
     """Full admissibility report.
 
     The configured moment order is checked both as p*_0 (its lower bound)
-    and, unless a separate p_star is passed, as the p* entering the noise
-    and path-space bounds; the recommended p* derived from the formulas
-    is reported alongside.
+    and as the p* entering the noise and path-space bounds; the
+    recommended p* derived from the formulas is reported alongside.
     """
     rep = check_spaces(q, aleph, alpha, d, p_star0)
-    effective = p_star if p_star is not None else p_star0
-    if gamma1 is not None and gamma2 is not None:
-        rep.extend(check_noise(gamma1, gamma2, d, aleph, alpha, effective))
-    if rho is not None:
-        rep.extend(check_rho_window(rho, q, aleph, d, effective))
-    return rep
+    rep.extend(check_noise(gamma1, gamma2, d, aleph, alpha, p_star0))
+    return rep.extend(check_rho_window(rho, q, aleph, d, p_star0))
 
 
 def gate_args(params, noise, space) -> dict:
@@ -227,22 +220,15 @@ def gate_args(params, noise, space) -> dict:
                 rho=params.rho)
 
 
-def gate_sweep(base: dict, axis1: tuple[str, list], axis2: tuple[str, list] | None = None):
-    """Evaluate the gate over a 1-D or 2-D parameter sweep.
+def gate_sweep(base: dict, axis: tuple[str, list]):
+    """Evaluate the gate along one argument, the others taken from base.
 
-    Yields rows of (axis values..., overall, n_failed, worst_margin).
+    Yields rows of (value, overall, n_failed, worst_margin).
     """
-    name1, values1 = axis1
-    axes2 = axis2[1] if axis2 is not None else [None]
-    for x1 in values1:
-        for x2 in axes2:
-            kwargs = dict(base)
-            kwargs[name1] = x1
-            if axis2 is not None:
-                kwargs[axis2[0]] = x2
-            rep = evaluate_gate(**kwargs)
-            finite = [c.margin for c in rep.conditions if math.isfinite(c.margin)]
-            worst = min(finite) if finite else math.inf
-            failed = sum(1 for c in rep.conditions if not c.satisfied)
-            row = [x1] + ([x2] if axis2 is not None else [])
-            yield row + [rep.overall, failed, worst]
+    name, values = axis
+    for x in values:
+        rep = evaluate_gate(**{**base, name: x})
+        finite = [c.margin for c in rep.conditions if math.isfinite(c.margin)]
+        worst = min(finite) if finite else math.inf
+        failed = sum(1 for c in rep.conditions if not c.satisfied)
+        yield [x, rep.overall, failed, worst]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,24 +74,6 @@ class SpaceConfig:
     @property
     def total_modes(self) -> int:
         return self.modes_per_axis**self.d
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenpairs of -Laplace, sorted by non-decreasing eigenvalue.
-
-    eigenvalues[k] has units 1/length**2; mode_labels[k] holds the
-    per-axis frequency labels (cosine index for Neumann, signed Fourier
-    index for periodic where negative means the sine partner).  Each
-    eigenfunction has unit L2 norm.
-    """
-
-    space: SpaceConfig
-    eigenvalues: np.ndarray
-    mode_labels: np.ndarray  # (K, d) ints
-
-    def __len__(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _axis_labels(space: SpaceConfig) -> np.ndarray:
@@ -155,9 +137,11 @@ class GridPlan:
 class Basis:
     """Immutable-after-build plan cache for one SpaceConfig.
 
-    Holds the sorted eigensystem, the permutation between sorted and
-    tensor coefficient order, and lazily built GridPlans.  GridPlan
-    construction is guarded by a lock; reads are lock-free afterwards.
+    Holds the eigenpairs of -Laplace sorted by eigenvalue (mode_labels:
+    per-axis cosine index, or signed Fourier index whose negative is the
+    sine partner), the permutation between sorted and tensor coefficient
+    order, and lazily built GridPlans.  GridPlan construction is guarded
+    by a lock; reads are lock-free afterwards.
     """
 
     def __init__(self, space: SpaceConfig):
@@ -179,13 +163,8 @@ class Basis:
         self.perm = order  # sorted position -> tensor flat index
         self.eigenvalues = tensor_ev[order]
         self.mode_labels = tensor_labels[order]
-        self.eigensystem = EigenSystem(space, self.eigenvalues, self.mode_labels)
         self._plans: dict[int, GridPlan] = {}
         self._lock = threading.Lock()
-
-    @property
-    def total_modes(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def plan(self, points_per_axis: int | None = None) -> GridPlan:
         m = points_per_axis or self.space.grid_points_per_axis
@@ -324,15 +303,6 @@ def mode_field(space: SpaceConfig, k: int, amplitude: float = 1.0) -> SpectralFi
 # ---------------------------------------------------------------------------
 
 
-def build_eigensystem(space: SpaceConfig) -> EigenSystem:
-    """K eigenpairs of -Laplace on [0,1]^d for the configured boundary.
-
-    Neumann uses products of cos(pi k x) with eigenvalue pi^2 |k|^2;
-    periodic uses real Fourier modes with eigenvalue 4 pi^2 |m|^2.
-    """
-    return get_basis(space).eigensystem
-
-
 def fractional_weights(space: SpaceConfig, s: float) -> np.ndarray:
     """Per-mode multipliers lambda_k**s under the zero-mode policy."""
     lam = get_basis(space).eigenvalues
@@ -361,37 +331,19 @@ def apply_fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.coeffs * fractional_weights(f.space, s), f.space)
 
 
-def semigroup_factors(space: SpaceConfig, operator_kind: str, r: float, a: float,
-                      t: float, aleph: float | None = None) -> np.ndarray:
-    """Per-mode factors exp((-r lambda_k**power + a) t)."""
-    if operator_kind == "laplace":
-        powered = get_basis(space).eigenvalues
-    elif operator_kind == "fractional":
-        if aleph is None:
-            raise ValidationError(["fractional semigroup requires an 'aleph' exponent"])
-        powered = fractional_weights(space, aleph / 2.0)
-    else:
-        raise ValidationError([f"unknown operator kind {operator_kind!r}"])
-    return np.exp((-r * powered + a) * t)
+def semigroup_factors(space: SpaceConfig, r: float, a: float, t: float,
+                      aleph: float = 2.0) -> np.ndarray:
+    """Per-mode factors exp((-r lambda_k**(aleph/2) + a) t) of the semigroup
+    of r A + a, A = -(-Laplace)**(aleph/2); aleph = 2 is the Laplacian."""
+    return np.exp((-r * fractional_weights(space, aleph / 2.0) + a) * t)
 
 
-def semigroup_step(f: SpectralField, generator: dict, t: float) -> SpectralField:
-    """Exact semigroup action e^{(r L + a I) t} on a field.
-
-    generator keys: operator_kind ('laplace' or 'fractional'), r, a, and
-    aleph when fractional.  t must be non-negative.
-    """
+def semigroup_step(f: SpectralField, r: float, a: float, t: float,
+                   aleph: float = 2.0) -> SpectralField:
+    """Exact semigroup action e^{(r A + a) t} on a field; t must be >= 0."""
     if t < 0:
         raise ValidationError(["semigroup time must be >= 0"])
-    factors = semigroup_factors(
-        f.space,
-        generator["operator_kind"],
-        generator["r"],
-        generator["a"],
-        t,
-        generator.get("aleph"),
-    )
-    return SpectralField(f.coeffs * factors, f.space)
+    return SpectralField(f.coeffs * semigroup_factors(f.space, r, a, t, aleph), f.space)
 
 
 def sobolev_weights(space: SpaceConfig, s: float) -> np.ndarray:

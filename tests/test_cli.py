@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,8 @@ class TestConfigParsing:
         ("noise.seed=-1", "seed must be >= 0"),
         ('field_dumps="false"', "field_dumps must be true or false"),
         ("field_dumps=1", "field_dumps must be true or false"),
+        ("model.power_mode=abs", "unknown keys in model: power_mode"),
+        ("model.linear_fallback=full", "unknown keys in model: linear_fallback"),
     ])
     def test_mistyped_numbers_exit_two(self, tmp_path, capsys, override, needle):
         cfg_path = write_config(tmp_path, FAST_DOC)
@@ -126,6 +129,13 @@ class TestConfigParsing:
     def test_whole_multiple_within_tolerance_accepted(self):
         cfg = config_from_dict({"T": 0.35, "dt": 0.001})  # 349.99999999999994 steps
         assert cfg.T == 0.35
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
 
     def test_bump_mode_out_of_range(self):
         cfg = parse_config(json.dumps(
@@ -207,6 +217,7 @@ class TestCliRuns:
         (["q", "1", "2", "abc"], "N must be an integer >= 1"),
         (["q", "1", "2", "-1"], "N must be an integer >= 1"),
         (["q", "1", "2", "0"], "N must be an integer >= 1"),
+        (["d", "1", "2", "3"], "d takes only the values 1 and 2"),
     ])
     def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, sweep, needle):
         cfg_path = write_config(tmp_path, {})
@@ -216,6 +227,13 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
         assert not list(out.glob("gate_sweep_*.csv"))
+
+    def test_check_params_sweep_d_integer_rows(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["check-params", "--config", write_config(tmp_path, {}),
+                     "--out", str(out), "--sweep", "d", "1", "2", "2"]) == 0
+        rows = (out / "gate_sweep_0_d.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["d", "1", "2"]
 
     def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"model": {"r1": -1.0}})
@@ -302,6 +320,47 @@ class TestCliRuns:
         for study, errors in golden.items():
             got = [float(err) for name, _dt, err in rows if name == study]
             assert got == pytest.approx(errors, rel=1e-10), study
+
+    @pytest.mark.parametrize("subcommand, doc, last_row", [
+        # default config; then semi-implicit + Stratonovich; a glue schedule
+        # that ends in the heat fallback; the fractional semigroup in d=2
+        ("simulate", {"paths": 1},
+         [0.44862647837026676, 0.44863714373166097, 1.1972420553661913,
+          1.1987242148883994, 1.9903742081021925, 1.0]),
+        ("simulate", {"paths": 1, "model": {"scheme": "semi_implicit"},
+                      "noise": {"interpretation": "stratonovich"}},
+         [0.448627644949652, 0.44863828613696966, 1.1987283615900892,
+          1.2002051999413579, 1.9923632066816819, 1.0]),
+        ("glue", {"paths": 1, "kappa_schedule": [1.05, 1.1]},
+         [0.9833572325392332, 0.9833631189767053, 1.0074176384899325,
+          1.0082192603852147, 1.7138643375972613, 0.0]),
+        ("simulate", {"paths": 1, "T": 0.1, "model": {"aleph": 1.5},
+                      "space": {"d": 2, "boundary": "periodic", "modes_per_axis": 8,
+                                "grid_points_per_axis": 16}},
+         [0.8648766367442579, 0.864889140722937, 1.05741795115347,
+          1.0652924527806398, 1.3855305816973322, 1.0]),
+    ])
+    def test_norm_series_golden(self, tmp_path, subcommand, doc, last_row):
+        # the norms at t=T, pinned so that refactors of the step, the
+        # semigroups and the glue keep the numbers
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        row = (out / "path_00000.csv").read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == pytest.approx(doc.get("T", 0.5), rel=1e-12)
+        assert [float(x) for x in row[1:]] == pytest.approx(last_row, rel=1e-10)
+
+    def test_fixed_point_residuals_golden(self, tmp_path):
+        # the first Picard residuals at the default config; later ones sit
+        # near round-off and are not pinned
+        golden = [0.64687206638807215, 0.10966993433134531, 0.0022802936384299548,
+                  4.5781540846420419e-05]
+        out = tmp_path / "out"
+        assert main(["fixed-point", "--config", write_config(tmp_path, {"paths": 1}),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "residuals.csv").read_text().splitlines()[1:]]
+        got = [float(res) for _path, _it, res in rows[:len(golden)]]
+        assert got == pytest.approx(golden, rel=1e-10)
 
     def test_manifest_lists_every_numeric_knob(self, tmp_path):
         import dataclasses

@@ -57,7 +57,7 @@ def frozen_record(path_id, times, u_coeffs, v_coeffs, params, space=SP):
         "u_grad_p": np.full(n, grad_term),
         "couple": np.full(n, couple),
     }
-    return PathRecord(path_id, 1e9, times, series, math.inf, None,
+    return PathRecord(path_id, times, series, math.inf, None,
                       params=params, space=space)
 
 
@@ -134,6 +134,14 @@ class TestMomentEstimators:
         out = estimate_u_pstar(recs)
         assert out["gradient"].estimate == 0.0
         assert out["sup"].estimate == pytest.approx(2.0**params.p_star, rel=1e-12)
+
+    def test_pstar_mixed_records_rejected(self):
+        times = np.linspace(0.0, 0.5, 6)
+        u = bump()
+        recs = [frozen_record(i, times, u.coeffs, u.coeffs, ModelParams(p_star=ps))
+                for i, ps in enumerate((4.5, 2.0))]
+        with pytest.raises(ValidationError, match="different p_star"):
+            estimate_u_pstar(recs)
 
     def test_pstar_two_reduces_to_l2_quantity(self):
         params = ModelParams(p_star=2.0)
