@@ -133,8 +133,9 @@ def _simulate_records(cfg: RunConfig) -> list[PathRecord]:
     )
 
 
-def _sweep_axis(sweep: list[str], names) -> tuple[str, list]:
-    """(NAME, N values from LO to HI) of one --sweep NAME LO HI N."""
+def _sweep_axis(sweep: list[str], names, cfg: RunConfig) -> tuple[str, list]:
+    """(NAME, N values from LO to HI) of one --sweep NAME LO HI N, each
+    value checked against the ranges of the run's parameters."""
     name, lo, hi, n = sweep
     violations = []
     if name not in names:
@@ -157,13 +158,16 @@ def _sweep_axis(sweep: list[str], names) -> tuple[str, list]:
         if not set(values) <= {1.0, 2.0}:
             raise ValidationError(
                 [f"--sweep d takes only the values 1 and 2, got {[float(x) for x in values]}"])
-        values = [int(x) for x in values]
+        return name, [int(x) for x in values]
+    section = "noise" if name in ("gamma1", "gamma2") else "model"
+    for x in values:
+        dataclasses.replace(getattr(cfg, section), **{"p_star" if name == "p_star0" else name: x})
     return name, values
 
 
 def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:
     base = gate_args(cfg.model, cfg.noise, cfg.space)
-    axes = [_sweep_axis(sweep, base) for sweep in args.sweep or []]
+    axes = [_sweep_axis(sweep, base, cfg) for sweep in args.sweep or []]
     report = evaluate_gate(**base)
     text = "\n".join(report.lines())
     print(text)

@@ -98,6 +98,8 @@ class ModelParams:
 def smooth_cutoff(x):
     """C-infinity transition: 1 on |x| <= 1, 0 on |x| >= 2, monotone between."""
     ax = np.abs(np.asarray(x, dtype=float))
+    if (ax <= 1.0).all():  # the plateau, where the full formula yields exactly 1.0
+        return 1.0 if ax.ndim == 0 else np.ones(ax.shape)
     t = 2.0 - ax  # in (0, 1) on the transition band
     with np.errstate(divide="ignore", over="ignore"):
         f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
@@ -155,6 +157,7 @@ class MildIntegrator:
         self.k_noise = noise.mode_cutoff or noise_mode_indices(space).size
         self.coloring = {j: coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)}
         self._exp_cache: dict[tuple[float, bool], tuple[np.ndarray, np.ndarray]] = {}
+        self._colored: dict[int, np.ndarray] = {}  # per process: g_dw's coloring buffer
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
         self.w_alpha = sobolev_weights(space, params.alpha)
@@ -204,7 +207,10 @@ class MildIntegrator:
         coloring (-Laplace)^(-gamma/2) dW of dW (per noise mode), projected
         back to the basis."""
         idx, w = self.coloring[process]
-        colored = np.zeros(dw.shape[:-1] + (self.space.total_modes,))
+        shape = dw.shape[:-1] + (self.space.total_modes,)
+        colored = self._colored.get(process)
+        if colored is None or colored.shape != shape:  # the non-noise columns stay zero
+            colored = self._colored[process] = np.zeros(shape)
         colored[..., idx] = w * dw
         return self.analyze(vals * self.synth(colored))
 
@@ -217,8 +223,8 @@ class MildIntegrator:
 
     def norm_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(|v|_{H^rho}, |v|^2_{H^{rho+aleph/2}}) per path: what h accumulates."""
-        return (np.sqrt(np.sum(self.w_rho * v**2, axis=-1)),
-                np.sum(self.w_rho_aleph * v**2, axis=-1))
+        v2 = v**2
+        return np.sqrt((self.w_rho * v2).sum(axis=-1)), (self.w_rho_aleph * v2).sum(axis=-1)
 
     def phi_of(self, state: _BatchState) -> np.ndarray:
         return np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
@@ -248,8 +254,8 @@ class MildIntegrator:
             react = phi * u_vals * self.v_power(v_vals)
         drift_u = p.b1 - p.c1 * react
         drift_v = p.b2 + p.c2 * react
-        drift_u[state.fallback] = 0.0  # fallback paths: no reaction and no feed
-        drift_v[state.fallback] = 0.0
+        if state.fallback.any():  # fallback paths: no reaction and no feed
+            drift_u[state.fallback] = drift_v[state.fallback] = 0.0
         drift_u = self.to_ito(drift_u, u_vals, 1)
         drift_v = self.to_ito(drift_v, v_vals, 2)
 
@@ -268,7 +274,7 @@ class MildIntegrator:
         u_new = e1 * (u_base + dt * du + p.sigma1 * gu)
         v_new = e2 * (state.v + dt * dv + p.sigma2 * gv)
 
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             raise NonFinite(
                 f"non-finite coefficients at step {state.step + 1}",
                 step=state.step + 1, time=state.t + dt,
@@ -302,16 +308,16 @@ class MildIntegrator:
         u_vals, v_vals = uv_vals
         quad = self.basis.quadrature
         m = self.grid_m
-        out["u_l2"][:, n] = np.sqrt(np.sum(state.u**2, axis=-1))
+        out["u_l2"][:, n] = np.sqrt((state.u**2).sum(axis=-1))
         out["u_lpstar"][:, n] = quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)
-        out["v_halpha"][:, n] = np.sqrt(np.sum(self.w_alpha * state.v**2, axis=-1))
-        out["v_halpha_diss"][:, n] = np.sqrt(np.sum(self.w_alpha_aleph * state.v**2, axis=-1))
-        out["v_hrho"][:, n] = np.sqrt(np.sum(self.w_rho * state.v**2, axis=-1))
+        out["v_halpha"][:, n] = np.sqrt((self.w_alpha * state.v**2).sum(axis=-1))
+        out["v_halpha_diss"][:, n] = np.sqrt((self.w_alpha_aleph * state.v**2).sum(axis=-1))
+        out["v_hrho"][:, n] = np.sqrt((self.w_rho * state.v**2).sum(axis=-1))
         out["v_hrho_diss"][:, n] = np.sqrt(state.last_diss_sq)
         out["h"][:, n] = state.h
         out["phi"][:, n] = self.phi_of(state)
         grad = self.basis.synthesize_gradient(state.u, m)
-        grad_sq = np.sum(grad**2, axis=0)
+        grad_sq = (grad**2).sum(axis=0)
         out["u_grad_p"][:, n] = quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)
         # coupling functional uses clip-then-power on both factors
         out["couple"][:, n] = quad(

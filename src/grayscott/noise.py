@@ -54,6 +54,27 @@ def _role_arr(words: np.ndarray, mult: int) -> np.ndarray:
     return _mix_arr((w + np.uint64(_GOLDEN)) * np.uint64(mult))
 
 
+def _stream_keys(seed: int, path_ids: np.ndarray, process: int, segment,
+                 n_modes: int) -> np.ndarray:
+    """(len(path_ids), n_modes) uint64 keys: every word of a draw's address
+    but the step, which only the counter carries."""
+    base = _mix_int(seed)
+    base = _mix_int(base ^ _mix_int(((process + 1) * _MULT_PROC) & _MASK))
+    # the segment word mixed into the base, per path when segment is an array
+    seg = np.atleast_1d(np.asarray(segment, dtype=np.uint64))
+    rseg = _mix_arr(np.uint64(base) ^ _mix_arr((seg + np.uint64(1)) * np.uint64(_MULT_SEG)))
+    rp = rseg ^ _role_arr(np.asarray(path_ids), _MULT_PATH)
+    return rp[:, None] ^ _role_arr(np.arange(n_modes), _MULT_MODE)
+
+
+def _keyed_normals(keys: np.ndarray, step_words: np.ndarray) -> np.ndarray:
+    """Standard normals of shape (P, S, K) from (P, K) stream keys and S step words."""
+    bits = _mix_arr(keys[:, None, :] ^ step_words[None, :, None])
+    # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    return ndtri(u)
+
+
 def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
                     steps: np.ndarray, n_modes: int) -> np.ndarray:
     """Standard normals of shape (len(path_ids), len(steps), n_modes).
@@ -61,18 +82,8 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
     segment is one glue segment for all paths or one per path.
     Deterministic in every index; distinct tuples give independent draws.
     """
-    base = _mix_int(seed)
-    base = _mix_int(base ^ _mix_int(((process + 1) * _MULT_PROC) & _MASK))
-    # the segment word mixed into the base, per path when segment is an array
-    seg = np.atleast_1d(np.asarray(segment, dtype=np.uint64))
-    rseg = _mix_arr(np.uint64(base) ^ _mix_arr((seg + np.uint64(1)) * np.uint64(_MULT_SEG)))
-    rp = rseg ^ _role_arr(np.asarray(path_ids), _MULT_PATH)
-    rs = _role_arr(np.asarray(steps), _MULT_STEP)
-    rm = _role_arr(np.arange(n_modes), _MULT_MODE)
-    bits = _mix_arr(rp[:, None, None] ^ rs[None, :, None] ^ rm[None, None, :])
-    # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
-    return ndtri(u)
+    keys = _stream_keys(seed, path_ids, process, segment, n_modes)
+    return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,8 @@ class WienerSource:
     Vectorized over a fixed tuple of path ids; segment is one glue
     segment for all paths or one per path.  Every draw is addressed by
     its step index, so two sources with overlapping keys replay
-    bit-equal increments.
+    bit-equal increments.  Keys are mixed once per process and segment;
+    a draw mixes in only its step word.
     """
 
     def __init__(self, config: NoiseConfig, space: SpaceConfig,
@@ -149,17 +161,24 @@ class WienerSource:
         self.segment = segment
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
         self.k_noise = config.mode_cutoff or noise_mode_indices(space).size
+        self._keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # process -> (segment, keys)
+        self._step_words = np.empty(0, dtype=np.uint64)  # the counter word of step n at n
 
     def increment_block(self, step0: int, count: int, dt: float,
                         process: int) -> np.ndarray:
         """(n_paths, count, K_noise) increments of variance dt for
         consecutive steps."""
-        if dt <= 0:
-            raise ValidationError(["dt must be > 0"])
-        z = counter_normals(
-            self.config.seed, self.path_ids, process, self.segment,
-            np.arange(step0, step0 + count), self.k_noise,
-        )
+        if dt <= 0 or step0 < 0:
+            raise ValidationError([f"need dt > 0 and step0 >= 0, got dt={dt}, step0={step0}"])
+        seg = np.asarray(self.segment, dtype=np.uint64)
+        got = self._keys.get(process)
+        if got is None or not (got[0] == seg).all():  # first draw, or segment has changed
+            keys = _stream_keys(self.config.seed, self.path_ids, process, seg, self.k_noise)
+            got = self._keys[process] = (seg.copy(), keys)
+        end = step0 + count
+        if self._step_words.size < end:
+            self._step_words = _role_arr(np.arange(max(end, 2 * self._step_words.size)), _MULT_STEP)
+        z = _keyed_normals(got[1], self._step_words[step0:end])
         return np.sqrt(dt) * z
 
 

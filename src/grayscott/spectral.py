@@ -161,6 +161,8 @@ class Basis:
             tuple(tensor_labels[:, j] for j in reversed(range(space.d))) + (tensor_ev,)
         )
         self.perm = order  # sorted position -> tensor flat index
+        self._sorted_is_tensor = bool((order == np.arange(order.size)).all())
+        self._tensor_order = np.argsort(order)  # tensor flat index -> sorted position
         self.eigenvalues = tensor_ev[order]
         self.mode_labels = tensor_labels[order]
         self._plans: dict[int, GridPlan] = {}
@@ -188,8 +190,7 @@ class Basis:
     def to_tensor(self, coeffs: np.ndarray) -> np.ndarray:
         """Sorted coefficient vector(s) -> tensor-ordered array."""
         n = self.space.modes_per_axis
-        out = np.empty_like(coeffs)
-        out[..., self.perm] = coeffs
+        out = coeffs if self._sorted_is_tensor else coeffs[..., self._tensor_order]
         if self.space.d == 2:
             return out.reshape(coeffs.shape[:-1] + (n, n))
         return out
@@ -198,7 +199,7 @@ class Basis:
         if self.space.d == 2:
             n = self.space.modes_per_axis
             tensor = tensor.reshape(tensor.shape[:-2] + (n * n,))
-        return tensor[..., self.perm]
+        return tensor if self._sorted_is_tensor else tensor[..., self.perm]
 
     # -- synthesis / analysis ------------------------------------------------
 

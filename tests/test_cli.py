@@ -218,8 +218,12 @@ class TestCliRuns:
         (["q", "1", "2", "-1"], "N must be an integer >= 1"),
         (["q", "1", "2", "0"], "N must be an integer >= 1"),
         (["d", "1", "2", "3"], "d takes only the values 1 and 2"),
+        (["q", "0", "2", "3"], "q must be >= 1"),
+        (["aleph", "0.5", "2", "4"], "aleph must lie in (1, 2]"),
+        (["p_star0", "1", "3", "3"], "p_star must be >= 2"),
+        (["gamma1", "-1", "1", "3"], "gamma1 must be > 0"),
     ])
-    def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, sweep, needle):
+    def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, recwarn, sweep, needle):
         cfg_path = write_config(tmp_path, {})
         out = tmp_path / "out"
         assert main(["check-params", "--config", cfg_path, "--out", str(out),
@@ -227,6 +231,7 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
         assert not list(out.glob("gate_sweep_*.csv"))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_check_params_sweep_d_integer_rows(self, tmp_path):
         out = tmp_path / "out"

@@ -60,6 +60,23 @@ class TestSmoothCutoff:
         assert np.all(np.diff(y) <= 0)
         assert np.all((y >= 0) & (y <= 1))
 
+    def test_plateau_array_is_exact_float_ones(self):
+        x = np.array([[0.0, -0.5, 1.0], [-1.0, 0.25, 1e-300]])
+        y = smooth_cutoff(x)
+        assert y.dtype == np.float64 and y.shape == x.shape
+        assert np.array_equal(y, np.ones(x.shape))
+        assert np.array_equal(smooth_cutoff([0.5, -1.0]), [1.0, 1.0])
+
+    def test_mixed_array_matches_scalar_calls(self):
+        x = np.array([0.2, -1.0, 1.0 + 1e-12, 1.3, -1.7, 1.999, 2.0, -3.5, 0.9])
+        assert np.array_equal(smooth_cutoff(x), [smooth_cutoff(float(v)) for v in x])
+
+    def test_nan_stays_nan(self):
+        with np.errstate(invalid="ignore"):
+            y = smooth_cutoff(np.array([0.5, np.nan, 1.5]))
+            assert math.isnan(smooth_cutoff(math.nan))
+        assert y[0] == 1.0 and math.isnan(y[1]) and y[2] == smooth_cutoff(1.5)
+
 
 def first_increments(noise, dt, path_id=0):
     source = WienerSource(noise, SP, [path_id])

@@ -102,6 +102,22 @@ class TestNoiseAddress:
             solo = WienerSource(CFG, SP, [pid], segment=int(segments[i]))
             assert np.array_equal(block[i], solo.increment_block(3, 2, 0.01, process=2)[0])
 
+    def test_source_rekeys_when_segment_changes(self):
+        paths = np.array([1, 5, 8, 13])
+        source = WienerSource(CFG, SP, paths)
+        for process in (1, 2):
+            source.increment_block(0, 2, 0.01, process)
+        source.segment = np.array([0, 1, 0, 2])  # a glue restart of paths 5 and 13
+        for step0 in (2, 5):
+            for process in (1, 2):
+                block = source.increment_block(step0, 3, 0.01, process)
+                fresh = counter_normals(CFG.seed, paths, process, source.segment,
+                                        np.arange(step0, step0 + 3), 15)
+                assert np.array_equal(block, np.sqrt(0.01) * fresh)
+                new = WienerSource(CFG, SP, paths, segment=source.segment.copy())
+                assert np.array_equal(block, new.increment_block(step0, 3, 0.01, process))
+            source.segment[0] = 4  # an in-place change is a new segment too
+
     def test_block_slices_equal_single_steps(self):
         source = WienerSource(CFG, SP, [0, 4, 9], segment=1)
         for process in (1, 2):
