@@ -162,23 +162,21 @@ class WienerSource:
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
         self.k_noise = config.mode_cutoff or noise_mode_indices(space).size
         self._keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # process -> (segment, keys)
-        self._step_words = np.empty(0, dtype=np.uint64)  # the counter word of step n at n
 
     def increment_block(self, step0: int, count: int, dt: float,
                         process: int) -> np.ndarray:
         """(n_paths, count, K_noise) increments of variance dt for
         consecutive steps."""
-        if dt <= 0 or step0 < 0:
-            raise ValidationError([f"need dt > 0 and step0 >= 0, got dt={dt}, step0={step0}"])
-        seg = np.asarray(self.segment, dtype=np.uint64)
+        if dt <= 0:
+            raise ValidationError(["dt must be > 0"])
+        seg = np.array(self.segment, dtype=np.uint64)  # a copy, detached from self.segment
         got = self._keys.get(process)
         if got is None or not (got[0] == seg).all():  # first draw, or segment has changed
-            keys = _stream_keys(self.config.seed, self.path_ids, process, seg, self.k_noise)
-            got = self._keys[process] = (seg.copy(), keys)
-        end = step0 + count
-        if self._step_words.size < end:
-            self._step_words = _role_arr(np.arange(max(end, 2 * self._step_words.size)), _MULT_STEP)
-        z = _keyed_normals(got[1], self._step_words[step0:end])
+            got = self._keys[process] = (
+                seg, _stream_keys(self.config.seed, self.path_ids, process, seg, self.k_noise))
+        # _role_arr(steps, _MULT_STEP) on Python ints: a one-step draw makes no ufunc call here
+        words = [_mix_int(((n + _GOLDEN) * _MULT_STEP) & _MASK) for n in range(step0, step0 + count)]
+        z = _keyed_normals(got[1], np.array(words, dtype=np.uint64))
         return np.sqrt(dt) * z
 
 

@@ -222,6 +222,7 @@ class TestCliRuns:
         (["aleph", "0.5", "2", "4"], "aleph must lie in (1, 2]"),
         (["p_star0", "1", "3", "3"], "p_star must be >= 2"),
         (["gamma1", "-1", "1", "3"], "gamma1 must be > 0"),
+        (["rho", "0.1", "0.5", "5"], "alpha must be >= rho"),
     ])
     def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, recwarn, sweep, needle):
         cfg_path = write_config(tmp_path, {})

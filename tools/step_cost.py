@@ -4,7 +4,6 @@ Run from the repository root:
 
     python3 tools/step_cost.py                      # this checkout's src/
     python3 tools/step_cost.py --src OTHER/src      # another checkout
-    python3 tools/step_cost.py --repeats 7 --out step_cost.json
 
 Each case is the default model and noise (seed 0) with constant initial
 data u0 = v0 = 1, on one space and batch size:
@@ -25,11 +24,10 @@ Per case it times:
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
   grid values given as the time loop gives them.
 
-Every figure is the median over ``--repeats`` of the mean time of a
+Every figure is the median over ``REPEATS`` of the mean time of a
 loop of calls (about 20 ms each) divided by the batch size.  The
 inputs are fixed, so two checkouts time the same operations.  Prints
-one JSON object, with an environment block, and writes it to ``--out``
-when given.
+one JSON object, with an environment block.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEPS = 20  # steps of the total run and of the warm-up before the layer timings
+REPEATS = 7  # timed loops per figure
 CASES = {
     "d1-N32-P100": (1, 32, 64, 100),
     "d2-N8-P16": (2, 8, 16, 16),
@@ -53,14 +52,14 @@ CASES = {
 }
 
 
-def _loop_time(fn, repeats: int) -> float:
-    """Median over repeats of the mean seconds per call of fn()."""
+def _loop_time(fn) -> float:
+    """Median over REPEATS of the mean seconds per call of fn()."""
     fn()
     start = time.perf_counter()
     fn()
     n = max(1, int(0.02 / max(time.perf_counter() - start, 1e-7)))
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(n):
             fn()
@@ -68,7 +67,7 @@ def _loop_time(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def time_case(d: int, n: int, m: int, paths: int, repeats: int) -> dict:
+def time_case(d: int, n: int, m: int, paths: int) -> dict:
     import numpy as np
 
     from grayscott.integrate import NORM_COLUMNS, MildIntegrator, ModelParams, simulate_ensemble
@@ -86,7 +85,7 @@ def time_case(d: int, n: int, m: int, paths: int, repeats: int) -> dict:
         simulate_ensemble(params, space, noise, u0, v0, 1e6, STEPS * dt, dt, ids,
                           check_gate=False)
 
-    per_path["total"] = _loop_time(total, repeats) / STEPS
+    per_path["total"] = _loop_time(total) / STEPS
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
@@ -113,7 +112,7 @@ def time_case(d: int, n: int, m: int, paths: int, repeats: int) -> dict:
         "record_norms": lambda: integ.record_norms(state, series, 0, uv_vals=uv),
     }
     for name, fn in layers.items():
-        per_path[name] = _loop_time(fn, repeats)
+        per_path[name] = _loop_time(fn)
     return {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
 
 
@@ -143,23 +142,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the grayscott package (default: ./src)")
-    parser.add_argument("--repeats", type=int, default=5, help="timed loops per figure")
-    parser.add_argument("--out", help="also write the JSON object to this file")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
     sys.path.insert(0, os.path.abspath(args.src))
     result = {
         "unit": "us per path-step",
         "src": os.path.abspath(args.src),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "environment": environment(),
-        "cases": {name: time_case(*case, args.repeats) for name, case in CASES.items()},
+        "cases": {name: time_case(*case) for name, case in CASES.items()},
     }
-    text = json.dumps(result, indent=2)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(json.dumps(result, indent=2))
     return 0
 
 
