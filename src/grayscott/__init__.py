@@ -38,7 +38,6 @@ from .integrate import (
     pathspace_norm,
     simulate_ensemble,
     simulate_glued,
-    simulate_path,
     smooth_cutoff,
 )
 from .noise import NoiseConfig, WienerSource, hs_tail_sum
@@ -56,7 +55,6 @@ from .spectral import (
     SpectralField,
     apply_fractional_laplacian,
     constant_field,
-    field_from_values,
     lp_norm,
     mode_field,
     semigroup_step,

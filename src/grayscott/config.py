@@ -86,8 +86,8 @@ class RunConfig:
         ks = self.kappa_schedule
         if len(ks) == 0 or any(b <= a for a, b in zip(ks, ks[1:])):
             v.append("kappa_schedule must be non-empty and strictly increasing")
-        if not all(math.isfinite(k) for k in ks):
-            v.append(f"kappa_schedule entries must be finite, got {list(ks)}")
+        if not all(math.isfinite(k) and k > 0 for k in ks):
+            v.append(f"kappa_schedule entries must be finite and > 0, got {list(ks)}")
         if self.tol <= 0:
             v.append(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:

@@ -110,6 +110,8 @@ class NoiseConfig:
             violations.append(f"mode_cutoff must be >= 1, got {self.mode_cutoff}")
         if self.seed < 0:
             violations.append(f"seed must be >= 0, got {self.seed}")
+        elif self.seed >= 2**64:  # the noise keys mix the seed as a 64-bit word
+            violations.append(f"seed must be < 2**64, got {self.seed}")
         if violations:
             raise ValidationError(violations)
 

@@ -272,19 +272,8 @@ class SpectralField:
                 [f"coefficient vector must have shape ({expected},), got {self.coeffs.shape}"]
             )
 
-    def values(self, points_per_axis: int | None = None) -> np.ndarray:
-        return get_basis(self.space).synthesize(self.coeffs, points_per_axis)
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.space)
-
-
-def field_from_values(values: np.ndarray, space: SpaceConfig,
-                      points_per_axis: int | None = None) -> SpectralField:
-    return SpectralField(get_basis(space).analyze(values, points_per_axis), space)
 
 
 def constant_field(value: float, space: SpaceConfig) -> SpectralField:
@@ -367,18 +356,3 @@ def lp_norm(f: SpectralField, p: float, points_per_axis: int | None = None) -> f
     basis = get_basis(f.space)
     vals = basis.synthesize(f.coeffs, points_per_axis)
     return float(basis.quadrature(np.abs(vals) ** p, points_per_axis) ** (1.0 / p))
-
-
-def galerkin_product(space: SpaceConfig, *factor_coeffs: np.ndarray,
-                     q_degree: float = 1.0) -> np.ndarray:
-    """Pointwise product of band-limited fields, projected back to the basis.
-
-    Evaluates on the dealiased grid sized for a degree-(q_degree + 1)
-    product.  Accepts batched coefficient arrays.
-    """
-    basis = get_basis(space)
-    m = basis.dealias_points(q_degree)
-    vals = basis.synthesize(factor_coeffs[0], m)
-    for more in factor_coeffs[1:]:
-        vals = vals * basis.synthesize(more, m)
-    return basis.analyze(vals, m)

@@ -22,7 +22,7 @@ from grayscott.estimators import (
     estimate_v_Halpha,
 )
 from grayscott.fixedpoint import control_m_norm, picard_solve
-from grayscott.integrate import ModelParams, simulate_ensemble, simulate_path
+from grayscott.integrate import ModelParams, simulate_ensemble
 from grayscott.noise import NoiseConfig, WienerSource, hilbert_schmidt_sum, hs_tail_sum
 from grayscott.paramgate import check_spaces, evaluate_gate
 from grayscott.spectral import (
@@ -126,8 +126,8 @@ def test_04_homogeneous_ode_oracle():
     worst = 0.0
     for sp, params in cases:
         u0, v0 = constant_field(0.5, sp), constant_field(0.5, sp)
-        rec = simulate_path(params, sp, noise, u0, v0, 1e9, T=1.0, dt=1e-4,
-                            check_gate=False)
+        rec = simulate_ensemble(params, sp, noise, u0, v0, 1e9, T=1.0, dt=1e-4,
+                                path_ids=[0], check_gate=False)[0]
         _, uT, vT = rec.snapshots[-1]
         sol = planar_ode(params, 0.5, 0.5, 1.0)
         err = max(abs(uT[0] - sol.y[0, -1]) / abs(sol.y[0, -1]),
@@ -190,12 +190,12 @@ def test_07_cutoff_semantics():
         crossed_twice += int(h.max() >= 2 * kappa)
     assert crossed_twice > 0, "suite must exercise the h >= 2 kappa region"
 
-    a = simulate_path(params, sp, noise, bump(sp), bump(sp), kappa,
-                      T=1.2, dt=2e-3, path_id=0, store_trajectory=True,
-                      check_gate=False)
-    b = simulate_path(params, sp, noise, bump(sp), bump(sp), 2.5,
-                      T=1.2, dt=2e-3, path_id=0, store_trajectory=True,
-                      check_gate=False)
+    a = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), kappa,
+                          T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True,
+                          check_gate=False)[0]
+    b = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 2.5,
+                          T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True,
+                          check_gate=False)[0]
     n = a.stop_step
     assert n is not None
     assert np.array_equal(a.trajectory[0][: n + 1], b.trajectory[0][: n + 1])
@@ -215,8 +215,8 @@ def test_08_fixed_point_direct_equivalence():
     for path_id in range(10):
         assert res["iterates"][path_id] <= 20
         assert res["residuals"][path_id][-1] < 1e-8
-        rec = simulate_path(params, sp, noise, bump(sp), bump(sp), 1e9,
-                            T, dt, path_id=path_id, store_trajectory=True)
+        rec = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 1e9,
+                                T, dt, path_ids=[path_id], store_trajectory=True)[0]
         diff = float(control_m_norm(fp.eta[path_id] - rec.trajectory[0],
                                     fp.xi[path_id] - rec.trajectory[1],
                                     fp.times, sp, params.rho, params.aleph))

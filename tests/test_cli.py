@@ -99,6 +99,7 @@ class TestConfigParsing:
         ("space.d=1.0", "d must be an integer"),
         ("model.q=NaN", "q must be finite"),
         ("noise.seed=-1", "seed must be >= 0"),
+        ("noise.seed=18446744073709551616", "seed must be < 2**64"),
         ('field_dumps="false"', "field_dumps must be true or false"),
         ("field_dumps=1", "field_dumps must be true or false"),
         ("model.power_mode=abs", "unknown keys in model: power_mode"),
@@ -121,6 +122,8 @@ class TestConfigParsing:
         ({"kappa": math.nan}, "kappa must be finite"),
         ({"kappa": math.inf}, "kappa must be finite"),
         ({"kappa_schedule": [1.0, math.inf]}, "entries must be finite"),
+        ({"kappa_schedule": [0.0, 1.0]}, "entries must be finite and > 0"),
+        ({"kappa_schedule": [-2.0, -1.0]}, "entries must be finite and > 0"),
     ])
     def test_non_finite_and_rounded_horizons_rejected(self, doc, needle):
         with pytest.raises(ValidationError, match=needle):

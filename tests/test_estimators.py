@@ -52,8 +52,6 @@ def frozen_record(path_id, times, u_coeffs, v_coeffs, params, space=SP):
         "v_halpha_diss": np.full(n, float(np.sqrt(np.sum(wad * v_coeffs**2)))),
         "h": np.zeros(n),
         "phi": np.ones(n),
-        "v_hrho": np.zeros(n),
-        "v_hrho_diss": np.zeros(n),
         "u_grad_p": np.full(n, grad_term),
         "couple": np.full(n, couple),
     }

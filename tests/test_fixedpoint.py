@@ -14,7 +14,7 @@ from grayscott.fixedpoint import (
     kset_check,
     picard_solve,
 )
-from grayscott.integrate import MildIntegrator, ModelParams, simulate_path
+from grayscott.integrate import MildIntegrator, ModelParams, simulate_ensemble
 from grayscott.noise import NoiseConfig
 from grayscott.spectral import SpaceConfig, constant_field, lp_norm, sobolev_norm
 
@@ -80,8 +80,8 @@ class TestPicard:
         params = ModelParams(c1=0.01, c2=0.01)
         res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_ids=[3],
                            T=0.25, dt=2e-3, tol=1e-8)
-        rec = simulate_path(params, SP, NZ, bump(), bump(), 1e9, T=0.25,
-                            dt=2e-3, path_id=3, store_trajectory=True)
+        rec = simulate_ensemble(params, SP, NZ, bump(), bump(), 1e9, T=0.25,
+                                dt=2e-3, path_ids=[3], store_trajectory=True)[0]
         fp = res["fixed_point"]
         diff = control_m_norm(fp.eta[0] - rec.trajectory[0], fp.xi[0] - rec.trajectory[1],
                               fp.times, SP, params.rho, params.aleph)

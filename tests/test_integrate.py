@@ -12,10 +12,10 @@ from grayscott.cli import main
 from grayscott.integrate import (
     MildIntegrator,
     ModelParams,
+    path_norm_series,
     pathspace_norm,
     simulate_ensemble,
     simulate_glued,
-    simulate_path,
     smooth_cutoff,
 )
 from grayscott.noise import NoiseConfig, WienerSource
@@ -25,6 +25,7 @@ from grayscott.spectral import (
     constant_field,
     get_basis,
     mode_field,
+    sobolev_norm,
 )
 
 SP = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32)
@@ -102,8 +103,8 @@ class TestStepMild:
     def test_matches_simulate_path_one_step(self):
         params = ModelParams()
         u0, v0 = bump(SP), bump(SP)
-        rec = simulate_path(params, SP, NZ, u0, v0, 1e9, T=0.002, dt=0.001,
-                            store_trajectory=True)
+        rec = simulate_ensemble(params, SP, NZ, u0, v0, 1e9, T=0.002, dt=0.001,
+                                path_ids=[0], store_trajectory=True)[0]
         integ = MildIntegrator(params, SP, NZ)
         state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
         new = integ.step_raw(state, *first_increments(NZ, 0.001), 0.001)
@@ -115,21 +116,21 @@ class TestStepMild:
     def test_nonfinite_detection(self):
         params = ModelParams(a1=500.0, sigma1=0.0, sigma2=0.0)
         with pytest.raises(NonFinite) as err:
-            simulate_path(params, SP, NZ, bump(SP), bump(SP), 1e9, T=4.0, dt=1.0,
-                          check_gate=False)
+            simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=4.0, dt=1.0,
+                              path_ids=[0], check_gate=False)
         assert err.value.step is not None
 
     def test_warns_on_negative_initial_data(self):
         params = ModelParams()
         with pytest.warns(UserWarning, match="negative somewhere"):
-            simulate_path(params, SP, NZ, mode_field(SP, 2), bump(SP), 1e9,
-                          T=0.002, dt=1e-3)
+            simulate_ensemble(params, SP, NZ, mode_field(SP, 2), bump(SP), 1e9,
+                              T=0.002, dt=1e-3, path_ids=[0])
 
     def test_warns_on_inadmissible_parameters(self):
         params = ModelParams(rho=0.0, alpha=0.0)  # fails the alpha window
         with pytest.warns(UserWarning, match="admissible region"):
-            simulate_path(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                          T=0.002, dt=1e-3)
+            simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
+                              T=0.002, dt=1e-3, path_ids=[0])
 
 
 class TestHomogeneousBranch:
@@ -139,8 +140,8 @@ class TestHomogeneousBranch:
                              b1=0.3, b2=0.3, c1=0.5, c2=0.5, q=q)
         u0 = constant_field(0.5, SP)
         v0 = constant_field(0.5, SP)
-        rec = simulate_path(params, SP, NZ, u0, v0, 1e9, T=0.5, dt=5e-4,
-                            check_gate=False)
+        rec = simulate_ensemble(params, SP, NZ, u0, v0, 1e9, T=0.5, dt=5e-4,
+                                path_ids=[0], check_gate=False)[0]
         _, uT, vT = rec.snapshots[-1]
         sol = planar_ode(params, 0.5, 0.5, 0.5)
         assert uT[0] == pytest.approx(sol.y[0, -1], rel=2e-3)
@@ -152,11 +153,11 @@ class TestHomogeneousBranch:
         shared = dict(sigma1=0.0, sigma2=0.0, a1=-0.5, a2=-0.4, b1=0.3,
                       b2=0.3, c1=2.0, c2=0.5, q=2.0)
         u0, v0 = constant_field(0.5, SP), constant_field(0.8, SP)
-        rec_e = simulate_path(ModelParams(**shared), SP, NZ, u0, v0, 1e9,
-                              T=0.25, dt=1e-3, check_gate=False)
-        rec_s = simulate_path(ModelParams(scheme="semi_implicit", **shared),
-                              SP, NZ, u0, v0, 1e9, T=0.25, dt=1e-3,
-                              check_gate=False)
+        rec_e = simulate_ensemble(ModelParams(**shared), SP, NZ, u0, v0, 1e9,
+                                  T=0.25, dt=1e-3, path_ids=[0], check_gate=False)[0]
+        rec_s = simulate_ensemble(ModelParams(scheme="semi_implicit", **shared),
+                                  SP, NZ, u0, v0, 1e9, T=0.25, dt=1e-3, path_ids=[0],
+                                  check_gate=False)[0]
         sol = planar_ode(ModelParams(**shared), 0.5, 0.8, 0.25)
         for rec in (rec_e, rec_s):
             assert rec.snapshots[-1][1][0] == pytest.approx(sol.y[0, -1], rel=5e-3)
@@ -166,13 +167,13 @@ class TestTrivialFixedPoints:
     def test_zero_is_absorbing(self):
         params = ModelParams(b1=0.0, b2=0.0)
         z = constant_field(0.0, SP)
-        rec = simulate_path(params, SP, NZ, z, z, 1e9, T=0.05, dt=1e-3)
+        rec = simulate_ensemble(params, SP, NZ, z, z, 1e9, T=0.05, dt=1e-3, path_ids=[0])[0]
         assert rec.series["u_l2"].max() == 0.0
         assert rec.series["v_halpha"].max() == 0.0
 
     def test_cutoff_saturation_large_kappa(self):
-        rec = simulate_path(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                            T=0.1, dt=1e-3)
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.1, dt=1e-3, path_ids=[0])[0]
         assert np.all(rec.series["phi"] == 1.0)
         assert rec.stop_time == math.inf
 
@@ -180,8 +181,8 @@ class TestTrivialFixedPoints:
 class TestCutoffSemantics:
     def crossing_record(self, kappa, **kwargs):
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.15, c1=0.2, c2=0.2)
-        return simulate_path(params, SP, NZ, bump(SP), bump(SP), kappa,
-                             T=1.2, dt=2e-3, check_gate=False, **kwargs)
+        return simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), kappa,
+                                 T=1.2, dt=2e-3, path_ids=[0], check_gate=False, **kwargs)[0]
 
     def test_phi_regions_and_monotonicity(self):
         rec = self.crossing_record(kappa=2.0)
@@ -217,10 +218,10 @@ class TestPostCutoffLinearization:
         h0 = math.sqrt(float(np.sum(
             (1 + get_basis(SP).eigenvalues) ** 0.25 * v0.coeffs**2)))
         kappa = h0 / 2.5
-        rec_cut = simulate_path(params, SP, NZ, u0, v0, kappa, T=0.05,
-                                dt=1e-3, store_trajectory=True, check_gate=False)
-        rec_lin = simulate_path(linear, SP, NZ, u0, v0, kappa, T=0.05,
-                                dt=1e-3, store_trajectory=True, check_gate=False)
+        rec_cut = simulate_ensemble(params, SP, NZ, u0, v0, kappa, T=0.05, dt=1e-3,
+                                    path_ids=[0], store_trajectory=True, check_gate=False)[0]
+        rec_lin = simulate_ensemble(linear, SP, NZ, u0, v0, kappa, T=0.05, dt=1e-3,
+                                    path_ids=[0], store_trajectory=True, check_gate=False)[0]
         assert np.all(rec_cut.series["phi"] == 0.0)
         assert np.array_equal(rec_cut.trajectory[0], rec_lin.trajectory[0])
         assert np.array_equal(rec_cut.trajectory[1], rec_lin.trajectory[1])
@@ -255,8 +256,8 @@ class TestEnsembleAndNonNegativity:
         params = ModelParams()
         recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
                                  0.05, 1e-3, [0, 1, 2])
-        solo = simulate_path(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                             0.05, 1e-3, path_id=1)
+        solo = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
+                                 0.05, 1e-3, path_ids=[1])[0]
         assert np.allclose(recs[1].series["u_l2"], solo.series["u_l2"], rtol=1e-13)
 
     def test_nonnegativity_small_suite(self):
@@ -276,8 +277,8 @@ class TestGlueing:
         params = ModelParams()
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1e9, 2e9],
                                T=0.1, dt=1e-3, path_ids=[0])[0]
-        single = simulate_path(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                               T=0.1, dt=1e-3)
+        single = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
+                                   T=0.1, dt=1e-3, path_ids=[0])[0]
         assert glued.glue_events == []
         for col in ("u_l2", "v_halpha", "h"):
             assert np.array_equal(glued.series[col], single.series[col])
@@ -288,8 +289,8 @@ class TestGlueing:
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
                                T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
         assert len(glued.glue_events) >= 1
-        single = simulate_path(params, SP, NZ, bump(SP), bump(SP), schedule[0],
-                               T=1.2, dt=2e-3, store_trajectory=True)
+        single = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), schedule[0],
+                                   T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
         n = single.stop_step
         assert n is not None
         assert glued.glue_events[0] == (schedule[0], single.stop_time)
@@ -330,6 +331,15 @@ class TestGlueing:
                 np.testing.assert_allclose(rec.series[col], values, rtol=1e-12, atol=0)
         # paths cross at different times, so the batch really mixes levels
         assert len({tuple(r.glue_events) for r in batch}) > 1
+
+    def test_nonpositive_levels_rejected(self):
+        with pytest.raises(ValidationError, match="kappa must be > 0"):
+            simulate_glued(ModelParams(), SP, NZ, bump(SP), bump(SP), [-1.0, 0.0],
+                           T=0.01, dt=1e-3, path_ids=[0])
+        for kappa in (0.0, math.nan):
+            with pytest.raises(ValidationError, match="kappa must be > 0"):
+                simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), kappa,
+                                  T=0.01, dt=1e-3, path_ids=[0])
 
     def test_exhausted_batch_names_first_path(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
@@ -384,8 +394,8 @@ class TestPathspaceNorm:
         params = ModelParams(sigma1=0.0, sigma2=0.0, c1=0.0, c2=0.0,
                              b1=0.0, b2=0.0, a1=0.0, a2=0.0, r1=1e-12, r2=1e-12)
         v0 = mode_field(SP, 1)
-        rec = simulate_path(params, SP, NZ, constant_field(0.0, SP), v0, 1e9,
-                            T=0.4, dt=1e-3, check_gate=False)
+        rec = simulate_ensemble(params, SP, NZ, constant_field(0.0, SP), v0, 1e9,
+                                T=0.4, dt=1e-3, path_ids=[0], check_gate=False)[0]
         lam1 = get_basis(SP).eigenvalues[1]
         p = params
         for t in (0.1, 0.4):
@@ -395,25 +405,49 @@ class TestPathspaceNorm:
                 expect, rel=1e-6)
 
     def test_t_zero_is_sup_only(self):
-        rec = simulate_path(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                            T=0.01, dt=1e-3)
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.01, dt=1e-3, path_ids=[0])[0]
         assert pathspace_norm(rec, 0.25, 2.0, 0.0) == pytest.approx(
-            rec.series["v_hrho"][0])
+            sobolev_norm(bump(SP), 0.25))
 
     def test_nondecreasing_in_t(self):
-        rec = simulate_path(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                            T=0.05, dt=1e-3)
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.05, dt=1e-3, path_ids=[0])[0]
         vals = [pathspace_norm(rec, 0.25, 2.0, t) for t in np.linspace(0, 0.05, 11)]
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_other_smoothness_needs_trajectory(self):
-        rec = simulate_path(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                            T=0.01, dt=1e-3)
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.01, dt=1e-3, path_ids=[0])[0]
         with pytest.raises(ValidationError):
             pathspace_norm(rec, 0.1, 1.5, 0.01)
-        rec2 = simulate_path(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                             T=0.01, dt=1e-3, store_trajectory=True)
+        rec2 = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                 T=0.01, dt=1e-3, path_ids=[0], store_trajectory=True)[0]
         assert pathspace_norm(rec2, 0.1, 1.5, 0.01) > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("aleph", [2.0, 1.5])
+    def test_h_is_the_path_norm_series(self, d, aleph):
+        space = SP if d == 1 else SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
+        params = ModelParams(aleph=aleph)
+        recs = simulate_ensemble(params, space, NZ, bump(space), bump(space), 1e9,
+                                 T=0.05, dt=1e-3, path_ids=range(4), store_trajectory=True)
+        for rec in recs:
+            h = path_norm_series(space, rec.trajectory[1], params.rho, aleph, 1e-3)
+            assert np.array_equal(rec.series["h"], h)
+
+    def test_glued_record_needs_trajectory(self):
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.6, 3.4],
+                             T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
+        assert rec.glue_events
+        with pytest.raises(ValidationError, match="glued record"):
+            pathspace_norm(replace(rec, trajectory=None), params.rho, params.aleph, 0.0)
+        vals = np.array([pathspace_norm(rec, params.rho, params.aleph, t) for t in rec.times])
+        unreset = path_norm_series(SP, rec.trajectory[1], params.rho, params.aleph, 2e-3)
+        np.testing.assert_allclose(vals, unreset, rtol=1e-14, atol=0)
+        after = rec.times > rec.glue_events[0][1]
+        assert after.any() and np.all(vals[after] > rec.series["h"][after])
 
 
 class TestStratonovichFlag:
@@ -421,11 +455,11 @@ class TestStratonovichFlag:
         strat = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=5,
                             interpretation="stratonovich")
         ito = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=5, interpretation="ito")
-        rec_s = simulate_path(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
-                              0.05, 1e-3)
-        rec_i = simulate_path(ModelParams(), SP, ito, bump(SP), bump(SP), 1e9,
-                              0.05, 1e-3)
+        rec_s = simulate_ensemble(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
+                                  0.05, 1e-3, path_ids=[0])[0]
+        rec_i = simulate_ensemble(ModelParams(), SP, ito, bump(SP), bump(SP), 1e9,
+                                  0.05, 1e-3, path_ids=[0])[0]
         assert not np.array_equal(rec_s.series["u_l2"], rec_i.series["u_l2"])
-        rec_s2 = simulate_path(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
-                               0.05, 1e-3)
+        rec_s2 = simulate_ensemble(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
+                                   0.05, 1e-3, path_ids=[0])[0]
         assert np.array_equal(rec_s.series["u_l2"], rec_s2.series["u_l2"])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from grayscott.errors import NegativePowerOnZeroMode, ValidationError
+from grayscott.integrate import MildIntegrator, ModelParams
+from grayscott.noise import NoiseConfig
 from grayscott.spectral import (
     SpaceConfig,
     SpectralField,
     apply_fractional_laplacian,
     constant_field,
-    field_from_values,
-    galerkin_product,
     get_basis,
     lp_norm,
     mode_field,
@@ -104,9 +104,9 @@ class TestRoundTrip:
     def test_field_from_values(self):
         basis = get_basis(SP1)
         x = basis.plan(32).nodes
-        f = field_from_values(2.0 + np.cos(math.pi * x), SP1)
-        assert f.coeffs[0] == pytest.approx(2.0, abs=1e-13)
-        assert f.coeffs[1] == pytest.approx(1 / math.sqrt(2), abs=1e-13)
+        coeffs = basis.analyze(2.0 + np.cos(math.pi * x), 32)
+        assert coeffs[0] == pytest.approx(2.0, abs=1e-13)
+        assert coeffs[1] == pytest.approx(1 / math.sqrt(2), abs=1e-13)
 
 
 class TestFractionalLaplacian:
@@ -212,9 +212,14 @@ class TestNorms:
 
 
 class TestProducts:
+    """The integrator's Galerkin product: synthesize on its dealiased grid
+    (2N points at q = 2), multiply, analyze."""
+
     def test_cosine_square_identity(self):
         # 2 cos^2(pi x) = 1 + cos(2 pi x)
-        prod = galerkin_product(SP1, mode_field(SP1, 1).coeffs, mode_field(SP1, 1).coeffs)
+        integ = MildIntegrator(ModelParams(), SP1, NoiseConfig())
+        c1 = mode_field(SP1, 1).coeffs
+        prod = integ.analyze(integ.synth(c1) * integ.synth(c1))
         assert prod[0] == pytest.approx(1.0, abs=1e-13)
         assert prod[2] == pytest.approx(1 / math.sqrt(2), abs=1e-13)
         mask = np.ones(SP1.total_modes, dtype=bool)
@@ -227,7 +232,8 @@ class TestProducts:
         b = rng.standard_normal(SP1.total_modes)
         c = rng.standard_normal(SP1.total_modes)
         basis = get_basis(SP1)
-        prod = galerkin_product(SP1, a, b, c, q_degree=2.0)
+        integ = MildIntegrator(ModelParams(), SP1, NoiseConfig())
+        prod = integ.analyze(integ.synth(a) * integ.synth(b) * integ.synth(c))
         m_exact = 4 * SP1.modes_per_axis
         vals = (basis.synthesize(a, m_exact) * basis.synthesize(b, m_exact)
                 * basis.synthesize(c, m_exact))
