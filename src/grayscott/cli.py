@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    ESTIMATED_COLUMNS,
     estimate_coupling,
     estimate_u_L2,
     estimate_u_pstar,
@@ -56,6 +57,7 @@ NORM_FILE_COLUMNS = (
     ("h", "h"),
     ("phi", "phi"),
 )
+FILE_SERIES = tuple(col for _, col in NORM_FILE_COLUMNS[1:])  # what simulate and glue record
 
 
 def _fmt(x: float) -> str:
@@ -63,8 +65,12 @@ def _fmt(x: float) -> str:
 
 
 def write_norm_series(path: str, record: PathRecord):
-    columns = [record.series[col] for _, col in NORM_FILE_COLUMNS[1:]]
-    write_csv(path, [name for name, _ in NORM_FILE_COLUMNS], zip(record.times, *columns))
+    """The norm series CSV, formatted in one call: '%.17g' writes what _fmt writes."""
+    table = np.column_stack([record.times] + [record.series[col] for col in FILE_SERIES])
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(name for name, _ in NORM_FILE_COLUMNS) + "\n")
+        fh.write((row_fmt * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def write_field_dump(path: str, coeffs: np.ndarray, space, name: str, t: float):
@@ -126,10 +132,10 @@ def _initial_data(cfg: RunConfig):
     return cfg.u0.build(cfg.space), cfg.v0.build(cfg.space)
 
 
-def _simulate_records(cfg: RunConfig) -> list[PathRecord]:
+def _simulate_records(cfg: RunConfig, columns) -> list[PathRecord]:
     return simulate_ensemble(
         cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa,
-        cfg.T, cfg.dt, np.arange(cfg.paths),
+        cfg.T, cfg.dt, np.arange(cfg.paths), columns=columns,
     )
 
 
@@ -194,7 +200,7 @@ def _write_records(cfg: RunConfig, ctx: RunContext, records: list[PathRecord]):
 
 
 def cmd_simulate(cfg: RunConfig, ctx: RunContext, args) -> int:
-    records = _simulate_records(cfg)
+    records = _simulate_records(cfg, FILE_SERIES)
     _write_records(cfg, ctx, records)
     stopped = sum(1 for r in records if r.stop_step is not None)
     print(f"simulated {len(records)} paths, {records[0].n_steps} steps each; "
@@ -206,7 +212,7 @@ def cmd_simulate(cfg: RunConfig, ctx: RunContext, args) -> int:
 def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
     records = simulate_glued(
         cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa_schedule,
-        cfg.T, cfg.dt, np.arange(cfg.paths),
+        cfg.T, cfg.dt, np.arange(cfg.paths), columns=FILE_SERIES,
     )
     _write_records(cfg, ctx, records)
     rows = [[rec.path_id, kappa, tbar] for rec in records for kappa, tbar in rec.glue_events]
@@ -244,7 +250,7 @@ def cmd_fixed_point(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, ctx: RunContext, args) -> int:
-    records = _simulate_records(cfg)
+    records = _simulate_records(cfg, ESTIMATED_COLUMNS)
     u0 = cfg.u0.build(cfg.space)
     reports = [estimate_u_L2(records, u0_l2_sq=u0.l2_norm() ** 2)]
     pstar = estimate_u_pstar(records, lam=cfg.model.lam)

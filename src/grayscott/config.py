@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .integrate import ModelParams, step_count
+from .integrate import ModelParams, schedule_violations, step_count
 from .noise import NoiseConfig
 from .spectral import SpaceConfig, SpectralField
 
@@ -83,11 +83,7 @@ class RunConfig:
             v.extend(err.violations)
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             v.append(f"kappa must be finite and > 0, got {self.kappa}")
-        ks = self.kappa_schedule
-        if len(ks) == 0 or any(b <= a for a, b in zip(ks, ks[1:])):
-            v.append("kappa_schedule must be non-empty and strictly increasing")
-        if not all(math.isfinite(k) and k > 0 for k in ks):
-            v.append(f"kappa_schedule entries must be finite and > 0, got {list(ks)}")
+        v.extend(schedule_violations(self.kappa_schedule))
         if self.tol <= 0:
             v.append(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:

@@ -46,17 +46,26 @@ def reduce_mean(name: str, values, extras: dict | None = None) -> MomentReport:
     return MomentReport(name, m, est, hw, dict(extras or {}))
 
 
-def _sorted_records(records) -> list[PathRecord]:
+# the norm columns the four estimate_* functions read
+ESTIMATED_COLUMNS = ("u_l2", "u_lpstar", "u_grad_p", "v_halpha", "v_halpha_diss", "couple")
+
+
+def _sorted_records(records, columns: tuple[str, ...]) -> list[PathRecord]:
+    """The records by path id, each checked to hold the norm columns read."""
     recs = sorted(records, key=lambda r: r.path_id)
     if len(recs) < 2:
         raise ValidationError(["ensemble estimators need at least 2 paths"])
+    missing = sorted({c for r in recs for c in columns if c not in r.series})
+    if missing:
+        raise ValidationError([f"records lack the norm column(s) {missing}; simulate "
+                               f"with columns that include {missing}"])
     return recs
 
 
 def estimate_u_L2(records, u0_l2_sq: float | None = None) -> MomentReport:
     """Ensemble mean of sup_t |u|_{L2}^2, with a fitted constant against
     the bound shape C (1 + E|u0|_{L2}^2) when the initial moment is given."""
-    recs = _sorted_records(records)
+    recs = _sorted_records(records, ("u_l2",))
     vals = [float(np.max(r.series["u_l2"] ** 2)) for r in recs]
     extras = {}
     if u0_l2_sq is not None:
@@ -74,7 +83,7 @@ def estimate_u_pstar(records, lam: float = 0.0) -> dict:
     The gradient is applied spectrally before the pointwise powers; the
     reported dissipation carries no p*(p*-1) prefactor.
     """
-    recs = _sorted_records(records)
+    recs = _sorted_records(records, ("u_lpstar", "u_grad_p"))
     ps = recs[0].params.p_star
     if any(r.params.p_star != ps for r in recs):
         mixed = sorted({r.params.p_star for r in recs})
@@ -92,7 +101,7 @@ def estimate_u_pstar(records, lam: float = 0.0) -> dict:
 def estimate_v_Halpha(records) -> dict:
     """Sup of |v|^2 in H^alpha and the dissipation int |v|^2 in
     H^{alpha + aleph/2}, at the alpha and aleph the records were produced with."""
-    recs = _sorted_records(records)
+    recs = _sorted_records(records, ("v_halpha", "v_halpha_diss"))
     sup_vals = [float(np.max(r.series["v_halpha"] ** 2)) for r in recs]
     diss_vals = [float(np.trapezoid(r.series["v_halpha_diss"] ** 2, r.times))
                  for r in recs]
@@ -106,7 +115,7 @@ def estimate_coupling(records, m: int = 1) -> MomentReport:
     """Ensemble mean of ( int int u^{p*} v^q dx dt )^m, clip-then-power."""
     if m < 1:
         raise ValidationError(["the power m must be >= 1"])
-    recs = _sorted_records(records)
+    recs = _sorted_records(records, ("couple",))
     vals = [float(np.trapezoid(r.series["couple"], r.times)) ** m for r in recs]
     return reduce_mean(f"(int int u^p* v^q)^{m}", vals)
 

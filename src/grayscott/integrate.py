@@ -308,24 +308,34 @@ class MildIntegrator:
 
     def record_norms(self, state: _BatchState, out: dict[str, np.ndarray], n: int,
                      uv_vals: tuple[np.ndarray, np.ndarray]):
-        """Fill column n of every norm series; uv_vals are the grid values of (u, v)."""
+        """Fill column n of each norm series that out holds, and compute no
+        other; uv_vals are the grid values of (u, v)."""
         p = self.params
         u_vals, v_vals = uv_vals
         quad = self.basis.quadrature
         m = self.grid_m
-        out["u_l2"][:, n] = np.sqrt((state.u**2).sum(axis=-1))
-        out["u_lpstar"][:, n] = quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)
-        out["v_halpha"][:, n], diss_sq = _norm_terms(state.v, self.w_alpha, self.w_alpha_aleph)
-        out["v_halpha_diss"][:, n] = np.sqrt(diss_sq)
-        out["h"][:, n] = state.h
-        out["phi"][:, n] = self.phi_of(state)
-        grad = self.basis.synthesize_gradient(state.u, m)
-        grad_sq = (grad**2).sum(axis=0)
-        out["u_grad_p"][:, n] = quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)
-        # coupling functional uses clip-then-power on both factors
-        out["couple"][:, n] = quad(
-            np.maximum(u_vals, 0.0) ** p.p_star * np.maximum(v_vals, 0.0) ** p.q, m
-        )
+        if "u_l2" in out:
+            out["u_l2"][:, n] = np.sqrt((state.u**2).sum(axis=-1))
+        if "u_lpstar" in out:
+            out["u_lpstar"][:, n] = quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)
+        if "v_halpha" in out or "v_halpha_diss" in out:
+            halpha, diss_sq = _norm_terms(state.v, self.w_alpha, self.w_alpha_aleph)
+            if "v_halpha" in out:
+                out["v_halpha"][:, n] = halpha
+            if "v_halpha_diss" in out:
+                out["v_halpha_diss"][:, n] = np.sqrt(diss_sq)
+        if "h" in out:
+            out["h"][:, n] = state.h
+        if "phi" in out:
+            out["phi"][:, n] = self.phi_of(state)
+        if "u_grad_p" in out:
+            grad = self.basis.synthesize_gradient(state.u, m)
+            grad_sq = (grad**2).sum(axis=0)
+            out["u_grad_p"][:, n] = quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)
+        if "couple" in out:  # clip-then-power on both factors
+            out["couple"][:, n] = quad(
+                np.maximum(u_vals, 0.0) ** p.p_star * np.maximum(v_vals, 0.0) ** p.q, m
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +381,28 @@ def _detect_stop(times: np.ndarray, h_series: np.ndarray, kappa: float):
     return float(times[i]), i
 
 
+def _recorded_columns(columns) -> tuple[str, ...]:
+    """The requested norm columns plus h and phi, in NORM_COLUMNS order."""
+    unknown = [c for c in columns if c not in NORM_COLUMNS]
+    if unknown:
+        raise ValidationError(
+            [f"unknown norm column(s) {unknown}; the columns are {list(NORM_COLUMNS)}"])
+    wanted = set(columns) | {"h", "phi"}  # the stopping time reads h, glueing writes phi
+    return tuple(c for c in NORM_COLUMNS if c in wanted)
+
+
+def schedule_violations(schedule) -> list[str]:
+    """What is wrong with a glueing schedule: it must be non-empty and
+    strictly increasing, with every level finite and > 0."""
+    ks = list(schedule)
+    v = []
+    if len(ks) == 0 or any(b <= a for a, b in zip(ks, ks[1:])):
+        v.append("kappa_schedule must be non-empty and strictly increasing")
+    if not all(math.isfinite(k) and k > 0 for k in ks):
+        v.append(f"kappa_schedule entries must be finite and > 0, got {ks}")
+    return v
+
+
 def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
     basis = get_basis(space)
     for name, f in (("u0", u0), ("v0", v0)):
@@ -381,12 +413,13 @@ def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
 def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                u0: SpectralField, v0: SpectralField, kappa: float,
                T: float, dt: float, path_ids, store_trajectory: bool = False,
-               glue=None) -> list[PathRecord]:
-    """The time loop: record the norms, let ``glue`` restart the paths
-    that reached their level, keep snapshots, then step every path."""
+               glue=None, columns=NORM_COLUMNS) -> list[PathRecord]:
+    """The time loop: record the norm columns, let ``glue`` restart the
+    paths that reached their level, keep snapshots, then step every path."""
     n_steps = step_count(T, dt)
     if not kappa > 0:  # also rejects NaN
         raise ValidationError([f"cutoff level kappa must be > 0, got {kappa}"])
+    columns = _recorded_columns(columns)
     _check_initial(u0, v0, space)
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     shape = (path_ids.size, u0.coeffs.size)
@@ -395,7 +428,7 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     state = integ.initial_state(
         np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
     )
-    series = {c: np.empty((path_ids.size, n_steps + 1)) for c in NORM_COLUMNS}
+    series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
     times = np.arange(n_steps + 1) * dt
     snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     traj = np.empty((2, shape[0], n_steps + 1, shape[1])) if store_trajectory else None
@@ -419,7 +452,7 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
 
     records = []
     for i, pid in enumerate(path_ids):
-        per = {c: series[c][i].copy() for c in NORM_COLUMNS}
+        per = {c: series[c][i].copy() for c in columns}
         stop_time, stop_step = _detect_stop(times, per["h"], kappa)
         records.append(PathRecord(
             path_id=int(pid), times=times.copy(), series=per,
@@ -435,23 +468,25 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
 def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                       u0: SpectralField, v0: SpectralField, kappa: float,
                       T: float, dt: float, path_ids, store_trajectory: bool = False,
-                      check_gate: bool = True) -> list[PathRecord]:
+                      check_gate: bool = True, columns=NORM_COLUMNS) -> list[PathRecord]:
     """Simulate the cutoff system for a batch of independent paths.
 
     All paths share (params, space, noise, initial data); the noise of
     path ``p`` is keyed by its id, so any sub-batch replays bit-equal.
+    Each record's series holds the norm ``columns`` (names from
+    NORM_COLUMNS) plus h and phi, each bit-equal to a full-set run.
     """
     if check_gate:
         _warn_if_inadmissible(params, noise, space)
     return _run_batch(params, space, noise, u0, v0, kappa, T, dt, path_ids,
-                      store_trajectory)
+                      store_trajectory, columns=columns)
 
 
 def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                    u0: SpectralField, v0: SpectralField, kappa_schedule,
                    T: float, dt: float, path_ids,
                    linear_fallback: bool = True,
-                   store_trajectory: bool = False) -> list[PathRecord]:
+                   store_trajectory: bool = False, columns=NORM_COLUMNS) -> list[PathRecord]:
     """Concatenate cutoff-level local solutions along their stopping times,
     for a batch of paths.
 
@@ -459,11 +494,13 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     reaches kappa, restarts from the stopped state at the next level
     with a fresh noise segment, and past the last level follows the
     linear continuation (or raises ScheduleExhausted when disabled).
-    Warns when h(0) already reaches the first level.
+    Warns when h(0) already reaches the first level.  The series hold
+    ``columns`` as in simulate_ensemble.
     """
     schedule = [float(k) for k in kappa_schedule]
-    if len(schedule) == 0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValidationError(["kappa_schedule must be non-empty and strictly increasing"])
+    violations = schedule_violations(schedule)
+    if violations:
+        raise ValidationError(violations)
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     levels = np.asarray(schedule)
     events: list[list[tuple[float, float]]] = [[] for _ in path_ids]
@@ -499,7 +536,7 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         )
 
     records = _run_batch(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
-                         store_trajectory=store_trajectory, glue=glue)
+                         store_trajectory=store_trajectory, glue=glue, columns=columns)
     for rec, path_events in zip(records, events):
         rec.glue_events = path_events
     return records

@@ -172,6 +172,25 @@ class TestCliRuns:
         for name in ("path_00000.csv", "path_00001.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_norm_series_bytes_match_per_cell_format(self, tmp_path):
+        # the one-call writer against write_csv's per-cell '.17g' on values
+        # whose text is easy to get wrong
+        from grayscott.cli import NORM_FILE_COLUMNS, write_csv, write_norm_series
+        from grayscott.integrate import ModelParams, PathRecord
+        from grayscott.spectral import SpaceConfig
+
+        tricky = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 2.0 / 3.0,
+                  math.nan, math.inf, -math.inf, 1e16, 123456789.0, -1.5e-7]
+        rng = np.random.default_rng(3)
+        times = np.arange(len(tricky)) * 1e-3
+        series = {col: rng.permutation(tricky) for _, col in NORM_FILE_COLUMNS[1:]}
+        rec = PathRecord(0, times, series, math.inf, None, ModelParams(), SpaceConfig())
+        write_norm_series(tmp_path / "one_call.csv", rec)
+        write_csv(tmp_path / "per_cell.csv", [name for name, _ in NORM_FILE_COLUMNS],
+                  zip(times, *(series[col] for _, col in NORM_FILE_COLUMNS[1:])))
+        assert ((tmp_path / "one_call.csv").read_bytes()
+                == (tmp_path / "per_cell.csv").read_bytes())
+
     def test_seed_changes_output(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_DOC)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -7,6 +7,7 @@ from oracles import linear_second_moment, planar_ode_with_coupling_integral
 
 from grayscott.errors import ValidationError
 from grayscott.estimators import (
+    ESTIMATED_COLUMNS,
     estimate_coupling,
     estimate_u_L2,
     estimate_u_pstar,
@@ -216,6 +217,22 @@ class TestMomentEstimators:
         base = scaled[-1]
         for s in scaled:
             assert abs(s - base) / base < 0.2
+
+    @pytest.mark.parametrize("estimate,column", [
+        (estimate_u_L2, "u_l2"),
+        (estimate_u_pstar, "u_lpstar"),
+        (estimate_u_pstar, "u_grad_p"),
+        (estimate_v_Halpha, "v_halpha"),
+        (estimate_v_Halpha, "v_halpha_diss"),
+        (estimate_coupling, "couple"),
+    ])
+    def test_missing_column_named(self, estimate, column):
+        columns = [c for c in ESTIMATED_COLUMNS if c != column]
+        recs = simulate_ensemble(ModelParams(), SP, NZ, bump(), bump(), 1e9, 0.01, 1e-3,
+                                 [0, 1], columns=columns)
+        with pytest.raises(ValidationError, match=rf"lack the norm column\(s\) \['{column}'\]; "
+                                                  "simulate with columns"):
+            estimate(recs)
 
 
 class TestBoundednessSweep:

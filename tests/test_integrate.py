@@ -8,8 +8,10 @@ import pytest
 from oracles import planar_ode
 
 from grayscott.errors import NonFinite, ScheduleExhausted, ValidationError
-from grayscott.cli import main
+from grayscott.cli import FILE_SERIES, main
+from grayscott.estimators import ESTIMATED_COLUMNS
 from grayscott.integrate import (
+    NORM_COLUMNS,
     MildIntegrator,
     ModelParams,
     path_norm_series,
@@ -333,13 +335,22 @@ class TestGlueing:
         assert len({tuple(r.glue_events) for r in batch}) > 1
 
     def test_nonpositive_levels_rejected(self):
-        with pytest.raises(ValidationError, match="kappa must be > 0"):
+        with pytest.raises(ValidationError, match="kappa_schedule entries must be finite and > 0"):
             simulate_glued(ModelParams(), SP, NZ, bump(SP), bump(SP), [-1.0, 0.0],
                            T=0.01, dt=1e-3, path_ids=[0])
         for kappa in (0.0, math.nan):
             with pytest.raises(ValidationError, match="kappa must be > 0"):
                 simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), kappa,
                                   T=0.01, dt=1e-3, path_ids=[0])
+
+    @pytest.mark.parametrize("schedule", [[1.8, math.nan], [1.0, math.inf]])
+    def test_non_finite_levels_rejected(self, schedule):
+        # a NaN after the first level passes a plain b <= a ordering check
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        with pytest.raises(ValidationError, match=r"kappa_schedule entries must be finite "
+                                                  r"and > 0, got \[1\.\d, (nan|inf)\]"):
+            simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
+                           T=1.2, dt=2e-3, path_ids=[0])
 
     def test_exhausted_batch_names_first_path(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
@@ -386,6 +397,47 @@ class TestGlueing:
             expected += [f"{pid},{k:.17g},{t:.17g}" for k, t in solo.glue_events]
         assert rows == expected
         assert len(rows) > 4
+
+
+class TestColumnSets:
+    """A run that records fewer norm columns records each of them bit-equal."""
+
+    GLUE_PARAMS = dict(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+
+    def _runs(self, sp, scheme, columns):
+        params = ModelParams(**self.GLUE_PARAMS, scheme=scheme)
+        u0, v0 = bump(sp), bump(sp)
+        kw = dict(T=0.4, dt=2e-3, path_ids=np.arange(4), columns=columns)
+        return (simulate_ensemble(params, sp, NZ, u0, v0, 2.0, check_gate=False, **kw),
+                simulate_glued(params, sp, NZ, u0, v0, [1.5, 1.7], **kw))
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+    def test_subsets_bit_equal_to_full_set(self, d, n, scheme):
+        sp = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=2 * n)
+        full = self._runs(sp, scheme, NORM_COLUMNS)
+        assert any(r.glue_events for r in full[1])  # the glued runs restart paths
+        for columns in (FILE_SERIES, ESTIMATED_COLUMNS):
+            for recs, ref in zip(self._runs(sp, scheme, columns), full):
+                for rec, rec_full in zip(recs, ref):
+                    assert set(rec.series) == set(columns) | {"h", "phi"}
+                    assert rec.glue_events == rec_full.glue_events
+                    assert rec.stop_step == rec_full.stop_step
+                    for col, values in rec.series.items():
+                        assert np.array_equal(values, rec_full.series[col]), col
+
+    def test_h_and_phi_alone(self):
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.01, dt=1e-3, path_ids=[0], columns=())[0]
+        assert set(rec.series) == {"h", "phi"}
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ValidationError, match=r"unknown norm column\(s\) \['u_h1'\]"):
+            simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                              T=0.01, dt=1e-3, path_ids=[0], columns=("u_l2", "u_h1"))
+        with pytest.raises(ValidationError, match=r"unknown norm column\(s\) \['U_L2'\]"):
+            simulate_glued(ModelParams(), SP, NZ, bump(SP), bump(SP), [1e9],
+                           T=0.01, dt=1e-3, path_ids=[0], columns=("U_L2",))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -12,7 +12,8 @@ directory.  The set covers:
 - ``simulate`` under ``semi_implicit`` + Stratonovich;
 - ``glue`` at ``kappa_schedule=[1.05,1.1]``, which reaches the linear
   fallback, plain and under ``semi_implicit`` + Stratonovich;
-- ``simulate`` at d=2 periodic, aleph=1.5;
+- ``simulate`` and ``estimate`` at d=2 periodic, aleph=1.5 (``estimate``
+  is the one run that records the d=2 gradient column);
 - ``check-params --sweep gamma1``;
 - ``simulate`` and ``glue`` with ``field_dumps=true``.
 
@@ -56,6 +57,7 @@ RUNS = [
     ("glue-fallback", ["glue"] + PATHS + FALLBACK),
     ("glue-fallback-semi-strat", ["glue"] + PATHS + FALLBACK + SEMI_STRAT),
     ("simulate-d2-periodic", ["simulate", "--paths", "8"] + D2_PERIODIC),
+    ("estimate-d2-periodic", ["estimate", "--paths", "8"] + D2_PERIODIC),
     ("sweep-gamma1", ["check-params", "--sweep", "gamma1", "0.3", "1.5", "5"]),
     ("simulate-dumps", ["simulate"] + DUMPS),
     ("glue-dumps", ["glue"] + DUMPS + FALLBACK),

@@ -22,7 +22,12 @@ Per case it times:
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
-  grid values given as the time loop gives them.
+  grid values given as the time loop gives them; ``record_norms`` fills
+  every norm column;
+- ``record_norms_files``: one ``record_norms`` call that fills only the
+  columns ``simulate`` and ``glue`` write (on a tree whose
+  ``record_norms`` fills every column, all of them, as that tree's
+  ``simulate`` does).
 
 Every figure is the median over ``REPEATS`` of the mean time of a
 loop of calls (about 20 ms each) divided by the batch size.  The
@@ -70,6 +75,7 @@ def _loop_time(fn) -> float:
 def time_case(d: int, n: int, m: int, paths: int) -> dict:
     import numpy as np
 
+    from grayscott.cli import NORM_FILE_COLUMNS
     from grayscott.integrate import NORM_COLUMNS, MildIntegrator, ModelParams, simulate_ensemble
     from grayscott.noise import NoiseConfig, WienerSource, counter_normals
     from grayscott.spectral import SpaceConfig, constant_field
@@ -98,6 +104,11 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     dw1 = source.increment_block(STEPS, 1, dt, 1)[:, 0]
     dw2 = source.increment_block(STEPS, 1, dt, 2)[:, 0]
     series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
+    files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
+    try:
+        integ.record_norms(state, files, 0, uv_vals=uv)
+    except KeyError:  # this tree's record_norms fills every column
+        files = series
     steps = np.arange(STEPS, STEPS + 1)
     layers = {
         "increment_block": lambda: (source.increment_block(STEPS, 1, dt, 1),
@@ -110,6 +121,7 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         "phi_of": lambda: integ.phi_of(state),
         "step_raw": lambda: integ.step_raw(state, dw1, dw2, dt, uv_vals=uv),
         "record_norms": lambda: integ.record_norms(state, series, 0, uv_vals=uv),
+        "record_norms_files": lambda: integ.record_norms(state, files, 0, uv_vals=uv),
     }
     for name, fn in layers.items():
         per_path[name] = _loop_time(fn)
