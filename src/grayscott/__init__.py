@@ -4,14 +4,12 @@ linear multiplicative noise."""
 
 __version__ = "0.1.0"
 
-from .config import InitialData, RunConfig, dump_config, parse_config
+from .config import InitialData, RunConfig, parse_config
 from .errors import (
     GrayScottError,
-    NegativePowerOnZeroMode,
     NoConvergence,
     NonFinite,
     ParseError,
-    ScheduleExhausted,
     ValidationError,
 )
 from .estimators import (
@@ -53,10 +51,8 @@ from .paramgate import (
 from .spectral import (
     SpaceConfig,
     SpectralField,
-    apply_fractional_laplacian,
     constant_field,
     lp_norm,
     mode_field,
-    semigroup_step,
     sobolev_norm,
 )

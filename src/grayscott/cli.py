@@ -32,7 +32,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     ParseError,
-    ScheduleExhausted,
     ValidationError,
 )
 from .estimators import (
@@ -324,8 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args) -> RunConfig:
     doc = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = parse_document(fh.read(), args.config)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else err
+            raise ParseError(f"cannot read {args.config}: {reason}") from err
+        doc = parse_document(text, args.config)
     if args.override:
         doc = apply_overrides(doc, args.override)
     if args.seed is not None:
@@ -343,10 +347,14 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "grayscott-out"
-    ctx = RunContext(out_dir, cfg, args.subcommand)
+    try:
+        ctx = RunContext(out_dir, cfg, args.subcommand)
+    except OSError as err:
+        print(f"output error: cannot create directory {out_dir}: {err.strerror}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.subcommand](cfg, ctx, args)
-    except (NonFinite, NoConvergence, ScheduleExhausted) as err:
+    except (NonFinite, NoConvergence) as err:
         print(f"run failed: {err}", file=sys.stderr)
         ctx.finish(f"error: {err}", partial=True)
         return 1

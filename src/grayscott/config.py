@@ -216,11 +216,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def dump_config(cfg: RunConfig) -> str:
-    """Normalized dump: every effective value, sorted keys."""
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
-
-
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     """Apply repeatable ``section.key=value`` overrides to a raw document."""
     out = json.loads(json.dumps(doc))

@@ -25,11 +25,6 @@ class ParseError(GrayScottError):
     """
 
 
-class NegativePowerOnZeroMode(GrayScottError):
-    """A negative spectral power was applied to a field with nonzero
-    constant-mode content under the 'reject' zero-mode policy."""
-
-
 class NonFinite(GrayScottError):
     """A field coefficient became NaN or Inf during time stepping."""
 
@@ -45,8 +40,3 @@ class NoConvergence(GrayScottError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = list(residuals) if residuals is not None else []
-
-
-class ScheduleExhausted(GrayScottError):
-    """The path norm exceeded the last cutoff level of a glueing schedule
-    and no linear fallback was enabled."""

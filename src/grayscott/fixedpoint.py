@@ -131,8 +131,13 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     with the trace of the first path still above tol after max_iter;
     non-convergence at large coupling is a reportable outcome, not a bug.
     """
-    if tol <= 0:
-        raise ValidationError(["tol must be > 0"])
+    v = []
+    if not tol > 0:  # also rejects NaN
+        v.append(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        v.append(f"max_iter must be >= 1, got {max_iter}")
+    if v:
+        raise ValidationError(v)
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     current = constant_control(u0, v0, T, dt, path_ids.size)
     integ = MildIntegrator(params, space, noise)

@@ -122,7 +122,7 @@ class NoiseConfig:
 def noise_mode_indices(space: SpaceConfig, k_noise: int | None = None) -> np.ndarray:
     """Eigen indices carrying noise, honoring the zero-mode policy.
 
-    Under 'drop'/'reject' the constant mode is excluded; under 'shift' it
+    Under 'drop' the constant mode is excluded; under 'shift' it
     participates with its eigenvalue shifted to one.
     """
     total = space.total_modes

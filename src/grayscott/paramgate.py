@@ -19,7 +19,6 @@ class GateCondition:
     formula: str
     satisfied: bool
     margin: float
-    strict: bool = True
     note: str = ""
 
 
@@ -56,7 +55,7 @@ class GateReport:
 def _strict(name, formula, value, bound, larger=True, note=""):
     """Condition value > bound (larger) or value < bound."""
     margin = (value - bound) if larger else (bound - value)
-    return GateCondition(name, formula, margin > 0, margin, strict=True, note=note)
+    return GateCondition(name, formula, margin > 0, margin, note=note)
 
 
 def _vacuous(name, formula, note):
@@ -190,7 +189,7 @@ def check_rho_window(rho: float, q: float, aleph: float, d: int,
     margin_up = upper - rho
     rep.conditions.append(GateCondition(
         "rho-upper", f"rho <= aleph/2 - d/2 = {upper:.6g}",
-        margin_up >= 0, margin_up, strict=False, note=note,
+        margin_up >= 0, margin_up, note=note,
     ))
     bound, pnote = _pstar_floor(4.0 * d, aleph + d - d * q + 2 * q * rho)
     rep.conditions.append(_strict(

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativePowerOnZeroMode, ValidationError
+from .errors import ValidationError
 
 BOUNDARIES = ("periodic", "neumann")
-ZERO_MODE_POLICIES = ("drop", "shift", "reject")
+ZERO_MODE_POLICIES = ("drop", "shift")
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,12 @@ class SpaceConfig:
     """Spatial discretization of the unit box/torus in d = 1 or 2.
 
     modes_per_axis is the per-axis truncation N; the total mode count is
-    K = N**d.  grid_points_per_axis is the quadrature/synthesis grid M.
-    zero_mode selects how negative spectral powers treat the constant
-    mode: drop it, shift its eigenvalue to 1, or reject fields with
-    constant-mode content.
+    K = N**d.  grid_points_per_axis is the grid M of the initial-data
+    negativity check, of lp_norm and of a stroock_varopoulos_check given
+    no grid; the time step and the recorded norms use the dealiased grid
+    Basis.dealias_points(q) instead.  zero_mode
+    selects how negative spectral powers treat the constant mode: drop
+    it, or shift its eigenvalue to 1.
     """
 
     d: int = 1
@@ -304,21 +306,8 @@ def fractional_weights(space: SpaceConfig, s: float) -> np.ndarray:
     elif s == 0:
         w[~pos] = 1.0
     else:
-        w[~pos] = 0.0 if space.zero_mode in ("drop", "reject") else 1.0
+        w[~pos] = 0.0 if space.zero_mode == "drop" else 1.0
     return w
-
-
-def apply_fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
-    """Apply (-Laplace)**s mode by mode: coeff_k -> lambda_k**s coeff_k.
-
-    For s < 0 the constant mode is handled by the configured zero-mode
-    policy; under 'reject' a nonzero constant coefficient raises.
-    """
-    if s < 0 and f.space.zero_mode == "reject" and f.coeffs[0] != 0.0:
-        raise NegativePowerOnZeroMode(
-            "negative power requested on a field with nonzero constant mode"
-        )
-    return SpectralField(f.coeffs * fractional_weights(f.space, s), f.space)
 
 
 def semigroup_factors(space: SpaceConfig, r: float, a: float, t: float,
@@ -326,14 +315,6 @@ def semigroup_factors(space: SpaceConfig, r: float, a: float, t: float,
     """Per-mode factors exp((-r lambda_k**(aleph/2) + a) t) of the semigroup
     of r A + a, A = -(-Laplace)**(aleph/2); aleph = 2 is the Laplacian."""
     return np.exp((-r * fractional_weights(space, aleph / 2.0) + a) * t)
-
-
-def semigroup_step(f: SpectralField, r: float, a: float, t: float,
-                   aleph: float = 2.0) -> SpectralField:
-    """Exact semigroup action e^{(r A + a) t} on a field; t must be >= 0."""
-    if t < 0:
-        raise ValidationError(["semigroup time must be >= 0"])
-    return SpectralField(f.coeffs * semigroup_factors(f.space, r, a, t, aleph), f.space)
 
 
 def sobolev_weights(space: SpaceConfig, s: float) -> np.ndarray:
@@ -349,10 +330,10 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(sobolev_weights(f.space, s) * f.coeffs**2)))
 
 
-def lp_norm(f: SpectralField, p: float, points_per_axis: int | None = None) -> float:
-    """Grid-quadrature L^p norm on the configured uniform grid."""
+def lp_norm(f: SpectralField, p: float) -> float:
+    """Grid-quadrature L^p norm on the grid_points_per_axis grid."""
     if p < 1:
         raise ValidationError(["lp_norm requires p >= 1"])
     basis = get_basis(f.space)
-    vals = basis.synthesize(f.coeffs, points_per_axis)
-    return float(basis.quadrature(np.abs(vals) ** p, points_per_axis) ** (1.0 / p))
+    vals = basis.synthesize(f.coeffs)
+    return float(basis.quadrature(np.abs(vals) ** p) ** (1.0 / p))

@@ -11,7 +11,7 @@ from grayscott.config import (
     RunConfig,
     apply_overrides,
     config_from_dict,
-    dump_config,
+    config_to_dict,
     parse_config,
 )
 from grayscott.errors import ParseError, ValidationError
@@ -41,7 +41,7 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestConfigParsing:
     def test_minimal_config_fills_all_defaults(self):
         cfg = parse_config("{}")
-        dump = json.loads(dump_config(cfg))
+        dump = json.loads(json.dumps(config_to_dict(cfg)))
         assert dump["space"]["modes_per_axis"] == 32
         assert dump["model"]["q"] == 2.0
         assert dump["noise"]["seed"] == 0
@@ -51,7 +51,7 @@ class TestConfigParsing:
     def test_round_trip_idempotent(self):
         text = json.dumps({"model": {"q": 1.5, "c1": 0.3}, "paths": 7})
         once = parse_config(text)
-        twice = parse_config(dump_config(once))
+        twice = parse_config(json.dumps(config_to_dict(once)))
         assert once == twice
 
     def test_negative_r1_named(self):
@@ -104,6 +104,7 @@ class TestConfigParsing:
         ("field_dumps=1", "field_dumps must be true or false"),
         ("model.power_mode=abs", "unknown keys in model: power_mode"),
         ("model.linear_fallback=full", "unknown keys in model: linear_fallback"),
+        ("space.zero_mode=reject", "zero_mode must be one of ('drop', 'shift')"),
     ])
     def test_mistyped_numbers_exit_two(self, tmp_path, capsys, override, needle):
         cfg_path = write_config(tmp_path, FAST_DOC)
@@ -268,6 +269,26 @@ class TestCliRuns:
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
         assert "r1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, raw", [("missing.json", None), (".", None),
+                                             ("latin1.json", b'{"paths": "\xe9"}')])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, config, raw):
+        cfg_path = str(tmp_path / config)
+        if raw is not None:
+            (tmp_path / config).write_bytes(raw)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {cfg_path}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        cfg_path = write_config(tmp_path, FAST_DOC)
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create directory {out}" in err and "Traceback" not in err
+        assert out.read_text() == "keep"
 
     def test_glue_writes_events(self, tmp_path):
         doc = {

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from grayscott.errors import NoConvergence
+from grayscott.errors import NoConvergence, ValidationError
 from grayscott.fixedpoint import (
     ControlPair,
     KSetConstants,
@@ -99,6 +100,16 @@ class TestPicard:
             picard_solve(params, SP, NZ, bump(), bump(), 1e9, [0], 0.1, 1e-3,
                          tol=1e-16, max_iter=3)
         assert len(err.value.residuals) == 3
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"tol": math.nan}, "tol must be > 0, got nan"),
+        ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+    ])
+    def test_bad_iteration_controls_rejected(self, kwargs, needle):
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            picard_solve(ModelParams(), SP, NZ, bump(), bump(), 1e9, [0], 0.01, 1e-3,
+                         **kwargs)
 
     def test_batch_matches_per_path_runs(self):
         # sigma=3 makes the paths converge at different iterations

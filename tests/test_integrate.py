@@ -7,7 +7,7 @@ import pytest
 
 from oracles import planar_ode
 
-from grayscott.errors import NonFinite, ScheduleExhausted, ValidationError
+from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
 from grayscott.estimators import ESTIMATED_COLUMNS
 from grayscott.integrate import (
@@ -262,6 +262,28 @@ class TestEnsembleAndNonNegativity:
                                  0.05, 1e-3, path_ids=[1])[0]
         assert np.allclose(recs[1].series["u_l2"], solo.series["u_l2"], rtol=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_sub_batch_replays_every_column(self, d):
+        # d=2 is bit-equal; in d=1 the transforms round differently with the batch shape
+        space = SpaceConfig() if d == 1 else SpaceConfig(d=2, modes_per_axis=8,
+                                                         grid_points_per_axis=16)
+        u0, v0 = constant_field(1.0, space), constant_field(1.0, space)
+        noise = NoiseConfig(seed=3)
+        batch = simulate_ensemble(ModelParams(), space, noise, u0, v0, 1e6, 0.05, 1e-3,
+                                  range(200))
+        order = np.arange(200)[::-1]
+        for sub in [[197]] + [order[i::7] for i in range(7)]:  # every path, in new batches
+            for rec in simulate_ensemble(ModelParams(), space, noise, u0, v0, 1e6, 0.05,
+                                         1e-3, sub):
+                whole = batch[rec.path_id]
+                assert set(rec.series) == set(NORM_COLUMNS)
+                for col in NORM_COLUMNS:
+                    if d == 2:
+                        assert np.array_equal(rec.series[col], whole.series[col]), col
+                    else:
+                        np.testing.assert_allclose(rec.series[col], whole.series[col],
+                                                   rtol=1e-14, atol=0, err_msg=col)
+
     def test_nonnegativity_small_suite(self):
         params = ModelParams()
         recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
@@ -302,16 +324,10 @@ class TestGlueing:
         times = [t for _, t in glued.glue_events]
         assert kappas == sorted(kappas) and times == sorted(times)
 
-    def test_schedule_exhausted_raises(self):
-        params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
-        with pytest.raises(ScheduleExhausted, match="path 0"):
-            simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                           T=2.0, dt=2e-3, path_ids=[0], linear_fallback=False)
-
     def test_linear_fallback_runs_to_T(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
         rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                             T=2.0, dt=2e-3, path_ids=[0], linear_fallback=True)[0]
+                             T=2.0, dt=2e-3, path_ids=[0])[0]
         assert len(rec.glue_events) == 1
         stop = rec.glue_events[0][1]
         past = rec.times > stop
@@ -351,18 +367,6 @@ class TestGlueing:
                                                   r"and > 0, got \[1\.\d, (nan|inf)\]"):
             simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
                            T=1.2, dt=2e-3, path_ids=[0])
-
-    def test_exhausted_batch_names_first_path(self):
-        params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
-        solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                              T=2.0, dt=2e-3, path_ids=[5, 6])
-        stops = [r.glue_events[0][1] for r in solo]
-        assert stops[0] != stops[1]
-        first = solo[int(np.argmin(stops))]
-        with pytest.raises(ScheduleExhausted,
-                           match=rf"path {first.path_id}: .* at t={min(stops):.6g} "):
-            simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                           T=2.0, dt=2e-3, path_ids=[5, 6], linear_fallback=False)
 
     def test_warns_when_first_level_is_reached_at_start(self):
         # v0 = 1 has h(0) = 1 >= kappa_0, so every path glues at t=0
@@ -467,6 +471,13 @@ class TestPathspaceNorm:
                                 T=0.05, dt=1e-3, path_ids=[0])[0]
         vals = [pathspace_norm(rec, 0.25, 2.0, t) for t in np.linspace(0, 0.05, 11)]
         assert np.all(np.diff(vals) >= -1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, -1e-3, 0.011])
+    def test_time_outside_record_rejected(self, t):
+        rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
+                                T=0.01, dt=1e-3, path_ids=[0])[0]
+        with pytest.raises(ValidationError, match=r"outside the record range \[0, 0\.01"):
+            pathspace_norm(rec, 0.25, 2.0, t)
 
     def test_other_smoothness_needs_trajectory(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from grayscott.errors import NegativePowerOnZeroMode, ValidationError
+from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
 from grayscott.noise import NoiseConfig
 from grayscott.spectral import (
     SpaceConfig,
     SpectralField,
-    apply_fractional_laplacian,
     constant_field,
+    fractional_weights,
     get_basis,
     lp_norm,
     mode_field,
-    semigroup_step,
+    semigroup_factors,
     sobolev_norm,
 )
 
@@ -110,74 +110,70 @@ class TestRoundTrip:
 
 
 class TestFractionalLaplacian:
+    # (-Laplace)**s acts mode by mode: coeff_k -> fractional_weights(space, s)[k] coeff_k
     def test_eigenfunction_scaling(self):
-        out = apply_fractional_laplacian(mode_field(SP1, 3), 1.0)
-        assert out.coeffs[3] == pytest.approx(9 * math.pi**2, rel=1e-14)
+        out = mode_field(SP1, 3).coeffs * fractional_weights(SP1, 1.0)
+        assert out[3] == pytest.approx(9 * math.pi**2, rel=1e-14)
 
     def test_zero_mode_annihilated(self):
-        out = apply_fractional_laplacian(mode_field(SP1, 0), 1.0)
-        assert np.all(out.coeffs == 0.0)
+        out = mode_field(SP1, 0).coeffs * fractional_weights(SP1, 1.0)
+        assert np.all(out == 0.0)
 
     def test_fractional_power(self):
-        out = apply_fractional_laplacian(mode_field(SP1, 3), 0.75)
-        assert out.coeffs[3] == pytest.approx((9 * math.pi**2) ** 0.75, rel=1e-14)
+        out = mode_field(SP1, 3).coeffs * fractional_weights(SP1, 0.75)
+        assert out[3] == pytest.approx((9 * math.pi**2) ** 0.75, rel=1e-14)
 
     def test_composition_on_mean_free_fields(self):
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal(SP1.total_modes)
         coeffs[0] = 0.0
-        f = SpectralField(coeffs, SP1)
-        a = apply_fractional_laplacian(apply_fractional_laplacian(f, 0.6), -0.35)
-        b = apply_fractional_laplacian(f, 0.25)
-        assert np.allclose(a.coeffs, b.coeffs, rtol=1e-12)
+        a = coeffs * fractional_weights(SP1, 0.6) * fractional_weights(SP1, -0.35)
+        b = coeffs * fractional_weights(SP1, 0.25)
+        assert np.allclose(a, b, rtol=1e-12)
 
     def test_zero_mode_policies(self):
         f = constant_field(2.0, SP1)
-        dropped = apply_fractional_laplacian(f, -0.5)
-        assert np.all(dropped.coeffs == 0.0)
+        dropped = f.coeffs * fractional_weights(SP1, -0.5)
+        assert np.all(dropped == 0.0)
 
         shifted_space = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32,
                                     zero_mode="shift")
         g = constant_field(2.0, shifted_space)
-        assert apply_fractional_laplacian(g, -0.5).coeffs[0] == pytest.approx(2.0)
-
-        reject_space = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32,
-                                   zero_mode="reject")
-        h = constant_field(2.0, reject_space)
-        with pytest.raises(NegativePowerOnZeroMode):
-            apply_fractional_laplacian(h, -0.5)
+        assert (g.coeffs * fractional_weights(shifted_space, -0.5))[0] == pytest.approx(2.0)
 
 
 class TestSemigroup:
+    # e^{(r A + a) t} acts mode by mode: coeff_k -> semigroup_factors(space, r, a, t)[k] coeff_k
     def test_heat_on_eigenmode(self):
         gen = {"r": 1.0, "a": 0.0}
-        out = semigroup_step(mode_field(SP1, 4), **gen, t=0.05)
-        assert out.coeffs[4] == pytest.approx(math.exp(-16 * math.pi**2 * 0.05), rel=1e-14)
+        out = mode_field(SP1, 4).coeffs * semigroup_factors(SP1, **gen, t=0.05)
+        assert out[4] == pytest.approx(math.exp(-16 * math.pi**2 * 0.05), rel=1e-14)
 
     def test_identity_at_time_zero(self):
         rng = np.random.default_rng(6)
         f = SpectralField(rng.standard_normal(SP1.total_modes), SP1)
         gen = {"r": 2.0, "a": -1.0, "aleph": 1.5}
-        assert np.array_equal(semigroup_step(f, **gen, t=0.0).coeffs, f.coeffs)
+        assert np.array_equal(f.coeffs * semigroup_factors(SP1, **gen, t=0.0), f.coeffs)
 
     def test_componentwise_two_modes(self):
         f = SpectralField(np.zeros(SP1.total_modes), SP1)
         f.coeffs[1] = 1.0
         f.coeffs[2] = 1.0
         gen = {"r": 0.5, "a": -1.0}
-        out = semigroup_step(f, **gen, t=0.1)
+        out = f.coeffs * semigroup_factors(SP1, **gen, t=0.1)
         lam = get_basis(SP1).eigenvalues
         for k in (1, 2):
-            assert out.coeffs[k] == pytest.approx(
+            assert out[k] == pytest.approx(
                 math.exp((-0.5 * lam[k] - 1.0) * 0.1), rel=1e-14)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(7)
         f = SpectralField(rng.standard_normal(SP1.total_modes), SP1)
         gen = {"r": 1.3, "a": 0.4, "aleph": 1.7}
-        once = semigroup_step(f, **gen, t=0.3)
-        twice = semigroup_step(semigroup_step(f, **gen, t=0.1), **gen, t=0.2)
-        assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-13 * f.l2_norm()
+        once = f.coeffs * semigroup_factors(SP1, **gen, t=0.3)
+        twice = (f.coeffs * semigroup_factors(SP1, **gen, t=0.1)
+                 * semigroup_factors(SP1, **gen, t=0.2))
+        assert np.max(np.abs(once - twice)) < 1e-13 * f.l2_norm()
 
 
 class TestNorms:
