@@ -84,7 +84,7 @@ class RunConfig:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             v.append(f"kappa must be finite and > 0, got {self.kappa}")
         v.extend(schedule_violations(self.kappa_schedule))
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             v.append(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             v.append(f"max_iter must be >= 1, got {self.max_iter}")

@@ -3,9 +3,9 @@ system in mild form, with path-norm cutoff bookkeeping, stopping-time
 detection and glueing of local solutions.
 
 The scheme treats the stiff linear parts exactly (per-mode semigroup
-factors) and the reaction/noise parts explicitly; a semi-implicit
-variant treats the activator decay as an exact per-step exponential.
-Internals are vectorized over a batch of independent paths.
+factors) and the reaction/noise parts explicitly.  Every driver
+(ensembles, glueing, Picard iteration, convergence studies) steps with
+the same map.  Internals are vectorized over a batch of independent paths.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .spectral import (
     sobolev_weights,
 )
 
-SCHEMES = ("explicit", "semi_implicit")
-
 NORM_COLUMNS = (
     "u_l2", "u_lpstar", "v_halpha", "v_halpha_diss", "h", "phi", "u_grad_p", "couple",
 )
@@ -41,7 +39,7 @@ NORM_COLUMNS = (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All scalar parameters of the coupled system plus scheme knobs.
+    """All scalar parameters of the coupled system.
 
     q is the inhibitor feedback exponent, aleph the fractional diffusion
     order of the inhibitor, rho/alpha the path-space and uniform-bound
@@ -65,7 +63,6 @@ class ModelParams:
     alpha: float = 0.25
     p_star: float = 4.5
     lam: float = 0.0
-    scheme: str = "explicit"
 
     def __post_init__(self):
         v = []
@@ -88,8 +85,6 @@ class ModelParams:
             v.append(f"p_star must be >= 2, got {self.p_star}")
         if self.lam < 0:
             v.append(f"lam must be >= 0, got {self.lam}")
-        if self.scheme not in SCHEMES:
-            v.append(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if v:
             raise ValidationError(v)
 
@@ -160,7 +155,7 @@ class MildIntegrator:
         self.noise = noise
         self.basis = get_basis(space)
         self.grid_m = self.basis.dealias_points(max(params.q, 1.0))
-        self.k_noise = noise.mode_cutoff or noise_mode_indices(space).size
+        self.k_noise = noise_mode_indices(space, noise.mode_cutoff).size
         self.coloring = {j: coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)}
         self._exp_cache: dict[tuple[float, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._colored: dict[int, np.ndarray] = {}  # per process: g_dw's coloring buffer
@@ -253,7 +248,6 @@ class MildIntegrator:
             v_vals = self.synth(state.v)
         else:
             u_vals, v_vals = uv_vals
-        semi_implicit = p.scheme == "semi_implicit" and react is None
         if react is None:
             phi = self.phi_of(state).reshape((-1,) + (1,) * self.space.d)
             react = phi * u_vals * self.v_power(v_vals)
@@ -267,16 +261,9 @@ class MildIntegrator:
         gu = self.g_dw(u_vals, dw1, 1)
         gv = self.g_dw(v_vals, dw2, 2)
 
-        if semi_implicit:
-            decay = np.exp(-dt * p.c1 * phi * self.v_power(v_vals))
-            u_base = np.where(state.fallback[:, None], state.u, self.analyze(u_vals * decay))
-            drift_u = drift_u + p.c1 * react  # reaction handled by the decay factor
-        else:
-            u_base = state.u
-
         du = self.analyze(drift_u)
         dv = self.analyze(drift_v)
-        u_new = e1 * (u_base + dt * du + p.sigma1 * gu)
+        u_new = e1 * (state.u + dt * du + p.sigma1 * gu)
         v_new = e2 * (state.v + dt * dv + p.sigma2 * gv)
 
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):

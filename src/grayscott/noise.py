@@ -120,16 +120,9 @@ class NoiseConfig:
 
 
 def noise_mode_indices(space: SpaceConfig, k_noise: int | None = None) -> np.ndarray:
-    """Eigen indices carrying noise, honoring the zero-mode policy.
-
-    Under 'drop' the constant mode is excluded; under 'shift' it
-    participates with its eigenvalue shifted to one.
-    """
-    total = space.total_modes
-    if space.zero_mode == "shift":
-        idx = np.arange(total)
-    else:
-        idx = np.arange(1, total)
+    """Eigen indices carrying noise: every mode but the constant one, the
+    first k_noise of them when given."""
+    idx = np.arange(1, space.total_modes)
     if k_noise is not None:
         if k_noise > idx.size:
             raise ValidationError(
@@ -162,7 +155,7 @@ class WienerSource:
         self.space = space
         self.segment = segment
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-        self.k_noise = config.mode_cutoff or noise_mode_indices(space).size
+        self.k_noise = noise_mode_indices(space, config.mode_cutoff).size
         self._keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # process -> (segment, keys)
 
     def increment_block(self, step0: int, count: int, dt: float,
@@ -208,12 +201,11 @@ def _colored_modes(space: SpaceConfig, gamma: float, k_noise: int | None,
     return weights, get_basis(space).synthesize(eye, m)
 
 
-def squared_eigenfunction_sum(space: SpaceConfig, gamma: float,
-                              k_noise: int | None = None,
-                              points_per_axis: int | None = None) -> np.ndarray:
-    """Grid values of sum_k lambda_k^(-gamma) phi_k(x)^2 over noise modes."""
-    m = points_per_axis or get_basis(space).dealias_points(1.0)
-    weights, phi_vals = _colored_modes(space, gamma, k_noise, m)
+def squared_eigenfunction_sum(space: SpaceConfig, gamma: float, k_noise: int | None,
+                              points_per_axis: int) -> np.ndarray:
+    """Grid values of sum_k lambda_k^(-gamma) phi_k(x)^2 over the first
+    k_noise noise modes (all when None), on the points_per_axis grid."""
+    weights, phi_vals = _colored_modes(space, gamma, k_noise, points_per_axis)
     return np.tensordot(weights**2, phi_vals**2, axes=(0, 0))
 
 

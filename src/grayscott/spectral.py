@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 BOUNDARIES = ("periodic", "neumann")
-ZERO_MODE_POLICIES = ("drop", "shift")
 
 
 @dataclass(frozen=True)
@@ -31,16 +30,14 @@ class SpaceConfig:
     K = N**d.  grid_points_per_axis is the grid M of the initial-data
     negativity check, of lp_norm and of a stroock_varopoulos_check given
     no grid; the time step and the recorded norms use the dealiased grid
-    Basis.dealias_points(q) instead.  zero_mode
-    selects how negative spectral powers treat the constant mode: drop
-    it, or shift its eigenvalue to 1.
+    Basis.dealias_points(q) instead.  Negative spectral powers drop the
+    constant mode, and the noise does not drive it.
     """
 
     d: int = 1
     boundary: str = "neumann"
     modes_per_axis: int = 32
     grid_points_per_axis: int = 64
-    zero_mode: str = "drop"
 
     def __post_init__(self):
         violations = []
@@ -65,10 +62,6 @@ class SpaceConfig:
             violations.append(
                 "periodic boundary with even modes_per_axis requires "
                 "grid_points_per_axis >= modes_per_axis + 1"
-            )
-        if self.zero_mode not in ZERO_MODE_POLICIES:
-            violations.append(
-                f"zero_mode must be one of {ZERO_MODE_POLICIES}, got {self.zero_mode!r}"
             )
         if violations:
             raise ValidationError(violations)
@@ -296,17 +289,13 @@ def mode_field(space: SpaceConfig, k: int, amplitude: float = 1.0) -> SpectralFi
 
 
 def fractional_weights(space: SpaceConfig, s: float) -> np.ndarray:
-    """Per-mode multipliers lambda_k**s under the zero-mode policy."""
+    """Per-mode multipliers lambda_k**s; the constant mode (lambda = 0) takes
+    1 at s = 0 and 0 otherwise."""
     lam = get_basis(space).eigenvalues
     w = np.empty_like(lam)
     pos = lam > 0.0
     w[pos] = lam[pos] ** s
-    if s > 0:
-        w[~pos] = 0.0
-    elif s == 0:
-        w[~pos] = 1.0
-    else:
-        w[~pos] = 0.0 if space.zero_mode == "drop" else 1.0
+    w[~pos] = 1.0 if s == 0 else 0.0
     return w
 
 

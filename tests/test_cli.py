@@ -59,6 +59,11 @@ class TestConfigParsing:
             parse_config(json.dumps({"model": {"r1": -2.0}}))
         assert any("r1" in v for v in err.value.violations)
 
+    def test_nan_tol_named(self):
+        with pytest.raises(ValidationError) as err:
+            RunConfig(tol=math.nan)
+        assert err.value.violations == ["tol must be > 0, got nan"]
+
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps({"model": {"zeta": 1}, "grid": 4}))
@@ -104,7 +109,8 @@ class TestConfigParsing:
         ("field_dumps=1", "field_dumps must be true or false"),
         ("model.power_mode=abs", "unknown keys in model: power_mode"),
         ("model.linear_fallback=full", "unknown keys in model: linear_fallback"),
-        ("space.zero_mode=reject", "zero_mode must be one of ('drop', 'shift')"),
+        ("space.zero_mode=reject", "unknown keys in space: zero_mode"),
+        ("model.scheme=semi_implicit", "unknown keys in model: scheme"),
     ])
     def test_mistyped_numbers_exit_two(self, tmp_path, capsys, override, needle):
         cfg_path = write_config(tmp_path, FAST_DOC)
@@ -371,15 +377,14 @@ class TestCliRuns:
             assert got == pytest.approx(errors, rel=1e-10), study
 
     @pytest.mark.parametrize("subcommand, doc, last_row", [
-        # default config; then semi-implicit + Stratonovich; a glue schedule
+        # default config; then Stratonovich; a glue schedule
         # that ends in the heat fallback; the fractional semigroup in d=2
         ("simulate", {"paths": 1},
          [0.44862647837026676, 0.44863714373166097, 1.1972420553661913,
           1.1987242148883994, 1.9903742081021925, 1.0]),
-        ("simulate", {"paths": 1, "model": {"scheme": "semi_implicit"},
-                      "noise": {"interpretation": "stratonovich"}},
-         [0.448627644949652, 0.44863828613696966, 1.1987283615900892,
-          1.2002051999413579, 1.9923632066816819, 1.0]),
+        ("simulate", {"paths": 1, "noise": {"interpretation": "stratonovich"}},
+         [0.44846854513393924, 0.44847917889907346, 1.198653504477813,
+          1.2001302307796695, 1.9922697329826438, 1.0]),
         ("glue", {"paths": 1, "kappa_schedule": [1.05, 1.1]},
          [0.9833572325392332, 0.9833631189767053, 1.0074176384899325,
           1.0082192603852147, 1.7138643375972613, 0.0]),

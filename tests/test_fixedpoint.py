@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,11 +78,15 @@ class TestPicard:
         assert r[-1] < 1e-8
         assert all(b < a for a, b in zip(r[1:], r[2:]))  # monotone after iter 2
 
-    def test_fixed_point_matches_direct_simulation(self):
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_fixed_point_matches_direct_simulation(self, interpretation):
+        # Picard's fixed point satisfies the update simulate takes, under
+        # every noise interpretation the config accepts
         params = ModelParams(c1=0.01, c2=0.01)
-        res = picard_solve(params, SP, NZ, bump(), bump(), 1e9, path_ids=[3],
+        noise = replace(NZ, interpretation=interpretation)
+        res = picard_solve(params, SP, noise, bump(), bump(), 1e9, path_ids=[3],
                            T=0.25, dt=2e-3, tol=1e-8)
-        rec = simulate_ensemble(params, SP, NZ, bump(), bump(), 1e9, T=0.25,
+        rec = simulate_ensemble(params, SP, noise, bump(), bump(), 1e9, T=0.25,
                                 dt=2e-3, path_ids=[3], store_trajectory=True)[0]
         fp = res["fixed_point"]
         diff = control_m_norm(fp.eta[0] - rec.trajectory[0], fp.xi[0] - rec.trajectory[1],

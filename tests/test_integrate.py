@@ -151,19 +151,6 @@ class TestHomogeneousBranch:
         # homogeneous up to quadrature round-off of the constant drift
         assert np.max(np.abs(uT[1:])) < 1e-15
 
-    def test_semi_implicit_close_to_explicit(self):
-        shared = dict(sigma1=0.0, sigma2=0.0, a1=-0.5, a2=-0.4, b1=0.3,
-                      b2=0.3, c1=2.0, c2=0.5, q=2.0)
-        u0, v0 = constant_field(0.5, SP), constant_field(0.8, SP)
-        rec_e = simulate_ensemble(ModelParams(**shared), SP, NZ, u0, v0, 1e9,
-                                  T=0.25, dt=1e-3, path_ids=[0], check_gate=False)[0]
-        rec_s = simulate_ensemble(ModelParams(scheme="semi_implicit", **shared),
-                                  SP, NZ, u0, v0, 1e9, T=0.25, dt=1e-3, path_ids=[0],
-                                  check_gate=False)[0]
-        sol = planar_ode(ModelParams(**shared), 0.5, 0.8, 0.25)
-        for rec in (rec_e, rec_s):
-            assert rec.snapshots[-1][1][0] == pytest.approx(sol.y[0, -1], rel=5e-3)
-
 
 class TestTrivialFixedPoints:
     def test_zero_is_absorbing(self):
@@ -408,21 +395,20 @@ class TestColumnSets:
 
     GLUE_PARAMS = dict(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
 
-    def _runs(self, sp, scheme, columns):
-        params = ModelParams(**self.GLUE_PARAMS, scheme=scheme)
+    def _runs(self, sp, columns):
+        params = ModelParams(**self.GLUE_PARAMS)
         u0, v0 = bump(sp), bump(sp)
         kw = dict(T=0.4, dt=2e-3, path_ids=np.arange(4), columns=columns)
         return (simulate_ensemble(params, sp, NZ, u0, v0, 2.0, check_gate=False, **kw),
                 simulate_glued(params, sp, NZ, u0, v0, [1.5, 1.7], **kw))
 
     @pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
-    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
-    def test_subsets_bit_equal_to_full_set(self, d, n, scheme):
+    def test_subsets_bit_equal_to_full_set(self, d, n):
         sp = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=2 * n)
-        full = self._runs(sp, scheme, NORM_COLUMNS)
+        full = self._runs(sp, NORM_COLUMNS)
         assert any(r.glue_events for r in full[1])  # the glued runs restart paths
         for columns in (FILE_SERIES, ESTIMATED_COLUMNS):
-            for recs, ref in zip(self._runs(sp, scheme, columns), full):
+            for recs, ref in zip(self._runs(sp, columns), full):
                 for rec, rec_full in zip(recs, ref):
                     assert set(rec.series) == set(columns) | {"h", "phi"}
                     assert rec.glue_events == rec_full.glue_events

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
 from grayscott.noise import (
     NoiseConfig,
@@ -117,6 +118,15 @@ class TestNoiseAddress:
                 new = WienerSource(CFG, SP, paths, segment=source.segment.copy())
                 assert np.array_equal(block, new.increment_block(step0, 3, 0.01, process))
             source.segment[0] = 4  # an in-place change is a new segment too
+
+    def test_cutoff_beyond_usable_modes_rejected(self):
+        # the source and the integrator size the noise from the same rule
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        noise = NoiseConfig(mode_cutoff=40)
+        for build in (lambda: WienerSource(noise, sp, [0, 1]),
+                      lambda: MildIntegrator(ModelParams(), sp, noise)):
+            with pytest.raises(ValidationError, match="mode_cutoff 40 exceeds the 7 usable"):
+                build()
 
     def test_block_slices_equal_single_steps(self):
         source = WienerSource(CFG, SP, [0, 4, 9], segment=1)
@@ -270,7 +280,7 @@ class TestTraceClassDiagnostics:
         assert abs(full - half) / full < 0.05
 
     def test_squared_sum_matches_weights(self):
-        vals = squared_eigenfunction_sum(SP, 1.0, points_per_axis=32)
+        vals = squared_eigenfunction_sum(SP, 1.0, None, 32)
         basis = get_basis(SP)
         total = basis.quadrature(vals, 32)
         idx, w = coloring_weights(SP, 1.0)

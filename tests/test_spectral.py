@@ -136,11 +136,6 @@ class TestFractionalLaplacian:
         dropped = f.coeffs * fractional_weights(SP1, -0.5)
         assert np.all(dropped == 0.0)
 
-        shifted_space = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32,
-                                    zero_mode="shift")
-        g = constant_field(2.0, shifted_space)
-        assert (g.coeffs * fractional_weights(shifted_space, -0.5))[0] == pytest.approx(2.0)
-
 
 class TestSemigroup:
     # e^{(r A + a) t} acts mode by mode: coeff_k -> semigroup_factors(space, r, a, t)[k] coeff_k

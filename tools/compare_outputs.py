@@ -9,9 +9,9 @@ tree, with that tree's ``src`` on ``PYTHONPATH`` and its own output
 directory.  The set covers:
 
 - the six subcommands at seeds 0 and 5 (20 paths);
-- ``simulate`` under ``semi_implicit`` + Stratonovich;
+- ``simulate`` under Stratonovich;
 - ``glue`` at ``kappa_schedule=[1.05,1.1]``, which reaches the linear
-  fallback, plain and under ``semi_implicit`` + Stratonovich;
+  fallback, plain and under Stratonovich;
 - ``simulate`` and ``estimate`` at d=2 periodic, aleph=1.5 (``estimate``
   is the one run that records the d=2 gradient column);
 - ``check-params --sweep gamma1``;
@@ -39,8 +39,7 @@ import tempfile
 from pathlib import Path
 
 PATHS = ["--paths", "20"]
-SEMI_STRAT = ["--override", "model.scheme=semi_implicit",
-              "--override", "noise.interpretation=stratonovich"]
+STRAT = ["--override", "noise.interpretation=stratonovich"]
 FALLBACK = ["--override", "kappa_schedule=[1.05,1.1]"]
 D2_PERIODIC = ["--override", "space.d=2", "--override", "space.boundary=periodic",
                "--override", "space.modes_per_axis=8",
@@ -53,9 +52,9 @@ RUNS = [
     for cmd in ("check-params", "simulate", "glue", "fixed-point", "estimate", "convergence")
     for seed in (0, 5)
 ] + [
-    ("simulate-semi-strat", ["simulate"] + PATHS + SEMI_STRAT),
+    ("simulate-strat", ["simulate"] + PATHS + STRAT),
     ("glue-fallback", ["glue"] + PATHS + FALLBACK),
-    ("glue-fallback-semi-strat", ["glue"] + PATHS + FALLBACK + SEMI_STRAT),
+    ("glue-fallback-strat", ["glue"] + PATHS + FALLBACK + STRAT),
     ("simulate-d2-periodic", ["simulate", "--paths", "8"] + D2_PERIODIC),
     ("estimate-d2-periodic", ["estimate", "--paths", "8"] + D2_PERIODIC),
     ("sweep-gamma1", ["check-params", "--sweep", "gamma1", "0.3", "1.5", "5"]),
