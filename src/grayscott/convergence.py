@@ -57,11 +57,11 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     states = [integ.initial_state(u_start, v_start, _NO_CUTOFF) for _ in steps]
 
     for b in range(n_fine // block):
-        fine = [source.increment_block(b * block, block, dt_ref, j) for j in (1, 2)]
+        fine = np.stack([source.increment_block(b * block, block, dt_ref, j) for j in (1, 2)])
         for i, (stride, dt) in enumerate(zip(strides, steps)):
-            dw1, dw2 = (aggregate_increments(f, stride) for f in fine)
+            dw = aggregate_increments(fine, stride)
             for n in range(block // stride):
-                states[i] = integ.step_raw(states[i], dw1[:, n], dw2[:, n], dt)
+                states[i] = integ.step_raw(states[i], dw[:, :, n], dt)
 
     ref_state, *level_states = states
     errors = [

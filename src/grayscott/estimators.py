@@ -187,9 +187,10 @@ def stroock_varopoulos_check(times: np.ndarray, coeffs: np.ndarray,
 
 
 def trace_diagnostic(u: SpectralField, gamma1: float, p: float,
-                     k_noise: int | None = None) -> float:
+                     k_noise: int | None) -> float:
     """Quadratic-variation trace p(p-1) sum_k lambda_k^{-gamma1}
-    int |u|^{p-2} u^2 phi_k^2 dx, truncated to the noise modes."""
+    int |u|^{p-2} u^2 phi_k^2 dx over the first k_noise noise modes (all
+    when None)."""
     if p < 2:
         raise ValidationError(["the exponent p must be >= 2"])
     space = u.space

@@ -79,10 +79,10 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     """Solve the linear decoupled system forced by the frozen control.
 
     Row i of the control is driven by the frozen noise of path_ids[i],
-    drawn as one block per process.  The reaction phi * eta * max(xi, 0)^q
-    is exogenous (the integrator's v_power, as in the direct step), the
-    cutoff phi is evaluated on xi's running path norm, and only the noise
-    factor depends on the evolving state.
+    drawn in one block for the whole run.  The reaction
+    phi * eta * max(xi, 0)^q is exogenous (the integrator's v_power, as in
+    the direct step), the cutoff phi is evaluated on xi's running path
+    norm, and only the noise factor depends on the evolving state.
     """
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     if path_ids.size != control.eta.shape[0]:
@@ -95,19 +95,17 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     react = phi.reshape(phi.shape + (1,) * integ.space.d) * forcing
 
     source = WienerSource(integ.noise, integ.space, path_ids)
-    dw1 = source.increment_block(0, n_steps, dt, 1)
-    dw2 = source.increment_block(0, n_steps, dt, 2)
+    dw = np.stack([source.increment_block(0, n_steps, dt, j) for j in (1, 2)])
     shape = (path_ids.size, u0.coeffs.size)
     state = integ.initial_state(
         np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
     )
-    us, vs = [state.u], [state.v]
+    out = np.empty((2, shape[0], n_steps + 1, shape[1]))
+    out[:, :, 0] = state.uv
     for n in range(n_steps):
-        state = integ.step_raw(state, dw1[:, n], dw2[:, n], dt, react=react[:, n])
-        us.append(state.u)
-        vs.append(state.v)
-    return ControlPair(np.stack(us, axis=1), np.stack(vs, axis=1), control.times.copy(),
-                       integ.space)
+        state = integ.step_raw(state, dw[:, :, n], dt, react=react[:, n])
+        out[:, :, n + 1] = state.uv
+    return ControlPair(out[0], out[1], control.times.copy(), integ.space)
 
 
 def control_m_norm(eta: np.ndarray, xi: np.ndarray, times: np.ndarray,

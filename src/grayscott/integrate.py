@@ -5,7 +5,14 @@ detection and glueing of local solutions.
 The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver
 (ensembles, glueing, Picard iteration, convergence studies) steps with
-the same map.  Internals are vectorized over a batch of independent paths.
+the same map.  Internals are vectorized over a batch of independent
+paths, and both species live in one (2, P, K) array, so a step of a
+small batch makes one transform call per operand instead of one per
+species (``STACK_BUDGET``).  The time loop draws the noise of several
+steps in one call (``DRAW_BUDGET``); each draw is a pure function of its
+address, so the increments are the one-step draws bit for bit.  The
+transforms are not batched over steps: at one path a d=1 step is a GEMV
+and a block of steps a GEMM, and the two round differently.
 """
 
 from __future__ import annotations
@@ -35,6 +42,20 @@ from .spectral import (
 NORM_COLUMNS = (
     "u_l2", "u_lpstar", "v_halpha", "v_halpha_diss", "h", "phi", "u_grad_p", "couple",
 )
+# noise elements (paths x noise modes x steps) the time loop draws per call,
+# for at most MAX_DRAW_STEPS steps: small batches gain from long blocks, while
+# a wide batch draws one step at a time, where a block no longer fits in cache
+DRAW_BUDGET = 8192
+MAX_DRAW_STEPS = 64
+# grid values (2 species x paths x grid points) up to which a step transforms
+# both species in one call; past it, one species at a time keeps the operands
+# of each call in cache (a stacked d=2, N=32, 16-path step was 20% slower)
+STACK_BUDGET = 1 << 16
+
+
+def draw_steps(n_paths: int, k_noise: int) -> int:
+    """Steps of noise the time loop draws per call for a batch."""
+    return min(max(DRAW_BUDGET // (n_paths * k_noise), 1), MAX_DRAW_STEPS)
 
 
 @dataclass(frozen=True)
@@ -123,8 +144,7 @@ class _BatchState:
     """A batch of paths: coefficients, running path norms, and per path
     the cutoff level, glue level, noise segment and fallback flag."""
 
-    u: np.ndarray  # (P, K)
-    v: np.ndarray
+    uv: np.ndarray  # (2, P, K), C-contiguous: u and v stacked
     sup: np.ndarray  # (P,)
     intg: np.ndarray
     last_diss_sq: np.ndarray
@@ -136,6 +156,14 @@ class _BatchState:
     t: float
 
     @property
+    def u(self) -> np.ndarray:
+        return self.uv[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.uv[1]
+
+    @property
     def h(self) -> np.ndarray:
         return self.sup + np.sqrt(self.intg)
 
@@ -144,9 +172,9 @@ class MildIntegrator:
     """One-step map of the cutoff system for a fixed parameter set.
 
     Precomputes semigroup factors, Sobolev weights, noise coloring and
-    the Stratonovich correction profile; all heavy per-step work is
-    batched numpy.  Cutoff levels live on the batch state, so one
-    integrator serves every level.
+    the Stratonovich correction profile, each stacked over the two
+    species; all heavy per-step work is batched numpy.  Cutoff levels
+    live on the batch state, so one integrator serves every level.
     """
 
     def __init__(self, params: ModelParams, space: SpaceConfig, noise: NoiseConfig):
@@ -156,46 +184,54 @@ class MildIntegrator:
         self.basis = get_basis(space)
         self.grid_m = self.basis.dealias_points(max(params.q, 1.0))
         self.k_noise = noise_mode_indices(space, noise.mode_cutoff).size
-        self.coloring = {j: coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)}
-        self._exp_cache: dict[tuple[float, bool], tuple[np.ndarray, np.ndarray]] = {}
-        self._colored: dict[int, np.ndarray] = {}  # per process: g_dw's coloring buffer
+        colorings = [coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)]
+        self.noise_idx = colorings[0][0]  # both processes drive the same modes
+        self.coloring = np.stack([w for _, w in colorings])[:, None]  # (2, 1, K_noise)
+        self._exp_cache: dict[tuple[float, bool], np.ndarray] = {}
+        self._colored: np.ndarray | None = None  # g_dw's coloring buffer
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
         self.w_alpha = sobolev_weights(space, params.alpha)
         self.w_alpha_aleph = sobolev_weights(space, params.alpha + params.aleph / 2.0)
-        self.ito_profile = {}  # per process: (sigma^2 / 2) sum_k lambda_k^(-gamma) phi_k^2
+        # (sigma^2 / 2) sum_k lambda_k^(-gamma) phi_k^2 per species, shape (2, 1) + grid
+        self.ito_profile = None
         if noise.interpretation == "stratonovich":
-            for j, sigma in ((1, params.sigma1), (2, params.sigma2)):
-                s_vals = squared_eigenfunction_sum(space, noise.gamma(j), self.k_noise, self.grid_m)
-                self.ito_profile[j] = 0.5 * sigma**2 * s_vals
+            self.ito_profile = np.stack([
+                0.5 * sigma**2 * squared_eigenfunction_sum(space, noise.gamma(j),
+                                                           self.k_noise, self.grid_m)
+                for j, sigma in ((1, params.sigma1), (2, params.sigma2))])[:, None]
 
     # -- helpers -----------------------------------------------------------
 
-    def _factors(self, dt: float, fallback: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _factors(self, dt: float, fallback: bool) -> np.ndarray:
+        """(2, 1, K) semigroup factors of u and v."""
         got = self._exp_cache.get((dt, fallback))
         if got is None:
             p, sp = self.params, self.space
             if fallback:  # plain heat continuation for both
-                got = (semigroup_factors(sp, p.r1, 0.0, dt),
-                       semigroup_factors(sp, p.r2, 0.0, dt))
+                pair = (semigroup_factors(sp, p.r1, 0.0, dt),
+                        semigroup_factors(sp, p.r2, 0.0, dt))
             else:
-                got = (semigroup_factors(sp, p.r1, p.a1, dt),
-                       semigroup_factors(sp, p.r2, p.a2, dt, p.aleph))
-            self._exp_cache[(dt, fallback)] = got
+                pair = (semigroup_factors(sp, p.r1, p.a1, dt),
+                        semigroup_factors(sp, p.r2, p.a2, dt, p.aleph))
+            got = self._exp_cache[(dt, fallback)] = np.stack(pair)[:, None]
         return got
 
-    def _semigroups(self, dt: float, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _semigroups(self, dt: float, fallback: np.ndarray) -> np.ndarray:
         """Per-path semigroup factors: fallback paths take the continuation's."""
-        e1, e2 = self._factors(dt, False)
+        e = self._factors(dt, False)
         if fallback.any():
-            f1, f2 = self._factors(dt, True)
-            col = fallback[:, None]
-            e1, e2 = np.where(col, f1, e1), np.where(col, f2, e2)
-        return e1, e2
+            e = np.where(fallback[:, None], self._factors(dt, True), e)
+        return e
 
     def v_power(self, v_vals: np.ndarray) -> np.ndarray:
         """max(v, 0)^q, for the direct step and the fixed-point forcing alike."""
         return np.maximum(v_vals, 0.0) ** self.params.q
+
+    def reaction(self, uv_vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """The cutoff reaction phi * u * max(v, 0)^q per path, on the grid."""
+        phi = phi.reshape((-1,) + (1,) * self.space.d)
+        return phi * uv_vals[0] * self.v_power(uv_vals[1])
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self.basis.synthesize(coeffs, self.grid_m)
@@ -203,24 +239,24 @@ class MildIntegrator:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return self.basis.analyze(values, self.grid_m)
 
-    def g_dw(self, vals: np.ndarray, dw: np.ndarray, process: int) -> np.ndarray:
-        """g_gamma(u)[dW]: the grid product of u (grid values) with the
-        coloring (-Laplace)^(-gamma/2) dW of dW (per noise mode), projected
-        back to the basis."""
-        idx, w = self.coloring[process]
+    def g_dw(self, uv_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """g_gamma(u)[dW] of both species: the grid product of the grid
+        values (2, P) + grid with the coloring (-Laplace)^(-gamma/2) dW of
+        dW (2, P, K_noise), projected back to the basis."""
         shape = dw.shape[:-1] + (self.space.total_modes,)
-        colored = self._colored.get(process)
+        colored = self._colored
         if colored is None or colored.shape != shape:  # the non-noise columns stay zero
-            colored = self._colored[process] = np.zeros(shape)
-        colored[..., idx] = w * dw
-        return self.analyze(vals * self.synth(colored))
+            colored = self._colored = np.zeros(shape)
+        colored[..., self.noise_idx] = self.coloring * dw
+        return self._per_species(lambda vals, c: self.analyze(vals * self.synth(c)),
+                                 uv_vals, colored)
 
-    def to_ito(self, drift, vals: np.ndarray, process: int):
-        """The drift (grid values) plus the correction (sigma^2/2) sum_k
-        lambda_k^(-gamma) phi_k^2 u that turns the Stratonovich system into
-        Ito form; the drift itself under the Ito interpretation."""
-        profile = self.ito_profile.get(process)
-        return drift if profile is None else drift + profile * vals
+    def to_ito(self, drift: np.ndarray, uv_vals: np.ndarray) -> np.ndarray:
+        """The drift (grid values (2, P) + grid) plus the correction
+        (sigma^2/2) sum_k lambda_k^(-gamma) phi_k^2 u that turns the
+        Stratonovich system into Ito form; the drift itself under the Ito
+        interpretation."""
+        return drift if self.ito_profile is None else drift + self.ito_profile * uv_vals
 
     def norm_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(|v|_{H^rho}, |v|^2_{H^{rho+aleph/2}}) per path: what h accumulates."""
@@ -231,61 +267,74 @@ class MildIntegrator:
 
     # -- stepping ------------------------------------------------------------
 
-    def step_raw(self, state: _BatchState, dw1: np.ndarray, dw2: np.ndarray,
-                 dt: float, react: np.ndarray | None = None,
-                 uv_vals: tuple[np.ndarray, np.ndarray] | None = None) -> _BatchState:
-        """Advance one step.  dw1/dw2 have shape (P, K_noise).
+    def _drift(self, state: _BatchState, uv_vals: np.ndarray, react: np.ndarray) -> np.ndarray:
+        """Coefficients of the Ito drift of both species; fallback paths
+        have no reaction and no feed.  Its grid values are freed on
+        return, before g_dw allocates its own."""
+        p = self.params
+        # one species at a time: a scalar op is far cheaper than a broadcast constant
+        drift = np.empty(uv_vals.shape)
+        np.subtract(p.b1, p.c1 * react, out=drift[0])
+        np.add(p.b2, p.c2 * react, out=drift[1])
+        if state.fallback.any():
+            drift[:, state.fallback] = 0.0
+        return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
+
+    def _per_species(self, fn, *stacked: np.ndarray) -> np.ndarray:
+        """fn of the stacked species arrays, whose first holds grid values:
+        one call while it holds at most STACK_BUDGET values, else one call
+        per species.  Bit-equal either way: matmul runs the same BLAS call
+        for each (P, .) matrix of a stack."""
+        if stacked[0].size <= STACK_BUDGET:
+            return fn(*stacked)
+        return np.stack([fn(*(a[j] for a in stacked)) for j in (0, 1)])
+
+    def step_raw(self, state: _BatchState, dw: np.ndarray, dt: float,
+                 react: np.ndarray | None = None,
+                 uv_vals: np.ndarray | None = None) -> _BatchState:
+        """Advance one step.  dw has shape (2, P, K_noise): process 1, then 2.
 
         react, when given, replaces the cutoff reaction phi * u * v^q by
         exogenous grid values per path (the fixed-point operator's frozen
-        reaction); uv_vals passes already synthesized grid values of the
-        state.  Fallback paths have no reaction and no feed.
+        reaction, or the reaction the time loop built from its phi);
+        uv_vals passes already synthesized grid values (2, P) + grid of
+        the state.  Fallback paths have no reaction and no feed.
         """
         p = self.params
-        e1, e2 = self._semigroups(dt, state.fallback)
-        if uv_vals is None:
-            u_vals = self.synth(state.u)
-            v_vals = self.synth(state.v)
-        else:
-            u_vals, v_vals = uv_vals
+        vals = self.synth(state.uv) if uv_vals is None else uv_vals
         if react is None:
-            phi = self.phi_of(state).reshape((-1,) + (1,) * self.space.d)
-            react = phi * u_vals * self.v_power(v_vals)
-        drift_u = p.b1 - p.c1 * react
-        drift_v = p.b2 + p.c2 * react
-        if state.fallback.any():  # fallback paths: no reaction and no feed
-            drift_u[state.fallback] = drift_v[state.fallback] = 0.0
-        drift_u = self.to_ito(drift_u, u_vals, 1)
-        drift_v = self.to_ito(drift_v, v_vals, 2)
+            react = self.reaction(vals, self.phi_of(state))
+        # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
+        # array: d=2 analysis returns K-major coefficients, which mixed into one
+        # expression make numpy iterate slowly, and the H^rho sums below reduce in
+        # memory order, so a K-major state would round them differently
+        uv = np.multiply(self._drift(state, vals, react), dt, out=np.empty(state.uv.shape))
+        uv += state.uv
+        g = self.g_dw(vals, dw)
+        g[0] *= p.sigma1
+        g[1] *= p.sigma2
+        uv += g
+        uv *= self._semigroups(dt, state.fallback)
 
-        gu = self.g_dw(u_vals, dw1, 1)
-        gv = self.g_dw(v_vals, dw2, 2)
-
-        du = self.analyze(drift_u)
-        dv = self.analyze(drift_v)
-        u_new = e1 * (state.u + dt * du + p.sigma1 * gu)
-        v_new = e2 * (state.v + dt * dv + p.sigma2 * gv)
-
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
+        if not np.isfinite(uv).all():
             raise NonFinite(
                 f"non-finite coefficients at step {state.step + 1}",
                 step=state.step + 1, time=state.t + dt,
             )
 
-        rho_norm, diss_sq = self.norm_terms(v_new)
+        rho_norm, diss_sq = self.norm_terms(uv[1])
         intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
-        return _BatchState(u_new, v_new, np.maximum(state.sup, rho_norm), intg, diss_sq,
+        return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
                            state.kappa, state.level, state.segment, state.fallback,
                            state.step + 1, state.t + dt)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
         """Batch state at t=0 with cutoff level kappa (scalar or per path)."""
-        u0 = np.atleast_2d(np.asarray(u0, dtype=float))
-        v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-        n = u0.shape[0]
-        sup, diss = self.norm_terms(v0)
+        uv = np.stack([np.atleast_2d(np.asarray(f, dtype=float)) for f in (u0, v0)])
+        n = uv.shape[1]
+        sup, diss = self.norm_terms(uv[1])
         return _BatchState(
-            u0.copy(), v0.copy(), sup, np.zeros(n), diss,
+            uv, sup, np.zeros(n), diss,
             kappa=np.broadcast_to(np.asarray(kappa, dtype=float), (n,)).copy(),
             level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
             fallback=np.zeros(n, dtype=bool), step=0, t=0.0,
@@ -294,9 +343,9 @@ class MildIntegrator:
     # -- per-step norm recording ----------------------------------------------
 
     def record_norms(self, state: _BatchState, out: dict[str, np.ndarray], n: int,
-                     uv_vals: tuple[np.ndarray, np.ndarray]):
+                     uv_vals: np.ndarray, phi: np.ndarray):
         """Fill column n of each norm series that out holds, and compute no
-        other; uv_vals are the grid values of (u, v)."""
+        other; uv_vals are the grid values of (u, v), phi the state's cutoff."""
         p = self.params
         u_vals, v_vals = uv_vals
         quad = self.basis.quadrature
@@ -314,7 +363,7 @@ class MildIntegrator:
         if "h" in out:
             out["h"][:, n] = state.h
         if "phi" in out:
-            out["phi"][:, n] = self.phi_of(state)
+            out["phi"][:, n] = phi
         if "u_grad_p" in out:
             grad = self.basis.synthesize_gradient(state.u, m)
             grad_sq = (grad**2).sum(axis=0)
@@ -417,25 +466,31 @@ def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     )
     series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
     times = np.arange(n_steps + 1) * dt
-    snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    snaps: dict[int, np.ndarray] = {}
     traj = np.empty((2, shape[0], n_steps + 1, shape[1])) if store_trajectory else None
+    block = draw_steps(shape[0], source.k_noise)
+    dw, start = None, 0  # the drawn block of increments and its first step
 
     for n in range(n_steps + 1):
-        uv = (integ.synth(state.u), integ.synth(state.v))
-        integ.record_norms(state, series, n, uv_vals=uv)
+        vals = integ.synth(state.uv)
+        phi = integ.phi_of(state)
+        integ.record_norms(state, series, n, vals, phi)
         if glue is not None:
-            state = glue(integ, state, series, n, float(times[n]))
-            source.segment = state.segment
+            glued = glue(integ, state, series, n, float(times[n]))
+            if glued is not state:  # restarted paths draw from a new segment
+                state, phi, dw = glued, integ.phi_of(glued), None
+                source.segment = state.segment
         if n in (0, n_steps):
-            snaps[n] = (state.u.copy(), state.v.copy())
+            snaps[n] = state.uv.copy()
         if traj is not None:
-            traj[0, :, n] = state.u
-            traj[1, :, n] = state.v
+            traj[:, :, n] = state.uv
         if n == n_steps:
             break
-        dw1 = source.increment_block(n, 1, dt, 1)[:, 0]
-        dw2 = source.increment_block(n, 1, dt, 2)[:, 0]
-        state = integ.step_raw(state, dw1, dw2, dt, uv_vals=uv)
+        if dw is None or n - start == dw.shape[2]:
+            start, count = n, min(block, n_steps - n)
+            dw = np.stack([source.increment_block(n, count, dt, j) for j in (1, 2)])
+        state = integ.step_raw(state, dw[:, :, n - start], dt,
+                               react=integ.reaction(vals, phi), uv_vals=vals)
 
     records = []
     for i, pid in enumerate(path_ids):

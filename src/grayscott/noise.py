@@ -133,7 +133,7 @@ def noise_mode_indices(space: SpaceConfig, k_noise: int | None = None) -> np.nda
 
 
 def coloring_weights(space: SpaceConfig, gamma: float,
-                     k_noise: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     k_noise: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(eigen indices, lambda_k**(-gamma/2)) for the retained noise modes."""
     idx = noise_mode_indices(space, k_noise)
     return idx, fractional_weights(space, -gamma / 2.0)[idx]
@@ -162,8 +162,13 @@ class WienerSource:
                         process: int) -> np.ndarray:
         """(n_paths, count, K_noise) increments of variance dt for
         consecutive steps."""
-        if dt <= 0:
-            raise ValidationError(["dt must be > 0"])
+        v = []
+        if not dt > 0:  # also rejects NaN
+            v.append(f"dt must be > 0, got {dt}")
+        if count < 1:
+            v.append(f"count must be >= 1, got {count}")
+        if v:
+            raise ValidationError(v)
         seg = np.array(self.segment, dtype=np.uint64)  # a copy, detached from self.segment
         got = self._keys.get(process)
         if got is None or not (got[0] == seg).all():  # first draw, or segment has changed
@@ -176,15 +181,16 @@ class WienerSource:
 
 
 def aggregate_increments(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive fine increments into coarse ones along axis -2.
+    """Sum consecutive fine increments (..., steps, K_noise) into coarse
+    ones along axis -2.
 
     The blockwise sum realizes the refinement tree: the coarse stream is
     pathwise exactly the sum of its fine children.
     """
-    paths, steps, modes = fine.shape
+    *lead, steps, modes = fine.shape
     if steps % factor:
         raise ValidationError(["fine step count must be a multiple of the factor"])
-    return fine.reshape(paths, steps // factor, factor, modes).sum(axis=2)
+    return fine.reshape(*lead, steps // factor, factor, modes).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +215,10 @@ def squared_eigenfunction_sum(space: SpaceConfig, gamma: float, k_noise: int | N
     return np.tensordot(weights**2, phi_vals**2, axes=(0, 0))
 
 
-def hilbert_schmidt_sum(u: SpectralField, gamma: float,
-                        k_noise: int | None = None) -> float:
+def hilbert_schmidt_sum(u: SpectralField, gamma: float, k_noise: int | None) -> float:
     """Truncated Hilbert-Schmidt norm sum_k lambda_k^(-gamma) |P(u phi_k)|_{L2}^2
-    with P the Galerkin projection the scheme lives in."""
+    over the first k_noise noise modes (all when None), with P the Galerkin
+    projection the scheme lives in."""
     basis = get_basis(u.space)
     m = basis.dealias_points(1.0)
     weights, phi_vals = _colored_modes(u.space, gamma, k_noise, m)

@@ -105,7 +105,7 @@ def test_03_ito_isometry():
     prod = basis.analyze(basis.synthesize(u.coeffs, m) * basis.synthesize(z, m), m)
     mc = float(np.mean(np.sum(prod**2, axis=-1)))
 
-    hs = t * hilbert_schmidt_sum(u, gamma)
+    hs = t * hilbert_schmidt_sum(u, gamma, None)
     rel = abs(mc - hs) / hs
     assert rel < 0.05, (mc, hs)
     ok(3, f"(MC {mc:.5g} vs HS {hs:.5g}, rel {rel:.3f})")

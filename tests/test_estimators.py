@@ -297,15 +297,15 @@ class TestStroockVaropoulos:
 
 class TestTraceDiagnostic:
     def test_zero_field(self):
-        assert trace_diagnostic(constant_field(0.0, SP), 1.0, 2.0) == 0.0
+        assert trace_diagnostic(constant_field(0.0, SP), 1.0, 2.0, None) == 0.0
 
     def test_constant_field_direct_sum(self):
         gamma = 1.3
-        got = trace_diagnostic(constant_field(1.0, SP), gamma, 2.0)
+        got = trace_diagnostic(constant_field(1.0, SP), gamma, 2.0, None)
         expect = 2.0 * sum((math.pi**2 * k**2) ** -gamma for k in range(1, 16))
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_monotone_in_gamma(self):
         u = bump()
-        vals = [trace_diagnostic(u, g, 3.0) for g in (0.8, 1.0, 1.5, 2.5)]
+        vals = [trace_diagnostic(u, g, 3.0, None) for g in (0.8, 1.0, 1.5, 2.5)]
         assert all(b < a for a, b in zip(vals, vals[1:]))

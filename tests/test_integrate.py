@@ -14,6 +14,7 @@ from grayscott.integrate import (
     NORM_COLUMNS,
     MildIntegrator,
     ModelParams,
+    draw_steps,
     path_norm_series,
     pathspace_norm,
     simulate_ensemble,
@@ -83,8 +84,7 @@ class TestSmoothCutoff:
 
 def first_increments(noise, dt, path_id=0):
     source = WienerSource(noise, SP, [path_id])
-    return (source.increment_block(0, 1, dt, 1)[:, 0],
-            source.increment_block(0, 1, dt, 2)[:, 0])
+    return np.stack([source.increment_block(0, 1, dt, j)[:, 0] for j in (1, 2)])
 
 
 class TestStepMild:
@@ -96,7 +96,7 @@ class TestStepMild:
         integ = MildIntegrator(params, SP, NZ)
         u, v = mode_field(SP, 5), mode_field(SP, 2)
         state = integ.initial_state(u.coeffs, v.coeffs, 1e9)
-        new = integ.step_raw(state, *first_increments(NZ, 0.01), 0.01)
+        new = integ.step_raw(state, first_increments(NZ, 0.01), 0.01)
         lam = get_basis(SP).eigenvalues
         assert new.u[0, 5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
         assert new.v[0, 2] == pytest.approx(
@@ -109,7 +109,7 @@ class TestStepMild:
                                 path_ids=[0], store_trajectory=True)[0]
         integ = MildIntegrator(params, SP, NZ)
         state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
-        new = integ.step_raw(state, *first_increments(NZ, 0.001), 0.001)
+        new = integ.step_raw(state, first_increments(NZ, 0.001), 0.001)
         assert np.array_equal(new.u[0], rec.trajectory[0][1])
         assert np.array_equal(new.v[0], rec.trajectory[1][1])
         assert new.h[0] == pytest.approx(rec.series["h"][1], rel=1e-14)
@@ -336,6 +336,50 @@ class TestGlueing:
                 np.testing.assert_allclose(rec.series[col], values, rtol=1e-12, atol=0)
         # paths cross at different times, so the batch really mixes levels
         assert len({tuple(r.glue_events) for r in batch}) > 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_glue_replays_across_draw_blocks(self, d):
+        # a batch of 16 draws its noise in shorter blocks than one path alone,
+        # and its paths glue mid-block; every path replays alone: bit-equal
+        # in d=2, within the sub-batch contract's 1e-14 in d=1
+        space = SP if d == 1 else SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        schedule = [1.8, 2.6, 3.4]
+        batch = simulate_glued(params, space, NZ, bump(space), bump(space), schedule,
+                               T=0.5, dt=2e-3, path_ids=range(16))
+        k_noise = space.total_modes - 1
+        block = draw_steps(16, k_noise)
+        assert block < draw_steps(1, k_noise)
+        glue_steps = {round(t / 2e-3) for rec in batch for _, t in rec.glue_events}
+        assert any(n % block for n in glue_steps)  # a restart inside a drawn block
+        assert len({tuple(r.glue_events) for r in batch}) > 1
+        for rec in batch:
+            solo = simulate_glued(params, space, NZ, bump(space), bump(space), schedule,
+                                  T=0.5, dt=2e-3, path_ids=[rec.path_id])[0]
+            assert rec.glue_events == solo.glue_events
+            for col, values in solo.series.items():
+                if d == 2:
+                    assert np.array_equal(rec.series[col], values), col
+                else:
+                    np.testing.assert_allclose(rec.series[col], values, rtol=1e-14, atol=0,
+                                               err_msg=col)
+
+    def test_restart_steps_with_the_new_levels_cutoff(self):
+        # h(0) = 1 is past kappa_0 = 0.7, where phi would be < 1, and below
+        # kappa_1 = 2: the t=0 restart at kappa_1 steps as a run at kappa_1
+        # does (the noise is off, so the new segment does not matter)
+        params = ModelParams(sigma1=0.0, sigma2=0.0)
+        one = constant_field(1.0, SP)
+        assert smooth_cutoff(1.0 / 0.7) < 1.0
+        with pytest.warns(UserWarning, match="glue at t=0"):
+            glued = simulate_glued(params, SP, NZ, one, one, [0.7, 2.0], T=0.05, dt=1e-3,
+                                   path_ids=[0])[0]
+        plain = simulate_ensemble(params, SP, NZ, one, one, 2.0, T=0.05, dt=1e-3,
+                                  path_ids=[0])[0]
+        assert glued.glue_events == [(0.7, 0.0)]
+        for col in ("u_l2", "v_halpha", "h"):
+            assert np.array_equal(glued.series[col], plain.series[col]), col
+        assert np.array_equal(glued.series["phi"][1:], plain.series["phi"][1:])
 
     def test_nonpositive_levels_rejected(self):
         with pytest.raises(ValidationError, match="kappa_schedule entries must be finite and > 0"):

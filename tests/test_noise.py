@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
@@ -136,6 +138,52 @@ class TestNoiseAddress:
                 one = source.increment_block(6 + k, 1, 0.002, process)
                 assert np.array_equal(block[:, k], one[:, 0])
 
+    @pytest.mark.parametrize("dt, count, needle", [
+        (math.nan, 1, "dt must be > 0, got nan"),
+        (0.0, 1, "dt must be > 0, got 0.0"),
+        (0.01, -1, "count must be >= 1, got -1"),
+        (0.01, 0, "count must be >= 1, got 0"),
+    ])
+    def test_bad_block_rejected(self, dt, count, needle):
+        source = WienerSource(CFG, SP, [0, 1])
+        with pytest.raises(ValidationError, match=needle):
+            source.increment_block(0, count, dt, 1)
+
+
+class TestBlockedDraws:
+    """The time loop draws the noise of several steps per call; these are
+    the properties that make that bit-equal to one-step draws."""
+
+    PATHS = np.array([1, 5, 8, 13])
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(step0=st.integers(0, 2**40),
+           cuts=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           process=st.sampled_from([1, 2]), segment=st.integers(0, 5))
+    def test_any_split_equals_one_block(self, step0, cuts, process, segment):
+        source = WienerSource(CFG, SP, self.PATHS, segment=segment)
+        whole = source.increment_block(step0, sum(cuts), 0.01, process)
+        parts, step = [], step0
+        for count in cuts:
+            parts.append(source.increment_block(step, count, 0.01, process))
+            step += count
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(step0=st.integers(0, 10**6), block=st.integers(2, 64), data=st.data(),
+           process=st.sampled_from([1, 2]))
+    def test_redraw_after_segment_change_mid_block(self, step0, block, data, process):
+        source = WienerSource(CFG, SP, self.PATHS, segment=np.zeros(4, dtype=np.int64))
+        ahead = source.increment_block(step0, block, 0.01, process)
+        k = data.draw(st.integers(1, block - 1), label="glue step in the block")
+        glued = np.array(data.draw(st.lists(st.booleans(), min_size=4, max_size=4),
+                                   label="rows that glue"))
+        source.segment = source.segment + glued
+        rest = source.increment_block(step0 + k, block - k, 0.01, process)
+        fresh = WienerSource(CFG, SP, self.PATHS, segment=source.segment.copy())
+        assert np.array_equal(rest, fresh.increment_block(step0 + k, block - k, 0.01, process))
+        assert np.array_equal(rest[~glued], ahead[~glued, k:])  # the other rows keep theirs
+
 
 def integrator(gamma1=1.0, sigma1=0.1, interpretation="ito"):
     noise = NoiseConfig(gamma1=gamma1, gamma2=0.75, seed=123, interpretation=interpretation)
@@ -146,8 +194,10 @@ class TestMultiplicationOperator:
     """g_gamma(u)[h] as MildIntegrator.g_dw, on the scheme's product grid."""
 
     def g(self, u, h, gamma):
+        # process 1 is row 0 of the stacked (species, path) arrays
         integ = integrator(gamma1=gamma)
-        return integ.g_dw(integ.synth(u.coeffs), h, 1)
+        vals = integ.synth(np.stack([u.coeffs, u.coeffs])[:, None])
+        return integ.g_dw(vals, np.stack([h, h])[:, None])[0, 0]
 
     def test_single_mode_on_constant(self):
         h = np.zeros(15)
@@ -178,9 +228,10 @@ class TestMultiplicationOperator:
         for sigma in (0.0, 0.5, 1.0):
             integ = MildIntegrator(ModelParams(sigma1=sigma, sigma2=0.0), SP, CFG)
             state = integ.initial_state(u.coeffs, u.coeffs, 1e9)
-            new[sigma] = integ.step_raw(state, dw1[None], dw2[None], 0.01).u[0]
+            dw = np.stack([dw1, dw2])[:, None]
+            new[sigma] = integ.step_raw(state, dw, 0.01).u[0]
             if sigma == 0.0:
-                quiet = integ.step_raw(state, 0 * dw1[None], 0 * dw2[None], 0.01).u[0]
+                quiet = integ.step_raw(state, 0 * dw, 0.01).u[0]
                 assert np.array_equal(new[0.0], quiet)
         half, one = new[0.5] - new[0.0], new[1.0] - new[0.0]
         assert np.max(np.abs(one)) > 1e-3
@@ -192,8 +243,9 @@ class TestStratonovichCorrection:
 
     def correction(self, u, gamma, sigma, interpretation="stratonovich"):
         integ = integrator(gamma1=gamma, sigma1=sigma, interpretation=interpretation)
-        drift = integ.to_ito(np.zeros(integ.grid_m), integ.synth(u.coeffs), 1)
-        return integ.analyze(drift)
+        vals = integ.synth(np.stack([u.coeffs, u.coeffs])[:, None])
+        drift = integ.to_ito(np.zeros(vals.shape), vals)
+        return integ.analyze(drift[0, 0])  # process 1
 
     def test_ito_mode_is_zero(self):
         out = self.correction(constant_field(1.0, SP), 1.0, 0.5, interpretation="ito")
@@ -283,5 +335,5 @@ class TestTraceClassDiagnostics:
         vals = squared_eigenfunction_sum(SP, 1.0, None, 32)
         basis = get_basis(SP)
         total = basis.quadrature(vals, 32)
-        idx, w = coloring_weights(SP, 1.0)
+        idx, w = coloring_weights(SP, 1.0, None)
         assert total == pytest.approx(float(np.sum(w**2)), rel=1e-12)

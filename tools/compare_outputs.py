@@ -15,7 +15,12 @@ directory.  The set covers:
 - ``simulate`` and ``estimate`` at d=2 periodic, aleph=1.5 (``estimate``
   is the one run that records the d=2 gradient column);
 - ``check-params --sweep gamma1``;
-- ``simulate`` and ``glue`` with ``field_dumps=true``.
+- ``simulate`` and ``glue`` with ``field_dumps=true``;
+- the single-path loops at the ``pathwise-d1`` benchmark config
+  (``fixed-point`` with one path, ``glue`` with two; seed 3,
+  ``kappa_schedule=[1.2,1.4,1.6]``, T=0.35), which draw their noise in
+  the longest blocks;
+- ``simulate`` at d=2, N=32, M=64 with 16 paths.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -46,6 +51,10 @@ D2_PERIODIC = ["--override", "space.d=2", "--override", "space.boundary=periodic
                "--override", "space.grid_points_per_axis=16",
                "--override", "model.aleph=1.5", "--override", "T=0.1"]
 DUMPS = ["--override", "field_dumps=true", "--paths", "4"]
+PATHWISE = ["--seed", "3", "--override", "kappa_schedule=[1.2,1.4,1.6]",
+            "--override", "T=0.35"]
+D2_N32 = ["--override", "space.d=2", "--override", "space.modes_per_axis=32",
+          "--override", "space.grid_points_per_axis=64", "--override", "T=0.1"]
 
 RUNS = [
     (f"{cmd}-seed{seed}", [cmd, "--seed", str(seed)] + PATHS)
@@ -60,6 +69,9 @@ RUNS = [
     ("sweep-gamma1", ["check-params", "--sweep", "gamma1", "0.3", "1.5", "5"]),
     ("simulate-dumps", ["simulate"] + DUMPS),
     ("glue-dumps", ["glue"] + DUMPS + FALLBACK),
+    ("fixed-point-pathwise", ["fixed-point", "--paths", "1"] + PATHWISE),
+    ("glue-pathwise", ["glue", "--paths", "2"] + PATHWISE),
+    ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
 ]
 
 

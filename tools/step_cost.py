@@ -11,19 +11,29 @@ data u0 = v0 = 1, on one space and batch size:
 - ``d1-N32-P100``: d=1 Neumann, N=32, M=64, 100 paths;
 - ``d2-N8-P16`` and ``d2-N32-P16``: d=2 Neumann, N=8 (M=16) and N=32
   (M=64), 16 paths;
+- ``d1-N32-P1``: d=1 Neumann, N=32, M=64, one path (a Picard or glue
+  loop);
 - ``d1-N4-P1``: d=1 Neumann, N=4, M=8, one path (the per-call floor).
 
 Per case it times:
 
 - ``total``: ``simulate_ensemble`` over ``STEPS`` steps, per path-step;
-- ``increment_block``: the two one-step draws of a step
-  (``WienerSource.increment_block`` for processes 1 and 2);
-- ``counter_normals``: the same two draws through ``counter_normals``;
+- ``increment_block``: the draws of one step for processes 1 and 2
+  (``WienerSource.increment_block``), made as the time loop makes them:
+  one call per process for ``B`` steps, divided by ``B``, where ``B`` is
+  ``integrate.draw_steps`` of the batch (1 on a tree that draws one step
+  per call);
+- ``counter_normals``: the two one-step draws through ``counter_normals``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
   grid values given as the time loop gives them; ``record_norms`` fills
-  every norm column;
+  every norm column.  On a tree whose state stacks both species
+  (``state.uv``), ``step_raw`` is the time loop's call: it takes one
+  ``(2, P, K_noise)`` increment and the reaction built from the loop's
+  ``phi``, which is timed inside it, while ``phi_of`` runs once per step
+  in the loop; on an older tree it takes ``dw1, dw2`` and evaluates
+  ``phi`` itself;
 - ``record_norms_files``: one ``record_norms`` call that fills only the
   columns ``simulate`` and ``glue`` write (on a tree whose
   ``record_norms`` fills every column, all of them, as that tree's
@@ -53,6 +63,7 @@ CASES = {
     "d1-N32-P100": (1, 32, 64, 100),
     "d2-N8-P16": (2, 8, 16, 16),
     "d2-N32-P16": (2, 32, 64, 16),
+    "d1-N32-P1": (1, 32, 64, 1),
     "d1-N4-P1": (1, 4, 8, 1),
 }
 
@@ -75,6 +86,7 @@ def _loop_time(fn) -> float:
 def time_case(d: int, n: int, m: int, paths: int) -> dict:
     import numpy as np
 
+    from grayscott import integrate
     from grayscott.cli import NORM_FILE_COLUMNS
     from grayscott.integrate import NORM_COLUMNS, MildIntegrator, ModelParams, simulate_ensemble
     from grayscott.noise import NoiseConfig, WienerSource, counter_normals
@@ -97,35 +109,60 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     source = WienerSource(noise, space, ids)
     state = integ.initial_state(np.broadcast_to(u0.coeffs, (paths, u0.coeffs.size)),
                                 np.broadcast_to(v0.coeffs, (paths, v0.coeffs.size)), 1e6)
+    stacked = hasattr(state, "uv")  # both species in one array, one increment argument
+
+    def draws(step, count):
+        return [source.increment_block(step, count, dt, j) for j in (1, 2)]
+
     for k in range(STEPS):  # a state away from the constant initial data
-        state = integ.step_raw(state, source.increment_block(k, 1, dt, 1)[:, 0],
-                               source.increment_block(k, 1, dt, 2)[:, 0], dt)
-    uv = (integ.synth(state.u), integ.synth(state.v))
-    dw1 = source.increment_block(STEPS, 1, dt, 1)[:, 0]
-    dw2 = source.increment_block(STEPS, 1, dt, 2)[:, 0]
+        dw1, dw2 = (w[:, 0] for w in draws(k, 1))
+        state = (integ.step_raw(state, np.stack([dw1, dw2]), dt) if stacked
+                 else integ.step_raw(state, dw1, dw2, dt))
+    phi = integ.phi_of(state)
     series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
     files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
+    dw1, dw2 = (w[:, 0] for w in draws(STEPS, 1))
+    if stacked:
+        uv, dw = integ.synth(state.uv), np.stack([dw1, dw2])
+        block = integrate.draw_steps(paths, source.k_noise)
+
+        def record(out):
+            integ.record_norms(state, out, 0, uv, phi)
+
+        def step_raw():
+            integ.step_raw(state, dw, dt, react=integ.reaction(uv, phi), uv_vals=uv)
+    else:
+        uv, block = (integ.synth(state.u), integ.synth(state.v)), 1
+
+        def record(out):
+            integ.record_norms(state, out, 0, uv_vals=uv)
+
+        def step_raw():
+            integ.step_raw(state, dw1, dw2, dt, uv_vals=uv)
+
     try:
-        integ.record_norms(state, files, 0, uv_vals=uv)
+        record(files)
     except KeyError:  # this tree's record_norms fills every column
         files = series
     steps = np.arange(STEPS, STEPS + 1)
     layers = {
-        "increment_block": lambda: (source.increment_block(STEPS, 1, dt, 1),
-                                    source.increment_block(STEPS, 1, dt, 2)),
+        "increment_block": lambda: draws(STEPS, block),
         "counter_normals": lambda: (
             counter_normals(noise.seed, ids, 1, 0, steps, source.k_noise),
             counter_normals(noise.seed, ids, 2, 0, steps, source.k_noise)),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
         "phi_of": lambda: integ.phi_of(state),
-        "step_raw": lambda: integ.step_raw(state, dw1, dw2, dt, uv_vals=uv),
-        "record_norms": lambda: integ.record_norms(state, series, 0, uv_vals=uv),
-        "record_norms_files": lambda: integ.record_norms(state, files, 0, uv_vals=uv),
+        "step_raw": step_raw,
+        "record_norms": lambda: record(series),
+        "record_norms_files": lambda: record(files),
     }
     for name, fn in layers.items():
         per_path[name] = _loop_time(fn)
-    return {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
+    per_path["increment_block"] /= block
+    result = {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
+    result["draw_steps"] = block
+    return result
 
 
 def environment() -> dict:
