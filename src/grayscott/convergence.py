@@ -52,9 +52,8 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, np.arange(n_paths))
-    u_start = np.broadcast_to(u0.coeffs, (n_paths, u0.coeffs.size))
-    v_start = np.broadcast_to(v0.coeffs, (n_paths, v0.coeffs.size))
-    states = [integ.initial_state(u_start, v_start, _NO_CUTOFF) for _ in steps]
+    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, _NO_CUTOFF))
+              for _ in steps]
 
     for b in range(n_fine // block):
         fine = np.stack([source.increment_block(b * block, block, dt_ref, j) for j in (1, 2)])

@@ -20,18 +20,23 @@ from .integrate import (
     MildIntegrator,
     ModelParams,
     path_norm_series,
+    run_batch,
     smooth_cutoff,
     step_count,
 )
-from .noise import NoiseConfig, WienerSource
+from .noise import NoiseConfig
 from .spectral import SpaceConfig, SpectralField, get_basis
+
+# steps of eta whose grid values kset_functionals holds at once
+KSET_CHUNK_STEPS = 16
 
 
 @dataclass
 class ControlPair:
     """Time-indexed control fields on the integrator grid, for P paths.
 
-    eta and xi have shape (P, n_steps + 1, K) of eigenbasis coefficients.
+    eta and xi have shape (P, n_steps + 1, K) of eigenbasis coefficients;
+    times is the grid 0, dt, ..., n_steps * dt with n_steps >= 1.
     """
 
     eta: np.ndarray
@@ -42,11 +47,20 @@ class ControlPair:
     def __post_init__(self):
         n = self.times.size
         k = self.space.total_modes
+        v = []
         if self.eta.shape[1:] != (n, k) or self.xi.shape != self.eta.shape:
-            raise ValidationError(
-                [f"control arrays must have shape (P, {n}, {k}), got "
-                 f"{self.eta.shape} and {self.xi.shape}"]
-            )
+            v.append(f"control arrays must have shape (P, {n}, {k}), got "
+                     f"{self.eta.shape} and {self.xi.shape}")
+        steps = np.diff(self.times)
+        if n < 2:
+            v.append(f"control times need at least 2 points, got {n}")
+        elif self.times[0] != 0:
+            v.append(f"control times must start at 0, got {self.times[0]}")
+        elif not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0)):
+            v.append("control times must be evenly spaced by some dt > 0, got spacings "
+                     f"from {steps.min()} to {steps.max()}")
+        if v:
+            raise ValidationError(v)
 
 
 @dataclass
@@ -78,11 +92,12 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
             v0: SpectralField, kappa: float, path_ids) -> ControlPair:
     """Solve the linear decoupled system forced by the frozen control.
 
-    Row i of the control is driven by the frozen noise of path_ids[i],
-    drawn in one block for the whole run.  The reaction
-    phi * eta * max(xi, 0)^q is exogenous (the integrator's v_power, as in
-    the direct step), the cutoff phi is evaluated on xi's running path
-    norm, and only the noise factor depends on the evolving state.
+    Row i of the control is driven by the frozen noise of path_ids[i].
+    The reaction phi * eta * max(xi, 0)^q is exogenous (the integrator's
+    v_power, as in the direct step), with the cutoff phi evaluated once on
+    xi's running path norm; the shared time loop asks for it one drawn
+    noise block at a time, so no whole-run grid array is built.  Only the
+    noise factor depends on the evolving state.
     """
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     if path_ids.size != control.eta.shape[0]:
@@ -91,20 +106,16 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     n_steps = control.times.size - 1
     p = integ.params
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
-    forcing = integ.synth(control.eta) * integ.v_power(integ.synth(control.xi))
-    react = phi.reshape(phi.shape + (1,) * integ.space.d) * forcing
+    phi = phi.reshape(phi.shape + (1,) * integ.space.d)
 
-    source = WienerSource(integ.noise, integ.space, path_ids)
-    dw = np.stack([source.increment_block(0, n_steps, dt, j) for j in (1, 2)])
-    shape = (path_ids.size, u0.coeffs.size)
-    state = integ.initial_state(
-        np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
-    )
-    out = np.empty((2, shape[0], n_steps + 1, shape[1]))
-    out[:, :, 0] = state.uv
-    for n in range(n_steps):
-        state = integ.step_raw(state, dw[:, :, n], dt, react=react[:, n])
-        out[:, :, n + 1] = state.uv
+    def forcing(start: int, count: int) -> np.ndarray:
+        rows = slice(start, start + count)
+        return phi[:, rows] * (integ.synth(control.eta[:, rows])
+                               * integ.v_power(integ.synth(control.xi[:, rows])))
+
+    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
+    run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
     return ControlPair(out[0], out[1], control.times.copy(), integ.space)
 
 
@@ -166,7 +177,8 @@ def kset_functionals(control: ControlPair, rho: float, aleph: float,
                      p_star: float, lam: float) -> np.ndarray:
     """The three path functionals bounded on the invariant set, one row
     per path: activator energy-norm squared, weighted sup of the p* mass,
-    inhibitor path-norm squared.
+    inhibitor path-norm squared.  The p* mass is taken KSET_CHUNK_STEPS
+    steps at a time, so no whole-run grid array is built.
     """
     space = control.space
     basis = get_basis(space)
@@ -174,8 +186,10 @@ def kset_functionals(control: ControlPair, rho: float, aleph: float,
     m1 = path_norm_series(space, control.eta, 0.0, aleph, dt)[:, -1] ** 2
 
     m_grid = basis.dealias_points(1.0)
-    vals = basis.synthesize(control.eta, m_grid)
-    lp_pow = basis.quadrature(np.abs(vals) ** p_star, m_grid)
+    lp_pow = np.concatenate([
+        basis.quadrature(np.abs(basis.synthesize(control.eta[:, n:n + KSET_CHUNK_STEPS],
+                                                 m_grid)) ** p_star, m_grid)
+        for n in range(0, control.times.size, KSET_CHUNK_STEPS)], axis=-1)
     m2 = np.max(np.exp(-lam * control.times) * lp_pow, axis=-1)
 
     m3 = path_norm_series(space, control.xi, rho, aleph, dt)[:, -1] ** 2

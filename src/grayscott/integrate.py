@@ -3,16 +3,22 @@ system in mild form, with path-norm cutoff bookkeeping, stopping-time
 detection and glueing of local solutions.
 
 The scheme treats the stiff linear parts exactly (per-mode semigroup
-factors) and the reaction/noise parts explicitly.  Every driver
-(ensembles, glueing, Picard iteration, convergence studies) steps with
-the same map.  Internals are vectorized over a batch of independent
+factors) and the reaction/noise parts explicitly.  Every driver steps
+with the same map.  Ensembles, glueing and the fixed-point operator also
+share one time loop, ``run_batch``; the fixed-point operator passes its
+frozen reaction as a forcing and records nothing.  The convergence study
+keeps its own lockstep loop: all its step sizes advance on block sums of
+one shared fine draw, which a loop pass per step size would redraw once
+per level.  Internals are vectorized over a batch of independent
 paths, and both species live in one (2, P, K) array, so a step of a
 small batch makes one transform call per operand instead of one per
 species (``STACK_BUDGET``).  The time loop draws the noise of several
 steps in one call (``DRAW_BUDGET``); each draw is a pure function of its
 address, so the increments are the one-step draws bit for bit.  The
-transforms are not batched over steps: at one path a d=1 step is a GEMV
-and a block of steps a GEMM, and the two round differently.
+state's transforms are not batched over steps: at one path a d=1 step is
+a GEMV and a block of steps a GEMM, and the two round differently.  A
+forcing is asked for once per drawn block, so the fixed-point reaction's
+d=1 rounding follows the block shape.
 """
 
 from __future__ import annotations
@@ -119,12 +125,8 @@ def smooth_cutoff(x):
     with np.errstate(divide="ignore", over="ignore"):
         f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         g = np.where(1 - t > 0, np.exp(-1.0 / np.maximum(1 - t, 1e-300)), 0.0)
-    out = f / (f + g)
-    out = np.where(ax <= 1.0, 1.0, out)
-    out = np.where(ax >= 2.0, 0.0, out)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = f / (f + g)  # g = 0 on |x| <= 1 and f = 0 on |x| >= 2, so both plateaus are exact
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _norm_terms(v: np.ndarray, w: np.ndarray, w_diss: np.ndarray):
@@ -329,13 +331,16 @@ class MildIntegrator:
                            state.step + 1, state.t + dt)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
-        """Batch state at t=0 with cutoff level kappa (scalar or per path)."""
-        uv = np.stack([np.atleast_2d(np.asarray(f, dtype=float)) for f in (u0, v0)])
-        n = uv.shape[1]
+        """Batch state at t=0 with one path per cutoff level in kappa (a
+        scalar is one path); u0 and v0 are one coefficient vector for every
+        path or one row per path."""
+        kappa = np.atleast_1d(np.asarray(kappa, dtype=float)).copy()
+        n = kappa.size
+        uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n, np.shape(f)[-1]))
+                       for f in (u0, v0)])
         sup, diss = self.norm_terms(uv[1])
         return _BatchState(
-            uv, sup, np.zeros(n), diss,
-            kappa=np.broadcast_to(np.asarray(kappa, dtype=float), (n,)).copy(),
+            uv, sup, np.zeros(n), diss, kappa=kappa,
             level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
             fallback=np.zeros(n, dtype=bool), step=0, t=0.0,
         )
@@ -409,24 +414,6 @@ def step_count(T: float, dt: float) -> int:
     return int(n)
 
 
-def _detect_stop(times: np.ndarray, h_series: np.ndarray, kappa: float):
-    crossed = np.nonzero(h_series >= kappa)[0]
-    if crossed.size == 0:
-        return math.inf, None
-    i = int(crossed[0])
-    return float(times[i]), i
-
-
-def _recorded_columns(columns) -> tuple[str, ...]:
-    """The requested norm columns plus h and phi, in NORM_COLUMNS order."""
-    unknown = [c for c in columns if c not in NORM_COLUMNS]
-    if unknown:
-        raise ValidationError(
-            [f"unknown norm column(s) {unknown}; the columns are {list(NORM_COLUMNS)}"])
-    wanted = set(columns) | {"h", "phi"}  # the stopping time reads h, glueing writes phi
-    return tuple(c for c in NORM_COLUMNS if c in wanted)
-
-
 def schedule_violations(schedule) -> list[str]:
     """What is wrong with a glueing schedule: it must be non-empty and
     strictly increasing, with every level finite and > 0."""
@@ -439,68 +426,77 @@ def schedule_violations(schedule) -> list[str]:
     return v
 
 
-def _check_initial(u0: SpectralField, v0: SpectralField, space: SpaceConfig):
-    basis = get_basis(space)
-    for name, f in (("u0", u0), ("v0", v0)):
-        if np.min(basis.synthesize(f.coeffs)) < -1e-12:
-            warnings.warn(f"initial datum {name} is negative somewhere on the grid")
-
-
-def _run_batch(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
-               u0: SpectralField, v0: SpectralField, kappa: float,
-               T: float, dt: float, path_ids, store_trajectory: bool = False,
-               glue=None, columns=NORM_COLUMNS) -> list[PathRecord]:
-    """The time loop: record the norm columns, let ``glue`` restart the
-    paths that reached their level, keep snapshots, then step every path."""
-    n_steps = step_count(T, dt)
-    if not kappa > 0:  # also rejects NaN
-        raise ValidationError([f"cutoff level kappa must be > 0, got {kappa}"])
-    columns = _recorded_columns(columns)
-    _check_initial(u0, v0, space)
-    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-    shape = (path_ids.size, u0.coeffs.size)
-    integ = MildIntegrator(params, space, noise)
-    source = WienerSource(noise, space, path_ids)
-    state = integ.initial_state(
-        np.broadcast_to(u0.coeffs, shape), np.broadcast_to(v0.coeffs, shape), kappa
-    )
-    series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
-    times = np.arange(n_steps + 1) * dt
-    snaps: dict[int, np.ndarray] = {}
-    traj = np.empty((2, shape[0], n_steps + 1, shape[1])) if store_trajectory else None
-    block = draw_steps(shape[0], source.k_noise)
+def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
+              dt: float, traj, series=None, glue=None, forcing=None) -> _BatchState:
+    """The time loop: record the norm columns ``series`` holds, let
+    ``glue`` restart the paths that reached their level, store the state in
+    ``traj`` (2, P, n_steps+1, K), then step every path; returns the final
+    state.  ``forcing(start, count)``, called once per drawn noise block,
+    gives the reaction's grid values (P, count) + grid for those steps in
+    place of the cutoff reaction; then no cutoff or norm is evaluated."""
+    source = WienerSource(integ.noise, integ.space, path_ids)
+    block = draw_steps(state.uv.shape[1], source.k_noise)
     dw, start = None, 0  # the drawn block of increments and its first step
 
     for n in range(n_steps + 1):
         vals = integ.synth(state.uv)
-        phi = integ.phi_of(state)
-        integ.record_norms(state, series, n, vals, phi)
-        if glue is not None:
-            glued = glue(integ, state, series, n, float(times[n]))
-            if glued is not state:  # restarted paths draw from a new segment
-                state, phi, dw = glued, integ.phi_of(glued), None
-                source.segment = state.segment
-        if n in (0, n_steps):
-            snaps[n] = state.uv.copy()
+        if forcing is None:
+            phi = integ.phi_of(state)
+            integ.record_norms(state, series, n, vals, phi)
+            if glue is not None:
+                glued = glue(integ, state, series, n, n * dt)
+                if glued is not state:  # restarted paths draw from a new segment
+                    state, phi, dw = glued, integ.phi_of(glued), None
+                    source.segment = state.segment
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
-            break
+            return state
         if dw is None or n - start == dw.shape[2]:
             start, count = n, min(block, n_steps - n)
             dw = np.stack([source.increment_block(n, count, dt, j) for j in (1, 2)])
-        state = integ.step_raw(state, dw[:, :, n - start], dt,
-                               react=integ.reaction(vals, phi), uv_vals=vals)
+            if forcing is not None:
+                react = forcing(start, count)
+        state = integ.step_raw(
+            state, dw[:, :, n - start], dt, uv_vals=vals,
+            react=integ.reaction(vals, phi) if forcing is None else react[:, n - start])
 
+
+def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
+              u0: SpectralField, v0: SpectralField, kappa: float,
+              T: float, dt: float, path_ids, store_trajectory: bool,
+              columns, glue) -> list[PathRecord]:
+    """Check the run, step it through the time loop and build one record
+    per path: the norm columns asked for plus h (the stopping time reads
+    it) and phi (glueing writes it), stopping time, snapshots at 0 and T."""
+    n_steps = step_count(T, dt)
+    if not kappa > 0:  # also rejects NaN
+        raise ValidationError([f"cutoff level kappa must be > 0, got {kappa}"])
+    if unknown := [c for c in columns if c not in NORM_COLUMNS]:
+        raise ValidationError([f"unknown norm column(s) {unknown}; the columns are "
+                               f"{list(NORM_COLUMNS)}"])
+    columns = [c for c in NORM_COLUMNS if c in set(columns) | {"h", "phi"}]
+    for name, f in (("u0", u0), ("v0", v0)):
+        if np.min(get_basis(space).synthesize(f.coeffs)) < -1e-12:
+            warnings.warn(f"initial datum {name} is negative somewhere on the grid")
+    integ = MildIntegrator(params, space, noise)
+    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
+    traj = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size)) if store_trajectory else None
+    final = run_batch(integ, state, path_ids, n_steps, dt, traj, series, glue)
+
+    times = np.arange(n_steps + 1) * dt
     records = []
     for i, pid in enumerate(path_ids):
         per = {c: series[c][i].copy() for c in columns}
-        stop_time, stop_step = _detect_stop(times, per["h"], kappa)
+        crossed = np.flatnonzero(per["h"] >= kappa)
         records.append(PathRecord(
             path_id=int(pid), times=times.copy(), series=per,
-            stop_time=stop_time, stop_step=stop_step,
-            snapshots=[(float(times[n]), snaps[n][0][i].copy(), snaps[n][1][i].copy())
-                       for n in sorted(snaps)],
+            stop_time=float(times[crossed[0]]) if crossed.size else math.inf,
+            stop_step=int(crossed[0]) if crossed.size else None,
+            snapshots=[(0.0, u0.coeffs.copy(), v0.coeffs.copy()),
+                       (float(times[-1]), final.u[i].copy(), final.v[i].copy())],
             params=params, space=space,
             trajectory=(traj[0, i].copy(), traj[1, i].copy()) if traj is not None else None,
         ))
@@ -522,8 +518,8 @@ def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfi
     """
     if check_gate:
         _warn_if_inadmissible(params, noise, space)
-    return _run_batch(params, space, noise, u0, v0, kappa, T, dt, path_ids,
-                      store_trajectory, columns=columns)
+    return _simulate(params, space, noise, u0, v0, kappa, T, dt, path_ids,
+                     store_trajectory, columns, None)
 
 
 def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -572,8 +568,8 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
             segment=state.segment + crossed, fallback=state.fallback | last,
         )
 
-    records = _run_batch(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
-                         store_trajectory=store_trajectory, glue=glue, columns=columns)
+    records = _simulate(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
+                        store_trajectory, columns, glue)
     for rec, path_events in zip(records, events):
         rec.glue_events = path_events
     return records

@@ -75,17 +75,6 @@ def _keyed_normals(keys: np.ndarray, step_words: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
-                    steps: np.ndarray, n_modes: int) -> np.ndarray:
-    """Standard normals of shape (len(path_ids), len(steps), n_modes).
-
-    segment is one glue segment for all paths or one per path.
-    Deterministic in every index; distinct tuples give independent draws.
-    """
-    keys = _stream_keys(seed, path_ids, process, segment, n_modes)
-    return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Coloring exponents and sampling parameters of the two Wiener drives."""

@@ -3,13 +3,14 @@
 Each oracle deliberately avoids the code path it checks: the planar ODE
 branch goes through an adaptive Runge-Kutta solver, and the linear
 second moment through an exact covariance-matrix recursion of the
-discrete update.
+discrete update.  counter_normals addresses the noise generator with
+array step words, where WienerSource mixes them from Python ints.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from grayscott.noise import coloring_weights
+from grayscott.noise import _MULT_STEP, _keyed_normals, _role_arr, _stream_keys, coloring_weights
 from grayscott.spectral import get_basis
 
 
@@ -85,3 +86,12 @@ def linear_second_moment(space, params, gamma, k_noise, u0_coeffs, dt, n_steps):
         sigma_mat = d_factor[:, None] * sigma_mat * d_factor[None, :]
         traces.append(float(np.trace(sigma_mat)))
     return np.asarray(traces)
+
+
+def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
+                    steps: np.ndarray, n_modes: int) -> np.ndarray:
+    """Standard normals of shape (len(path_ids), len(steps), n_modes) at
+    their noise addresses; segment is one glue segment for all paths or
+    one per path."""
+    keys = _stream_keys(seed, path_ids, process, segment, n_modes)
+    return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from grayscott.fixedpoint import (
     constant_control,
     control_m_norm,
     kset_check,
+    kset_functionals,
     picard_solve,
 )
 from grayscott.integrate import MildIntegrator, ModelParams, simulate_ensemble
@@ -59,6 +61,26 @@ class TestApplyV:
         b = apply_V(control, integ, u0, v0, kappa=500.0, path_ids=[4])
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
+
+
+class TestControlTimes:
+    @pytest.mark.parametrize("times, needle", [
+        ([0.0], "at least 2 points, got 1"),
+        ([0.1, 0.2, 0.3], "must start at 0, got 0.1"),
+        ([0.0, 1e-3, 3e-3], "evenly spaced by some dt > 0"),
+        ([0.0, -1e-3, -2e-3], "evenly spaced by some dt > 0"),
+        ([0.0, 0.0, 0.0], "evenly spaced by some dt > 0"),
+    ])
+    def test_grid_apply_V_cannot_step_rejected(self, times, needle):
+        shape = (1, len(times), SP.total_modes)
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            ControlPair(np.zeros(shape), np.zeros(shape), np.array(times), SP)
+
+    def test_arange_grid_accepted(self):
+        # arange(n + 1) * dt is uneven in its last bits
+        control = constant_control(bump(), bump(), T=2.0, dt=1e-3, n_paths=1)
+        assert np.ptp(np.diff(control.times)) > 0
+        ControlPair(control.eta, control.xi, control.times, SP)
 
 
 class TestPicard:
@@ -230,3 +252,41 @@ class TestKSet:
         out = kset_check(res["fixed_point"], constants, params.rho,
                          params.aleph, params.p_star)
         assert out["in_set"].tolist() == [True]
+
+
+class TestMemory:
+    """Peak traced memory of the fixed-point operations above their entry,
+    in units of one control array (P, n_steps + 1, K): neither builds a
+    whole-run array of grid values, which at this config would hold four
+    control arrays (a 16 x 16 grid for 8 x 8 modes)."""
+
+    SP2 = SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
+
+    def control(self):
+        return constant_control(bump(self.SP2), bump(self.SP2), T=1.0, dt=1e-3, n_paths=4)
+
+    def peak_arrays(self, fn, control) -> float:
+        fn()  # warm the caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - entry) / control.eta.nbytes
+
+    def test_apply_V_peak(self):
+        params = ModelParams(c1=0.2, c2=0.2)
+        integ = MildIntegrator(params, self.SP2, NZ)
+        control = self.control()
+        u0 = v0 = bump(self.SP2)
+        # the result itself is two control arrays
+        assert self.peak_arrays(lambda: apply_V(control, integ, u0, v0, 1e9, range(4)),
+                                control) <= 3
+
+    def test_kset_functionals_peak(self):
+        control = self.control()
+        assert self.peak_arrays(lambda: kset_functionals(control, 0.25, 2.0, 4.5, 0.0),
+                                control) <= 3

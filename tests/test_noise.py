@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import counter_normals
 
 from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
@@ -12,7 +13,6 @@ from grayscott.noise import (
     WienerSource,
     aggregate_increments,
     coloring_weights,
-    counter_normals,
     hilbert_schmidt_sum,
     hs_tail_sum,
     squared_eigenfunction_sum,
@@ -183,6 +183,19 @@ class TestBlockedDraws:
         fresh = WienerSource(CFG, SP, self.PATHS, segment=source.segment.copy())
         assert np.array_equal(rest, fresh.increment_block(step0 + k, block - k, 0.01, process))
         assert np.array_equal(rest[~glued], ahead[~glued, k:])  # the other rows keep theirs
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data(), step0=st.integers(0, 2**40), count=st.integers(1, 9),
+           process=st.sampled_from([1, 2]))
+    def test_sub_batch_and_permutation_keep_rows(self, data, step0, count, process):
+        # Picard drops converged paths from its batch: the rows that remain,
+        # in any order, must draw what they drew in the full batch
+        whole = WienerSource(CFG, SP, self.PATHS).increment_block(step0, count, 0.01, process)
+        rows = data.draw(st.permutations(range(self.PATHS.size)), label="row order")
+        rows = rows[:data.draw(st.integers(1, self.PATHS.size), label="rows kept")]
+        sub = WienerSource(CFG, SP, self.PATHS[rows]).increment_block(step0, count, 0.01,
+                                                                      process)
+        assert np.array_equal(sub, whole[rows])
 
 
 def integrator(gamma1=1.0, sigma1=0.1, interpretation="ito"):

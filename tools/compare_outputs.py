@@ -20,7 +20,9 @@ directory.  The set covers:
   (``fixed-point`` with one path, ``glue`` with two; seed 3,
   ``kappa_schedule=[1.2,1.4,1.6]``, T=0.35), which draw their noise in
   the longest blocks;
-- ``simulate`` at d=2, N=32, M=64 with 16 paths.
+- ``simulate`` at d=2, N=32, M=64 with 16 paths;
+- ``fixed-point`` at d=2 periodic, N=8, M=16 with 4 paths, T=0.1 and
+  c1=c2=0.2, the one run that steps the fixed-point operator in d=2.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -53,6 +55,11 @@ D2_PERIODIC = ["--override", "space.d=2", "--override", "space.boundary=periodic
 DUMPS = ["--override", "field_dumps=true", "--paths", "4"]
 PATHWISE = ["--seed", "3", "--override", "kappa_schedule=[1.2,1.4,1.6]",
             "--override", "T=0.35"]
+D2_FIXED_POINT = ["--paths", "4", "--override", "space.d=2",
+                  "--override", "space.boundary=periodic",
+                  "--override", "space.modes_per_axis=8",
+                  "--override", "space.grid_points_per_axis=16", "--override", "T=0.1",
+                  "--override", "model.c1=0.2", "--override", "model.c2=0.2"]
 D2_N32 = ["--override", "space.d=2", "--override", "space.modes_per_axis=32",
           "--override", "space.grid_points_per_axis=64", "--override", "T=0.1"]
 
@@ -72,6 +79,7 @@ RUNS = [
     ("fixed-point-pathwise", ["fixed-point", "--paths", "1"] + PATHWISE),
     ("glue-pathwise", ["glue", "--paths", "2"] + PATHWISE),
     ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
+    ("fixed-point-d2", ["fixed-point"] + D2_FIXED_POINT),
 ]
 
 

@@ -23,7 +23,6 @@ Per case it times:
   one call per process for ``B`` steps, divided by ``B``, where ``B`` is
   ``integrate.draw_steps`` of the batch (1 on a tree that draws one step
   per call);
-- ``counter_normals``: the two one-step draws through ``counter_normals``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
@@ -89,7 +88,7 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     from grayscott import integrate
     from grayscott.cli import NORM_FILE_COLUMNS
     from grayscott.integrate import NORM_COLUMNS, MildIntegrator, ModelParams, simulate_ensemble
-    from grayscott.noise import NoiseConfig, WienerSource, counter_normals
+    from grayscott.noise import NoiseConfig, WienerSource
     from grayscott.spectral import SpaceConfig, constant_field
 
     params, noise = ModelParams(), NoiseConfig(seed=0)
@@ -108,7 +107,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
     state = integ.initial_state(np.broadcast_to(u0.coeffs, (paths, u0.coeffs.size)),
-                                np.broadcast_to(v0.coeffs, (paths, v0.coeffs.size)), 1e6)
+                                np.broadcast_to(v0.coeffs, (paths, v0.coeffs.size)),
+                                np.full(paths, 1e6))
     stacked = hasattr(state, "uv")  # both species in one array, one increment argument
 
     def draws(step, count):
@@ -144,12 +144,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         record(files)
     except KeyError:  # this tree's record_norms fills every column
         files = series
-    steps = np.arange(STEPS, STEPS + 1)
     layers = {
         "increment_block": lambda: draws(STEPS, block),
-        "counter_normals": lambda: (
-            counter_normals(noise.seed, ids, 1, 0, steps, source.k_noise),
-            counter_normals(noise.seed, ids, 2, 0, steps, source.k_noise)),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
         "phi_of": lambda: integ.phi_of(state),
