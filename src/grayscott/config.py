@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +121,8 @@ def _number_violations(cls, data: dict) -> dict[str, str]:
             bad[f.name] = f"{f.name} must be an integer, got {value!r}"
         elif f.type == "float" and type(value) not in (int, float):
             bad[f.name] = f"{f.name} must be a number, got {value!r}"
-        elif f.type == "float" and type(value) is float and not math.isfinite(value):
+        elif f.type == "float" and not abs(value) <= sys.float_info.max:
+            # NaN, an infinity, or an integer past the float range
             bad[f.name] = f"{f.name} must be finite, got {value!r}"
         elif f.type == "bool" and type(value) is not bool:
             bad[f.name] = f"{f.name} must be true or false, got {value!r}"
@@ -171,7 +173,11 @@ def config_from_dict(doc: dict) -> RunConfig:
                         and all(type(x) in (int, float) for x in value)):
                     violations.append(f"kappa_schedule must be a list of numbers, got {value!r}")
                     continue
-                value = tuple(float(x) for x in value)
+                try:
+                    value = tuple(float(x) for x in value)
+                except OverflowError:  # an integer past the float range
+                    violations.append(f"kappa_schedule entries must be finite, got {value!r}")
+                    continue
             kwargs[name] = value
     # validate run-level constraints even when a section failed, so the
     # error lists every violation at once
@@ -204,16 +210,7 @@ def parse_config(text: str) -> RunConfig:
     return config_from_dict(parse_document(text))
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    out: dict = {}
-    for name, _cls in _SECTIONS.items():
-        out[name] = dataclasses.asdict(getattr(cfg, name))
-    for name in _RUN_KEYS:
-        value = getattr(cfg, name)
-        if name == "kappa_schedule":
-            value = list(value)
-        out[name] = value
-    return out
+config_to_dict = dataclasses.asdict  # the normalized dump; JSON writes the tuple as a list
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:

@@ -56,7 +56,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
               for _ in steps]
 
     for b in range(n_fine // block):
-        fine = np.stack([source.increment_block(b * block, block, dt_ref, j) for j in (1, 2)])
+        fine = source.increment_block(b * block, block, dt_ref, 0)
         for i, (stride, dt) in enumerate(zip(strides, steps)):
             dw = aggregate_increments(fine, stride)
             for n in range(block // stride):

@@ -156,8 +156,10 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         eta, xi = current.eta[active], current.xi[active]
         new = apply_V(ControlPair(eta, xi, current.times, space), integ, u0, v0,
                       kappa, path_ids[active])
-        res = control_m_norm(new.eta - eta, new.xi - xi, new.times, space,
-                             params.rho, params.aleph)
+        # the active rows' copies become the update (negated: the norm squares it)
+        eta -= new.eta
+        xi -= new.xi
+        res = control_m_norm(eta, xi, new.times, space, params.rho, params.aleph)
         current.eta[active] = new.eta
         current.xi[active] = new.xi
         for i, r in zip(active, res):

@@ -12,8 +12,9 @@ one shared fine draw, which a loop pass per step size would redraw once
 per level.  Internals are vectorized over a batch of independent
 paths, and both species live in one (2, P, K) array, so a step of a
 small batch makes one transform call per operand instead of one per
-species (``STACK_BUDGET``).  The time loop draws the noise of several
-steps in one call (``DRAW_BUDGET``); each draw is a pure function of its
+species (``STACK_BUDGET``).  The time loop draws the noise of both
+processes for several steps in one call (``DRAW_BUDGET``), in each
+path's current glue segment; each draw is a pure function of its
 address, so the increments are the one-step draws bit for bit.  The
 state's transforms are not batched over steps: at one path a d=1 step is
 a GEMV and a block of steps a GEMM, and the two round differently.  A
@@ -406,8 +407,9 @@ class PathRecord:
 
 def step_count(T: float, dt: float) -> int:
     """Number of dt steps from 0 to T; T must be a whole multiple of dt."""
-    if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0):
-        raise ValidationError([f"T and dt must be finite and > 0, got T={T}, dt={dt}"])
+    if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0
+            and math.isfinite(T / dt)):
+        raise ValidationError([f"T, dt and T/dt must be finite and > 0, got T={T}, dt={dt}"])
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ValidationError([f"T={T} is not a whole multiple of dt={dt}"])
@@ -447,14 +449,13 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
                 glued = glue(integ, state, series, n, n * dt)
                 if glued is not state:  # restarted paths draw from a new segment
                     state, phi, dw = glued, integ.phi_of(glued), None
-                    source.segment = state.segment
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
             return state
         if dw is None or n - start == dw.shape[2]:
             start, count = n, min(block, n_steps - n)
-            dw = np.stack([source.increment_block(n, count, dt, j) for j in (1, 2)])
+            dw = source.increment_block(n, count, dt, state.segment)
             if forcing is not None:
                 react = forcing(start, count)
         state = integ.step_raw(

@@ -3,7 +3,8 @@
 Increments are produced by a stateless counter-based generator: every
 scalar draw is a pure function of (seed, path, process, segment, step,
 mode), so parallel paths, glue segments and dt refinements never need
-stream coordination.
+stream coordination.  One SplitMix64 finalizer mixes every word of the
+address, and a source draws both Wiener processes in one call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from scipy.special import ndtri
 from .errors import ValidationError
 from .spectral import SpaceConfig, SpectralField, fractional_weights, get_basis
 
-_MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # distinct odd multipliers keep the path/step/mode roles asymmetric
 _MULT_PATH = 0xA24BAED4963EE407
@@ -24,14 +24,6 @@ _MULT_STEP = 0x9FB21C651E98DF25
 _MULT_MODE = 0xC2B2AE3D27D4EB4F
 _MULT_PROC = 0x165667B19E3779F9
 _MULT_SEG = 0xD6E8FEB86659FD93
-
-
-def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on a Python int."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -54,17 +46,17 @@ def _role_arr(words: np.ndarray, mult: int) -> np.ndarray:
     return _mix_arr((w + np.uint64(_GOLDEN)) * np.uint64(mult))
 
 
-def _stream_keys(seed: int, path_ids: np.ndarray, process: int, segment,
-                 n_modes: int) -> np.ndarray:
-    """(len(path_ids), n_modes) uint64 keys: every word of a draw's address
-    but the step, which only the counter carries."""
-    base = _mix_int(seed)
-    base = _mix_int(base ^ _mix_int(((process + 1) * _MULT_PROC) & _MASK))
+def _stream_keys(seed: int, path_ids: np.ndarray, segment, n_modes: int) -> np.ndarray:
+    """(2, len(path_ids), n_modes) uint64 keys, process 1 first: every word
+    of a draw's address but the step, which only the counter carries."""
+    # one-element arrays, not numpy scalars: scalar products warn when they wrap
+    base = _mix_arr(np.array([seed], dtype=np.uint64))
+    base = _mix_arr(base ^ _mix_arr(np.array([2, 3], dtype=np.uint64) * np.uint64(_MULT_PROC)))
     # the segment word mixed into the base, per path when segment is an array
     seg = np.atleast_1d(np.asarray(segment, dtype=np.uint64))
-    rseg = _mix_arr(np.uint64(base) ^ _mix_arr((seg + np.uint64(1)) * np.uint64(_MULT_SEG)))
+    rseg = _mix_arr(base[:, None] ^ _mix_arr((seg + np.uint64(1)) * np.uint64(_MULT_SEG)))
     rp = rseg ^ _role_arr(np.asarray(path_ids), _MULT_PATH)
-    return rp[:, None] ^ _role_arr(np.arange(n_modes), _MULT_MODE)
+    return rp[..., None] ^ _role_arr(np.arange(n_modes), _MULT_MODE)
 
 
 def _keyed_normals(keys: np.ndarray, step_words: np.ndarray) -> np.ndarray:
@@ -129,44 +121,48 @@ def coloring_weights(space: SpaceConfig, gamma: float,
 
 
 class WienerSource:
-    """Per-path increment stream bound to (config, space, segment).
+    """Per-path increment stream of both Wiener processes bound to
+    (config, space).
 
-    Vectorized over a fixed tuple of path ids; segment is one glue
-    segment for all paths or one per path.  Every draw is addressed by
-    its step index, so two sources with overlapping keys replay
-    bit-equal increments.  Keys are mixed once per process and segment;
-    a draw mixes in only its step word.
+    Vectorized over a fixed tuple of path ids; each draw names its glue
+    segment, one for all paths or one per path.  Every draw is addressed
+    by its step index, so two sources with overlapping keys replay
+    bit-equal increments.  Keys are mixed once per segment; a draw mixes
+    in only its step words.
     """
 
-    def __init__(self, config: NoiseConfig, space: SpaceConfig,
-                 path_ids, segment=0):
+    def __init__(self, config: NoiseConfig, space: SpaceConfig, path_ids):
         self.config = config
-        self.space = space
-        self.segment = segment
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
         self.k_noise = noise_mode_indices(space, config.mode_cutoff).size
-        self._keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # process -> (segment, keys)
+        self._keys: tuple[np.ndarray, np.ndarray] | None = None  # (segment, keys)
 
-    def increment_block(self, step0: int, count: int, dt: float,
-                        process: int) -> np.ndarray:
-        """(n_paths, count, K_noise) increments of variance dt for
-        consecutive steps."""
+    def increment_block(self, step0: int, count: int, dt: float, segment) -> np.ndarray:
+        """(2, n_paths, count, K_noise) increments of variance dt for
+        consecutive steps, process 1 first, drawn in glue segment
+        ``segment`` (one for all paths or one per path)."""
+        seg = np.array(segment, dtype=np.int64)  # a copy, detached from the caller's
         v = []
         if not dt > 0:  # also rejects NaN
             v.append(f"dt must be > 0, got {dt}")
         if count < 1:
             v.append(f"count must be >= 1, got {count}")
+        if step0 < 0:
+            v.append(f"step0 must be >= 0, got {step0}")
+        if seg.ndim > 1 or seg.ndim == 1 and seg.size != self.path_ids.size:
+            v.append(f"segment must be one value or one per path ({self.path_ids.size}), "
+                     f"got shape {seg.shape}")
+        elif (seg < 0).any():
+            v.append(f"segment must be >= 0, got {segment}")
         if v:
             raise ValidationError(v)
-        seg = np.array(self.segment, dtype=np.uint64)  # a copy, detached from self.segment
-        got = self._keys.get(process)
-        if got is None or not (got[0] == seg).all():  # first draw, or segment has changed
-            got = self._keys[process] = (
-                seg, _stream_keys(self.config.seed, self.path_ids, process, seg, self.k_noise))
-        # _role_arr(steps, _MULT_STEP) on Python ints: a one-step draw makes no ufunc call here
-        words = [_mix_int(((n + _GOLDEN) * _MULT_STEP) & _MASK) for n in range(step0, step0 + count)]
-        z = _keyed_normals(got[1], np.array(words, dtype=np.uint64))
-        return np.sqrt(dt) * z
+        if self._keys is None or not np.array_equal(self._keys[0], seg):
+            self._keys = (seg, _stream_keys(self.config.seed, self.path_ids, seg, self.k_noise))
+        words = _role_arr(np.arange(step0, step0 + count), _MULT_STEP)
+        out = np.empty((2, self.path_ids.size, count, self.k_noise))
+        for j in (0, 1):  # one process per pass: one (2, P, count, K) pass is slower
+            np.multiply(np.sqrt(dt), _keyed_normals(self._keys[1][j], words), out=out[j])
+        return out
 
 
 def aggregate_increments(fine: np.ndarray, factor: int) -> np.ndarray:

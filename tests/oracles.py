@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: the planar ODE
 branch goes through an adaptive Runge-Kutta solver, and the linear
 second moment through an exact covariance-matrix recursion of the
-discrete update.  counter_normals addresses the noise generator with
-array step words, where WienerSource mixes them from Python ints.
+discrete update.  counter_normals addresses one process of the noise
+generator at arbitrary steps, where WienerSource draws both processes
+at consecutive steps.
 """
 
 import numpy as np
@@ -93,5 +94,5 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
     """Standard normals of shape (len(path_ids), len(steps), n_modes) at
     their noise addresses; segment is one glue segment for all paths or
     one per path."""
-    keys = _stream_keys(seed, path_ids, process, segment, n_modes)
+    keys = _stream_keys(seed, path_ids, segment, n_modes)[process - 1]
     return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))

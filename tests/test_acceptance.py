@@ -96,7 +96,7 @@ def test_03_ito_isometry():
     source = WienerSource(noise, sp, np.arange(n_paths))
 
     # integral of g(u) dW over [0, t] for frozen u: g(u)[W_t] by linearity
-    w_t = source.increment_block(0, n_steps, t / n_steps, process=1).sum(axis=1)
+    w_t = source.increment_block(0, n_steps, t / n_steps, 0)[0].sum(axis=1)
     idx = np.arange(1, sp.total_modes)
     lam = basis.eigenvalues[idx]
     z = np.zeros((n_paths, sp.total_modes))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from grayscott.cli import main, read_field_dump
 from grayscott.config import (
@@ -14,7 +16,7 @@ from grayscott.config import (
     config_to_dict,
     parse_config,
 )
-from grayscott.errors import ParseError, ValidationError
+from grayscott.errors import GrayScottError, ParseError, ValidationError
 
 FAST_DOC = {
     "space": {"d": 1, "modes_per_axis": 8, "grid_points_per_axis": 16},
@@ -105,6 +107,9 @@ class TestConfigParsing:
         ("model.q=NaN", "q must be finite"),
         ("noise.seed=-1", "seed must be >= 0"),
         ("noise.seed=18446744073709551616", "seed must be < 2**64"),
+        ("T=1e308", "T/dt must be finite"),
+        pytest.param("kappa=" + "9" * 400, "kappa must be finite",
+                     id="kappa=400 nines-kappa must be finite"),
         ('field_dumps="false"', "field_dumps must be true or false"),
         ("field_dumps=1", "field_dumps must be true or false"),
         ("model.power_mode=abs", "unknown keys in model: power_mode"),
@@ -153,6 +158,74 @@ class TestConfigParsing:
              "u0": {"kind": "bump", "mode": 50}}))
         with pytest.raises(ValidationError, match="out of range"):
             cfg.u0.build(cfg.space)
+
+
+DEFAULT_DUMP = config_to_dict(RunConfig())
+# (section or None, key) of every leaf of the normalized dump
+LEAVES = [(name, key) for name, value in DEFAULT_DUMP.items() if isinstance(value, dict)
+          for key in value] + [(None, name) for name, value in DEFAULT_DUMP.items()
+                               if not isinstance(value, dict)]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# integers past the float range too: JSON has no bound on them
+INTEGERS = st.integers() | st.integers(-2**1100, 2**1100)
+NUMBERS = FINITE | INTEGERS
+JSON_LEAF = st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=6)
+JSON_VALUE = st.recursive(
+    JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+def leaf_values(default):
+    """Values of the JSON type of a default leaf, past its valid range too."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2, 2**65)
+    if isinstance(default, float):
+        return NUMBERS
+    if isinstance(default, str):
+        return st.sampled_from(["neumann", "periodic", "ito", "stratonovich", "constant",
+                                "bump"]) | st.text(max_size=4)
+    if isinstance(default, (list, tuple)):
+        return st.lists(NUMBERS, max_size=4)
+    return st.none() | st.integers(-1, 2**20)  # mode_cutoff
+
+
+def any_document():
+    """JSON documents: the known sections and keys with any JSON values,
+    mixed with unknown keys and with non-object documents."""
+    optional = {
+        name: (st.dictionaries(st.sampled_from(sorted(value)) | st.text(max_size=4),
+                               JSON_VALUE, max_size=4) | JSON_VALUE)
+        if isinstance(value, dict) else JSON_VALUE
+        for name, value in DEFAULT_DUMP.items()
+    }
+    known = st.fixed_dictionaries({}, optional=optional)
+    extra = st.dictionaries(st.text(max_size=6), JSON_VALUE, max_size=2)
+    return st.builds(lambda a, b: {**b, **a}, known, extra) | JSON_VALUE
+
+
+class TestConfigProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data(), leaves=st.lists(st.sampled_from(LEAVES), max_size=3, unique=True))
+    def test_valid_config_round_trips(self, data, leaves):
+        doc = json.loads(json.dumps(DEFAULT_DUMP))
+        for section, key in leaves:
+            target = doc if section is None else doc[section]
+            target[key] = data.draw(leaf_values(target[key]), label=f"{section}.{key}")
+        try:
+            cfg = config_from_dict(doc)
+        except ValidationError:
+            reject()
+        assert parse_config(json.dumps(config_to_dict(cfg))) == cfg
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(doc=any_document())
+    def test_any_document_parses_or_is_rejected(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except GrayScottError:
+            pass
 
 
 class TestCliRuns:

@@ -286,6 +286,17 @@ class TestMemory:
         assert self.peak_arrays(lambda: apply_V(control, integ, u0, v0, 1e9, range(4)),
                                 control) <= 3
 
+    def test_picard_solve_peak(self):
+        # the iterate, the active rows' copies and the new iterate are six
+        # control arrays; the update reuses the copies
+        u0 = v0 = bump(self.SP2)
+
+        def solve():
+            picard_solve(ModelParams(c1=0.2, c2=0.2), self.SP2, NZ, u0, v0, 1e9, range(4),
+                         T=1.0, dt=1e-3)
+
+        assert self.peak_arrays(solve, self.control()) <= 9.5
+
     def test_kset_functionals_peak(self):
         control = self.control()
         assert self.peak_arrays(lambda: kset_functionals(control, 0.25, 2.0, 4.5, 0.0),

@@ -24,9 +24,8 @@ CFG = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=123)
 
 
 def step_increments(config, step, dt, path_id, segment=0):
-    source = WienerSource(config, SP, [path_id], segment)
-    return (source.increment_block(step, 1, dt, 1)[0, 0],
-            source.increment_block(step, 1, dt, 2)[0, 0])
+    source = WienerSource(config, SP, [path_id])
+    return tuple(source.increment_block(step, 1, dt, segment)[:, 0, 0])
 
 
 class TestSampling:
@@ -49,7 +48,7 @@ class TestSampling:
     def test_sample_mean_clt_band(self):
         dt = 0.01
         source = WienerSource(CFG, SP, np.arange(2000))
-        block = source.increment_block(0, 50, dt, process=1)  # 1e5 draws per mode
+        block = source.increment_block(0, 50, dt, 0)[0]  # 1e5 draws per mode
         mean = block.reshape(-1, block.shape[-1]).mean(axis=0)
         band = 3.0 * math.sqrt(dt / 1e5)
         assert np.all(np.abs(mean) < band)
@@ -59,14 +58,13 @@ class TestSampling:
     def test_process_independence(self):
         dt = 0.01
         source = WienerSource(CFG, SP, np.arange(2000))
-        b1 = source.increment_block(0, 50, dt, process=1).reshape(-1, 15)
-        b2 = source.increment_block(0, 50, dt, process=2).reshape(-1, 15)
+        b1, b2 = source.increment_block(0, 50, dt, 0).reshape(2, -1, 15)
         cov = (b1 * b2).mean(axis=0)
         assert np.all(np.abs(cov) < 3.0 * dt / math.sqrt(1e5))
 
     def test_refinement_tree_aggregation(self):
         source = WienerSource(CFG, SP, [0, 1, 2])
-        fine = source.increment_block(0, 16, 0.001, process=1)
+        fine = source.increment_block(0, 16, 0.001, 0)[0]
         coarse = aggregate_increments(fine, 4)
         assert coarse.shape == (3, 4, 15)
         assert np.array_equal(coarse[:, 0], fine[:, :4].sum(axis=1))
@@ -99,27 +97,27 @@ class TestNoiseAddress:
         # a uniform segment array is the scalar segment
         assert np.array_equal(counter_normals(9, paths, 1, np.full(4, 2), steps, 15),
                               counter_normals(9, paths, 1, 2, steps, 15))
-        source = WienerSource(CFG, SP, paths, segment=segments)
-        block = source.increment_block(3, 2, 0.01, process=2)
+        source = WienerSource(CFG, SP, paths)
+        block = source.increment_block(3, 2, 0.01, segments)[1]
         for i, pid in enumerate(paths):
-            solo = WienerSource(CFG, SP, [pid], segment=int(segments[i]))
-            assert np.array_equal(block[i], solo.increment_block(3, 2, 0.01, process=2)[0])
+            solo = WienerSource(CFG, SP, [pid])
+            assert np.array_equal(block[i],
+                                  solo.increment_block(3, 2, 0.01, int(segments[i]))[1, 0])
 
     def test_source_rekeys_when_segment_changes(self):
         paths = np.array([1, 5, 8, 13])
         source = WienerSource(CFG, SP, paths)
-        for process in (1, 2):
-            source.increment_block(0, 2, 0.01, process)
-        source.segment = np.array([0, 1, 0, 2])  # a glue restart of paths 5 and 13
+        source.increment_block(0, 2, 0.01, 0)
+        segment = np.array([0, 1, 0, 2])  # a glue restart of paths 5 and 13
         for step0 in (2, 5):
+            block = source.increment_block(step0, 3, 0.01, segment)
             for process in (1, 2):
-                block = source.increment_block(step0, 3, 0.01, process)
-                fresh = counter_normals(CFG.seed, paths, process, source.segment,
+                fresh = counter_normals(CFG.seed, paths, process, segment,
                                         np.arange(step0, step0 + 3), 15)
-                assert np.array_equal(block, np.sqrt(0.01) * fresh)
-                new = WienerSource(CFG, SP, paths, segment=source.segment.copy())
-                assert np.array_equal(block, new.increment_block(step0, 3, 0.01, process))
-            source.segment[0] = 4  # an in-place change is a new segment too
+                assert np.array_equal(block[process - 1], np.sqrt(0.01) * fresh)
+            new = WienerSource(CFG, SP, paths)
+            assert np.array_equal(block, new.increment_block(step0, 3, 0.01, segment.copy()))
+            segment[0] = 4  # an in-place change is a new segment too
 
     def test_cutoff_beyond_usable_modes_rejected(self):
         # the source and the integrator size the noise from the same rule
@@ -131,23 +129,30 @@ class TestNoiseAddress:
                 build()
 
     def test_block_slices_equal_single_steps(self):
-        source = WienerSource(CFG, SP, [0, 4, 9], segment=1)
-        for process in (1, 2):
-            block = source.increment_block(6, 10, 0.002, process)
-            for k in range(10):
-                one = source.increment_block(6 + k, 1, 0.002, process)
-                assert np.array_equal(block[:, k], one[:, 0])
+        source = WienerSource(CFG, SP, [0, 4, 9])
+        block = source.increment_block(6, 10, 0.002, 1)
+        for k in range(10):
+            one = source.increment_block(6 + k, 1, 0.002, 1)
+            assert np.array_equal(block[:, :, k], one[:, :, 0])
 
-    @pytest.mark.parametrize("dt, count, needle", [
-        (math.nan, 1, "dt must be > 0, got nan"),
-        (0.0, 1, "dt must be > 0, got 0.0"),
-        (0.01, -1, "count must be >= 1, got -1"),
-        (0.01, 0, "count must be >= 1, got 0"),
-    ])
-    def test_bad_block_rejected(self, dt, count, needle):
+    @pytest.mark.parametrize("step0, dt, count, segment, needle", [
+        (0, math.nan, 1, 0, "dt must be > 0, got nan"),
+        (0, 0.0, 1, 0, "dt must be > 0, got 0.0"),
+        (0, 0.01, -1, 0, "count must be >= 1, got -1"),
+        (0, 0.01, 0, 0, "count must be >= 1, got 0"),
+        (-3, 0.01, 1, 0, "step0 must be >= 0, got -3"),
+        (0, 0.01, 1, -1, "segment must be >= 0, got -1"),
+        (0, 0.01, 1, np.array([0, -1]), r"segment must be >= 0, got \[ 0 -1\]"),
+        (0, 0.01, 1, np.zeros(3, dtype=np.int64),
+         r"segment must be one value or one per path \(2\), got shape \(3,\)"),
+    ], ids=["nan-1-dt must be > 0, got nan", "0.0-1-dt must be > 0, got 0.0",
+            "0.01--1-count must be >= 1, got -1", "0.01-0-count must be >= 1, got 0",
+            "negative step0", "negative segment", "negative segment in array",
+            "segment per path of another batch"])
+    def test_bad_block_rejected(self, step0, dt, count, segment, needle):
         source = WienerSource(CFG, SP, [0, 1])
         with pytest.raises(ValidationError, match=needle):
-            source.increment_block(0, count, dt, 1)
+            source.increment_block(step0, count, dt, segment)
 
 
 class TestBlockedDraws:
@@ -159,43 +164,42 @@ class TestBlockedDraws:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(step0=st.integers(0, 2**40),
            cuts=st.lists(st.integers(1, 9), min_size=1, max_size=6),
-           process=st.sampled_from([1, 2]), segment=st.integers(0, 5))
-    def test_any_split_equals_one_block(self, step0, cuts, process, segment):
-        source = WienerSource(CFG, SP, self.PATHS, segment=segment)
-        whole = source.increment_block(step0, sum(cuts), 0.01, process)
+           segment=st.integers(0, 5))
+    def test_any_split_equals_one_block(self, step0, cuts, segment):
+        source = WienerSource(CFG, SP, self.PATHS)
+        whole = source.increment_block(step0, sum(cuts), 0.01, segment)
         parts, step = [], step0
         for count in cuts:
-            parts.append(source.increment_block(step, count, 0.01, process))
+            parts.append(source.increment_block(step, count, 0.01, segment))
             step += count
-        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        assert np.array_equal(np.concatenate(parts, axis=2), whole)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(step0=st.integers(0, 10**6), block=st.integers(2, 64), data=st.data(),
-           process=st.sampled_from([1, 2]))
-    def test_redraw_after_segment_change_mid_block(self, step0, block, data, process):
-        source = WienerSource(CFG, SP, self.PATHS, segment=np.zeros(4, dtype=np.int64))
-        ahead = source.increment_block(step0, block, 0.01, process)
+    @given(step0=st.integers(0, 10**6), block=st.integers(2, 64), data=st.data())
+    def test_redraw_after_segment_change_mid_block(self, step0, block, data):
+        source = WienerSource(CFG, SP, self.PATHS)
+        segment = np.zeros(4, dtype=np.int64)
+        ahead = source.increment_block(step0, block, 0.01, segment)
         k = data.draw(st.integers(1, block - 1), label="glue step in the block")
         glued = np.array(data.draw(st.lists(st.booleans(), min_size=4, max_size=4),
                                    label="rows that glue"))
-        source.segment = source.segment + glued
-        rest = source.increment_block(step0 + k, block - k, 0.01, process)
-        fresh = WienerSource(CFG, SP, self.PATHS, segment=source.segment.copy())
-        assert np.array_equal(rest, fresh.increment_block(step0 + k, block - k, 0.01, process))
-        assert np.array_equal(rest[~glued], ahead[~glued, k:])  # the other rows keep theirs
+        segment = segment + glued
+        rest = source.increment_block(step0 + k, block - k, 0.01, segment)
+        fresh = WienerSource(CFG, SP, self.PATHS)
+        assert np.array_equal(rest, fresh.increment_block(step0 + k, block - k, 0.01, segment))
+        # the other rows keep theirs
+        assert np.array_equal(rest[:, ~glued], ahead[:, ~glued, k:])
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(data=st.data(), step0=st.integers(0, 2**40), count=st.integers(1, 9),
-           process=st.sampled_from([1, 2]))
-    def test_sub_batch_and_permutation_keep_rows(self, data, step0, count, process):
+    @given(data=st.data(), step0=st.integers(0, 2**40), count=st.integers(1, 9))
+    def test_sub_batch_and_permutation_keep_rows(self, data, step0, count):
         # Picard drops converged paths from its batch: the rows that remain,
         # in any order, must draw what they drew in the full batch
-        whole = WienerSource(CFG, SP, self.PATHS).increment_block(step0, count, 0.01, process)
+        whole = WienerSource(CFG, SP, self.PATHS).increment_block(step0, count, 0.01, 0)
         rows = data.draw(st.permutations(range(self.PATHS.size)), label="row order")
         rows = rows[:data.draw(st.integers(1, self.PATHS.size), label="rows kept")]
-        sub = WienerSource(CFG, SP, self.PATHS[rows]).increment_block(step0, count, 0.01,
-                                                                      process)
-        assert np.array_equal(sub, whole[rows])
+        sub = WienerSource(CFG, SP, self.PATHS[rows]).increment_block(step0, count, 0.01, 0)
+        assert np.array_equal(sub, whole[:, rows])
 
 
 def integrator(gamma1=1.0, sigma1=0.1, interpretation="ito"):
@@ -313,7 +317,7 @@ class TestBurkholderSanity:
             source = WienerSource(
                 NoiseConfig(gamma1=1.0, gamma2=0.75, seed=77, mode_cutoff=k_noise),
                 sp, np.arange(n_paths))
-            inc = source.increment_block(0, n_steps, t / n_steps, process=1)
+            inc = source.increment_block(0, n_steps, t / n_steps, 0)[0]
             w_path = np.cumsum(inc, axis=1)
             g = self.g_matrix(sp, u.coeffs, cfg.gamma1, k_noise)
             mart = w_path @ g

@@ -22,7 +22,10 @@ directory.  The set covers:
   the longest blocks;
 - ``simulate`` at d=2, N=32, M=64 with 16 paths;
 - ``fixed-point`` at d=2 periodic, N=8, M=16 with 4 paths, T=0.1 and
-  c1=c2=0.2, the one run that steps the fixed-point operator in d=2.
+  c1=c2=0.2, the one run that steps the fixed-point operator in d=2;
+- ``glue`` at d=2 periodic, N=8, M=16 with 4 paths and
+  ``kappa_schedule=[1.05,1.1]``, the d=2 run that glues inside a drawn
+  noise block, so the time loop redraws it in the paths' new segments.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -55,11 +58,10 @@ D2_PERIODIC = ["--override", "space.d=2", "--override", "space.boundary=periodic
 DUMPS = ["--override", "field_dumps=true", "--paths", "4"]
 PATHWISE = ["--seed", "3", "--override", "kappa_schedule=[1.2,1.4,1.6]",
             "--override", "T=0.35"]
-D2_FIXED_POINT = ["--paths", "4", "--override", "space.d=2",
-                  "--override", "space.boundary=periodic",
-                  "--override", "space.modes_per_axis=8",
-                  "--override", "space.grid_points_per_axis=16", "--override", "T=0.1",
-                  "--override", "model.c1=0.2", "--override", "model.c2=0.2"]
+D2_N8 = ["--paths", "4", "--override", "space.d=2", "--override", "space.boundary=periodic",
+         "--override", "space.modes_per_axis=8", "--override", "space.grid_points_per_axis=16"]
+D2_FIXED_POINT = D2_N8 + ["--override", "T=0.1",
+                          "--override", "model.c1=0.2", "--override", "model.c2=0.2"]
 D2_N32 = ["--override", "space.d=2", "--override", "space.modes_per_axis=32",
           "--override", "space.grid_points_per_axis=64", "--override", "T=0.1"]
 
@@ -80,6 +82,7 @@ RUNS = [
     ("glue-pathwise", ["glue", "--paths", "2"] + PATHWISE),
     ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
     ("fixed-point-d2", ["fixed-point"] + D2_FIXED_POINT),
+    ("glue-d2", ["glue"] + D2_N8 + FALLBACK),
 ]
 
 

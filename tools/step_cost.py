@@ -20,19 +20,17 @@ Per case it times:
 - ``total``: ``simulate_ensemble`` over ``STEPS`` steps, per path-step;
 - ``increment_block``: the draws of one step for processes 1 and 2
   (``WienerSource.increment_block``), made as the time loop makes them:
-  one call per process for ``B`` steps, divided by ``B``, where ``B`` is
-  ``integrate.draw_steps`` of the batch (1 on a tree that draws one step
-  per call);
+  one call for ``B`` steps (one call per process on a tree whose
+  ``increment_block`` takes a process), divided by ``B``, where ``B`` is
+  ``integrate.draw_steps`` of the batch;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
   grid values given as the time loop gives them; ``record_norms`` fills
-  every norm column.  On a tree whose state stacks both species
-  (``state.uv``), ``step_raw`` is the time loop's call: it takes one
+  every norm column.  ``step_raw`` is the time loop's call: it takes one
   ``(2, P, K_noise)`` increment and the reaction built from the loop's
   ``phi``, which is timed inside it, while ``phi_of`` runs once per step
-  in the loop; on an older tree it takes ``dw1, dw2`` and evaluates
-  ``phi`` itself;
+  in the loop;
 - ``record_norms_files``: one ``record_norms`` call that fills only the
   columns ``simulate`` and ``glue`` write (on a tree whose
   ``record_norms`` fills every column, all of them, as that tree's
@@ -47,6 +45,7 @@ one JSON object, with an environment block.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -106,39 +105,29 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
-    state = integ.initial_state(np.broadcast_to(u0.coeffs, (paths, u0.coeffs.size)),
-                                np.broadcast_to(v0.coeffs, (paths, v0.coeffs.size)),
-                                np.full(paths, 1e6))
-    stacked = hasattr(state, "uv")  # both species in one array, one increment argument
+    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(paths, 1e6))
+    per_process = "process" in inspect.signature(source.increment_block).parameters
 
     def draws(step, count):
-        return [source.increment_block(step, count, dt, j) for j in (1, 2)]
+        """(2, P, count, K_noise) increments, or a list of the two processes'."""
+        if per_process:
+            return [source.increment_block(step, count, dt, j) for j in (1, 2)]
+        return source.increment_block(step, count, dt, 0)
 
     for k in range(STEPS):  # a state away from the constant initial data
-        dw1, dw2 = (w[:, 0] for w in draws(k, 1))
-        state = (integ.step_raw(state, np.stack([dw1, dw2]), dt) if stacked
-                 else integ.step_raw(state, dw1, dw2, dt))
+        state = integ.step_raw(state, np.stack([w[:, 0] for w in draws(k, 1)]), dt)
     phi = integ.phi_of(state)
     series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
     files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
-    dw1, dw2 = (w[:, 0] for w in draws(STEPS, 1))
-    if stacked:
-        uv, dw = integ.synth(state.uv), np.stack([dw1, dw2])
-        block = integrate.draw_steps(paths, source.k_noise)
+    dw = np.stack([w[:, 0] for w in draws(STEPS, 1)])
+    uv = integ.synth(state.uv)
+    block = integrate.draw_steps(paths, source.k_noise)
 
-        def record(out):
-            integ.record_norms(state, out, 0, uv, phi)
+    def record(out):
+        integ.record_norms(state, out, 0, uv, phi)
 
-        def step_raw():
-            integ.step_raw(state, dw, dt, react=integ.reaction(uv, phi), uv_vals=uv)
-    else:
-        uv, block = (integ.synth(state.u), integ.synth(state.v)), 1
-
-        def record(out):
-            integ.record_norms(state, out, 0, uv_vals=uv)
-
-        def step_raw():
-            integ.step_raw(state, dw1, dw2, dt, uv_vals=uv)
+    def step_raw():
+        integ.step_raw(state, dw, dt, react=integ.reaction(uv, phi), uv_vals=uv)
 
     try:
         record(files)
