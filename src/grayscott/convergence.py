@@ -3,7 +3,8 @@
 One fine Brownian realization drives every step size: the fine noise is
 drawn in blocks and each coarse level steps on block sums of it, then
 the observed order in dt is fitted.  With the noise off the same loop
-measures the deterministic global error.
+measures the deterministic global error; it then draws no noise at all,
+since the integrator computes no term whose coefficient is zero.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
               for _ in steps]
 
     for b in range(n_fine // block):
-        fine = source.increment_block(b * block, block, dt_ref, 0)
+        fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None
         for i, (stride, dt) in enumerate(zip(strides, steps)):
-            dw = aggregate_increments(fine, stride)
+            dw = None if fine is None else aggregate_increments(fine, stride)
             for n in range(block // stride):
-                states[i] = integ.step_raw(states[i], dw[:, :, n], dt)
+                states[i] = integ.step_raw(states[i], None if dw is None else dw[:, :, n], dt)
 
     ref_state, *level_states = states
     errors = [

@@ -20,6 +20,17 @@ state's transforms are not batched over steps: at one path a d=1 step is
 a GEMV and a block of steps a GEMM, and the two round differently.  A
 forcing is asked for once per drawn block, so the fixed-point reaction's
 d=1 rounding follows the block shape.
+
+A term whose coefficient is exactly zero is not computed.  An integrator
+with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
+its step runs no g_dw.  One with c1 = c2 = 0 is not ``coupled``: no
+driver builds its reaction (nor asks a forcing for it), and its drift is
+the feeds b1, b2.  The bits do not move: c * react is +-0 for any finite
+react, and b -+ (+-0) is b for every feed but -0.0.  Adding the +-0 noise
+term sigma * g to u + dt * drift changes no coefficient but a -0.0, and
+that sum is -0.0 only where both of its terms are.  The one behaviour
+difference: a non-finite reaction at c = 0 no longer makes the drift NaN,
+so only a non-finite state raises NonFinite.
 """
 
 from __future__ import annotations
@@ -204,6 +215,16 @@ class MildIntegrator:
                                                            self.k_noise, self.grid_m)
                 for j, sigma in ((1, params.sigma1), (2, params.sigma2))])[:, None]
 
+    @property
+    def noisy(self) -> bool:
+        """Whether either process is driven: sigma1 or sigma2 is not 0."""
+        return bool(self.params.sigma1 or self.params.sigma2)
+
+    @property
+    def coupled(self) -> bool:
+        """Whether the reaction enters the drift: c1 or c2 is not 0."""
+        return bool(self.params.c1 or self.params.c2)
+
     # -- helpers -----------------------------------------------------------
 
     def _factors(self, dt: float, fallback: bool) -> np.ndarray:
@@ -270,15 +291,21 @@ class MildIntegrator:
 
     # -- stepping ------------------------------------------------------------
 
-    def _drift(self, state: _BatchState, uv_vals: np.ndarray, react: np.ndarray) -> np.ndarray:
+    def _drift(self, state: _BatchState, uv_vals: np.ndarray,
+               react: np.ndarray | None) -> np.ndarray:
         """Coefficients of the Ito drift of both species; fallback paths
-        have no reaction and no feed.  Its grid values are freed on
+        have no reaction and no feed, and an uncoupled integrator has the
+        feeds alone (react is then unused).  Its grid values are freed on
         return, before g_dw allocates its own."""
         p = self.params
         # one species at a time: a scalar op is far cheaper than a broadcast constant
         drift = np.empty(uv_vals.shape)
-        np.subtract(p.b1, p.c1 * react, out=drift[0])
-        np.add(p.b2, p.c2 * react, out=drift[1])
+        if self.coupled:
+            np.subtract(p.b1, p.c1 * react, out=drift[0])
+            np.add(p.b2, p.c2 * react, out=drift[1])
+        else:  # b -+ c * react with c = 0 is b
+            drift[0] = p.b1
+            drift[1] = p.b2
         if state.fallback.any():
             drift[:, state.fallback] = 0.0
         return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
@@ -292,7 +319,7 @@ class MildIntegrator:
             return fn(*stacked)
         return np.stack([fn(*(a[j] for a in stacked)) for j in (0, 1)])
 
-    def step_raw(self, state: _BatchState, dw: np.ndarray, dt: float,
+    def step_raw(self, state: _BatchState, dw: np.ndarray | None, dt: float,
                  react: np.ndarray | None = None,
                  uv_vals: np.ndarray | None = None) -> _BatchState:
         """Advance one step.  dw has shape (2, P, K_noise): process 1, then 2.
@@ -302,10 +329,15 @@ class MildIntegrator:
         reaction, or the reaction the time loop built from its phi);
         uv_vals passes already synthesized grid values (2, P) + grid of
         the state.  Fallback paths have no reaction and no feed.
+
+        A term with a zero coefficient is skipped, bit-equal (see the
+        module docstring): unless ``noisy``, dw is not read (it may be
+        None) and g_dw does not run; unless ``coupled``, react is not read
+        and no reaction is built.
         """
         p = self.params
         vals = self.synth(state.uv) if uv_vals is None else uv_vals
-        if react is None:
+        if react is None and self.coupled:
             react = self.reaction(vals, self.phi_of(state))
         # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
         # array: d=2 analysis returns K-major coefficients, which mixed into one
@@ -313,10 +345,11 @@ class MildIntegrator:
         # memory order, so a K-major state would round them differently
         uv = np.multiply(self._drift(state, vals, react), dt, out=np.empty(state.uv.shape))
         uv += state.uv
-        g = self.g_dw(vals, dw)
-        g[0] *= p.sigma1
-        g[1] *= p.sigma2
-        uv += g
+        if self.noisy:
+            g = self.g_dw(vals, dw)
+            g[0] *= p.sigma1
+            g[1] *= p.sigma2
+            uv += g
         uv *= self._semigroups(dt, state.fallback)
 
         if not np.isfinite(uv).all():
@@ -406,10 +439,13 @@ class PathRecord:
 
 
 def step_count(T: float, dt: float) -> int:
-    """Number of dt steps from 0 to T; T must be a whole multiple of dt."""
+    """Number of dt steps from 0 to T; T must be a whole multiple of dt,
+    and the count below 2**63 (steps are int64, noise step words 64-bit)."""
     if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0
             and math.isfinite(T / dt)):
         raise ValidationError([f"T, dt and T/dt must be finite and > 0, got T={T}, dt={dt}"])
+    if T / dt >= 2.0**63:
+        raise ValidationError([f"T/dt must be < 2**63 steps, got T={T}, dt={dt}"])
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ValidationError([f"T={T} is not a whole multiple of dt={dt}"])
@@ -435,10 +471,13 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     ``traj`` (2, P, n_steps+1, K), then step every path; returns the final
     state.  ``forcing(start, count)``, called once per drawn noise block,
     gives the reaction's grid values (P, count) + grid for those steps in
-    place of the cutoff reaction; then no cutoff or norm is evaluated."""
+    place of the cutoff reaction; then no cutoff or norm is evaluated.
+    Unless the integrator is noisy no noise is drawn, and unless it is
+    coupled no reaction is built and the forcing is not called."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
-    dw, start = None, 0  # the drawn block of increments and its first step
+    start = end = 0  # the current block spans steps [start, end)
+    dw = forced = react = None  # its increments and forcing, this step's reaction
 
     for n in range(n_steps + 1):
         vals = integ.synth(state.uv)
@@ -448,19 +487,21 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
             if glue is not None:
                 glued = glue(integ, state, series, n, n * dt)
                 if glued is not state:  # restarted paths draw from a new segment
-                    state, phi, dw = glued, integ.phi_of(glued), None
+                    state, phi, end = glued, integ.phi_of(glued), n
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
             return state
-        if dw is None or n - start == dw.shape[2]:
-            start, count = n, min(block, n_steps - n)
-            dw = source.increment_block(n, count, dt, state.segment)
-            if forcing is not None:
-                react = forcing(start, count)
-        state = integ.step_raw(
-            state, dw[:, :, n - start], dt, uv_vals=vals,
-            react=integ.reaction(vals, phi) if forcing is None else react[:, n - start])
+        if n == end:
+            start, end = n, min(n + block, n_steps)
+            if integ.noisy:
+                dw = source.increment_block(n, end - n, dt, state.segment)
+            if forcing is not None and integ.coupled:
+                forced = forcing(start, end - start)
+        if integ.coupled:
+            react = integ.reaction(vals, phi) if forcing is None else forced[:, n - start]
+        state = integ.step_raw(state, None if dw is None else dw[:, :, n - start], dt,
+                               react=react, uv_vals=vals)
 
 
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,

@@ -5,12 +5,15 @@ branch goes through an adaptive Runge-Kutta solver, and the linear
 second moment through an exact covariance-matrix recursion of the
 discrete update.  counter_normals addresses one process of the noise
 generator at arbitrary steps, where WienerSource draws both processes
-at consecutive steps.
+at consecutive steps.  full_step is the step map with every term
+computed, whatever its coefficient, where MildIntegrator.step_raw skips
+the terms a zero coefficient silences.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from grayscott.integrate import _BatchState
 from grayscott.noise import _MULT_STEP, _keyed_normals, _role_arr, _stream_keys, coloring_weights
 from grayscott.spectral import get_basis
 
@@ -96,3 +99,30 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
     one per path."""
     keys = _stream_keys(seed, path_ids, segment, n_modes)[process - 1]
     return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))
+
+
+def full_step(integ, state, dw, dt):
+    """One step of MildIntegrator's map with the noise term and the
+    reaction always computed, however their coefficients vanish; the
+    same operations in the same order as step_raw otherwise."""
+    p = integ.params
+    vals = integ.synth(state.uv)
+    react = integ.reaction(vals, integ.phi_of(state))
+    drift = np.empty(vals.shape)
+    np.subtract(p.b1, p.c1 * react, out=drift[0])
+    np.add(p.b2, p.c2 * react, out=drift[1])
+    if state.fallback.any():
+        drift[:, state.fallback] = 0.0
+    drift = integ._per_species(integ.analyze, integ.to_ito(drift, vals))
+    uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
+    uv += state.uv
+    g = integ.g_dw(vals, dw)
+    g[0] *= p.sigma1
+    g[1] *= p.sigma2
+    uv += g
+    uv *= integ._semigroups(dt, state.fallback)
+    rho_norm, diss_sq = integ.norm_terms(uv[1])
+    intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
+    return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
+                       state.kappa, state.level, state.segment, state.fallback,
+                       state.step + 1, state.t + dt)

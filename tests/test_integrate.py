@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import planar_ode
+from oracles import full_step, planar_ode
 
 from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
@@ -556,3 +556,88 @@ class TestStratonovichFlag:
         rec_s2 = simulate_ensemble(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
                                    0.05, 1e-3, path_ids=[0])[0]
         assert np.array_equal(rec_s.series["u_l2"], rec_s2.series["u_l2"])
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("computed a term whose coefficient is zero")
+
+
+NOISELESS = {"sigma1": 0.0, "sigma2": 0.0}
+UNCOUPLED = {"c1": 0.0, "c2": 0.0}
+# a run that glues twice and reaches the linear fallback (checked below)
+GLUE_PARAMS = {"a2": 0.4, "b2": 1.2, "c1": 0.2, "c2": 0.2, "sigma2": 0.15}
+SP_2D = SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
+
+
+class TestZeroCoefficients:
+    """A term whose coefficient is exactly zero is not computed, and the
+    step does not move a bit for it."""
+
+    def study(self, params, n_paths):
+        from grayscott.convergence import strong_order_study
+
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        return strong_order_study(params, sp, NoiseConfig(seed=0), bump(sp, 0.5, 0.1),
+                                  bump(sp, 0.5, 0.1), 0.25, [2.0**-5, 2.0**-6],
+                                  n_paths=n_paths, ref_refinement=4)
+
+    def glued(self, params):
+        recs = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.5], T=1.2,
+                              dt=2e-3, path_ids=[0, 1])
+        assert all(len(r.glue_events) == 2 for r in recs)
+
+    def test_noise_free_drivers_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(WienerSource, "increment_block", _refuse)
+        monkeypatch.setattr(MildIntegrator, "g_dw", _refuse)
+        params = ModelParams(**{**GLUE_PARAMS, **NOISELESS})
+        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
+                                 path_ids=[0, 1], check_gate=False)
+        assert np.array_equal(recs[0].series["h"], recs[1].series["h"])
+        self.glued(params)
+        assert self.study(params, n_paths=1)["errors"][0] > 0
+
+    def test_uncoupled_drivers_build_no_reaction(self, monkeypatch):
+        from grayscott.fixedpoint import apply_V, constant_control
+
+        monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
+        monkeypatch.setattr(MildIntegrator, "v_power", _refuse)  # the forcing's factor
+        params = ModelParams(**{**GLUE_PARAMS, **UNCOUPLED})
+        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
+                                 path_ids=[0, 1], check_gate=False)
+        assert np.all(recs[0].series["phi"] == 1.0)  # still recorded
+        self.glued(params)
+        assert self.study(params, n_paths=4)["errors"][0] > 0
+        control = constant_control(bump(SP), bump(SP), T=0.05, dt=1e-3, n_paths=2)
+        out = apply_V(control, MildIntegrator(params, SP, NZ), bump(SP), bump(SP), 1e9, [0, 1])
+        assert np.isfinite(out.eta).all() and np.isfinite(out.xi).all()
+
+    def test_uncoupled_step_evaluates_no_cutoff(self, monkeypatch):
+        integ = MildIntegrator(ModelParams(**UNCOUPLED), SP, NZ)
+        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, [1.0, 2.0])
+        monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
+        monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
+        dw = WienerSource(NZ, SP, [0, 1]).increment_block(0, 1, 1e-3, 0)[:, :, 0]
+        assert np.isfinite(integ.step_raw(state, dw, 1e-3).uv).all()
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("zeros", [NOISELESS, UNCOUPLED, {**NOISELESS, **UNCOUPLED}],
+                             ids=["noiseless", "uncoupled", "both"])
+    @pytest.mark.parametrize("space", [SP, SP_2D], ids=["d1", "d2"])
+    def test_steps_bit_equal_to_the_full_formula(self, space, zeros, interpretation):
+        noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
+        integ = MildIntegrator(ModelParams(**{**GLUE_PARAMS, **zeros}), space, noise)
+        dt, n_steps = 2e-3, 20
+        dw = WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0)
+        start = integ.initial_state(bump(space).coeffs, bump(space, 1.0, 0.4).coeffs, 1.0)
+        # kappa puts phi on the transition band; the last path is in the fallback
+        kappa = np.full(3, start.h[0] / 1.5)
+        start = integ.initial_state(start.u[0], start.v[0], kappa)
+        start.fallback[2] = True
+        skip = full = start
+        for n in range(n_steps):
+            skip = integ.step_raw(skip, dw[:, :, n] if integ.noisy else None, dt)
+            full = full_step(integ, full, dw[:, :, n], dt)
+            assert np.array_equal(skip.uv, full.uv), n
+            assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
+            assert np.array_equal(skip.h, full.h), n
+        assert 0.0 < integ.phi_of(skip)[0] < 1.0

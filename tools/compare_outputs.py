@@ -25,7 +25,11 @@ directory.  The set covers:
   c1=c2=0.2, the one run that steps the fixed-point operator in d=2;
 - ``glue`` at d=2 periodic, N=8, M=16 with 4 paths and
   ``kappa_schedule=[1.05,1.1]``, the d=2 run that glues inside a drawn
-  noise block, so the time loop redraws it in the paths' new segments.
+  noise block, so the time loop redraws it in the paths' new segments;
+- ``simulate`` at sigma1=sigma2=0 and ``glue`` at c1=c2=0 (fallback
+  schedule), both with ``field_dumps=true`` and 4 paths: the steps that
+  skip the noise term and the reaction, where the field dumps are the
+  only outputs that show the sign of a zero coefficient.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -62,6 +66,8 @@ D2_N8 = ["--paths", "4", "--override", "space.d=2", "--override", "space.boundar
          "--override", "space.modes_per_axis=8", "--override", "space.grid_points_per_axis=16"]
 D2_FIXED_POINT = D2_N8 + ["--override", "T=0.1",
                           "--override", "model.c1=0.2", "--override", "model.c2=0.2"]
+NOISELESS = ["--override", "model.sigma1=0", "--override", "model.sigma2=0"]
+UNCOUPLED = ["--override", "model.c1=0", "--override", "model.c2=0"]
 D2_N32 = ["--override", "space.d=2", "--override", "space.modes_per_axis=32",
           "--override", "space.grid_points_per_axis=64", "--override", "T=0.1"]
 
@@ -83,6 +89,8 @@ RUNS = [
     ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
     ("fixed-point-d2", ["fixed-point"] + D2_FIXED_POINT),
     ("glue-d2", ["glue"] + D2_N8 + FALLBACK),
+    ("simulate-noiseless-dumps", ["simulate"] + DUMPS + NOISELESS),
+    ("glue-uncoupled-dumps", ["glue"] + DUMPS + FALLBACK + UNCOUPLED),
 ]
 
 
