@@ -4,7 +4,7 @@ linear multiplicative noise."""
 
 __version__ = "0.1.0"
 
-from .config import InitialData, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .errors import (
     GrayScottError,
     NoConvergence,
@@ -13,7 +13,6 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    MomentReport,
     estimate_coupling,
     estimate_u_L2,
     estimate_u_pstar,
@@ -40,8 +39,6 @@ from .integrate import (
 )
 from .noise import NoiseConfig, WienerSource, hs_tail_sum
 from .paramgate import (
-    GateCondition,
-    GateReport,
     check_embedding,
     check_noise,
     check_rho_window,

@@ -57,6 +57,7 @@ NORM_FILE_COLUMNS = (
     ("phi", "phi"),
 )
 FILE_SERIES = tuple(col for _, col in NORM_FILE_COLUMNS[1:])  # what simulate and glue record
+MAX_SWEEP_ROWS = 100_000  # rows of one --sweep; N is checked before any row is built
 
 
 def _fmt(x: float) -> str:
@@ -153,9 +154,14 @@ def _sweep_axis(sweep: list[str], names, cfg: RunConfig) -> tuple[str, list]:
             bounds.append(math.nan)
         if not math.isfinite(bounds[-1]):
             violations.append(f"--sweep {label} must be a finite number, got {raw!r}")
-    count = int(n) if n.strip().isdecimal() else 0
+    try:
+        count = int(n) if n.strip().isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        count = MAX_SWEEP_ROWS + 1
     if count < 1:
         violations.append(f"--sweep N must be an integer >= 1, got {n!r}")
+    elif count > MAX_SWEEP_ROWS:
+        violations.append(f"--sweep N must be at most {MAX_SWEEP_ROWS}, got {n!r}")
     if violations:
         raise ValidationError(violations)
     values = list(np.linspace(*bounds, count))

@@ -110,8 +110,8 @@ _RUN_KEYS = {
 
 def _number_violations(cls, data: dict) -> dict[str, str]:
     """Per offending key: integer fields take integers, float fields
-    finite numbers and boolean fields booleans; a JSON boolean is not a
-    number."""
+    finite numbers (an integer only if float() keeps it exact) and boolean
+    fields booleans; a JSON boolean is not a number."""
     bad = {}
     for f in dataclasses.fields(cls):
         value = data.get(f.name)
@@ -124,6 +124,8 @@ def _number_violations(cls, data: dict) -> dict[str, str]:
         elif f.type == "float" and not abs(value) <= sys.float_info.max:
             # NaN, an infinity, or an integer past the float range
             bad[f.name] = f"{f.name} must be finite, got {value!r}"
+        elif f.type == "float" and type(value) is int and float(value) != value:
+            bad[f.name] = f"{f.name} must be exact as a float, got {value!r}"
         elif f.type == "bool" and type(value) is not bool:
             bad[f.name] = f"{f.name} must be true or false, got {value!r}"
     return bad
@@ -174,10 +176,15 @@ def config_from_dict(doc: dict) -> RunConfig:
                     violations.append(f"kappa_schedule must be a list of numbers, got {value!r}")
                     continue
                 try:
-                    value = tuple(float(x) for x in value)
+                    rounded = [x for x in value if type(x) is int and float(x) != x]
                 except OverflowError:  # an integer past the float range
                     violations.append(f"kappa_schedule entries must be finite, got {value!r}")
                     continue
+                if rounded:
+                    violations.append(f"kappa_schedule entries must be exact as floats, "
+                                      f"got {rounded[0]!r}")
+                    continue
+                value = tuple(float(x) for x in value)
             kwargs[name] = value
     # validate run-level constraints even when a section failed, so the
     # error lists every violation at once

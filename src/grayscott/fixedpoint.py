@@ -35,32 +35,32 @@ KSET_CHUNK_STEPS = 16
 class ControlPair:
     """Time-indexed control fields on the integrator grid, for P paths.
 
-    eta and xi have shape (P, n_steps + 1, K) of eigenbasis coefficients;
-    times is the grid 0, dt, ..., n_steps * dt with n_steps >= 1.
+    eta and xi have shape (P, n_steps + 1, K) of eigenbasis coefficients
+    with n_steps >= 1, on the grid t_n = n * dt.
     """
 
     eta: np.ndarray
     xi: np.ndarray
-    times: np.ndarray
+    dt: float
     space: SpaceConfig
 
     def __post_init__(self):
-        n = self.times.size
-        k = self.space.total_modes
+        shape, k = self.eta.shape, self.space.total_modes
         v = []
-        if self.eta.shape[1:] != (n, k) or self.xi.shape != self.eta.shape:
-            v.append(f"control arrays must have shape (P, {n}, {k}), got "
-                     f"{self.eta.shape} and {self.xi.shape}")
-        steps = np.diff(self.times)
-        if n < 2:
-            v.append(f"control times need at least 2 points, got {n}")
-        elif self.times[0] != 0:
-            v.append(f"control times must start at 0, got {self.times[0]}")
-        elif not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0)):
-            v.append("control times must be evenly spaced by some dt > 0, got spacings "
-                     f"from {steps.min()} to {steps.max()}")
+        if len(shape) != 3 or shape[2] != k or self.xi.shape != shape:
+            v.append(f"control arrays must have shape (P, n_steps + 1, {k}), got "
+                     f"{shape} and {self.xi.shape}")
+        elif shape[1] < 2:
+            v.append(f"controls need at least 2 time points, got {shape[1]}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            v.append(f"control dt must be finite and > 0, got {self.dt}")
         if v:
             raise ValidationError(v)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid 0, dt, ..., n_steps * dt."""
+        return np.arange(self.eta.shape[1]) * self.dt
 
 
 @dataclass
@@ -80,12 +80,10 @@ class KSetConstants:
 def constant_control(u0: SpectralField, v0: SpectralField, T: float, dt: float,
                      n_paths: int) -> ControlPair:
     """Constant-in-time extension of the initial data, for n_paths paths."""
-    n_steps = step_count(T, dt)
-    times = np.arange(n_steps + 1) * dt
-    shape = (n_paths, n_steps + 1, u0.coeffs.size)
+    shape = (n_paths, step_count(T, dt) + 1, u0.coeffs.size)
     eta = np.broadcast_to(u0.coeffs, shape).copy()
     xi = np.broadcast_to(v0.coeffs, shape).copy()
-    return ControlPair(eta, xi, times, u0.space)
+    return ControlPair(eta, xi, dt, u0.space)
 
 
 def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
@@ -102,8 +100,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     if path_ids.size != control.eta.shape[0]:
         raise ValidationError([f"{path_ids.size} path ids for {control.eta.shape[0]} paths"])
-    dt = float(control.times[1] - control.times[0])
-    n_steps = control.times.size - 1
+    dt, n_steps = control.dt, control.eta.shape[1] - 1
     p = integ.params
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
     phi = phi.reshape(phi.shape + (1,) * integ.space.d)
@@ -116,7 +113,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
     out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
     run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
-    return ControlPair(out[0], out[1], control.times.copy(), integ.space)
+    return ControlPair(out[0], out[1], dt, integ.space)
 
 
 def control_m_norm(eta: np.ndarray, xi: np.ndarray, times: np.ndarray,
@@ -154,7 +151,7 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     active = np.arange(path_ids.size)
     for _ in range(max_iter):
         eta, xi = current.eta[active], current.xi[active]
-        new = apply_V(ControlPair(eta, xi, current.times, space), integ, u0, v0,
+        new = apply_V(ControlPair(eta, xi, dt, space), integ, u0, v0,
                       kappa, path_ids[active])
         # the active rows' copies become the update (negated: the norm squares it)
         eta -= new.eta
@@ -191,7 +188,7 @@ def kset_functionals(control: ControlPair, rho: float, aleph: float,
     lp_pow = np.concatenate([
         basis.quadrature(np.abs(basis.synthesize(control.eta[:, n:n + KSET_CHUNK_STEPS],
                                                  m_grid)) ** p_star, m_grid)
-        for n in range(0, control.times.size, KSET_CHUNK_STEPS)], axis=-1)
+        for n in range(0, control.eta.shape[1], KSET_CHUNK_STEPS)], axis=-1)
     m2 = np.max(np.exp(-lam * control.times) * lp_pow, axis=-1)
 
     m3 = path_norm_series(space, control.xi, rho, aleph, dt)[:, -1] ** 2

@@ -46,7 +46,7 @@ from .noise import (
     NoiseConfig,
     WienerSource,
     coloring_weights,
-    noise_mode_indices,
+    noise_modes,
     squared_eigenfunction_sum,
 )
 from .spectral import (
@@ -166,8 +166,7 @@ class _BatchState:
     level: np.ndarray  # (P,) index into the glue schedule
     segment: np.ndarray  # (P,) noise segment
     fallback: np.ndarray  # (P,) past the last level: linear continuation
-    step: int
-    t: float
+    step: int  # the state is at time step * dt
 
     @property
     def u(self) -> np.ndarray:
@@ -197,10 +196,9 @@ class MildIntegrator:
         self.noise = noise
         self.basis = get_basis(space)
         self.grid_m = self.basis.dealias_points(max(params.q, 1.0))
-        self.k_noise = noise_mode_indices(space, noise.mode_cutoff).size
-        colorings = [coloring_weights(space, noise.gamma(j), self.k_noise) for j in (1, 2)]
-        self.noise_idx = colorings[0][0]  # both processes drive the same modes
-        self.coloring = np.stack([w for _, w in colorings])[:, None]  # (2, 1, K_noise)
+        self.k_noise = noise_modes(space, noise.mode_cutoff)
+        self.coloring = np.stack([coloring_weights(space, noise.gamma(j), self.k_noise)
+                                  for j in (1, 2)])[:, None]  # (2, 1, K_noise)
         self._exp_cache: dict[tuple[float, bool], np.ndarray] = {}
         self._colored: np.ndarray | None = None  # g_dw's coloring buffer
         self.w_rho = sobolev_weights(space, params.rho)
@@ -266,12 +264,12 @@ class MildIntegrator:
     def g_dw(self, uv_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """g_gamma(u)[dW] of both species: the grid product of the grid
         values (2, P) + grid with the coloring (-Laplace)^(-gamma/2) dW of
-        dW (2, P, K_noise), projected back to the basis."""
+        dW (2, P, K_noise) on modes 1..K_noise, projected back to the basis."""
         shape = dw.shape[:-1] + (self.space.total_modes,)
         colored = self._colored
         if colored is None or colored.shape != shape:  # the non-noise columns stay zero
             colored = self._colored = np.zeros(shape)
-        colored[..., self.noise_idx] = self.coloring * dw
+        np.multiply(self.coloring, dw, out=colored[..., 1:1 + self.k_noise])
         return self._per_species(lambda vals, c: self.analyze(vals * self.synth(c)),
                                  uv_vals, colored)
 
@@ -355,14 +353,14 @@ class MildIntegrator:
         if not np.isfinite(uv).all():
             raise NonFinite(
                 f"non-finite coefficients at step {state.step + 1}",
-                step=state.step + 1, time=state.t + dt,
+                step=state.step + 1, time=(state.step + 1) * dt,
             )
 
         rho_norm, diss_sq = self.norm_terms(uv[1])
         intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
         return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
                            state.kappa, state.level, state.segment, state.fallback,
-                           state.step + 1, state.t + dt)
+                           state.step + 1)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
         """Batch state at t=0 with one path per cutoff level in kappa (a
@@ -376,7 +374,7 @@ class MildIntegrator:
         return _BatchState(
             uv, sup, np.zeros(n), diss, kappa=kappa,
             level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
-            fallback=np.zeros(n, dtype=bool), step=0, t=0.0,
+            fallback=np.zeros(n, dtype=bool), step=0,
         )
 
     # -- per-step norm recording ----------------------------------------------

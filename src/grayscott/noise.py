@@ -100,24 +100,19 @@ class NoiseConfig:
         return self.gamma1 if process == 1 else self.gamma2
 
 
-def noise_mode_indices(space: SpaceConfig, k_noise: int | None = None) -> np.ndarray:
-    """Eigen indices carrying noise: every mode but the constant one, the
-    first k_noise of them when given."""
-    idx = np.arange(1, space.total_modes)
-    if k_noise is not None:
-        if k_noise > idx.size:
-            raise ValidationError(
-                [f"mode_cutoff {k_noise} exceeds the {idx.size} usable noise modes"]
-            )
-        idx = idx[:k_noise]
-    return idx
+def noise_modes(space: SpaceConfig, k_noise: int | None) -> int:
+    """How many modes carry noise: the modes 1..k_noise, every mode but the
+    constant one when k_noise is None."""
+    usable = space.total_modes - 1
+    if k_noise is not None and k_noise > usable:
+        raise ValidationError([f"mode_cutoff {k_noise} exceeds the {usable} usable noise modes"])
+    return usable if k_noise is None else k_noise
 
 
-def coloring_weights(space: SpaceConfig, gamma: float,
-                     k_noise: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(eigen indices, lambda_k**(-gamma/2)) for the retained noise modes."""
-    idx = noise_mode_indices(space, k_noise)
-    return idx, fractional_weights(space, -gamma / 2.0)[idx]
+def coloring_weights(space: SpaceConfig, gamma: float, k_noise: int | None) -> np.ndarray:
+    """lambda_k**(-gamma/2) of the noise modes k = 1..noise_modes(space, k_noise)."""
+    k = noise_modes(space, k_noise)
+    return fractional_weights(space, -gamma / 2.0)[1:1 + k]
 
 
 class WienerSource:
@@ -134,7 +129,7 @@ class WienerSource:
     def __init__(self, config: NoiseConfig, space: SpaceConfig, path_ids):
         self.config = config
         self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-        self.k_noise = noise_mode_indices(space, config.mode_cutoff).size
+        self.k_noise = noise_modes(space, config.mode_cutoff)
         self._keys: tuple[np.ndarray, np.ndarray] | None = None  # (segment, keys)
 
     def increment_block(self, step0: int, count: int, dt: float, segment) -> np.ndarray:
@@ -186,9 +181,8 @@ def aggregate_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 def _colored_modes(space: SpaceConfig, gamma: float, k_noise: int | None,
                    m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_k**(-gamma/2), phi_k on the m-point grid) for the noise modes."""
-    idx, weights = coloring_weights(space, gamma, k_noise)
-    eye = np.zeros((idx.size, space.total_modes))
-    eye[np.arange(idx.size), idx] = 1.0
+    weights = coloring_weights(space, gamma, k_noise)
+    eye = np.eye(weights.size, space.total_modes, 1)  # row j is mode j + 1
     return weights, get_basis(space).synthesize(eye, m)
 
 

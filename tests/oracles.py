@@ -59,13 +59,13 @@ def multiplication_matrices(space, k_noise, gamma):
     """Galerkin matrices Q_k of multiplication by the k-th noise
     eigenfunction, plus the coloring weights."""
     basis = get_basis(space)
-    idx, weights = coloring_weights(space, gamma, k_noise)
+    weights = coloring_weights(space, gamma, k_noise)
     k_total = space.total_modes
     m = basis.dealias_points(1.0)
     eye = np.eye(k_total)
     eye_vals = basis.synthesize(eye, m)
     mats = []
-    for k in idx:
+    for k in range(1, 1 + weights.size):
         prod = basis.analyze(eye_vals[k][None, ...] * eye_vals, m)
         mats.append(prod.T)  # [i, j] = <phi_k phi_j, phi_i>
     return np.asarray(mats), weights
@@ -125,4 +125,4 @@ def full_step(integ, state, dw, dt):
     intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
     return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
                        state.kappa, state.level, state.segment, state.fallback,
-                       state.step + 1, state.t + dt)
+                       state.step + 1)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +179,12 @@ JSON_VALUE = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
 
 
+# dotted keys of the float leaves, the schedule included
+FLOAT_KEYS = [key if section is None else f"{section}.{key}" for section, key in LEAVES
+              if type((DEFAULT_DUMP if section is None else DEFAULT_DUMP[section])[key])
+              is float] + ["kappa_schedule"]
+
+
 def leaf_values(default):
     """Values of the JSON type of a default leaf, past its valid range too."""
     if isinstance(default, bool):
@@ -227,6 +236,20 @@ class TestConfigProperties:
             parse_config(json.dumps(doc))
         except GrayScottError:
             pass
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(key=st.sampled_from(FLOAT_KEYS), x=INTEGERS)
+    def test_integer_override_of_a_float_key_never_rounds(self, key, x):
+        # check-params loads and checks the whole config but steps nothing
+        value = f"[{x}]" if key == "kappa_schedule" else str(x)
+        err = io.StringIO()
+        with (tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(["check-params", "--override", f"{key}={value}", "--out", out])
+        if code == 0:
+            assert float(x) == x
+        else:
+            assert code == 2 and "Traceback" not in err.getvalue()
 
 
 class TestCliRuns:
@@ -326,6 +349,8 @@ class TestCliRuns:
         (["p_star0", "1", "3", "3"], "p_star must be >= 2"),
         (["gamma1", "-1", "1", "3"], "gamma1 must be > 0"),
         (["rho", "0.1", "0.5", "5"], "alpha must be >= rho"),
+        (["q", "1", "2", "100000000000"], "N must be at most 100000"),
+        (["q", "1", "2", "1" * 5000], "N must be at most 100000"),
     ])
     def test_check_params_bad_sweep_exit_two(self, tmp_path, capsys, recwarn, sweep, needle):
         cfg_path = write_config(tmp_path, {})

@@ -117,10 +117,12 @@ class TestStepMild:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection(self):
         params = ModelParams(a1=500.0, sigma1=0.0, sigma2=0.0)
+        dt = 1.0
         with pytest.raises(NonFinite) as err:
-            simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=4.0, dt=1.0,
+            simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=4.0, dt=dt,
                               path_ids=[0], check_gate=False)
         assert err.value.step is not None
+        assert err.value.time == err.value.step * dt
 
     def test_warns_on_negative_initial_data(self):
         params = ModelParams()

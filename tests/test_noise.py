@@ -295,10 +295,9 @@ class TestBurkholderSanity:
     def g_matrix(self, space, u_coeffs, gamma, k_noise):
         """Rows: coefficients of the projected product u * colored mode."""
         basis = get_basis(space)
-        idx, w = coloring_weights(space, gamma, k_noise)
+        w = coloring_weights(space, gamma, k_noise)
         m = basis.dealias_points(1.0)
-        eye = np.zeros((idx.size, space.total_modes))
-        eye[np.arange(idx.size), idx] = 1.0
+        eye = np.eye(w.size, space.total_modes, 1)
         prods = basis.analyze(
             basis.synthesize(u_coeffs, m)[None, ...] * basis.synthesize(eye, m), m
         )
@@ -352,5 +351,5 @@ class TestTraceClassDiagnostics:
         vals = squared_eigenfunction_sum(SP, 1.0, None, 32)
         basis = get_basis(SP)
         total = basis.quadrature(vals, 32)
-        idx, w = coloring_weights(SP, 1.0, None)
+        w = coloring_weights(SP, 1.0, None)
         assert total == pytest.approx(float(np.sum(w**2)), rel=1e-12)

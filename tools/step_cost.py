@@ -20,8 +20,7 @@ Per case it times:
 - ``total``: ``simulate_ensemble`` over ``STEPS`` steps, per path-step;
 - ``increment_block``: the draws of one step for processes 1 and 2
   (``WienerSource.increment_block``), made as the time loop makes them:
-  one call for ``B`` steps (one call per process on a tree whose
-  ``increment_block`` takes a process), divided by ``B``, where ``B`` is
+  one call for ``B`` steps, divided by ``B``, where ``B`` is
   ``integrate.draw_steps`` of the batch;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
@@ -32,9 +31,7 @@ Per case it times:
   ``phi``, which is timed inside it, while ``phi_of`` runs once per step
   in the loop;
 - ``record_norms_files``: one ``record_norms`` call that fills only the
-  columns ``simulate`` and ``glue`` write (on a tree whose
-  ``record_norms`` fills every column, all of them, as that tree's
-  ``simulate`` does).
+  columns ``simulate`` and ``glue`` write.
 
 Every figure is the median over ``REPEATS`` of the mean time of a
 loop of calls (about 20 ms each) divided by the batch size.  The
@@ -45,7 +42,6 @@ one JSON object, with an environment block.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -106,20 +102,12 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
     state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(paths, 1e6))
-    per_process = "process" in inspect.signature(source.increment_block).parameters
-
-    def draws(step, count):
-        """(2, P, count, K_noise) increments, or a list of the two processes'."""
-        if per_process:
-            return [source.increment_block(step, count, dt, j) for j in (1, 2)]
-        return source.increment_block(step, count, dt, 0)
-
     for k in range(STEPS):  # a state away from the constant initial data
-        state = integ.step_raw(state, np.stack([w[:, 0] for w in draws(k, 1)]), dt)
+        state = integ.step_raw(state, source.increment_block(k, 1, dt, 0)[:, :, 0], dt)
     phi = integ.phi_of(state)
     series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
     files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
-    dw = np.stack([w[:, 0] for w in draws(STEPS, 1)])
+    dw = source.increment_block(STEPS, 1, dt, 0)[:, :, 0]
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
 
@@ -129,12 +117,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     def step_raw():
         integ.step_raw(state, dw, dt, react=integ.reaction(uv, phi), uv_vals=uv)
 
-    try:
-        record(files)
-    except KeyError:  # this tree's record_norms fills every column
-        files = series
     layers = {
-        "increment_block": lambda: draws(STEPS, block),
+        "increment_block": lambda: source.increment_block(STEPS, block, dt, 0),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
         "phi_of": lambda: integ.phi_of(state),
