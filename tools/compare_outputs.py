@@ -14,6 +14,10 @@ directory.  The set covers:
   fallback, plain and under Stratonovich;
 - ``simulate`` and ``estimate`` at d=2 periodic, aleph=1.5 (``estimate``
   is the one run that records the d=2 gradient column);
+- ``estimate`` at ``model.lam=2`` and ``m_power=2``, the one run whose
+  p* sup carries the ``e^{-lam t}`` weight and whose coupling moment is a
+  power above 1; ``u0.value=0.05`` lets u grow, so each path's weighted
+  sup lies inside the run, not at t=0 where the weight is 1;
 - ``check-params --sweep gamma1``;
 - ``simulate`` and ``glue`` with ``field_dumps=true``;
 - the single-path loops at the ``pathwise-d1`` benchmark config
@@ -81,6 +85,9 @@ RUNS = [
     ("glue-fallback-strat", ["glue"] + PATHS + FALLBACK + STRAT),
     ("simulate-d2-periodic", ["simulate", "--paths", "8"] + D2_PERIODIC),
     ("estimate-d2-periodic", ["estimate", "--paths", "8"] + D2_PERIODIC),
+    ("estimate-lam-mpower", ["estimate", "--seed", "5"] + PATHS
+     + ["--override", "model.lam=2", "--override", "m_power=2",
+        "--override", "u0.value=0.05"]),
     ("sweep-gamma1", ["check-params", "--sweep", "gamma1", "0.3", "1.5", "5"]),
     ("simulate-dumps", ["simulate"] + DUMPS),
     ("glue-dumps", ["glue"] + DUMPS + FALLBACK),
