@@ -31,7 +31,6 @@ from .fixedpoint import (
 from .integrate import (
     MildIntegrator,
     ModelParams,
-    PathRecord,
     pathspace_norm,
     simulate_ensemble,
     simulate_glued,

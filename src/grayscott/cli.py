@@ -42,7 +42,7 @@ from .estimators import (
     estimate_v_Halpha,
 )
 from .fixedpoint import compute_kset_constants, kset_check, picard_solve
-from .integrate import PathRecord, simulate_ensemble, simulate_glued
+from .integrate import BatchRecord, simulate_ensemble, simulate_glued
 from .paramgate import evaluate_gate, gate_args, gate_sweep
 from .spectral import lp_norm, sobolev_norm
 
@@ -64,9 +64,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_norm_series(path: str, record: PathRecord):
-    """The norm series CSV, formatted in one call: '%.17g' writes what _fmt writes."""
-    table = np.column_stack([record.times] + [record.series[col] for col in FILE_SERIES])
+def write_norm_series(path: str, record: BatchRecord, row: int):
+    """The norm series CSV of path row ``row``, formatted in one call:
+    '%.17g' writes what _fmt writes."""
+    table = np.column_stack([record.times] + [record.series[col][row] for col in FILE_SERIES])
     row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(name for name, _ in NORM_FILE_COLUMNS) + "\n")
@@ -132,7 +133,7 @@ def _initial_data(cfg: RunConfig):
     return cfg.u0.build(cfg.space), cfg.v0.build(cfg.space)
 
 
-def _simulate_records(cfg: RunConfig, columns) -> list[PathRecord]:
+def _simulate_batch(cfg: RunConfig, columns) -> BatchRecord:
     return simulate_ensemble(
         cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa,
         cfg.T, cfg.dt, np.arange(cfg.paths), columns=columns,
@@ -192,35 +193,35 @@ def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:
     return 0
 
 
-def _write_records(cfg: RunConfig, ctx: RunContext, records: list[PathRecord]):
-    for rec in records:
-        write_norm_series(ctx.path(f"path_{rec.path_id:05d}.csv"), rec)
+def _write_records(cfg: RunConfig, ctx: RunContext, record: BatchRecord):
+    t_end = float(record.times[-1])
+    for i, pid in enumerate(record.path_ids.tolist()):
+        write_norm_series(ctx.path(f"path_{pid:05d}.csv"), record, i)
         if cfg.field_dumps:
-            for t, u_coeffs, v_coeffs in rec.snapshots:
-                for name, coeffs in (("u", u_coeffs), ("v", v_coeffs)):
-                    write_field_dump(
-                        ctx.path(f"field_{name}_{rec.path_id:05d}_t{t:.6g}.bin"),
-                        coeffs, cfg.space, name, t,
-                    )
+            for t, uv in ((0.0, (record.u0, record.v0)), (t_end, record.final[:, i])):
+                for name, coeffs in zip("uv", uv):
+                    write_field_dump(ctx.path(f"field_{name}_{pid:05d}_t{t:.6g}.bin"),
+                                     coeffs, cfg.space, name, t)
 
 
 def cmd_simulate(cfg: RunConfig, ctx: RunContext, args) -> int:
-    records = _simulate_records(cfg, FILE_SERIES)
-    _write_records(cfg, ctx, records)
-    stopped = sum(1 for r in records if r.stop_step is not None)
-    print(f"simulated {len(records)} paths, {records[0].n_steps} steps each; "
-          f"{stopped} reached the cutoff level")
+    record = _simulate_batch(cfg, FILE_SERIES)
+    _write_records(cfg, ctx, record)
+    print(f"simulated {record.path_ids.size} paths, {record.n_steps} steps each; "
+          f"{np.count_nonzero(record.stop_step >= 0)} reached the cutoff level")
     ctx.finish("ok")
     return 0
 
 
 def cmd_glue(cfg: RunConfig, ctx: RunContext, args) -> int:
-    records = simulate_glued(
+    record = simulate_glued(
         cfg.model, cfg.space, cfg.noise, *_initial_data(cfg), cfg.kappa_schedule,
         cfg.T, cfg.dt, np.arange(cfg.paths), columns=FILE_SERIES,
     )
-    _write_records(cfg, ctx, records)
-    rows = [[rec.path_id, kappa, tbar] for rec in records for kappa, tbar in rec.glue_events]
+    _write_records(cfg, ctx, record)
+    # path-major: the events come in step order, so a stable sort by row
+    rows = [[int(record.path_ids[i]), kappa, tbar]
+            for i, kappa, tbar in sorted(record.glue_events, key=lambda e: e[0])]
     write_csv(ctx.path("glue_events.csv"), ["path", "kappa", "stop_time"], rows)
     print(f"glued {cfg.paths} paths; {len(rows)} glue events")
     ctx.finish("ok")
@@ -255,14 +256,14 @@ def cmd_fixed_point(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, ctx: RunContext, args) -> int:
-    records = _simulate_records(cfg, ESTIMATED_COLUMNS)
+    record = _simulate_batch(cfg, ESTIMATED_COLUMNS)
     u0 = cfg.u0.build(cfg.space)
-    reports = [estimate_u_L2(records, u0_l2_sq=u0.l2_norm() ** 2)]
-    pstar = estimate_u_pstar(records, lam=cfg.model.lam)
+    reports = [estimate_u_L2(record, u0_l2_sq=u0.l2_norm() ** 2)]
+    pstar = estimate_u_pstar(record, lam=cfg.model.lam)
     reports += [pstar["sup"], pstar["gradient"]]
-    vh = estimate_v_Halpha(records)
+    vh = estimate_v_Halpha(record)
     reports += [vh["sup"], vh["dissipation"]]
-    reports.append(estimate_coupling(records, m=cfg.m_power))
+    reports.append(estimate_coupling(record, m=cfg.m_power))
     rows = [[r.name, r.n_paths, r.estimate, r.ci_halfwidth] for r in reports]
     write_csv(ctx.path("reports.csv"),
               ["quantity", "n_paths", "estimate", "ci_halfwidth"], rows)

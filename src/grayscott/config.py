@@ -22,6 +22,9 @@ from .noise import NoiseConfig
 from .spectral import SpaceConfig, SpectralField
 
 _INITIAL_KINDS = ("constant", "bump")
+# values in the largest arrays a run plans, with M = space.dealias_points(q) points per
+# axis: 2 * paths * M**d grid values, max(M, grid_points_per_axis) * modes_per_axis per axis
+MAX_GRID_VALUES = 2**26
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,15 @@ class RunConfig:
             v.append(f"max_iter must be >= 1, got {self.max_iter}")
         if self.m_power < 1:
             v.append(f"m_power must be >= 1, got {self.m_power}")
+        q, sp, paths = self.model.q, self.space, self.paths
+        m = sp.dealias_points(q) if math.isfinite(q) else math.inf
+        axis = max(m, sp.grid_points_per_axis) * sp.modes_per_axis
+        if max(2 * paths * m**sp.d, axis) > MAX_GRID_VALUES:
+            v.append(f"model.q={q:g}, space.modes_per_axis={sp.modes_per_axis}, "
+                     f"space.grid_points_per_axis={sp.grid_points_per_axis} and paths={paths} "
+                     f"plan M={m} dealiased points per axis, 2 * paths * M**d = "
+                     f"{2 * paths * m**sp.d} grid values and an axis matrix of {axis} values; "
+                     f"each must be at most 2**26")
         if v:
             raise ValidationError(v)
 

@@ -1,9 +1,10 @@
 """Ensemble Monte Carlo estimators for the a-priori moment bounds and
 the discrete-norm inequality diagnostics.
 
-Estimators reduce immutable path records; reductions sort the per-path
-values first, so results are permutation invariant in the ensemble and
-deterministic for a given record set.
+Estimators reduce one record of a batch: each (P, n_steps+1) norm series
+is reduced along its time axis to one value per path, and reduce_mean
+sorts those values first, so results are invariant under a permutation
+of the paths and deterministic for a given set of paths.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .integrate import PathRecord
+from .integrate import BatchRecord
 from .noise import squared_eigenfunction_sum
 from .spectral import SpaceConfig, SpectralField, get_basis
 
@@ -34,7 +35,7 @@ class MomentReport:
                 f"(M={self.n_paths})")
 
 
-def reduce_mean(name: str, values, extras: dict | None = None) -> MomentReport:
+def reduce_mean(name: str, values) -> MomentReport:
     values = np.sort(np.asarray(values, dtype=float))
     m = values.size
     if m < 2:
@@ -43,80 +44,69 @@ def reduce_mean(name: str, values, extras: dict | None = None) -> MomentReport:
     if not math.isfinite(est):
         raise ValidationError([f"estimate for {name} is not finite"])
     hw = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
-    return MomentReport(name, m, est, hw, dict(extras or {}))
+    return MomentReport(name, m, est, hw)
 
 
 # the norm columns the four estimate_* functions read
 ESTIMATED_COLUMNS = ("u_l2", "u_lpstar", "u_grad_p", "v_halpha", "v_halpha_diss", "couple")
 
 
-def _sorted_records(records, columns: tuple[str, ...]) -> list[PathRecord]:
-    """The records by path id, each checked to hold the norm columns read."""
-    recs = sorted(records, key=lambda r: r.path_id)
-    if len(recs) < 2:
-        raise ValidationError(["ensemble estimators need at least 2 paths"])
-    missing = sorted({c for r in recs for c in columns if c not in r.series})
+def _series(record: BatchRecord, *columns: str) -> list[np.ndarray]:
+    """The (P, n_steps+1) series of the norm columns an estimator reads."""
+    missing = sorted(c for c in columns if c not in record.series)
     if missing:
         raise ValidationError([f"records lack the norm column(s) {missing}; simulate "
                                f"with columns that include {missing}"])
-    return recs
+    return [record.series[c] for c in columns]
 
 
-def estimate_u_L2(records, u0_l2_sq: float | None = None) -> MomentReport:
+def estimate_u_L2(record: BatchRecord, u0_l2_sq: float | None = None) -> MomentReport:
     """Ensemble mean of sup_t |u|_{L2}^2, with a fitted constant against
     the bound shape C (1 + E|u0|_{L2}^2) when the initial moment is given."""
-    recs = _sorted_records(records, ("u_l2",))
-    vals = [float(np.max(r.series["u_l2"] ** 2)) for r in recs]
-    extras = {}
+    (u_l2,) = _series(record, "u_l2")
+    report = reduce_mean("sup_t |u|_L2^2", np.max(u_l2**2, axis=-1))
     if u0_l2_sq is not None:
         rhs = 1.0 + u0_l2_sq
-        extras["rhs"] = rhs
-        extras["fitted_C"] = float(np.mean(vals)) / rhs
-    return reduce_mean("sup_t |u|_L2^2", vals, extras)
+        report.extras.update(rhs=rhs, fitted_C=report.estimate / rhs)
+    return report
 
 
-def estimate_u_pstar(records, lam: float = 0.0) -> dict:
+def estimate_u_pstar(record: BatchRecord, lam: float = 0.0) -> dict:
     """Sup of the (optionally e^{-lam t} weighted) p* mass of u together
     with the time-integrated gradient dissipation int |u^{p*/2-1} grad u|_{L2}^2,
-    at the p* the records were produced with.
+    at the p* the record was produced with.
 
     The gradient is applied spectrally before the pointwise powers; the
     reported dissipation carries no p*(p*-1) prefactor.
     """
-    recs = _sorted_records(records, ("u_lpstar", "u_grad_p"))
-    ps = recs[0].params.p_star
-    if any(r.params.p_star != ps for r in recs):
-        mixed = sorted({r.params.p_star for r in recs})
-        raise ValidationError([f"records were produced with different p_star values {mixed}"])
-    weight = [np.exp(-lam * r.times) for r in recs]
-    sup_vals = [float(np.max(w * r.series["u_lpstar"] ** ps))
-                for w, r in zip(weight, recs)]
-    grad_vals = [float(np.trapezoid(r.series["u_grad_p"], r.times)) for r in recs]
+    u_lp, grad = _series(record, "u_lpstar", "u_grad_p")
+    ps, times = record.params.p_star, record.times
     return {
-        "sup": reduce_mean(f"sup_t e^(-lam t)|u|_Lp*^p* (p*={ps})", sup_vals),
-        "gradient": reduce_mean("int |u^(p*/2-1) grad u|_L2^2 dt", grad_vals),
+        "sup": reduce_mean(f"sup_t e^(-lam t)|u|_Lp*^p* (p*={ps})",
+                           np.max(np.exp(-lam * times) * u_lp**ps, axis=-1)),
+        "gradient": reduce_mean("int |u^(p*/2-1) grad u|_L2^2 dt",
+                                np.trapezoid(grad, times, axis=-1)),
     }
 
 
-def estimate_v_Halpha(records) -> dict:
+def estimate_v_Halpha(record: BatchRecord) -> dict:
     """Sup of |v|^2 in H^alpha and the dissipation int |v|^2 in
-    H^{alpha + aleph/2}, at the alpha and aleph the records were produced with."""
-    recs = _sorted_records(records, ("v_halpha", "v_halpha_diss"))
-    sup_vals = [float(np.max(r.series["v_halpha"] ** 2)) for r in recs]
-    diss_vals = [float(np.trapezoid(r.series["v_halpha_diss"] ** 2, r.times))
-                 for r in recs]
+    H^{alpha + aleph/2}, at the alpha and aleph the record was produced with."""
+    halpha, diss = _series(record, "v_halpha", "v_halpha_diss")
     return {
-        "sup": reduce_mean("sup_t |v|_Halpha^2", sup_vals),
-        "dissipation": reduce_mean("int |v|_H(alpha+aleph/2)^2 dt", diss_vals),
+        "sup": reduce_mean("sup_t |v|_Halpha^2", np.max(halpha**2, axis=-1)),
+        "dissipation": reduce_mean("int |v|_H(alpha+aleph/2)^2 dt",
+                                   np.trapezoid(diss**2, record.times, axis=-1)),
     }
 
 
-def estimate_coupling(records, m: int = 1) -> MomentReport:
+def estimate_coupling(record: BatchRecord, m: int = 1) -> MomentReport:
     """Ensemble mean of ( int int u^{p*} v^q dx dt )^m, clip-then-power."""
     if m < 1:
         raise ValidationError(["the power m must be >= 1"])
-    recs = _sorted_records(records, ("couple",))
-    vals = [float(np.trapezoid(r.series["couple"], r.times)) ** m for r in recs]
+    (couple,) = _series(record, "couple")
+    # a float's own power, per path: numpy's array power rounds differently
+    vals = [float(x) ** m for x in np.trapezoid(couple, record.times, axis=-1)]
     return reduce_mean(f"(int int u^p* v^q)^{m}", vals)
 
 
@@ -195,7 +185,7 @@ def trace_diagnostic(u: SpectralField, gamma1: float, p: float,
         raise ValidationError(["the exponent p must be >= 2"])
     space = u.space
     basis = get_basis(space)
-    m = basis.dealias_points(1.0)
+    m = space.dealias_points(1.0)
     s_vals = squared_eigenfunction_sum(space, gamma1, k_noise, m)
     u_vals = basis.synthesize(u.coeffs, m)
     return float(p * (p - 1) * basis.quadrature(np.abs(u_vals) ** p * s_vals, m))

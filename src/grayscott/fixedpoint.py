@@ -184,7 +184,7 @@ def kset_functionals(control: ControlPair, rho: float, aleph: float,
     dt = np.diff(control.times)
     m1 = path_norm_series(space, control.eta, 0.0, aleph, dt)[:, -1] ** 2
 
-    m_grid = basis.dealias_points(1.0)
+    m_grid = space.dealias_points(1.0)
     lp_pow = np.concatenate([
         basis.quadrature(np.abs(basis.synthesize(control.eta[:, n:n + KSET_CHUNK_STEPS],
                                                  m_grid)) ** p_star, m_grid)

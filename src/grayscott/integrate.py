@@ -19,7 +19,8 @@ address, so the increments are the one-step draws bit for bit.  The
 state's transforms are not batched over steps: at one path a d=1 step is
 a GEMV and a block of steps a GEMM, and the two round differently.  A
 forcing is asked for once per drawn block, so the fixed-point reaction's
-d=1 rounding follows the block shape.
+d=1 rounding follows the block shape.  A run returns one ``BatchRecord``,
+whose row i of each per-path array is path path_ids[i], as the loop filled it.
 
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,7 +196,7 @@ class MildIntegrator:
         self.space = space
         self.noise = noise
         self.basis = get_basis(space)
-        self.grid_m = self.basis.dealias_points(max(params.q, 1.0))
+        self.grid_m = space.dealias_points(max(params.q, 1.0))
         self.k_noise = noise_modes(space, noise.mode_cutoff)
         self.coloring = np.stack([coloring_weights(space, noise.gamma(j), self.k_noise)
                                   for j in (1, 2)])[:, None]  # (2, 1, K_noise)
@@ -416,24 +417,35 @@ class MildIntegrator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PathRecord:
-    """Time-indexed norms and snapshots of one simulated path."""
+@dataclass(frozen=True)
+class BatchRecord:
+    """Norm series, glue events and end states of a batch of paths.
 
-    path_id: int
-    times: np.ndarray
-    series: dict[str, np.ndarray]
-    stop_time: float
-    stop_step: int | None
+    Row i of each per-path array is path ``path_ids[i]``, and ``times`` is
+    ``arange(n_steps + 1) * dt``.  ``stop_step`` is a path's first step with
+    h >= kappa (the first level, if glued), -1 if none; ``glue_events`` holds
+    a ``(row, kappa, t)`` per restart, in step order.
+    """
+
+    path_ids: np.ndarray  # (P,)
+    dt: float
+    series: dict[str, np.ndarray]  # column -> (P, n_steps+1)
+    stop_step: np.ndarray  # (P,)
+    glue_events: tuple[tuple[int, float, float], ...]
+    u0: np.ndarray  # (K,) initial coefficients, shared by every path
+    v0: np.ndarray
+    final: np.ndarray  # (2, P, K) state at T
+    trajectory: np.ndarray | None  # (2, P, n_steps+1, K) when stored
     params: ModelParams
     space: SpaceConfig
-    glue_events: list[tuple[float, float]] = field(default_factory=list)
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
-    trajectory: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_steps(self) -> int:
-        return self.times.size - 1
+        return self.series["h"].shape[1] - 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 def step_count(T: float, dt: float) -> int:
@@ -505,10 +517,10 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
               u0: SpectralField, v0: SpectralField, kappa: float,
               T: float, dt: float, path_ids, store_trajectory: bool,
-              columns, glue) -> list[PathRecord]:
-    """Check the run, step it through the time loop and build one record
-    per path: the norm columns asked for plus h (the stopping time reads
-    it) and phi (glueing writes it), stopping time, snapshots at 0 and T."""
+              columns, glue) -> BatchRecord:
+    """Check the run, step it through the time loop and record the batch:
+    the norm columns asked for plus h (the stopping time reads it) and
+    phi (glueing writes it), stopping steps and the state at T."""
     n_steps = step_count(T, dt)
     if not kappa > 0:  # also rejects NaN
         raise ValidationError([f"cutoff level kappa must be > 0, got {kappa}"])
@@ -525,35 +537,26 @@ def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
     traj = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size)) if store_trajectory else None
     final = run_batch(integ, state, path_ids, n_steps, dt, traj, series, glue)
-
-    times = np.arange(n_steps + 1) * dt
-    records = []
-    for i, pid in enumerate(path_ids):
-        per = {c: series[c][i].copy() for c in columns}
-        crossed = np.flatnonzero(per["h"] >= kappa)
-        records.append(PathRecord(
-            path_id=int(pid), times=times.copy(), series=per,
-            stop_time=float(times[crossed[0]]) if crossed.size else math.inf,
-            stop_step=int(crossed[0]) if crossed.size else None,
-            snapshots=[(0.0, u0.coeffs.copy(), v0.coeffs.copy()),
-                       (float(times[-1]), final.u[i].copy(), final.v[i].copy())],
-            params=params, space=space,
-            trajectory=(traj[0, i].copy(), traj[1, i].copy()) if traj is not None else None,
-        ))
-    return records
+    crossed = series["h"] >= kappa
+    return BatchRecord(
+        path_ids=path_ids, dt=dt, series=series,
+        stop_step=np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), -1),
+        glue_events=(), u0=u0.coeffs.copy(), v0=v0.coeffs.copy(), final=final.uv,
+        trajectory=traj, params=params, space=space,
+    )
 
 
 def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                       u0: SpectralField, v0: SpectralField, kappa: float,
                       T: float, dt: float, path_ids, store_trajectory: bool = False,
-                      check_gate: bool = True, columns=NORM_COLUMNS) -> list[PathRecord]:
+                      check_gate: bool = True, columns=NORM_COLUMNS) -> BatchRecord:
     """Simulate the cutoff system for a batch of independent paths.
 
     All paths share (params, space, noise, initial data); the noise of
     path ``p`` is keyed by its id, so any sub-batch replays the batch's
     paths: bit-equal in d=2, within 1e-14 relative in d=1, where the
     transforms round differently with the batch shape.
-    Each record's series holds the norm ``columns`` (names from
+    The record's series hold the norm ``columns`` (names from
     NORM_COLUMNS) plus h and phi, each bit-equal to a full-set run.
     """
     if check_gate:
@@ -565,7 +568,7 @@ def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfi
 def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                    u0: SpectralField, v0: SpectralField, kappa_schedule,
                    T: float, dt: float, path_ids,
-                   store_trajectory: bool = False, columns=NORM_COLUMNS) -> list[PathRecord]:
+                   store_trajectory: bool = False, columns=NORM_COLUMNS) -> BatchRecord:
     """Concatenate cutoff-level local solutions along their stopping times,
     for a batch of paths.
 
@@ -582,7 +585,7 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         raise ValidationError(violations)
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
     levels = np.asarray(schedule)
-    events: list[list[tuple[float, float]]] = [[] for _ in path_ids]
+    events: list[tuple[int, float, float]] = []
 
     def glue(integ: MildIntegrator, state: _BatchState, series: dict[str, np.ndarray],
              n: int, t: float) -> _BatchState:
@@ -595,8 +598,7 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
             warnings.warn(f"h(0) >= kappa_0 = {levels[0]:g} on paths "
                           f"{path_ids[crossed].tolist()}; they glue at t=0")
         last = crossed & (state.level + 1 == levels.size)
-        for i in np.flatnonzero(crossed):
-            events[i].append((float(state.kappa[i]), t))
+        events.extend((int(i), float(state.kappa[i]), t) for i in np.flatnonzero(crossed))
         series["phi"][last, n] = 0.0
         level = state.level + (crossed & ~last)
         rho_norm, diss_sq = integ.norm_terms(state.v)
@@ -608,11 +610,9 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
             segment=state.segment + crossed, fallback=state.fallback | last,
         )
 
-    records = _simulate(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
-                        store_trajectory, columns, glue)
-    for rec, path_events in zip(records, events):
-        rec.glue_events = path_events
-    return records
+    record = _simulate(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
+                       store_trajectory, columns, glue)
+    return replace(record, glue_events=tuple(events))
 
 
 def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
@@ -627,27 +627,32 @@ def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
     return np.maximum.accumulate(norms, axis=-1) + np.sqrt(intg)
 
 
-def pathspace_norm(record: PathRecord, rho: float, aleph: float, t: float) -> float:
-    """sup_{s<=t} |v(s)|_{H^rho} + ( trapezoid int_0^t |v|^2_{H^{rho+aleph/2}} )^(1/2).
+def pathspace_norm(record: BatchRecord, rho: float, aleph: float, t: float,
+                   row: int | None = None):
+    """sup_{s<=t} |v(s)|_{H^rho} + ( trapezoid int_0^t |v|^2_{H^{rho+aleph/2}} )^(1/2)
+    of path row ``row`` (a float), or of every path ((P,) values) when row is None.
 
-    An unglued record at its own (rho, aleph) reads its h column; any other
-    index pair, and the un-reset norm of a glued record, need the stored
-    trajectory."""
+    An unglued path at the record's own (rho, aleph) reads its h row; any
+    other index pair, and the un-reset norm of a glued path, need the
+    stored trajectory."""
     times = record.times
     if not 0 <= t <= times[-1] + 1e-12:  # also rejects NaN
         raise ValidationError([f"t={t} outside the record range [0, {times[-1]}]"])
     n = int(np.searchsorted(times, t + 1e-12) - 1) if t > 0 else 0
     p = record.params
-    if (rho, aleph) == (p.rho, p.aleph) and not record.glue_events:
-        return float(record.series["h"][n])
-    if record.trajectory is None:
-        raise ValidationError(
-            ["record lacks a stored trajectory; rerun with store_trajectory=True to "
-             "evaluate a path norm at non-recorded smoothness indices or on a glued record"]
-        )
-    steps = np.diff(times[: n + 1])
-    h = path_norm_series(record.space, record.trajectory[1][: n + 1], rho, aleph, steps)
-    return float(h[-1])
+    rows = np.arange(record.path_ids.size) if row is None else np.array([row])
+    glued = np.isin(rows, [i for i, _, _ in record.glue_events])
+    need = glued | ((rho, aleph) != (p.rho, p.aleph))
+    h = record.series["h"][rows, n]
+    if need.any():
+        if record.trajectory is None:
+            raise ValidationError(
+                ["record lacks a stored trajectory; rerun with store_trajectory=True to "
+                 "evaluate a path norm at non-recorded smoothness indices or on a glued record"]
+            )
+        h[need] = path_norm_series(record.space, record.trajectory[1, rows[need], : n + 1],
+                                   rho, aleph, np.diff(times[: n + 1]))[:, -1]
+    return h if row is None else float(h[0])
 
 
 def _warn_if_inadmissible(params: ModelParams, noise: NoiseConfig, space: SpaceConfig):

@@ -199,7 +199,7 @@ def hilbert_schmidt_sum(u: SpectralField, gamma: float, k_noise: int | None) -> 
     over the first k_noise noise modes (all when None), with P the Galerkin
     projection the scheme lives in."""
     basis = get_basis(u.space)
-    m = basis.dealias_points(1.0)
+    m = u.space.dealias_points(1.0)
     weights, phi_vals = _colored_modes(u.space, gamma, k_noise, m)
     prod = basis.analyze(basis.synthesize(u.coeffs, m)[None, ...] * phi_vals, m)
     return float(np.sum(weights**2 * np.sum(prod**2, axis=-1)))

@@ -30,7 +30,7 @@ class SpaceConfig:
     K = N**d.  grid_points_per_axis is the grid M of the initial-data
     negativity check, of lp_norm and of a stroock_varopoulos_check given
     no grid; the time step and the recorded norms use the dealiased grid
-    Basis.dealias_points(q) instead.  Negative spectral powers drop the
+    dealias_points(q) instead.  Negative spectral powers drop the
     constant mode, and the noise does not drive it.
     """
 
@@ -69,6 +69,11 @@ class SpaceConfig:
     @property
     def total_modes(self) -> int:
         return self.modes_per_axis**self.d
+
+    def dealias_points(self, q: float) -> int:
+        """Grid size for degree-(q+1) products, re-projected exactly for
+        integer q; non-integer q keeps the same rule on ceil(q)."""
+        return math.ceil((math.ceil(q) + 2) / 2) * self.modes_per_axis
 
 
 def _axis_labels(space: SpaceConfig) -> np.ndarray:
@@ -173,12 +178,6 @@ class Basis:
                     got = GridPlan(self, m)
                     self._plans[m] = got
         return got
-
-    def dealias_points(self, q: float) -> int:
-        """Grid size for degree-(q+1) products, re-projected exactly for
-        integer q; non-integer q keeps the same rule on ceil(q)."""
-        factor = math.ceil((math.ceil(q) + 2) / 2)
-        return factor * self.space.modes_per_axis
 
     # -- coefficient layout ------------------------------------------------
 

@@ -61,7 +61,7 @@ def multiplication_matrices(space, k_noise, gamma):
     basis = get_basis(space)
     weights = coloring_weights(space, gamma, k_noise)
     k_total = space.total_modes
-    m = basis.dealias_points(1.0)
+    m = space.dealias_points(1.0)
     eye = np.eye(k_total)
     eye_vals = basis.synthesize(eye, m)
     mats = []

@@ -101,7 +101,7 @@ def test_03_ito_isometry():
     lam = basis.eigenvalues[idx]
     z = np.zeros((n_paths, sp.total_modes))
     z[:, idx] = lam ** (-gamma / 2.0) * w_t
-    m = basis.dealias_points(1.0)
+    m = sp.dealias_points(1.0)
     prod = basis.analyze(basis.synthesize(u.coeffs, m) * basis.synthesize(z, m), m)
     mc = float(np.mean(np.sum(prod**2, axis=-1)))
 
@@ -127,8 +127,8 @@ def test_04_homogeneous_ode_oracle():
     for sp, params in cases:
         u0, v0 = constant_field(0.5, sp), constant_field(0.5, sp)
         rec = simulate_ensemble(params, sp, noise, u0, v0, 1e9, T=1.0, dt=1e-4,
-                                path_ids=[0], check_gate=False)[0]
-        _, uT, vT = rec.snapshots[-1]
+                                path_ids=[0], check_gate=False)
+        uT, vT = rec.final[:, 0]
         sol = planar_ode(params, 0.5, 0.5, 1.0)
         err = max(abs(uT[0] - sol.y[0, -1]) / abs(sol.y[0, -1]),
                   abs(vT[0] - sol.y[1, -1]) / abs(sol.y[1, -1]))
@@ -158,17 +158,12 @@ def test_06_nonnegativity():
     sp = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32)
     noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=3)
     dt, T = 1e-3, 0.5
-    recs = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 1e9,
-                             T, dt, np.arange(100), store_trajectory=True)
-    basis = get_basis(sp)
+    rec = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 1e9,
+                            T, dt, np.arange(100), store_trajectory=True)
     tol = 10.0 * dt
-    violations = 0
-    global_min = math.inf
-    for rec in recs:
-        for coeffs in rec.trajectory:
-            vals = basis.synthesize(coeffs)
-            global_min = min(global_min, float(vals.min()))
-            violations += int(np.count_nonzero(vals < -tol))
+    vals = get_basis(sp).synthesize(rec.trajectory)
+    global_min = float(vals.min())
+    violations = int(np.count_nonzero(vals < -tol))
     assert violations == 0, f"{violations} grid values below -{tol}"
     ok(6, f"(min over paths/steps/grid {global_min:.3e}, tolerance -{tol})")
 
@@ -178,12 +173,11 @@ def test_07_cutoff_semantics():
     sp = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32)
     noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=14)
     kappa = 2.0
-    recs = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), kappa,
-                             T=1.2, dt=2e-3, path_ids=np.arange(20),
-                             check_gate=False)
+    rec = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), kappa,
+                            T=1.2, dt=2e-3, path_ids=np.arange(20),
+                            check_gate=False)
     crossed_twice = 0
-    for rec in recs:
-        h, phi = rec.series["h"], rec.series["phi"]
+    for h, phi in zip(rec.series["h"], rec.series["phi"]):
         assert np.all(phi[h <= kappa] == 1.0)
         assert np.all(phi[h >= 2 * kappa] == 0.0)
         assert np.all(np.diff(phi) <= 1e-12)
@@ -192,14 +186,13 @@ def test_07_cutoff_semantics():
 
     a = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), kappa,
                           T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True,
-                          check_gate=False)[0]
+                          check_gate=False)
     b = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 2.5,
                           T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True,
-                          check_gate=False)[0]
-    n = a.stop_step
-    assert n is not None
-    assert np.array_equal(a.trajectory[0][: n + 1], b.trajectory[0][: n + 1])
-    assert np.array_equal(a.trajectory[1][: n + 1], b.trajectory[1][: n + 1])
+                          check_gate=False)
+    n = a.stop_step[0]
+    assert n >= 0
+    assert np.array_equal(a.trajectory[:, 0, : n + 1], b.trajectory[:, 0, : n + 1])
     ok(7, f"({crossed_twice}/20 paths fully crossed; prefix bit-equal)")
 
 
@@ -216,19 +209,19 @@ def test_08_fixed_point_direct_equivalence():
         assert res["iterates"][path_id] <= 20
         assert res["residuals"][path_id][-1] < 1e-8
         rec = simulate_ensemble(params, sp, noise, bump(sp), bump(sp), 1e9,
-                                T, dt, path_ids=[path_id], store_trajectory=True)[0]
-        diff = float(control_m_norm(fp.eta[path_id] - rec.trajectory[0],
-                                    fp.xi[path_id] - rec.trajectory[1],
+                                T, dt, path_ids=[path_id], store_trajectory=True)
+        diff = float(control_m_norm(fp.eta[path_id] - rec.trajectory[0, 0],
+                                    fp.xi[path_id] - rec.trajectory[1, 0],
                                     fp.times, sp, params.rho, params.aleph))
         worst = max(worst, diff)
         assert diff < 1e-6, (path_id, diff)
     ok(8, f"(worst M-norm gap {worst:.2e} over 10 seeds)")
 
 
-def _moment_bound_quantities(records, params, u0, v0):
-    r1 = estimate_u_L2(records)
-    r2 = estimate_u_pstar(records)
-    r3 = estimate_v_Halpha(records)
+def _moment_bound_quantities(record, params, u0, v0):
+    r1 = estimate_u_L2(record)
+    r2 = estimate_u_pstar(record)
+    r3 = estimate_v_Halpha(record)
     ps = params.p_star
     q1 = r1.estimate
     q2 = r2["sup"].estimate + ps * (ps - 1) * r2["gradient"].estimate
@@ -239,7 +232,7 @@ def _moment_bound_quantities(records, params, u0, v0):
         r3["sup"].ci_halfwidth + 2.0 * r3["dissipation"].ci_halfwidth,
     )
     derived = check_spaces(params.q, params.aleph, params.alpha,
-                           records[0].space.d, ps).derived
+                           record.space.d, ps).derived
     p1 = derived["p_star1"]
     u0_term = lp_norm(u0, p1) ** (2 * p1) if (p1 is not None and p1 >= 1) else 0.0
     rhs = (

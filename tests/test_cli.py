@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from grayscott.cli import main, read_field_dump
 from grayscott.config import (
+    MAX_GRID_VALUES,
     RunConfig,
     apply_overrides,
     config_from_dict,
@@ -128,6 +129,23 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [
+        ["model.q=1e6"],  # M = 16000032 points per axis: a 3.81 GiB axis matrix
+        ["space.modes_per_axis=20000", "space.grid_points_per_axis=20000"],
+        ["space.grid_points_per_axis=20000000"],
+        ["space.d=2", "model.q=1e3"],
+    ])
+    def test_unplannable_grid_exit_two(self, tmp_path, capsys, overrides):
+        args = ["simulate", "--paths", "2", "--override", "T=0.002", "--out", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        for needle in ("model.q=", "space.modes_per_axis=", "space.grid_points_per_axis=",
+                       "paths=2", "each must be at most 2**26"):
+            assert needle in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc, needle", [
         ({"T": 0.5, "dt": 0.3}, "not a whole multiple"),
         ({"T": 0.001, "dt": 0.003}, "not a whole multiple"),
@@ -238,6 +256,22 @@ class TestConfigProperties:
             pass
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(q=st.floats(1.0, 2.0**12), n=st.integers(2, 2**12), extra=st.integers(1, 2**13),
+           d=st.sampled_from([1, 2]), paths=st.integers(1, 2**16))
+    def test_accepted_config_plans_within_the_cap(self, q, n, extra, d, paths):
+        # the sizes are arithmetic: nothing is allocated to check them
+        doc = {"model": {"q": q}, "paths": paths, "space": {
+            "d": d, "modes_per_axis": n, "grid_points_per_axis": n + extra}}
+        try:
+            cfg = config_from_dict(doc)
+        except ValidationError as err:
+            assert any("each must be at most 2**26" in v for v in err.violations)
+            return
+        m = cfg.space.dealias_points(q)
+        assert 2 * paths * m**d <= MAX_GRID_VALUES
+        assert max(m, n + extra) * n <= MAX_GRID_VALUES
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(key=st.sampled_from(FLOAT_KEYS), x=INTEGERS)
     def test_integer_override_of_a_float_key_never_rounds(self, key, x):
         # check-params loads and checks the whole config but steps nothing
@@ -280,7 +314,7 @@ class TestCliRuns:
         # the one-call writer against write_csv's per-cell '.17g' on values
         # whose text is easy to get wrong
         from grayscott.cli import NORM_FILE_COLUMNS, write_csv, write_norm_series
-        from grayscott.integrate import ModelParams, PathRecord
+        from grayscott.integrate import BatchRecord, ModelParams
         from grayscott.spectral import SpaceConfig
 
         tricky = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 2.0 / 3.0,
@@ -288,8 +322,10 @@ class TestCliRuns:
         rng = np.random.default_rng(3)
         times = np.arange(len(tricky)) * 1e-3
         series = {col: rng.permutation(tricky) for _, col in NORM_FILE_COLUMNS[1:]}
-        rec = PathRecord(0, times, series, math.inf, None, ModelParams(), SpaceConfig())
-        write_norm_series(tmp_path / "one_call.csv", rec)
+        rows = {c: np.stack([s[::-1], s]) for c, s in series.items()}  # write row 1
+        rec = BatchRecord(np.arange(2), 1e-3, rows, np.full(2, -1), (), None, None, None,
+                          None, ModelParams(), SpaceConfig())
+        write_norm_series(tmp_path / "one_call.csv", rec, 1)
         write_csv(tmp_path / "per_cell.csv", [name for name, _ in NORM_FILE_COLUMNS],
                   zip(times, *(series[col] for _, col in NORM_FILE_COLUMNS[1:])))
         assert ((tmp_path / "one_call.csv").read_bytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from grayscott.estimators import (
     stroock_varopoulos_check,
     trace_diagnostic,
 )
-from grayscott.integrate import ModelParams, PathRecord, simulate_ensemble
+from grayscott.integrate import BatchRecord, ModelParams, simulate_ensemble
 from grayscott.noise import NoiseConfig
 from grayscott.spectral import SpaceConfig, SpectralField, constant_field, get_basis
 
@@ -30,12 +31,11 @@ def bump(space=SP, base=1.0, amp=0.2):
     return f
 
 
-def frozen_record(path_id, times, u_coeffs, v_coeffs, params, space=SP):
-    """Hand-built record for a path frozen in time."""
+def frozen_record(n_paths, T, n_steps, u_coeffs, v_coeffs, params, space=SP):
+    """Hand-built record of n_paths paths frozen in time on [0, T]."""
     basis = get_basis(space)
-    n = times.size
     lam = basis.eigenvalues
-    m = basis.dealias_points(max(params.q, 1.0))
+    m = space.dealias_points(max(params.q, 1.0))
     u_vals = basis.synthesize(u_coeffs, m)
     v_vals = basis.synthesize(v_coeffs, m)
     grad = basis.synthesize_gradient(u_coeffs, m)
@@ -45,19 +45,28 @@ def frozen_record(path_id, times, u_coeffs, v_coeffs, params, space=SP):
         np.maximum(u_vals, 0.0) ** params.p_star * np.maximum(v_vals, 0.0) ** params.q, m))
     wa = (1 + lam) ** params.alpha
     wad = (1 + lam) ** (params.alpha + params.aleph / 2)
-    series = {
-        "u_l2": np.full(n, float(np.linalg.norm(u_coeffs))),
-        "u_lpstar": np.full(n, float(basis.quadrature(np.abs(u_vals) ** params.p_star, m)
-                                     ** (1 / params.p_star))),
-        "v_halpha": np.full(n, float(np.sqrt(np.sum(wa * v_coeffs**2)))),
-        "v_halpha_diss": np.full(n, float(np.sqrt(np.sum(wad * v_coeffs**2)))),
-        "h": np.zeros(n),
-        "phi": np.ones(n),
-        "u_grad_p": np.full(n, grad_term),
-        "couple": np.full(n, couple),
+    values = {
+        "u_l2": float(np.linalg.norm(u_coeffs)),
+        "u_lpstar": float(basis.quadrature(np.abs(u_vals) ** params.p_star, m)
+                          ** (1 / params.p_star)),
+        "v_halpha": float(np.sqrt(np.sum(wa * v_coeffs**2))),
+        "v_halpha_diss": float(np.sqrt(np.sum(wad * v_coeffs**2))),
+        "h": 0.0,
+        "phi": 1.0,
+        "u_grad_p": grad_term,
+        "couple": couple,
     }
-    return PathRecord(path_id, times, series, math.inf, None,
-                      params=params, space=space)
+    series = {c: np.full((n_paths, n_steps + 1), x) for c, x in values.items()}
+    final = np.stack([np.tile(c, (n_paths, 1)) for c in (u_coeffs, v_coeffs)])
+    return BatchRecord(np.arange(n_paths), T / n_steps, series, np.full(n_paths, -1), (),
+                       u_coeffs, v_coeffs, final, None, params, space)
+
+
+def first_paths(record, m):
+    """The record of the batch's first m paths."""
+    return replace(record, path_ids=record.path_ids[:m], stop_step=record.stop_step[:m],
+                   series={c: s[:m] for c, s in record.series.items()},
+                   final=record.final[:, :m])
 
 
 class TestReduceMean:
@@ -105,12 +114,12 @@ class TestMomentEstimators:
         u0 = bump(sp, base=1.0, amp=0.3)
         v0 = constant_field(0.0, sp)
         dt, n_steps, n_paths = 2e-3, 40, 10_000
-        recs = simulate_ensemble(params, sp, nz, u0, v0, 1e9, n_steps * dt, dt,
-                                 np.arange(n_paths))
+        rec = simulate_ensemble(params, sp, nz, u0, v0, 1e9, n_steps * dt, dt,
+                                np.arange(n_paths))
         expected = linear_second_moment(sp, params, nz.gamma1, None,
                                         u0.coeffs, dt, n_steps)
         for n in (10, 25, 40):
-            samples = np.asarray([r.series["u_l2"][n] ** 2 for r in recs])
+            samples = rec.series["u_l2"][:, n] ** 2
             mean = samples.mean()
             hw = 1.96 * samples.std(ddof=1) / math.sqrt(n_paths)
             assert abs(mean - expected[n]) < max(3 * hw, 1e-12), f"step {n}"
@@ -126,52 +135,36 @@ class TestMomentEstimators:
 
     def test_pstar_constant_field_zero_gradient(self):
         params = ModelParams()
-        times = np.linspace(0.0, 1.0, 11)
-        recs = [frozen_record(i, times, constant_field(2.0, SP).coeffs,
-                              constant_field(1.0, SP).coeffs, params)
-                for i in range(3)]
-        out = estimate_u_pstar(recs)
+        rec = frozen_record(3, 1.0, 10, constant_field(2.0, SP).coeffs,
+                            constant_field(1.0, SP).coeffs, params)
+        out = estimate_u_pstar(rec)
         assert out["gradient"].estimate == 0.0
         assert out["sup"].estimate == pytest.approx(2.0**params.p_star, rel=1e-12)
 
-    def test_pstar_mixed_records_rejected(self):
-        times = np.linspace(0.0, 0.5, 6)
-        u = bump()
-        recs = [frozen_record(i, times, u.coeffs, u.coeffs, ModelParams(p_star=ps))
-                for i, ps in enumerate((4.5, 2.0))]
-        with pytest.raises(ValidationError, match="different p_star"):
-            estimate_u_pstar(recs)
-
     def test_pstar_two_reduces_to_l2_quantity(self):
         params = ModelParams(p_star=2.0)
-        times = np.linspace(0.0, 0.5, 6)
         u = bump()
-        recs = [frozen_record(i, times, u.coeffs, u.coeffs, params)
-                for i in range(2)]
-        out = estimate_u_pstar(recs)
-        l2 = estimate_u_L2(recs)
+        rec = frozen_record(2, 0.5, 5, u.coeffs, u.coeffs, params)
+        out = estimate_u_pstar(rec)
+        l2 = estimate_u_L2(rec)
         assert out["sup"].estimate == pytest.approx(l2.estimate, rel=1e-10)
 
     def test_pstar_single_mode_gradient_oracle(self):
         # frozen u = eps phi_1, p* = 2: integral term is T eps^2 lambda_1
         eps, T = 0.25, 0.8
         params = ModelParams(p_star=2.0)
-        times = np.linspace(0.0, T, 17)
         coeffs = np.zeros(SP.total_modes)
         coeffs[1] = eps
-        recs = [frozen_record(i, times, coeffs, coeffs, params) for i in range(2)]
-        out = estimate_u_pstar(recs)
+        out = estimate_u_pstar(frozen_record(2, T, 16, coeffs, coeffs, params))
         lam1 = get_basis(SP).eigenvalues[1]
         assert out["gradient"].estimate == pytest.approx(T * eps**2 * lam1, rel=1e-12)
 
     def test_v_halpha_frozen_closed_form(self):
         params = ModelParams()
         T = 0.6
-        times = np.linspace(0.0, T, 13)
         coeffs = np.zeros(SP.total_modes)
         coeffs[1] = 1.0
-        recs = [frozen_record(i, times, coeffs, coeffs, params) for i in range(2)]
-        out = estimate_v_Halpha(recs)
+        out = estimate_v_Halpha(frozen_record(2, T, 12, coeffs, coeffs, params))
         lam1 = get_basis(SP).eigenvalues[1]
         assert out["sup"].estimate == pytest.approx((1 + lam1) ** params.alpha,
                                                     rel=1e-12)
@@ -212,7 +205,7 @@ class TestMomentEstimators:
                                  0.02, 1e-3, np.arange(10_000))
         scaled = []
         for m in (100, 1000, 10_000):
-            rep = estimate_u_L2(recs[:m])
+            rep = estimate_u_L2(first_paths(recs, m))
             scaled.append(rep.ci_halfwidth * math.sqrt(m))
         base = scaled[-1]
         for s in scaled:

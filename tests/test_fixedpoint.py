@@ -108,9 +108,9 @@ class TestPicard:
         res = picard_solve(params, SP, noise, bump(), bump(), 1e9, path_ids=[3],
                            T=0.25, dt=2e-3, tol=1e-8)
         rec = simulate_ensemble(params, SP, noise, bump(), bump(), 1e9, T=0.25,
-                                dt=2e-3, path_ids=[3], store_trajectory=True)[0]
+                                dt=2e-3, path_ids=[3], store_trajectory=True)
         fp = res["fixed_point"]
-        diff = control_m_norm(fp.eta[0] - rec.trajectory[0], fp.xi[0] - rec.trajectory[1],
+        diff = control_m_norm(fp.eta[0] - rec.trajectory[0, 0], fp.xi[0] - rec.trajectory[1, 0],
                               fp.times, SP, params.rho, params.aleph)
         assert diff < 1e-6
 

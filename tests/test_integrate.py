@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import full_step, planar_ode
 
@@ -39,6 +41,11 @@ def bump(space, base=1.0, amp=0.2):
     f = constant_field(base, space)
     f.coeffs[1] = amp
     return f
+
+
+def events_of(record, row):
+    """The (kappa, t) glue events of one path row of a batch record."""
+    return [(kappa, t) for i, kappa, t in record.glue_events if i == row]
 
 
 class TestModelParams:
@@ -106,13 +113,13 @@ class TestStepMild:
         params = ModelParams()
         u0, v0 = bump(SP), bump(SP)
         rec = simulate_ensemble(params, SP, NZ, u0, v0, 1e9, T=0.002, dt=0.001,
-                                path_ids=[0], store_trajectory=True)[0]
+                                path_ids=[0], store_trajectory=True)
         integ = MildIntegrator(params, SP, NZ)
         state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
         new = integ.step_raw(state, first_increments(NZ, 0.001), 0.001)
-        assert np.array_equal(new.u[0], rec.trajectory[0][1])
-        assert np.array_equal(new.v[0], rec.trajectory[1][1])
-        assert new.h[0] == pytest.approx(rec.series["h"][1], rel=1e-14)
+        assert np.array_equal(new.u[0], rec.trajectory[0, 0, 1])
+        assert np.array_equal(new.v[0], rec.trajectory[1, 0, 1])
+        assert new.h[0] == pytest.approx(rec.series["h"][0, 1], rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection(self):
@@ -145,8 +152,8 @@ class TestHomogeneousBranch:
         u0 = constant_field(0.5, SP)
         v0 = constant_field(0.5, SP)
         rec = simulate_ensemble(params, SP, NZ, u0, v0, 1e9, T=0.5, dt=5e-4,
-                                path_ids=[0], check_gate=False)[0]
-        _, uT, vT = rec.snapshots[-1]
+                                path_ids=[0], check_gate=False)
+        uT, vT = rec.final[:, 0]
         sol = planar_ode(params, 0.5, 0.5, 0.5)
         assert uT[0] == pytest.approx(sol.y[0, -1], rel=2e-3)
         assert vT[0] == pytest.approx(sol.y[1, -1], rel=2e-3)
@@ -158,26 +165,26 @@ class TestTrivialFixedPoints:
     def test_zero_is_absorbing(self):
         params = ModelParams(b1=0.0, b2=0.0)
         z = constant_field(0.0, SP)
-        rec = simulate_ensemble(params, SP, NZ, z, z, 1e9, T=0.05, dt=1e-3, path_ids=[0])[0]
+        rec = simulate_ensemble(params, SP, NZ, z, z, 1e9, T=0.05, dt=1e-3, path_ids=[0])
         assert rec.series["u_l2"].max() == 0.0
         assert rec.series["v_halpha"].max() == 0.0
 
     def test_cutoff_saturation_large_kappa(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.1, dt=1e-3, path_ids=[0])[0]
+                                T=0.1, dt=1e-3, path_ids=[0])
         assert np.all(rec.series["phi"] == 1.0)
-        assert rec.stop_time == math.inf
+        assert rec.stop_step.tolist() == [-1]
 
 
 class TestCutoffSemantics:
     def crossing_record(self, kappa, **kwargs):
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.15, c1=0.2, c2=0.2)
         return simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), kappa,
-                                 T=1.2, dt=2e-3, path_ids=[0], check_gate=False, **kwargs)[0]
+                                 T=1.2, dt=2e-3, path_ids=[0], check_gate=False, **kwargs)
 
     def test_phi_regions_and_monotonicity(self):
         rec = self.crossing_record(kappa=2.0)
-        h, phi = rec.series["h"], rec.series["phi"]
+        h, phi = rec.series["h"][0], rec.series["phi"][0]
         assert np.all(phi[h <= 2.0] == 1.0)
         assert h.max() > 4.0, "path must cross 2*kappa to exercise the test"
         assert np.all(phi[h >= 4.0] == 0.0)
@@ -191,11 +198,9 @@ class TestCutoffSemantics:
     def test_stop_time_monotone_and_prestop_bitequal(self):
         rec_a = self.crossing_record(kappa=2.0, store_trajectory=True)
         rec_b = self.crossing_record(kappa=2.5, store_trajectory=True)
-        assert rec_a.stop_time <= rec_b.stop_time
-        n = rec_a.stop_step
-        assert n is not None and n > 0
-        assert np.array_equal(rec_a.trajectory[0][: n + 1], rec_b.trajectory[0][: n + 1])
-        assert np.array_equal(rec_a.trajectory[1][: n + 1], rec_b.trajectory[1][: n + 1])
+        n = rec_a.stop_step[0]
+        assert 0 < n <= rec_b.stop_step[0]
+        assert np.array_equal(rec_a.trajectory[:, 0, : n + 1], rec_b.trajectory[:, 0, : n + 1])
 
 
 class TestPostCutoffLinearization:
@@ -210,12 +215,11 @@ class TestPostCutoffLinearization:
             (1 + get_basis(SP).eigenvalues) ** 0.25 * v0.coeffs**2)))
         kappa = h0 / 2.5
         rec_cut = simulate_ensemble(params, SP, NZ, u0, v0, kappa, T=0.05, dt=1e-3,
-                                    path_ids=[0], store_trajectory=True, check_gate=False)[0]
+                                    path_ids=[0], store_trajectory=True, check_gate=False)
         rec_lin = simulate_ensemble(linear, SP, NZ, u0, v0, kappa, T=0.05, dt=1e-3,
-                                    path_ids=[0], store_trajectory=True, check_gate=False)[0]
+                                    path_ids=[0], store_trajectory=True, check_gate=False)
         assert np.all(rec_cut.series["phi"] == 0.0)
-        assert np.array_equal(rec_cut.trajectory[0], rec_lin.trajectory[0])
-        assert np.array_equal(rec_cut.trajectory[1], rec_lin.trajectory[1])
+        assert np.array_equal(rec_cut.trajectory, rec_lin.trajectory)
 
 
 class TestDeterministicOrder:
@@ -245,11 +249,11 @@ class TestDeterministicOrder:
 class TestEnsembleAndNonNegativity:
     def test_batch_matches_single(self):
         params = ModelParams()
-        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                                 0.05, 1e-3, [0, 1, 2])
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
+                                0.05, 1e-3, [0, 1, 2])
         solo = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                                 0.05, 1e-3, path_ids=[1])[0]
-        assert np.allclose(recs[1].series["u_l2"], solo.series["u_l2"], rtol=1e-13)
+                                 0.05, 1e-3, path_ids=[1])
+        assert np.allclose(rec.series["u_l2"][1], solo.series["u_l2"][0], rtol=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_every_sub_batch_replays_every_column(self, d):
@@ -262,37 +266,32 @@ class TestEnsembleAndNonNegativity:
                                   range(200))
         order = np.arange(200)[::-1]
         for sub in [[197]] + [order[i::7] for i in range(7)]:  # every path, in new batches
-            for rec in simulate_ensemble(ModelParams(), space, noise, u0, v0, 1e6, 0.05,
-                                         1e-3, sub):
-                whole = batch[rec.path_id]
-                assert set(rec.series) == set(NORM_COLUMNS)
-                for col in NORM_COLUMNS:
-                    if d == 2:
-                        assert np.array_equal(rec.series[col], whole.series[col]), col
-                    else:
-                        np.testing.assert_allclose(rec.series[col], whole.series[col],
-                                                   rtol=1e-14, atol=0, err_msg=col)
+            rec = simulate_ensemble(ModelParams(), space, noise, u0, v0, 1e6, 0.05, 1e-3, sub)
+            assert set(rec.series) == set(NORM_COLUMNS)
+            for col in NORM_COLUMNS:
+                whole = batch.series[col][rec.path_ids]  # batch row i is path i
+                if d == 2:
+                    assert np.array_equal(rec.series[col], whole), col
+                else:
+                    np.testing.assert_allclose(rec.series[col], whole,
+                                               rtol=1e-14, atol=0, err_msg=col)
 
     def test_nonnegativity_small_suite(self):
         params = ModelParams()
-        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                                 0.2, 1e-3, np.arange(10), store_trajectory=True)
-        basis = get_basis(SP)
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
+                                0.2, 1e-3, np.arange(10), store_trajectory=True)
         tol = 10 * 1e-3
-        for rec in recs:
-            for coeffs in rec.trajectory:
-                vals = basis.synthesize(coeffs)
-                assert vals.min() >= -tol
+        assert get_basis(SP).synthesize(rec.trajectory).min() >= -tol
 
 
 class TestGlueing:
     def test_vacuous_glueing_matches_single(self):
         params = ModelParams()
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1e9, 2e9],
-                               T=0.1, dt=1e-3, path_ids=[0])[0]
+                               T=0.1, dt=1e-3, path_ids=[0])
         single = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
-                                   T=0.1, dt=1e-3, path_ids=[0])[0]
-        assert glued.glue_events == []
+                                   T=0.1, dt=1e-3, path_ids=[0])
+        assert glued.glue_events == ()
         for col in ("u_l2", "v_halpha", "h"):
             assert np.array_equal(glued.series[col], single.series[col])
 
@@ -300,27 +299,27 @@ class TestGlueing:
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
         schedule = [1.8, 2.6, 3.4]
         glued = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
-                               T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
+                               T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)
         assert len(glued.glue_events) >= 1
         single = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), schedule[0],
-                                   T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
-        n = single.stop_step
-        assert n is not None
-        assert glued.glue_events[0] == (schedule[0], single.stop_time)
-        assert np.array_equal(glued.trajectory[0][: n + 1], single.trajectory[0][: n + 1])
+                                   T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)
+        n = single.stop_step[0]
+        assert n >= 0
+        assert glued.glue_events[0] == (0, schedule[0], single.times[n])
+        assert np.array_equal(glued.trajectory[0, 0, : n + 1], single.trajectory[0, 0, : n + 1])
         # glue times are non-decreasing and tagged with increasing kappa
-        kappas = [k for k, _ in glued.glue_events]
-        times = [t for _, t in glued.glue_events]
+        kappas = [k for _, k, _ in glued.glue_events]
+        times = [t for _, _, t in glued.glue_events]
         assert kappas == sorted(kappas) and times == sorted(times)
 
     def test_linear_fallback_runs_to_T(self):
         params = ModelParams(a2=0.6, b2=2.0, sigma2=0.2, c1=0.2, c2=0.2)
         rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.5],
-                             T=2.0, dt=2e-3, path_ids=[0])[0]
+                             T=2.0, dt=2e-3, path_ids=[0])
         assert len(rec.glue_events) == 1
-        stop = rec.glue_events[0][1]
+        stop = rec.glue_events[0][2]
         past = rec.times > stop
-        assert np.all(rec.series["phi"][past] == 0.0)
+        assert np.all(rec.series["phi"][0, past] == 0.0)
         assert np.all(np.isfinite(rec.series["u_l2"]))
 
     def test_batch_matches_single_path_runs(self):
@@ -328,16 +327,16 @@ class TestGlueing:
         schedule = [1.8, 2.6, 3.4]
         batch = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
                                T=1.2, dt=2e-3, path_ids=[0, 1, 2, 3])
-        assert [r.path_id for r in batch] == [0, 1, 2, 3]
-        for rec in batch:
+        assert batch.path_ids.tolist() == [0, 1, 2, 3]
+        for i, pid in enumerate(batch.path_ids):
             solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), schedule,
-                                  T=1.2, dt=2e-3, path_ids=[rec.path_id])[0]
-            assert rec.glue_events == solo.glue_events
-            assert rec.stop_step == solo.stop_step
+                                  T=1.2, dt=2e-3, path_ids=[pid])
+            assert events_of(batch, i) == events_of(solo, 0)
+            assert batch.stop_step[i] == solo.stop_step[0]
             for col, values in solo.series.items():
-                np.testing.assert_allclose(rec.series[col], values, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(batch.series[col][i], values[0], rtol=1e-12, atol=0)
         # paths cross at different times, so the batch really mixes levels
-        assert len({tuple(r.glue_events) for r in batch}) > 1
+        assert len({tuple(events_of(batch, i)) for i in range(4)}) > 1
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_glue_replays_across_draw_blocks(self, d):
@@ -352,19 +351,19 @@ class TestGlueing:
         k_noise = space.total_modes - 1
         block = draw_steps(16, k_noise)
         assert block < draw_steps(1, k_noise)
-        glue_steps = {round(t / 2e-3) for rec in batch for _, t in rec.glue_events}
+        glue_steps = {round(t / 2e-3) for _, _, t in batch.glue_events}
         assert any(n % block for n in glue_steps)  # a restart inside a drawn block
-        assert len({tuple(r.glue_events) for r in batch}) > 1
-        for rec in batch:
+        assert len({tuple(events_of(batch, i)) for i in range(16)}) > 1
+        for i, pid in enumerate(batch.path_ids):
             solo = simulate_glued(params, space, NZ, bump(space), bump(space), schedule,
-                                  T=0.5, dt=2e-3, path_ids=[rec.path_id])[0]
-            assert rec.glue_events == solo.glue_events
+                                  T=0.5, dt=2e-3, path_ids=[pid])
+            assert events_of(batch, i) == events_of(solo, 0)
             for col, values in solo.series.items():
                 if d == 2:
-                    assert np.array_equal(rec.series[col], values), col
+                    assert np.array_equal(batch.series[col][i], values[0]), col
                 else:
-                    np.testing.assert_allclose(rec.series[col], values, rtol=1e-14, atol=0,
-                                               err_msg=col)
+                    np.testing.assert_allclose(batch.series[col][i], values[0], rtol=1e-14,
+                                               atol=0, err_msg=col)
 
     def test_restart_steps_with_the_new_levels_cutoff(self):
         # h(0) = 1 is past kappa_0 = 0.7, where phi would be < 1, and below
@@ -375,13 +374,13 @@ class TestGlueing:
         assert smooth_cutoff(1.0 / 0.7) < 1.0
         with pytest.warns(UserWarning, match="glue at t=0"):
             glued = simulate_glued(params, SP, NZ, one, one, [0.7, 2.0], T=0.05, dt=1e-3,
-                                   path_ids=[0])[0]
+                                   path_ids=[0])
         plain = simulate_ensemble(params, SP, NZ, one, one, 2.0, T=0.05, dt=1e-3,
-                                  path_ids=[0])[0]
-        assert glued.glue_events == [(0.7, 0.0)]
+                                  path_ids=[0])
+        assert glued.glue_events == ((0, 0.7, 0.0),)
         for col in ("u_l2", "v_halpha", "h"):
             assert np.array_equal(glued.series[col], plain.series[col]), col
-        assert np.array_equal(glued.series["phi"][1:], plain.series["phi"][1:])
+        assert np.array_equal(glued.series["phi"][:, 1:], plain.series["phi"][:, 1:])
 
     def test_nonpositive_levels_rejected(self):
         with pytest.raises(ValidationError, match="kappa_schedule entries must be finite and > 0"):
@@ -405,9 +404,9 @@ class TestGlueing:
         # v0 = 1 has h(0) = 1 >= kappa_0, so every path glues at t=0
         one = constant_field(1.0, SP)
         with pytest.warns(UserWarning, match=r"h\(0\) >= kappa_0 = 1 on paths \[3, 4\]"):
-            recs = simulate_glued(ModelParams(), SP, NZ, one, one, [1.0, 2.0],
-                                  T=0.01, dt=1e-3, path_ids=[3, 4])
-        assert all(r.glue_events[0] == (1.0, 0.0) for r in recs)
+            rec = simulate_glued(ModelParams(), SP, NZ, one, one, [1.0, 2.0],
+                                 T=0.01, dt=1e-3, path_ids=[3, 4])
+        assert all(events_of(rec, i)[0] == (1.0, 0.0) for i in range(2))
 
     def test_cli_batch_writes_single_path_events(self, tmp_path):
         doc = {
@@ -430,10 +429,39 @@ class TestGlueing:
         expected = ["path,kappa,stop_time"]
         for pid in range(3):
             solo = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.6, 3.4],
-                                  T=1.2, dt=2e-3, path_ids=[pid])[0]
-            expected += [f"{pid},{k:.17g},{t:.17g}" for k, t in solo.glue_events]
+                                  T=1.2, dt=2e-3, path_ids=[pid])
+            expected += [f"{pid},{k:.17g},{t:.17g}" for k, t in events_of(solo, 0)]
         assert rows == expected
         assert len(rows) > 4
+
+
+class TestGlueProperty:
+    """Read from the record alone: between restarts a glued path's h stays
+    below its current level, and it restarts at the first step that reaches it."""
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(n=st.sampled_from([4, 8]), a2=st.floats(0.0, 0.6), b2=st.floats(0.5, 1.5),
+           sigma2=st.floats(0.0, 0.3), c=st.floats(0.0, 0.3), seed=st.integers(0, 2**16),
+           first=st.floats(0.5, 2.0), gaps=st.lists(st.floats(0.05, 0.5), max_size=2))
+    @pytest.mark.filterwarnings("ignore:h\\(0\\) >= kappa_0")
+    def test_h_stays_below_its_level_before_each_restart(self, n, a2, b2, sigma2, c, seed,
+                                                         first, gaps):
+        space = SpaceConfig(d=1, modes_per_axis=n, grid_points_per_axis=2 * n)
+        schedule = np.cumsum([first] + gaps).tolist()
+        rec = simulate_glued(ModelParams(a2=a2, b2=b2, sigma2=sigma2, c1=c, c2=c), space,
+                             NoiseConfig(gamma1=1.0, gamma2=0.75, seed=seed), bump(space),
+                             bump(space), schedule, T=0.4, dt=2e-3, path_ids=[0, 1])
+        for i, h in enumerate(rec.series["h"]):
+            start = 0
+            events = events_of(rec, i)
+            for level, (kappa, t) in enumerate(events):
+                step = round(t / rec.dt)
+                assert kappa == schedule[level]
+                assert np.all(h[start:step] < kappa), (i, level)
+                assert h[step] >= kappa
+                start = step + 1
+            if len(events) < len(schedule):  # not yet in the linear fallback
+                assert np.all(h[start:] < schedule[len(events)]), i
 
 
 class TestColumnSets:
@@ -452,19 +480,18 @@ class TestColumnSets:
     def test_subsets_bit_equal_to_full_set(self, d, n):
         sp = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=2 * n)
         full = self._runs(sp, NORM_COLUMNS)
-        assert any(r.glue_events for r in full[1])  # the glued runs restart paths
+        assert full[1].glue_events  # the glued run restarts paths
         for columns in (FILE_SERIES, ESTIMATED_COLUMNS):
-            for recs, ref in zip(self._runs(sp, columns), full):
-                for rec, rec_full in zip(recs, ref):
-                    assert set(rec.series) == set(columns) | {"h", "phi"}
-                    assert rec.glue_events == rec_full.glue_events
-                    assert rec.stop_step == rec_full.stop_step
-                    for col, values in rec.series.items():
-                        assert np.array_equal(values, rec_full.series[col]), col
+            for rec, rec_full in zip(self._runs(sp, columns), full):
+                assert set(rec.series) == set(columns) | {"h", "phi"}
+                assert rec.glue_events == rec_full.glue_events
+                assert np.array_equal(rec.stop_step, rec_full.stop_step)
+                for col, values in rec.series.items():
+                    assert np.array_equal(values, rec_full.series[col]), col
 
     def test_h_and_phi_alone(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.01, dt=1e-3, path_ids=[0], columns=())[0]
+                                T=0.01, dt=1e-3, path_ids=[0], columns=())
         assert set(rec.series) == {"h", "phi"}
 
     def test_unknown_column_rejected(self):
@@ -483,66 +510,85 @@ class TestPathspaceNorm:
                              b1=0.0, b2=0.0, a1=0.0, a2=0.0, r1=1e-12, r2=1e-12)
         v0 = mode_field(SP, 1)
         rec = simulate_ensemble(params, SP, NZ, constant_field(0.0, SP), v0, 1e9,
-                                T=0.4, dt=1e-3, path_ids=[0], check_gate=False)[0]
+                                T=0.4, dt=1e-3, path_ids=[0], check_gate=False)
         lam1 = get_basis(SP).eigenvalues[1]
         p = params
         for t in (0.1, 0.4):
             expect = (1 + lam1) ** (p.rho / 2) + math.sqrt(t) * (1 + lam1) ** (
                 (p.rho + p.aleph / 2) / 2)
-            assert pathspace_norm(rec, p.rho, p.aleph, t) == pytest.approx(
+            assert pathspace_norm(rec, p.rho, p.aleph, t, 0) == pytest.approx(
                 expect, rel=1e-6)
 
     def test_t_zero_is_sup_only(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.01, dt=1e-3, path_ids=[0])[0]
-        assert pathspace_norm(rec, 0.25, 2.0, 0.0) == pytest.approx(
+                                T=0.01, dt=1e-3, path_ids=[0])
+        assert pathspace_norm(rec, 0.25, 2.0, 0.0, 0) == pytest.approx(
             sobolev_norm(bump(SP), 0.25))
 
     def test_nondecreasing_in_t(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.05, dt=1e-3, path_ids=[0])[0]
-        vals = [pathspace_norm(rec, 0.25, 2.0, t) for t in np.linspace(0, 0.05, 11)]
+                                T=0.05, dt=1e-3, path_ids=[0])
+        vals = [pathspace_norm(rec, 0.25, 2.0, t, 0) for t in np.linspace(0, 0.05, 11)]
         assert np.all(np.diff(vals) >= -1e-12)
 
     @pytest.mark.parametrize("t", [math.nan, -1e-3, 0.011])
     def test_time_outside_record_rejected(self, t):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.01, dt=1e-3, path_ids=[0])[0]
+                                T=0.01, dt=1e-3, path_ids=[0])
         with pytest.raises(ValidationError, match=r"outside the record range \[0, 0\.01"):
-            pathspace_norm(rec, 0.25, 2.0, t)
+            pathspace_norm(rec, 0.25, 2.0, t, 0)
 
     def test_other_smoothness_needs_trajectory(self):
         rec = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                T=0.01, dt=1e-3, path_ids=[0])[0]
+                                T=0.01, dt=1e-3, path_ids=[0])
         with pytest.raises(ValidationError):
-            pathspace_norm(rec, 0.1, 1.5, 0.01)
+            pathspace_norm(rec, 0.1, 1.5, 0.01, 0)
         rec2 = simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9,
-                                 T=0.01, dt=1e-3, path_ids=[0], store_trajectory=True)[0]
-        assert pathspace_norm(rec2, 0.1, 1.5, 0.01) > 0
+                                 T=0.01, dt=1e-3, path_ids=[0], store_trajectory=True)
+        assert pathspace_norm(rec2, 0.1, 1.5, 0.01, 0) > 0
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("aleph", [2.0, 1.5])
     def test_h_is_the_path_norm_series(self, d, aleph):
         space = SP if d == 1 else SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
         params = ModelParams(aleph=aleph)
-        recs = simulate_ensemble(params, space, NZ, bump(space), bump(space), 1e9,
-                                 T=0.05, dt=1e-3, path_ids=range(4), store_trajectory=True)
-        for rec in recs:
-            h = path_norm_series(space, rec.trajectory[1], params.rho, aleph, 1e-3)
-            assert np.array_equal(rec.series["h"], h)
+        rec = simulate_ensemble(params, space, NZ, bump(space), bump(space), 1e9,
+                                T=0.05, dt=1e-3, path_ids=range(4), store_trajectory=True)
+        for i in range(4):
+            h = path_norm_series(space, rec.trajectory[1, i], params.rho, aleph, 1e-3)
+            assert np.array_equal(rec.series["h"][i], h)
 
     def test_glued_record_needs_trajectory(self):
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
         rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.6, 3.4],
-                             T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)[0]
+                             T=1.2, dt=2e-3, path_ids=[0], store_trajectory=True)
         assert rec.glue_events
         with pytest.raises(ValidationError, match="glued record"):
-            pathspace_norm(replace(rec, trajectory=None), params.rho, params.aleph, 0.0)
-        vals = np.array([pathspace_norm(rec, params.rho, params.aleph, t) for t in rec.times])
-        unreset = path_norm_series(SP, rec.trajectory[1], params.rho, params.aleph, 2e-3)
+            pathspace_norm(replace(rec, trajectory=None), params.rho, params.aleph, 0.0, 0)
+        vals = np.array([pathspace_norm(rec, params.rho, params.aleph, t, 0)
+                         for t in rec.times])
+        unreset = path_norm_series(SP, rec.trajectory[1, 0], params.rho, params.aleph, 2e-3)
         np.testing.assert_allclose(vals, unreset, rtol=1e-14, atol=0)
-        after = rec.times > rec.glue_events[0][1]
-        assert after.any() and np.all(vals[after] > rec.series["h"][after])
+        after = rec.times > rec.glue_events[0][2]
+        assert after.any() and np.all(vals[after] > rec.series["h"][0, after])
+
+    def test_every_row_at_once(self):
+        # rows 0 and 2 glue, row 1 does not: each row keeps its own answer
+        params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [2.0], T=0.208, dt=2e-3,
+                             path_ids=[4, 5, 0], store_trajectory=True)
+        assert [i for i, _, _ in rec.glue_events] == [0, 2]
+        for rho, aleph in ((params.rho, params.aleph), (0.1, 1.5)):
+            for t in (0.0, 0.1, 0.208):
+                rows = [pathspace_norm(rec, rho, aleph, t, i) for i in range(3)]
+                assert np.array_equal(pathspace_norm(rec, rho, aleph, t), rows)
+        unglued = rec.series["h"][1, -1]
+        assert pathspace_norm(rec, params.rho, params.aleph, 0.208, 1) == unglued
+        bare = replace(rec, trajectory=None)
+        assert pathspace_norm(bare, params.rho, params.aleph, 0.208, 1) == unglued
+        for row in (0, None):
+            with pytest.raises(ValidationError, match="glued record"):
+                pathspace_norm(bare, params.rho, params.aleph, 0.208, row)
 
 
 class TestStratonovichFlag:
@@ -551,12 +597,12 @@ class TestStratonovichFlag:
                             interpretation="stratonovich")
         ito = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=5, interpretation="ito")
         rec_s = simulate_ensemble(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
-                                  0.05, 1e-3, path_ids=[0])[0]
+                                  0.05, 1e-3, path_ids=[0])
         rec_i = simulate_ensemble(ModelParams(), SP, ito, bump(SP), bump(SP), 1e9,
-                                  0.05, 1e-3, path_ids=[0])[0]
+                                  0.05, 1e-3, path_ids=[0])
         assert not np.array_equal(rec_s.series["u_l2"], rec_i.series["u_l2"])
         rec_s2 = simulate_ensemble(ModelParams(), SP, strat, bump(SP), bump(SP), 1e9,
-                                   0.05, 1e-3, path_ids=[0])[0]
+                                   0.05, 1e-3, path_ids=[0])
         assert np.array_equal(rec_s.series["u_l2"], rec_s2.series["u_l2"])
 
 
@@ -584,17 +630,17 @@ class TestZeroCoefficients:
                                   n_paths=n_paths, ref_refinement=4)
 
     def glued(self, params):
-        recs = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.5], T=1.2,
-                              dt=2e-3, path_ids=[0, 1])
-        assert all(len(r.glue_events) == 2 for r in recs)
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.8, 2.5], T=1.2,
+                             dt=2e-3, path_ids=[0, 1])
+        assert all(len(events_of(rec, i)) == 2 for i in range(2))
 
     def test_noise_free_drivers_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(WienerSource, "increment_block", _refuse)
         monkeypatch.setattr(MildIntegrator, "g_dw", _refuse)
         params = ModelParams(**{**GLUE_PARAMS, **NOISELESS})
-        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
-                                 path_ids=[0, 1], check_gate=False)
-        assert np.array_equal(recs[0].series["h"], recs[1].series["h"])
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
+                                path_ids=[0, 1], check_gate=False)
+        assert np.array_equal(rec.series["h"][0], rec.series["h"][1])
         self.glued(params)
         assert self.study(params, n_paths=1)["errors"][0] > 0
 
@@ -604,9 +650,9 @@ class TestZeroCoefficients:
         monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
         monkeypatch.setattr(MildIntegrator, "v_power", _refuse)  # the forcing's factor
         params = ModelParams(**{**GLUE_PARAMS, **UNCOUPLED})
-        recs = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
-                                 path_ids=[0, 1], check_gate=False)
-        assert np.all(recs[0].series["phi"] == 1.0)  # still recorded
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=1e-3,
+                                path_ids=[0, 1], check_gate=False)
+        assert np.all(rec.series["phi"][0] == 1.0)  # still recorded
         self.glued(params)
         assert self.study(params, n_paths=4)["errors"][0] > 0
         control = constant_control(bump(SP), bump(SP), T=0.05, dt=1e-3, n_paths=2)

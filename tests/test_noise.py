@@ -273,7 +273,7 @@ class TestStratonovichCorrection:
         sigma, gamma = 0.6, 1.2
         out = self.correction(constant_field(1.0, SP), gamma, sigma)
         basis = get_basis(SP)
-        m = basis.dealias_points(1.0)
+        m = SP.dealias_points(1.0)
         x = basis.plan(m).nodes
         direct = np.zeros_like(x)
         for k in range(1, 16):
@@ -296,7 +296,7 @@ class TestBurkholderSanity:
         """Rows: coefficients of the projected product u * colored mode."""
         basis = get_basis(space)
         w = coloring_weights(space, gamma, k_noise)
-        m = basis.dealias_points(1.0)
+        m = space.dealias_points(1.0)
         eye = np.eye(w.size, space.total_modes, 1)
         prods = basis.analyze(
             basis.synthesize(u_coeffs, m)[None, ...] * basis.synthesize(eye, m), m
