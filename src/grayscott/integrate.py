@@ -640,7 +640,8 @@ def pathspace_norm(record: BatchRecord, rho: float, aleph: float, t: float,
         raise ValidationError([f"t={t} outside the record range [0, {times[-1]}]"])
     n = int(np.searchsorted(times, t + 1e-12) - 1) if t > 0 else 0
     p = record.params
-    rows = np.arange(record.path_ids.size) if row is None else np.array([row])
+    rows = np.arange(record.path_ids.size)
+    rows = rows if row is None else rows[[row]]  # a negative row counts from the end
     glued = np.isin(rows, [i for i, _, _ in record.glue_events])
     need = glued | ((rho, aleph) != (p.rho, p.aleph))
     h = record.series["h"][rows, n]

@@ -573,22 +573,23 @@ class TestPathspaceNorm:
         assert after.any() and np.all(vals[after] > rec.series["h"][0, after])
 
     def test_every_row_at_once(self):
-        # rows 0 and 2 glue, row 1 does not: each row keeps its own answer
+        # rows 0 and 2 glue before T, row 1 does not: each row keeps its own answer
         params = ModelParams(a2=0.4, b2=1.2, sigma2=0.2, c1=0.2, c2=0.2)
-        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [2.0], T=0.208, dt=2e-3,
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [2.0], T=0.21, dt=2e-3,
                              path_ids=[4, 5, 0], store_trajectory=True)
         assert [i for i, _, _ in rec.glue_events] == [0, 2]
         for rho, aleph in ((params.rho, params.aleph), (0.1, 1.5)):
-            for t in (0.0, 0.1, 0.208):
+            for t in (0.0, 0.1, 0.21):
                 rows = [pathspace_norm(rec, rho, aleph, t, i) for i in range(3)]
                 assert np.array_equal(pathspace_norm(rec, rho, aleph, t), rows)
+                assert pathspace_norm(rec, rho, aleph, t, -1) == rows[2]
         unglued = rec.series["h"][1, -1]
-        assert pathspace_norm(rec, params.rho, params.aleph, 0.208, 1) == unglued
+        assert pathspace_norm(rec, params.rho, params.aleph, 0.21, 1) == unglued
         bare = replace(rec, trajectory=None)
-        assert pathspace_norm(bare, params.rho, params.aleph, 0.208, 1) == unglued
+        assert pathspace_norm(bare, params.rho, params.aleph, 0.21, 1) == unglued
         for row in (0, None):
             with pytest.raises(ValidationError, match="glued record"):
-                pathspace_norm(bare, params.rho, params.aleph, 0.208, row)
+                pathspace_norm(bare, params.rho, params.aleph, 0.21, row)
 
 
 class TestStratonovichFlag:
