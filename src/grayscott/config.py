@@ -23,7 +23,8 @@ from .spectral import SpaceConfig, SpectralField
 
 _INITIAL_KINDS = ("constant", "bump")
 # values in the largest arrays a run plans, with M = space.dealias_points(q) points per
-# axis: 2 * paths * M**d grid values, max(M, grid_points_per_axis) * modes_per_axis per axis
+# axis: 2 * paths * M**d grid values, max(M, grid_points_per_axis) * modes_per_axis per
+# axis, and paths * (T/dt + 1) per norm series
 MAX_GRID_VALUES = 2**26
 
 
@@ -82,7 +83,10 @@ class RunConfig:
         if self.paths < 1:
             v.append(f"paths must be >= 1, got {self.paths}")
         try:
-            step_count(self.T, self.dt)
+            values = self.paths * (step_count(self.T, self.dt) + 1)  # in one norm series
+            if values > MAX_GRID_VALUES:
+                v.append(f"T={self.T:g}, dt={self.dt:g} and paths={self.paths} plan norm series "
+                         f"of paths * (T/dt + 1) = {values} values, above 2**26")
         except ValidationError as err:
             v.extend(err.violations)
         if not (math.isfinite(self.kappa) and self.kappa > 0):

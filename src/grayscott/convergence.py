@@ -1,10 +1,11 @@
 """Temporal convergence study of the mild-form scheme.
 
 One fine Brownian realization drives every step size: the fine noise is
-drawn in blocks and each coarse level steps on block sums of it, then
-the observed order in dt is fitted.  With the noise off the same loop
-measures the deterministic global error; it then draws no noise at all,
-since the integrator computes no term whose coefficient is zero.
+drawn in blocks, the reference steps on it (a one-term block sum would
+only add +0, and no draw is -0.0) and each coarse level on block sums of
+it, then the observed order in dt is fitted.  With the noise off the same
+loop measures the deterministic global error; it then draws no noise at
+all, since the integrator computes no term whose coefficient is zero.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     for b in range(n_fine // block):
         fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None
         for i, (stride, dt) in enumerate(zip(strides, steps)):
-            dw = None if fine is None else aggregate_increments(fine, stride)
+            dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
             for n in range(block // stride):
                 states[i] = integ.step_raw(states[i], None if dw is None else dw[:, :, n], dt)
 

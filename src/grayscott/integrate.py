@@ -26,12 +26,15 @@ A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
 its step runs no g_dw.  One with c1 = c2 = 0 is not ``coupled``: no
 driver builds its reaction (nor asks a forcing for it), and its drift is
-the feeds b1, b2.  The bits do not move: c * react is +-0 for any finite
-react, and b -+ (+-0) is b for every feed but -0.0.  Adding the +-0 noise
-term sigma * g to u + dt * drift changes no coefficient but a -0.0, and
-that sum is -0.0 only where both of its terms are.  The one behaviour
-difference: a non-finite reaction at c = 0 no longer makes the drift NaN,
-so only a non-finite state raises NonFinite.
+the feeds b1, b2; under Ito that drift reads only the batch shape and
+the fallback rows, so it is analyzed once per fallback pattern (the whole
+pattern: a d=1 analysis rounds with the batch shape) and kept read-only.
+The bits do not move: c * react is +-0 for any finite react, and
+b -+ (+-0) is b for every feed but -0.0.  Adding the +-0 noise term
+sigma * g to u + dt * drift changes no coefficient but a -0.0, and that
+sum is -0.0 only where both of its terms are.  The one behaviour change:
+a non-finite reaction at c = 0 no longer makes the drift NaN, so only a
+non-finite state raises NonFinite.
 """
 
 from __future__ import annotations
@@ -132,8 +135,6 @@ class ModelParams:
 def smooth_cutoff(x):
     """C-infinity transition: 1 on |x| <= 1, 0 on |x| >= 2, monotone between."""
     ax = np.abs(np.asarray(x, dtype=float))
-    if (ax <= 1.0).all():  # the plateau, where the full formula yields exactly 1.0
-        return 1.0 if ax.ndim == 0 else np.ones(ax.shape)
     t = 2.0 - ax  # in (0, 1) on the transition band
     with np.errstate(divide="ignore", over="ignore"):
         f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
@@ -202,6 +203,7 @@ class MildIntegrator:
                                   for j in (1, 2)])[:, None]  # (2, 1, K_noise)
         self._exp_cache: dict[tuple[float, bool], np.ndarray] = {}
         self._colored: np.ndarray | None = None  # g_dw's coloring buffer
+        self._feed_drift: tuple = (None, None)  # (fallback pattern, drift), see _drift
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
         self.w_alpha = sobolev_weights(space, params.alpha)
@@ -240,12 +242,10 @@ class MildIntegrator:
             got = self._exp_cache[(dt, fallback)] = np.stack(pair)[:, None]
         return got
 
-    def _semigroups(self, dt: float, fallback: np.ndarray) -> np.ndarray:
-        """Per-path semigroup factors: fallback paths take the continuation's."""
+    def _semigroups(self, dt: float, fallback: np.ndarray, fell: bool) -> np.ndarray:
+        """Per-path semigroup factors: fell (fallback.any()) paths take the continuation's."""
         e = self._factors(dt, False)
-        if fallback.any():
-            e = np.where(fallback[:, None], self._factors(dt, True), e)
-        return e
+        return np.where(fallback[:, None], self._factors(dt, True), e) if fell else e
 
     def v_power(self, v_vals: np.ndarray) -> np.ndarray:
         """max(v, 0)^q, for the direct step and the fixed-point forcing alike."""
@@ -286,16 +286,20 @@ class MildIntegrator:
         return _norm_terms(v, self.w_rho, self.w_rho_aleph)
 
     def phi_of(self, state: _BatchState) -> np.ndarray:
-        return np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
+        x = state.h / state.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
+        return np.where(state.fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
 
     # -- stepping ------------------------------------------------------------
 
     def _drift(self, state: _BatchState, uv_vals: np.ndarray,
-               react: np.ndarray | None) -> np.ndarray:
+               react: np.ndarray | None, fell: bool) -> np.ndarray:
         """Coefficients of the Ito drift of both species; fallback paths
-        have no reaction and no feed, and an uncoupled integrator has the
-        feeds alone (react is then unused).  Its grid values are freed on
-        return, before g_dw allocates its own."""
+        have no reaction and no feed (fell: any path has), and an uncoupled
+        integrator has the feeds alone (react is then unused; under Ito kept
+        per fallback pattern).  Its grid values are freed before g_dw runs."""
+        key = None if self.coupled or self.ito_profile is not None else state.fallback.tobytes()
+        if key is not None and self._feed_drift[0] == key:
+            return self._feed_drift[1]
         p = self.params
         # one species at a time: a scalar op is far cheaper than a broadcast constant
         drift = np.empty(uv_vals.shape)
@@ -305,9 +309,13 @@ class MildIntegrator:
         else:  # b -+ c * react with c = 0 is b
             drift[0] = p.b1
             drift[1] = p.b2
-        if state.fallback.any():
+        if fell:
             drift[:, state.fallback] = 0.0
-        return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
+        drift = self._per_species(self.analyze, self.to_ito(drift, uv_vals))
+        if key is not None:
+            drift.flags.writeable = False
+            self._feed_drift = (key, drift)
+        return drift
 
     def _per_species(self, fn, *stacked: np.ndarray) -> np.ndarray:
         """fn of the stacked species arrays, whose first holds grid values:
@@ -335,6 +343,7 @@ class MildIntegrator:
         and no reaction is built.
         """
         p = self.params
+        fell = state.fallback.any()
         vals = self.synth(state.uv) if uv_vals is None else uv_vals
         if react is None and self.coupled:
             react = self.reaction(vals, self.phi_of(state))
@@ -342,14 +351,14 @@ class MildIntegrator:
         # array: d=2 analysis returns K-major coefficients, which mixed into one
         # expression make numpy iterate slowly, and the H^rho sums below reduce in
         # memory order, so a K-major state would round them differently
-        uv = np.multiply(self._drift(state, vals, react), dt, out=np.empty(state.uv.shape))
+        uv = np.multiply(self._drift(state, vals, react, fell), dt, out=np.empty(state.uv.shape))
         uv += state.uv
         if self.noisy:
             g = self.g_dw(vals, dw)
             g[0] *= p.sigma1
             g[1] *= p.sigma2
             uv += g
-        uv *= self._semigroups(dt, state.fallback)
+        uv *= self._semigroups(dt, state.fallback, fell)
 
         if not np.isfinite(uv).all():
             raise NonFinite(

@@ -4,7 +4,8 @@ Increments are produced by a stateless counter-based generator: every
 scalar draw is a pure function of (seed, path, process, segment, step,
 mode), so parallel paths, glue segments and dt refinements never need
 stream coordination.  One SplitMix64 finalizer mixes every word of the
-address, and a source draws both Wiener processes in one call.
+address.  A source draws both Wiener processes in one call, in place, a
+chunk of rows at a time: a draw reads only its address, so no bit moves.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ _MULT_STEP = 0x9FB21C651E98DF25
 _MULT_MODE = 0xC2B2AE3D27D4EB4F
 _MULT_PROC = 0x165667B19E3779F9
 _MULT_SEG = 0xD6E8FEB86659FD93
+# values a draw mixes and converts per pass, so its words and output rows stay in cache
+_CHUNK_VALUES = 1 << 14
 
 
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -31,8 +34,7 @@ _U_MIX1, _U_MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _mix_arr(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 words."""
-    z = z.astype(np.uint64)
+    """SplitMix64 finalizer, elementwise and in place on fresh uint64 words."""
     z ^= z >> _U30
     z *= _U_MIX1
     z ^= z >> _U27
@@ -59,12 +61,19 @@ def _stream_keys(seed: int, path_ids: np.ndarray, segment, n_modes: int) -> np.n
     return rp[..., None] ^ _role_arr(np.arange(n_modes), _MULT_MODE)
 
 
-def _keyed_normals(keys: np.ndarray, step_words: np.ndarray) -> np.ndarray:
-    """Standard normals of shape (P, S, K) from (P, K) stream keys and S step words."""
-    bits = _mix_arr(keys[:, None, :] ^ step_words[None, :, None])
-    # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
-    return ndtri(u)
+def _keyed_normals(keys: np.ndarray, words: np.ndarray, scale: float, out: np.ndarray):
+    """Fill out (R, S, K) with scale times standard normals from (R, K)
+    stream keys and S step words, _CHUNK_VALUES values at a time."""
+    rows = max(_CHUNK_VALUES // out[0].size, 1)
+    bits = np.empty((min(rows, len(out)),) + out.shape[1:], dtype=np.uint64)
+    for r in range(0, len(out), rows):
+        o = out[r:r + rows]
+        z = _mix_arr(np.bitwise_xor(keys[r:r + rows, None], words[:, None], out=bits[:len(o)]))
+        z >>= np.uint64(11)  # 53-bit uniform strictly inside (0, 1), then inverse normal CDF
+        np.add(z, 0.5, out=o)
+        o *= 2.0**-53
+        ndtri(o, out=o)
+        o *= scale
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,8 @@ class WienerSource:
             self._keys = (seg, _stream_keys(self.config.seed, self.path_ids, seg, self.k_noise))
         words = _role_arr(np.arange(step0, step0 + count), _MULT_STEP)
         out = np.empty((2, self.path_ids.size, count, self.k_noise))
-        for j in (0, 1):  # one process per pass: one (2, P, count, K) pass is slower
-            np.multiply(np.sqrt(dt), _keyed_normals(self._keys[1][j], words), out=out[j])
+        _keyed_normals(self._keys[1].reshape(-1, self.k_noise), words, np.sqrt(dt),
+                       out.reshape(-1, count, self.k_noise))
         return out
 
 

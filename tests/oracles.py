@@ -5,16 +5,19 @@ branch goes through an adaptive Runge-Kutta solver, and the linear
 second moment through an exact covariance-matrix recursion of the
 discrete update.  counter_normals addresses one process of the noise
 generator at arbitrary steps, where WienerSource draws both processes
-at consecutive steps.  full_step is the step map with every term
+at consecutive steps, and keyed_normals draws in one pass with a new
+array per operation, where the source draws in place, chunk by chunk.
+full_step is the step map with every term
 computed, whatever its coefficient, where MildIntegrator.step_raw skips
 the terms a zero coefficient silences.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import ndtri
 
 from grayscott.integrate import _BatchState
-from grayscott.noise import _MULT_STEP, _keyed_normals, _role_arr, _stream_keys, coloring_weights
+from grayscott.noise import _MULT_STEP, _role_arr, _stream_keys, coloring_weights
 from grayscott.spectral import get_basis
 
 
@@ -92,13 +95,26 @@ def linear_second_moment(space, params, gamma, k_noise, u0_coeffs, dt, n_steps):
     return np.asarray(traces)
 
 
+def keyed_normals(keys: np.ndarray, step_words: np.ndarray) -> np.ndarray:
+    """Standard normals of shape (P, S, K) from (P, K) stream keys and S
+    step words: the SplitMix64 finalizer, a 53-bit uniform strictly inside
+    (0, 1) and the inverse normal CDF, over the whole block at once."""
+    z = keys[:, None, :] ^ step_words[None, :, None]
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return ndtri(((z >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53))
+
+
 def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
                     steps: np.ndarray, n_modes: int) -> np.ndarray:
     """Standard normals of shape (len(path_ids), len(steps), n_modes) at
     their noise addresses; segment is one glue segment for all paths or
     one per path."""
     keys = _stream_keys(seed, path_ids, segment, n_modes)[process - 1]
-    return _keyed_normals(keys, _role_arr(steps, _MULT_STEP))
+    return keyed_normals(keys, _role_arr(steps, _MULT_STEP))
 
 
 def full_step(integ, state, dw, dt):
@@ -120,7 +136,7 @@ def full_step(integ, state, dw, dt):
     g[0] *= p.sigma1
     g[1] *= p.sigma2
     uv += g
-    uv *= integ._semigroups(dt, state.fallback)
+    uv *= integ._semigroups(dt, state.fallback, state.fallback.any())
     rho_norm, diss_sq = integ.norm_terms(uv[1])
     intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
     return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,

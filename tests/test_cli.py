@@ -113,6 +113,7 @@ class TestConfigParsing:
         ("noise.seed=18446744073709551616", "seed must be < 2**64"),
         ("T=1e308", "T/dt must be finite"),
         ("T=1e300", "T/dt must be < 2**63 steps, got T=1e+300, dt=0.001"),
+        ("T=1e9", "T=1e+09, dt=0.001 and paths=2 plan norm series"),
         pytest.param("kappa=" + "9" * 400, "kappa must be finite",
                      id="kappa=400 nines-kappa must be finite"),
         ('field_dumps="false"', "field_dumps must be true or false"),

@@ -88,6 +88,23 @@ class TestSmoothCutoff:
             assert math.isnan(smooth_cutoff(math.nan))
         assert y[0] == 1.0 and math.isnan(y[1]) and y[2] == smooth_cutoff(1.5)
 
+    @pytest.mark.parametrize("band", [False, True])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_phi_of_is_the_cutoff_on_unfallen_paths(self, band, nan):
+        integ = MildIntegrator(ModelParams(), SP, NZ)
+        h0 = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 1.0).h[0]
+        # h/kappa is 0.5 on every path, or 1/0.7 on path 1; path 2 has fallen back
+        kappa = h0 * np.array([2.0, 0.7 if band else 2.0, 2.0])
+        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, kappa)
+        state.fallback[2] = True
+        if nan:  # a NaN h is not on the plateau
+            state.intg[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            phi = integ.phi_of(state)
+            full = np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
+        assert np.array_equal(phi, full, equal_nan=True)
+        assert math.isnan(phi[0]) == nan and phi[2] == 0.0 and (phi[1] < 1.0) == band
+
 
 def first_increments(noise, dt, path_id=0):
     source = WienerSource(noise, SP, [path_id])
@@ -690,3 +707,28 @@ class TestZeroCoefficients:
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
             assert np.array_equal(skip.h, full.h), n
         assert 0.0 < integ.phi_of(skip)[0] < 1.0
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_uncoupled_drift_follows_the_fallback_rows(self, interpretation):
+        noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
+        integ = MildIntegrator(ModelParams(**{**GLUE_PARAMS, **UNCOUPLED}), SP, noise)
+        dt, n_steps = 2e-3, 20
+        dw = WienerSource(noise, SP, [0, 1, 2]).increment_block(0, n_steps, dt, 0)
+        skip = full = integ.initial_state(bump(SP).coeffs, bump(SP, 1.0, 0.4).coeffs,
+                                          np.full(3, 1e9))
+        falls = {6: 2, 13: 0}  # rows fall back at different steps: the pattern changes twice
+        patterns = set()
+        for n in range(n_steps):
+            if n in falls:
+                skip.fallback[falls[n]] = full.fallback[falls[n]] = True
+            skip = integ.step_raw(skip, dw[:, :, n], dt)
+            full = full_step(integ, full, dw[:, :, n], dt)
+            assert np.array_equal(skip.uv, full.uv), n
+            assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
+            assert np.array_equal(skip.h, full.h), n
+            patterns.add(integ._feed_drift[0])
+        if interpretation == "ito":
+            assert len(patterns) == 3
+            assert not integ._feed_drift[1].flags.writeable
+        else:  # the correction reads the state: nothing is kept
+            assert patterns == {None}

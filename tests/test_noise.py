@@ -119,6 +119,23 @@ class TestNoiseAddress:
             assert np.array_equal(block, new.increment_block(step0, 3, 0.01, segment.copy()))
             segment[0] = 4  # an in-place change is a new segment too
 
+    @pytest.mark.parametrize("paths, steps, modes_per_axis", [
+        (256, 128, 16),
+        (33, 64, 32),  # 2 * 33 streams: no whole number of chunks
+        (200, 1, 32),  # one step of a wide batch: a single chunk
+    ])
+    def test_chunked_draws_equal_one_pass_draws(self, paths, steps, modes_per_axis):
+        sp = SpaceConfig(d=1, modes_per_axis=modes_per_axis,
+                         grid_points_per_axis=2 * modes_per_axis)
+        path_ids = np.arange(paths) * 3 + 1
+        segment = path_ids % 4  # one segment per path
+        block = WienerSource(CFG, sp, path_ids).increment_block(9, steps, 0.01, segment)
+        assert block.shape == (2, paths, steps, modes_per_axis - 1)
+        for process in (1, 2):
+            ref = counter_normals(CFG.seed, path_ids, process, segment,
+                                  np.arange(9, 9 + steps), modes_per_axis - 1)
+            assert np.array_equal(block[process - 1], np.sqrt(0.01) * ref)
+
     def test_cutoff_beyond_usable_modes_rejected(self):
         # the source and the integrator size the noise from the same rule
         sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)

@@ -9,7 +9,9 @@ tree, with that tree's ``src`` on ``PYTHONPATH`` and its own output
 directory.  The set covers:
 
 - the six subcommands at seeds 0 and 5 (20 paths);
-- ``simulate`` under Stratonovich;
+- ``simulate`` and ``convergence`` under Stratonovich (``convergence``
+  is the one run whose strong study analyzes its drift every step: under
+  Ito its uncoupled drift is a constant);
 - ``glue`` at ``kappa_schedule=[1.05,1.1]``, which reaches the linear
   fallback, plain and under Stratonovich;
 - ``simulate`` and ``estimate`` at d=2 periodic, aleph=1.5 (``estimate``
@@ -81,6 +83,7 @@ RUNS = [
     for seed in (0, 5)
 ] + [
     ("simulate-strat", ["simulate"] + PATHS + STRAT),
+    ("convergence-strat", ["convergence"] + PATHS + STRAT),
     ("glue-fallback", ["glue"] + PATHS + FALLBACK),
     ("glue-fallback-strat", ["glue"] + PATHS + FALLBACK + STRAT),
     ("simulate-d2-periodic", ["simulate", "--paths", "8"] + D2_PERIODIC),
