@@ -9,7 +9,9 @@ tree, with that tree's ``src`` on ``PYTHONPATH`` and its own output
 directory.  The set covers:
 
 - the six subcommands at seeds 0 and 5 (20 paths);
-- ``simulate`` and ``convergence`` under Stratonovich (``convergence``
+- ``simulate``, ``fixed-point`` and ``convergence`` under Stratonovich
+  (``fixed-point`` is the one run whose forced sweep adds the Ito
+  correction, which reads the state, to a frozen drift; ``convergence``
   is the one run whose strong study analyzes its drift every step: under
   Ito its uncoupled drift is a constant);
 - ``glue`` at ``kappa_schedule=[1.05,1.1]``, which reaches the linear
@@ -83,6 +85,7 @@ RUNS = [
     for seed in (0, 5)
 ] + [
     ("simulate-strat", ["simulate"] + PATHS + STRAT),
+    ("fixed-point-strat", ["fixed-point"] + PATHS + STRAT),
     ("convergence-strat", ["convergence"] + PATHS + STRAT),
     ("glue-fallback", ["glue"] + PATHS + FALLBACK),
     ("glue-fallback-strat", ["glue"] + PATHS + FALLBACK + STRAT),
