@@ -95,11 +95,15 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     v_power, as in the direct step), with the cutoff phi evaluated once on
     xi's running path norm; the shared time loop asks for it one drawn
     noise block at a time, so no whole-run grid array is built.  Only the
-    noise factor depends on the evolving state.
+    noise factor and the Stratonovich correction depend on the evolving
+    state, and the sweep keeps no path norm of it.
     """
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    v = [] if kappa > 0 else [f"cutoff level kappa must be > 0, got {kappa}"]  # also rejects NaN
     if path_ids.size != control.eta.shape[0]:
-        raise ValidationError([f"{path_ids.size} path ids for {control.eta.shape[0]} paths"])
+        v.append(f"{path_ids.size} path ids for {control.eta.shape[0]} paths")
+    if v:
+        raise ValidationError(v)
     dt, n_steps = control.dt, control.eta.shape[1] - 1
     p = integ.params
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
@@ -110,7 +114,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
         return phi[:, rows] * (integ.synth(control.eta[:, rows])
                                * integ.v_power(integ.synth(control.xi[:, rows])))
 
-    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    state = integ._start_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
     out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
     run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
     return ControlPair(out[0], out[1], dt, integ.space)
@@ -137,7 +141,7 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     with the trace of the first path still above tol after max_iter;
     non-convergence at large coupling is a reportable outcome, not a bug.
     """
-    v = []
+    v = [] if kappa > 0 else [f"cutoff level kappa must be > 0, got {kappa}"]  # also rejects NaN
     if not tol > 0:  # also rejects NaN
         v.append(f"tol must be > 0, got {tol}")
     if max_iter < 1:

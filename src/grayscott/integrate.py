@@ -6,21 +6,26 @@ The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver steps
 with the same map.  Ensembles, glueing and the fixed-point operator also
 share one time loop, ``run_batch``; the fixed-point operator passes its
-frozen reaction as a forcing and records nothing.  The convergence study
-keeps its own lockstep loop: all its step sizes advance on block sums of
-one shared fine draw, which a loop pass per step size would redraw once
-per level.  Internals are vectorized over a batch of independent
-paths, and both species live in one (2, P, K) array, so a step of a
-small batch makes one transform call per operand instead of one per
-species (``STACK_BUDGET``).  The time loop draws the noise of both
-processes for several steps in one call (``DRAW_BUDGET``), in each
-path's current glue segment; each draw is a pure function of its
+frozen reaction as a forcing, and its sweep records nothing and keeps no
+path norm: it composes the feed-minus-reaction drift once per drawn
+noise block, step-major, and analyzes one contiguous slice per step
+(elementwise, so the bits are those of the per-step composition); the
+Stratonovich correction reads the state and is added per step.  The
+convergence study keeps its own lockstep loop: all its step sizes
+advance on block sums of one shared fine draw, which a loop pass per
+step size would redraw once per level.  Internals are vectorized over a
+batch of independent paths, and both species live in one (2, P, K)
+array, so a step of a small batch makes one transform call per operand
+instead of one per species (``STACK_BUDGET``).  The time loop draws the
+noise of both processes for several steps in one call (``DRAW_BUDGET``),
+in each path's current glue segment; each draw is a pure function of its
 address, so the increments are the one-step draws bit for bit.  The
 state's transforms are not batched over steps: at one path a d=1 step is
 a GEMV and a block of steps a GEMM, and the two round differently.  A
 forcing is asked for once per drawn block, so the fixed-point reaction's
-d=1 rounding follows the block shape.  A run returns one ``BatchRecord``,
-whose row i of each per-path array is path path_ids[i], as the loop filled it.
+d=1 rounding follows the block shape.  A run returns one
+``BatchRecord``, whose row i of each per-path array is path path_ids[i],
+as the loop filled it.
 
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
@@ -291,6 +296,29 @@ class MildIntegrator:
 
     # -- stepping ------------------------------------------------------------
 
+    def _feed_minus_reaction(self, react: np.ndarray, out: np.ndarray):
+        """Write b1 - c1 * react and b2 + c2 * react into out[0] and out[1]:
+        one species at a time, as a scalar op is far cheaper than a
+        broadcast constant.  Elementwise, so the bits do not depend on
+        the layout of react or out."""
+        p = self.params
+        np.subtract(p.b1, p.c1 * react, out=out[0])
+        np.add(p.b2, p.c2 * react, out=out[1])
+
+    def _forced_drift(self, react: np.ndarray) -> np.ndarray:
+        """Grid values (count, 2, P) + grid of the drift before the Ito
+        correction, step-major, for a block of forced reactions
+        (P, count) + grid: each step's (2, P) + grid slice is contiguous."""
+        react = react.swapaxes(0, 1)
+        drift = np.empty((react.shape[0], 2) + react.shape[1:])
+        self._feed_minus_reaction(react, drift.swapaxes(0, 1))
+        return drift
+
+    def _analyze_drift(self, drift: np.ndarray, uv_vals: np.ndarray) -> np.ndarray:
+        """Coefficients of the Ito drift from its grid values before the
+        Ito correction, which reads the state's grid values uv_vals."""
+        return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
+
     def _drift(self, state: _BatchState, uv_vals: np.ndarray,
                react: np.ndarray | None, fell: bool) -> np.ndarray:
         """Coefficients of the Ito drift of both species; fallback paths
@@ -300,18 +328,15 @@ class MildIntegrator:
         key = None if self.coupled or self.ito_profile is not None else state.fallback.tobytes()
         if key is not None and self._feed_drift[0] == key:
             return self._feed_drift[1]
-        p = self.params
-        # one species at a time: a scalar op is far cheaper than a broadcast constant
         drift = np.empty(uv_vals.shape)
         if self.coupled:
-            np.subtract(p.b1, p.c1 * react, out=drift[0])
-            np.add(p.b2, p.c2 * react, out=drift[1])
+            self._feed_minus_reaction(react, drift)
         else:  # b -+ c * react with c = 0 is b
-            drift[0] = p.b1
-            drift[1] = p.b2
+            drift[0] = self.params.b1
+            drift[1] = self.params.b2
         if fell:
             drift[:, state.fallback] = 0.0
-        drift = self._per_species(self.analyze, self.to_ito(drift, uv_vals))
+        drift = self._analyze_drift(drift, uv_vals)
         if key is not None:
             drift.flags.writeable = False
             self._feed_drift = (key, drift)
@@ -332,8 +357,8 @@ class MildIntegrator:
         """Advance one step.  dw has shape (2, P, K_noise): process 1, then 2.
 
         react, when given, replaces the cutoff reaction phi * u * v^q by
-        exogenous grid values per path (the fixed-point operator's frozen
-        reaction, or the reaction the time loop built from its phi);
+        grid values per path (the reaction the time loop built from its
+        phi, or an exogenous one);
         uv_vals passes already synthesized grid values (2, P) + grid of
         the state.  Fallback paths have no reaction and no feed.
 
@@ -342,47 +367,75 @@ class MildIntegrator:
         None) and g_dw does not run; unless ``coupled``, react is not read
         and no reaction is built.
         """
-        p = self.params
         fell = state.fallback.any()
         vals = self.synth(state.uv) if uv_vals is None else uv_vals
         if react is None and self.coupled:
             react = self.reaction(vals, self.phi_of(state))
-        # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
-        # array: d=2 analysis returns K-major coefficients, which mixed into one
-        # expression make numpy iterate slowly, and the H^rho sums below reduce in
-        # memory order, so a K-major state would round them differently
-        uv = np.multiply(self._drift(state, vals, react, fell), dt, out=np.empty(state.uv.shape))
-        uv += state.uv
-        if self.noisy:
-            g = self.g_dw(vals, dw)
-            g[0] *= p.sigma1
-            g[1] *= p.sigma2
-            uv += g
-        uv *= self._semigroups(dt, state.fallback, fell)
-
-        if not np.isfinite(uv).all():
-            raise NonFinite(
-                f"non-finite coefficients at step {state.step + 1}",
-                step=state.step + 1, time=(state.step + 1) * dt,
-            )
-
+        uv = self._advance(state, self._drift(state, vals, react, fell), vals, dw, dt,
+                           self._semigroups(dt, state.fallback, fell))
         rho_norm, diss_sq = self.norm_terms(uv[1])
         intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
         return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
                            state.kappa, state.level, state.segment, state.fallback,
                            state.step + 1)
 
+    def _advance(self, state: _BatchState, drift: np.ndarray, uv_vals: np.ndarray,
+                 dw: np.ndarray | None, dt: float, factors: np.ndarray) -> np.ndarray:
+        """The coefficients (2, P, K) of the step from state, without its path
+        norm: drift is the Ito drift's coefficients, uv_vals the state's grid
+        values and factors the semigroup factors.  Raises NonFinite."""
+        p = self.params
+        # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
+        # array: d=2 analysis returns K-major coefficients, which mixed into one
+        # expression make numpy iterate slowly, and the H^rho sums of step_raw reduce
+        # in memory order, so a K-major state would round them differently
+        uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
+        uv += state.uv
+        if self.noisy:
+            g = self.g_dw(uv_vals, dw)
+            g[0] *= p.sigma1
+            g[1] *= p.sigma2
+            uv += g
+        uv *= factors
+        if not np.isfinite(uv).all():
+            raise NonFinite(
+                f"non-finite coefficients at step {state.step + 1}",
+                step=state.step + 1, time=(state.step + 1) * dt,
+            )
+        return uv
+
+    def _forced_step(self, state: _BatchState, dw: np.ndarray | None, dt: float,
+                     drift: np.ndarray | None, uv_vals: np.ndarray) -> _BatchState:
+        """step_raw for a forced run, which has no fallback rows: drift holds
+        this step's grid values (2, P) + grid from _forced_drift (None when
+        the integrator is uncoupled: the feeds alone), and the path norm is
+        not advanced: the new state carries over state's sup, intg and
+        last_diss_sq."""
+        coeffs = (self._drift(state, uv_vals, None, False) if drift is None
+                  else self._analyze_drift(drift, uv_vals))
+        uv = self._advance(state, coeffs, uv_vals, dw, dt, self._factors(dt, False))
+        return _BatchState(uv, state.sup, state.intg, state.last_diss_sq, state.kappa,
+                           state.level, state.segment, state.fallback, state.step + 1)
+
     def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
         """Batch state at t=0 with one path per cutoff level in kappa (a
         scalar is one path); u0 and v0 are one coefficient vector for every
         path or one row per path."""
+        state = self._start_state(u0, v0, kappa)
+        state.sup, state.last_diss_sq = self.norm_terms(state.v)
+        state.intg = np.zeros(state.sup.shape)
+        return state
+
+    def _start_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
+        """initial_state without its path norm, for a forced run, which keeps
+        none: sup, intg and last_diss_sq are NaN."""
         kappa = np.atleast_1d(np.asarray(kappa, dtype=float)).copy()
         n = kappa.size
         uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n, np.shape(f)[-1]))
                        for f in (u0, v0)])
-        sup, diss = self.norm_terms(uv[1])
+        unkept = np.full(n, np.nan)
         return _BatchState(
-            uv, sup, np.zeros(n), diss, kappa=kappa,
+            uv, unkept, unkept, unkept, kappa=kappa,
             level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
             fallback=np.zeros(n, dtype=bool), step=0,
         )
@@ -488,15 +541,25 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     """The time loop: record the norm columns ``series`` holds, let
     ``glue`` restart the paths that reached their level, store the state in
     ``traj`` (2, P, n_steps+1, K), then step every path; returns the final
-    state.  ``forcing(start, count)``, called once per drawn noise block,
-    gives the reaction's grid values (P, count) + grid for those steps in
-    place of the cutoff reaction; then no cutoff or norm is evaluated.
-    Unless the integrator is noisy no noise is drawn, and unless it is
-    coupled no reaction is built and the forcing is not called."""
+    state.  Unless the integrator is noisy no noise is drawn, and unless it
+    is coupled no reaction is built and the forcing is not called.
+
+    ``forcing(start, count)``, called once per drawn noise block, gives
+    the reaction's grid values (P, count) + grid for those steps in place
+    of the cutoff reaction.  A forced run does only the work its
+    trajectory reads: it evaluates no cutoff, records no norm and keeps
+    no path norm (each step carries the start state's sup, intg and
+    last_diss_sq over, NaN from ``_start_state``), and it composes the
+    drift's grid values b1 - c1 * R and b2 + c2 * R once per block; only
+    the Stratonovich correction, which reads the state, is added per
+    step.  It has no glue and no fallback rows, so no drift row is
+    zeroed."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
     start = end = 0  # the current block spans steps [start, end)
-    dw = forced = react = None  # its increments and forcing, this step's reaction
+    dw = drift = None  # its increments and forced drift
+    if forcing is not None and (glue is not None or state.fallback.any()):
+        raise ValidationError(["a forced run has no glue and no fallback rows"])
 
     for n in range(n_steps + 1):
         vals = integ.synth(state.uv)
@@ -516,11 +579,14 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
             if integ.noisy:
                 dw = source.increment_block(n, end - n, dt, state.segment)
             if forcing is not None and integ.coupled:
-                forced = forcing(start, end - start)
-        if integ.coupled:
-            react = integ.reaction(vals, phi) if forcing is None else forced[:, n - start]
-        state = integ.step_raw(state, None if dw is None else dw[:, :, n - start], dt,
-                               react=react, uv_vals=vals)
+                drift = integ._forced_drift(forcing(start, end - start))
+        dw_n = None if dw is None else dw[:, :, n - start]
+        if forcing is not None:
+            state = integ._forced_step(state, dw_n, dt,
+                                       None if drift is None else drift[n - start], vals)
+        else:
+            react = integ.reaction(vals, phi) if integ.coupled else None
+            state = integ.step_raw(state, dw_n, dt, react=react, uv_vals=vals)
 
 
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,

@@ -9,15 +9,24 @@ at consecutive steps, and keyed_normals draws in one pass with a new
 array per operation, where the source draws in place, chunk by chunk.
 full_step is the step map with every term
 computed, whatever its coefficient, where MildIntegrator.step_raw skips
-the terms a zero coefficient silences.
+the terms a zero coefficient silences.  forced_sweep is the fixed-point
+operator stepped by step_raw, with each drawn block's frozen reaction
+passed as react, where apply_V composes the drift once per block and
+keeps no path norm.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import ndtri
 
-from grayscott.integrate import _BatchState
-from grayscott.noise import _MULT_STEP, _role_arr, _stream_keys, coloring_weights
+from grayscott.integrate import _BatchState, draw_steps, path_norm_series, smooth_cutoff
+from grayscott.noise import (
+    _MULT_STEP,
+    WienerSource,
+    _role_arr,
+    _stream_keys,
+    coloring_weights,
+)
 from grayscott.spectral import get_basis
 
 
@@ -142,3 +151,27 @@ def full_step(integ, state, dw, dt):
     return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
                        state.kappa, state.level, state.segment, state.fallback,
                        state.step + 1)
+
+
+def forced_sweep(control, integ, u0, v0, kappa, path_ids):
+    """apply_V's trajectory (2, P, n_steps+1, K) by step_raw: the reaction
+    phi * eta * max(xi, 0)^q of each drawn noise block, built as apply_V's
+    forcing builds it, passed to step_raw one step at a time."""
+    p, d = integ.params, integ.space.d
+    dt, n_steps = control.dt, control.eta.shape[1] - 1
+    phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
+    phi = phi.reshape(phi.shape + (1,) * d)
+    source = WienerSource(integ.noise, integ.space, path_ids)
+    block = draw_steps(len(path_ids), source.k_noise)
+    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(len(path_ids), kappa))
+    out = np.empty((2, len(path_ids), n_steps + 1, u0.coeffs.size))
+    out[:, :, 0] = state.uv
+    for start in range(0, n_steps, block):
+        rows = slice(start, min(start + block, n_steps))
+        react = phi[:, rows] * (integ.synth(control.eta[:, rows])
+                                * integ.v_power(integ.synth(control.xi[:, rows])))
+        dw = source.increment_block(start, react.shape[1], dt, state.segment)
+        for j in range(react.shape[1]):
+            state = integ.step_raw(state, dw[:, :, j], dt, react=react[:, j])
+            out[:, :, start + j + 1] = state.uv
+    return out

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import forced_sweep
 
 from grayscott.errors import NoConvergence, ValidationError
 from grayscott.fixedpoint import (
@@ -18,7 +19,7 @@ from grayscott.fixedpoint import (
     kset_functionals,
     picard_solve,
 )
-from grayscott.integrate import MildIntegrator, ModelParams, simulate_ensemble
+from grayscott.integrate import MildIntegrator, ModelParams, run_batch, simulate_ensemble
 from grayscott.noise import NoiseConfig
 from grayscott.spectral import SpaceConfig, constant_field, lp_norm, sobolev_norm
 
@@ -61,6 +62,49 @@ class TestApplyV:
         b = apply_V(control, integ, u0, v0, kappa=500.0, path_ids=[4])
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.xi, b.xi)
+
+
+class TestForcedSweep:
+    """apply_V's sweep composes its drift once per drawn block and keeps no
+    path norm, and its trajectory is step_raw's, bit for bit."""
+
+    SP2 = SpaceConfig(d=2, modes_per_axis=8, grid_points_per_axis=16)
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("space", [SP, SP2], ids=["d1-N16", "d2-N8"])
+    def test_matches_step_raw_sweep(self, space, interpretation, n_paths):
+        params = ModelParams(c1=0.2, c2=0.2)
+        integ = MildIntegrator(params, space, replace(NZ, interpretation=interpretation))
+        u0, v0 = bump(space), bump(space, 1.0, 0.4)
+        ids = list(range(5, 5 + n_paths))
+        # 150 steps span several drawn blocks and end in a partial one; a second
+        # iterate varies in time, and kappa puts its phi on the transition band
+        control = apply_V(constant_control(u0, v0, T=0.15, dt=1e-3, n_paths=n_paths),
+                          integ, u0, v0, 1e9, ids)
+        got = apply_V(control, integ, u0, v0, 1.0, ids)
+        want = forced_sweep(control, integ, u0, v0, 1.0, ids)
+        for a, b in ((got.eta, want[0]), (got.xi, want[1])):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_keeps_no_path_norm(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a forced sweep computed a path norm term")
+
+        integ = MildIntegrator(ModelParams(c1=0.2, c2=0.2), SP, NZ)
+        control = constant_control(bump(), bump(), T=0.05, dt=1e-3, n_paths=2)
+        monkeypatch.setattr(MildIntegrator, "norm_terms", refuse)
+        out = apply_V(control, integ, bump(), bump(), 1e9, [0, 1])
+        assert np.isfinite(out.eta).all() and np.isfinite(out.xi).all()
+
+    def test_forced_run_has_no_fallback_rows(self):
+        integ = MildIntegrator(ModelParams(), SP, NZ)
+        state = integ.initial_state(bump().coeffs, bump().coeffs, [1.0, 2.0])
+        state.fallback = np.array([False, True])
+        with pytest.raises(ValidationError, match="no glue and no fallback rows"):
+            run_batch(integ, state, [0, 1], 4, 1e-3, None,
+                      forcing=lambda start, count: np.zeros((2, count, 32)))
 
 
 class TestControlTimes:
@@ -126,6 +170,15 @@ class TestPicard:
             picard_solve(params, SP, NZ, bump(), bump(), 1e9, [0], 0.1, 1e-3,
                          tol=1e-16, max_iter=3)
         assert len(err.value.residuals) == 3
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_bad_cutoff_level_rejected(self, kappa):
+        needle = f"cutoff level kappa must be > 0, got {kappa}"
+        control = constant_control(bump(), bump(), T=0.02, dt=1e-3, n_paths=1)
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            apply_V(control, MildIntegrator(ModelParams(), SP, NZ), bump(), bump(), kappa, [0])
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            picard_solve(ModelParams(), SP, NZ, bump(), bump(), kappa, [0], 0.02, 1e-3)
 
     @pytest.mark.parametrize("kwargs, needle", [
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),

@@ -33,6 +33,14 @@ Per case it times:
 - ``record_norms_files``: one ``record_norms`` call that fills only the
   columns ``simulate`` and ``glue`` write.
 
+The fixed-point loop has its own table, ``forced``: ``apply_V`` per
+path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
+(the first Picard iterate), at
+
+- ``d1-N32-P1``: d=1 Neumann, N=32, M=64, one path (``fixed-point`` in
+  the ``pathwise-d1`` benchmark);
+- ``d2-N8-P4``: d=2 Neumann, N=8, M=16, 4 paths.
+
 Every figure is the median over ``REPEATS`` of the mean time of a
 loop of calls (about 20 ms each) divided by the batch size.  The
 inputs are fixed, so two checkouts time the same operations.  Prints
@@ -59,6 +67,11 @@ CASES = {
     "d2-N32-P16": (2, 32, 64, 16),
     "d1-N32-P1": (1, 32, 64, 1),
     "d1-N4-P1": (1, 4, 8, 1),
+}
+FORCED_STEPS = 350  # the steps of one fixed-point sweep in the pathwise-d1 benchmark
+FORCED_CASES = {
+    "d1-N32-P1": (1, 32, 64, 1),
+    "d2-N8-P4": (2, 8, 16, 4),
 }
 
 
@@ -134,6 +147,23 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     return result
 
 
+def time_forced(d: int, n: int, m: int, paths: int) -> dict:
+    import numpy as np
+
+    from grayscott.fixedpoint import apply_V, constant_control
+    from grayscott.integrate import MildIntegrator, ModelParams
+    from grayscott.noise import NoiseConfig
+    from grayscott.spectral import SpaceConfig, constant_field
+
+    space = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=m)
+    u0, v0 = constant_field(1.0, space), constant_field(1.0, space)
+    integ = MildIntegrator(ModelParams(), space, NoiseConfig(seed=0))
+    dt, ids = 1e-3, np.arange(paths)
+    control = constant_control(u0, v0, FORCED_STEPS * dt, dt, paths)
+    sec = _loop_time(lambda: apply_V(control, integ, u0, v0, 1e6, ids))
+    return {"apply_V": round(1e6 * sec / (FORCED_STEPS * paths), 3)}
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -168,6 +198,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "environment": environment(),
         "cases": {name: time_case(*case) for name, case in CASES.items()},
+        "forced": {name: time_forced(*case) for name, case in FORCED_CASES.items()},
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -17,9 +17,13 @@ config (T=0.5, dts T*2^-5 .. T*2^-8, d=1 N=16):
 
 It runs each study once untimed, then ``--repeats`` times timed, and
 reports the median per study.  Prints one JSON object: per study and
-tree, the per-process medians, their median and quartiles, the ratio
-of the medians (NEW over OLD) and the rounds in which NEW was faster.
-Exits 1 when the two trees' study errors differ in any bit.
+tree, the per-process medians, their median and quartiles; the median
+of the per-round ratios (NEW over OLD, each from the two processes of
+one round), next to the ratio of the per-tree medians; and the rounds in
+which NEW was faster.  The paired ratio is the figure to read: host
+drift between rounds moves both trees of a round alike, but it can
+swamp the ratio of the medians.  Exits 1 when the two trees' study
+errors differ in any bit.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ def main(argv: list[str]) -> int:
         same &= all(a[name]["errors"] == b[name]["errors"] for a, b in zip(*runs))
         report["studies"][name] = {
             "old": _summary(old), "new": _summary(new),
+            "paired_new_over_old": round(statistics.median(b / a for a, b in zip(old, new)), 4),
             "new_over_old": round(statistics.median(new) / statistics.median(old), 4),
             "new_faster_rounds": f"{sum(b < a for a, b in zip(old, new))}/{args.rounds}",
         }
