@@ -6,19 +6,22 @@ only add +0, and no draw is -0.0) and each coarse level on block sums of
 it, then the observed order in dt is fitted.  With the noise off the same
 loop measures the deterministic global error; it then draws no noise at
 all, since the integrator computes no term whose coefficient is zero.
+Every level steps the uncut system by the fixed-point sweep's norm-free
+step, as the study reads only the states at T: it keeps no path norm,
+and a path is no longer cut once its h would pass 1e12.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from .errors import ValidationError
 from .integrate import MildIntegrator, ModelParams, step_count
 from .noise import NoiseConfig, WienerSource, aggregate_increments
 from .spectral import SpaceConfig, SpectralField
-
-_NO_CUTOFF = 1e12
 
 
 def _fit_order(dts, errors) -> float:
@@ -42,8 +45,22 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
                        n_paths: int = 256, ref_refinement: int = 8) -> dict:
     """Root-mean-square strong error at T per step size against a
     dt/ref_refinement reference, all levels driven by block sums of one
-    shared fine increment stream.  Every dt must divide T."""
+    shared fine increment stream.  Every dt must divide T; the dts must be
+    distinct, and ref_refinement and n_paths integers >= 1.  The levels
+    step the uncut system with no path norm: bit for bit the cutoff system
+    at level 1e12 while a path's h stays at or below it, past which the
+    path is no longer cut."""
     dts = sorted(dts, reverse=True)
+    v = []
+    if not dts:
+        v.append("dts must hold at least one step size")
+    elif len(set(dts)) < len(dts):
+        v.append(f"dts must be distinct, got {dts}")
+    for name, value in (("ref_refinement", ref_refinement), ("n_paths", n_paths)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            v.append(f"{name} must be an integer >= 1, got {value!r}")
+    if v:
+        raise ValidationError(v)
     dt_ref = min(dts) / ref_refinement
     n_fine = step_count(T, dt_ref)
     for dt in dts:
@@ -54,7 +71,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, np.arange(n_paths))
-    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, _NO_CUTOFF))
+    states = [integ._start_state(u0.coeffs, v0.coeffs, np.full(n_paths, math.inf))
               for _ in steps]
 
     for b in range(n_fine // block):
@@ -62,7 +79,8 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
         for i, (stride, dt) in enumerate(zip(strides, steps)):
             dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
             for n in range(block // stride):
-                states[i] = integ.step_raw(states[i], None if dw is None else dw[:, :, n], dt)
+                dw_n = None if dw is None else dw[:, :, n]
+                states[i] = integ._norm_free_step(states[i], dw_n, dt, None)
 
     ref_state, *level_states = states
     errors = [

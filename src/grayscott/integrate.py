@@ -11,14 +11,15 @@ path norm: it composes the feed-minus-reaction drift once per drawn
 noise block, step-major, and analyzes one contiguous slice per step
 (elementwise, so the bits are those of the per-step composition); the
 Stratonovich correction reads the state and is added per step.  The
-convergence study keeps its own lockstep loop: all its step sizes
-advance on block sums of one shared fine draw, which a loop pass per
-step size would redraw once per level.  Internals are vectorized over a
-batch of independent paths, and both species live in one (2, P, K)
-array, so a step of a small batch makes one transform call per operand
-instead of one per species (``STACK_BUDGET``).  The time loop draws the
-noise of both processes for several steps in one call (``DRAW_BUDGET``),
-in each path's current glue segment; each draw is a pure function of its
+convergence study steps the uncut reaction by the same norm-free step,
+``_norm_free_step``, in its own lockstep loop: its step sizes advance on
+block sums of one shared fine draw, which a loop pass per step size
+would redraw once per level.  Internals are vectorized over a batch of
+independent paths, and both species live in one (2, P, K) array, so a
+step of a small batch makes one transform call per operand instead of
+one per species (``STACK_BUDGET``).  The time loop draws the noise of
+both processes for several steps in one call (``DRAW_BUDGET``), in each
+path's current glue segment; each draw is a pure function of its
 address, so the increments are the one-step draws bit for bit.  The
 state's transforms are not batched over steps: at one path a d=1 step is
 a GEMV and a block of steps a GEMM, and the two round differently.  A
@@ -319,16 +320,17 @@ class MildIntegrator:
         Ito correction, which reads the state's grid values uv_vals."""
         return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
 
-    def _drift(self, state: _BatchState, uv_vals: np.ndarray,
+    def _drift(self, state: _BatchState, uv_vals: np.ndarray | None,
                react: np.ndarray | None, fell: bool) -> np.ndarray:
         """Coefficients of the Ito drift of both species; fallback paths
         have no reaction and no feed (fell: any path has), and an uncoupled
-        integrator has the feeds alone (react is then unused; under Ito kept
-        per fallback pattern).  Its grid values are freed before g_dw runs."""
+        integrator has the feeds alone (react is then unused; under Ito, so
+        is uv_vals, and they are kept per fallback pattern).  Its grid values
+        are freed before g_dw runs."""
         key = None if self.coupled or self.ito_profile is not None else state.fallback.tobytes()
         if key is not None and self._feed_drift[0] == key:
             return self._feed_drift[1]
-        drift = np.empty(uv_vals.shape)
+        drift = np.empty(state.uv.shape[:-1] + (self.grid_m,) * self.space.d)
         if self.coupled:
             self._feed_minus_reaction(react, drift)
         else:  # b -+ c * react with c = 0 is b
@@ -404,16 +406,22 @@ class MildIntegrator:
             )
         return uv
 
-    def _forced_step(self, state: _BatchState, dw: np.ndarray | None, dt: float,
-                     drift: np.ndarray | None, uv_vals: np.ndarray) -> _BatchState:
-        """step_raw for a forced run, which has no fallback rows: drift holds
-        this step's grid values (2, P) + grid from _forced_drift (None when
-        the integrator is uncoupled: the feeds alone), and the path norm is
-        not advanced: the new state carries over state's sup, intg and
-        last_diss_sq."""
-        coeffs = (self._drift(state, uv_vals, None, False) if drift is None
-                  else self._analyze_drift(drift, uv_vals))
-        uv = self._advance(state, coeffs, uv_vals, dw, dt, self._factors(dt, False))
+    def _norm_free_step(self, state: _BatchState, dw: np.ndarray | None, dt: float,
+                        drift: np.ndarray | None) -> _BatchState:
+        """step_raw without the path norm, for a run with no fallback rows
+        (the forced sweep, the convergence study): the new state carries
+        state's sup, intg and last_diss_sq over.  drift holds the step's grid
+        values (2, P) + grid before the Ito correction; None means those of
+        the uncut reaction u * max(v, 0)^q (step_raw's while phi is 1), or the
+        feeds alone if uncoupled.  The state is synthesized only if read."""
+        reads = self.noisy or self.ito_profile is not None or (drift is None and self.coupled)
+        vals = self.synth(state.uv) if reads else None
+        if drift is None:
+            react = vals[0] * self.v_power(vals[1]) if self.coupled else None
+            coeffs = self._drift(state, vals, react, False)
+        else:
+            coeffs = self._analyze_drift(drift, vals)
+        uv = self._advance(state, coeffs, vals, dw, dt, self._factors(dt, False))
         return _BatchState(uv, state.sup, state.intg, state.last_diss_sq, state.kappa,
                            state.level, state.segment, state.fallback, state.step + 1)
 
@@ -427,8 +435,8 @@ class MildIntegrator:
         return state
 
     def _start_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
-        """initial_state without its path norm, for a forced run, which keeps
-        none: sup, intg and last_diss_sq are NaN."""
+        """initial_state without its path norm, for a norm-free run (the
+        forced sweep, the study): sup, intg and last_diss_sq are NaN."""
         kappa = np.atleast_1d(np.asarray(kappa, dtype=float)).copy()
         n = kappa.size
         uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n, np.shape(f)[-1]))
@@ -546,14 +554,10 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
 
     ``forcing(start, count)``, called once per drawn noise block, gives
     the reaction's grid values (P, count) + grid for those steps in place
-    of the cutoff reaction.  A forced run does only the work its
-    trajectory reads: it evaluates no cutoff, records no norm and keeps
-    no path norm (each step carries the start state's sup, intg and
-    last_diss_sq over, NaN from ``_start_state``), and it composes the
-    drift's grid values b1 - c1 * R and b2 + c2 * R once per block; only
-    the Stratonovich correction, which reads the state, is added per
-    step.  It has no glue and no fallback rows, so no drift row is
-    zeroed."""
+    of the cutoff reaction.  A forced run evaluates no cutoff, records no
+    norm and steps by ``_norm_free_step`` (start it from ``_start_state``)
+    on the drift b1 - c1 * R, b2 + c2 * R composed once per block; it has
+    no glue and no fallback rows, so no drift row is zeroed."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
     start = end = 0  # the current block spans steps [start, end)
@@ -562,8 +566,8 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
         raise ValidationError(["a forced run has no glue and no fallback rows"])
 
     for n in range(n_steps + 1):
-        vals = integ.synth(state.uv)
         if forcing is None:
+            vals = integ.synth(state.uv)
             phi = integ.phi_of(state)
             integ.record_norms(state, series, n, vals, phi)
             if glue is not None:
@@ -582,8 +586,8 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
                 drift = integ._forced_drift(forcing(start, end - start))
         dw_n = None if dw is None else dw[:, :, n - start]
         if forcing is not None:
-            state = integ._forced_step(state, dw_n, dt,
-                                       None if drift is None else drift[n - start], vals)
+            state = integ._norm_free_step(state, dw_n, dt,
+                                          None if drift is None else drift[n - start])
         else:
             react = integ.reaction(vals, phi) if integ.coupled else None
             state = integ.step_raw(state, dw_n, dt, react=react, uv_vals=vals)

@@ -12,19 +12,29 @@ computed, whatever its coefficient, where MildIntegrator.step_raw skips
 the terms a zero coefficient silences.  forced_sweep is the fixed-point
 operator stepped by step_raw, with each drawn block's frozen reaction
 passed as react, where apply_V composes the drift once per block and
-keeps no path norm.
+keeps no path norm.  cut_study_states is the convergence study stepped
+by step_raw on the cutoff system at level 1e12 from initial_state, where
+strong_order_study steps the uncut system and keeps no path norm.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import ndtri
 
-from grayscott.integrate import _BatchState, draw_steps, path_norm_series, smooth_cutoff
+from grayscott.integrate import (
+    MildIntegrator,
+    _BatchState,
+    draw_steps,
+    path_norm_series,
+    smooth_cutoff,
+    step_count,
+)
 from grayscott.noise import (
     _MULT_STEP,
     WienerSource,
     _role_arr,
     _stream_keys,
+    aggregate_increments,
     coloring_weights,
 )
 from grayscott.spectral import get_basis
@@ -175,3 +185,25 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
             state = integ.step_raw(state, dw[:, :, j], dt, react=react[:, j])
             out[:, :, start + j + 1] = state.uv
     return out
+
+
+def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refinement):
+    """strong_order_study's states at T, the reference first and then the
+    dts from the largest down, by step_raw on the cutoff system at level
+    1e12 from initial_state: each level steps on block sums of one fine
+    draw, as the study does."""
+    dts = sorted(dts, reverse=True)
+    steps = [min(dts) / ref_refinement] + dts
+    strides = [step_count(dt, steps[0]) for dt in steps]
+    integ = MildIntegrator(params, space, noise)
+    source = WienerSource(noise, space, np.arange(n_paths))
+    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, 1e12))
+              for _ in steps]
+    block = np.lcm.reduce(strides)
+    for b in range(step_count(T, steps[0]) // block):
+        fine = source.increment_block(b * block, block, steps[0], 0)
+        for i, (stride, dt) in enumerate(zip(strides, steps)):
+            dw = fine if stride == 1 else aggregate_increments(fine, stride)
+            for n in range(block // stride):
+                states[i] = integ.step_raw(states[i], dw[:, :, n], dt)
+    return states

@@ -19,9 +19,15 @@ from grayscott.fixedpoint import (
     kset_functionals,
     picard_solve,
 )
-from grayscott.integrate import MildIntegrator, ModelParams, run_batch, simulate_ensemble
+from grayscott.integrate import (
+    MildIntegrator,
+    ModelParams,
+    draw_steps,
+    run_batch,
+    simulate_ensemble,
+)
 from grayscott.noise import NoiseConfig
-from grayscott.spectral import SpaceConfig, constant_field, lp_norm, sobolev_norm
+from grayscott.spectral import Basis, SpaceConfig, constant_field, lp_norm, sobolev_norm
 
 SP = SpaceConfig(d=1, modes_per_axis=16, grid_points_per_axis=32)
 NZ = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=21)
@@ -97,6 +103,24 @@ class TestForcedSweep:
         monkeypatch.setattr(MildIntegrator, "norm_terms", refuse)
         out = apply_V(control, integ, bump(), bump(), 1e9, [0, 1])
         assert np.isfinite(out.eta).all() and np.isfinite(out.xi).all()
+
+    def test_noiseless_ito_sweep_synthesizes_only_the_forcing(self, monkeypatch):
+        integ = MildIntegrator(ModelParams(sigma1=0.0, sigma2=0.0, c1=0.2, c2=0.2), SP, NZ)
+        u0, v0 = bump(), bump(SP, 1.0, 0.4)
+        control = apply_V(constant_control(u0, v0, T=0.15, dt=1e-3, n_paths=2),
+                          integ, u0, v0, 1e9, [0, 1])
+        calls = []
+        synthesize = Basis.synthesize
+        monkeypatch.setattr(Basis, "synthesize",
+                            lambda self, *a: calls.append(a[0].shape) or synthesize(self, *a))
+        got = apply_V(control, integ, u0, v0, 1.0, [0, 1])
+        block = draw_steps(2, integ.k_noise)
+        assert calls == [(2, min(block, 150 - s), SP.total_modes)
+                         for s in range(0, 150, block) for _ in ("eta", "xi")]
+        want = forced_sweep(control, integ, u0, v0, 1.0, [0, 1])
+        for a, b in ((got.eta, want[0]), (got.xi, want[1])):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_forced_run_has_no_fallback_rows(self):
         integ = MildIntegrator(ModelParams(), SP, NZ)

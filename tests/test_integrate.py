@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_step, planar_ode
+from oracles import cut_study_states, full_step, planar_ode
 
 from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
@@ -261,6 +262,32 @@ class TestDeterministicOrder:
         with pytest.raises(ValidationError, match="not a whole multiple of dt=0.3"):
             strong_order_study(ModelParams(), sp, NoiseConfig(seed=0), u0, v0,
                                T=0.5, dts=[0.3, 0.1], n_paths=2)
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"dts": []}, "dts must hold at least one step size"),
+        ({"dts": [0.05, 0.05]}, "dts must be distinct, got [0.05, 0.05]"),
+        ({"n_paths": 0}, "n_paths must be an integer >= 1, got 0"),
+        ({"n_paths": -1}, "n_paths must be an integer >= 1, got -1"),
+        ({"ref_refinement": 0}, "ref_refinement must be an integer >= 1, got 0"),
+        ({"ref_refinement": 2.5}, "ref_refinement must be an integer >= 1, got 2.5"),
+    ])
+    def test_bad_study_arguments_rejected(self, kwargs, needle):
+        from grayscott.convergence import strong_order_study
+
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        u0, v0 = bump(sp, 0.5, 0.1), bump(sp, 0.5, 0.1)
+        args = {"T": 0.1, "dts": [0.05, 0.025], "n_paths": 2, "ref_refinement": 2, **kwargs}
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            strong_order_study(ModelParams(), sp, NoiseConfig(seed=0), u0, v0, **args)
+
+    def test_single_step_size_has_no_order(self):
+        from grayscott.convergence import strong_order_study
+
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        u0, v0 = bump(sp, 0.5, 0.1), bump(sp, 0.5, 0.1)
+        out = strong_order_study(ModelParams(), sp, NoiseConfig(seed=0), u0, v0, T=0.1,
+                                 dts=[0.05], n_paths=2, ref_refinement=2)
+        assert out["errors"][0] > 0 and math.isnan(out["order"])
 
 
 class TestEnsembleAndNonNegativity:
@@ -708,6 +735,12 @@ class TestZeroCoefficients:
             assert np.array_equal(skip.h, full.h), n
         assert 0.0 < integ.phi_of(skip)[0] < 1.0
 
+    def test_studies_evaluate_no_cutoff_and_keep_no_path_norm(self, monkeypatch):
+        monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
+        monkeypatch.setattr(MildIntegrator, "norm_terms", _refuse)
+        assert self.study(ModelParams(**NOISELESS), n_paths=1)["errors"][0] > 0
+        assert self.study(ModelParams(**UNCOUPLED), n_paths=4)["errors"][0] > 0
+
     @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
     def test_uncoupled_drift_follows_the_fallback_rows(self, interpretation):
         noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
@@ -732,3 +765,36 @@ class TestZeroCoefficients:
             assert not integ._feed_drift[1].flags.writeable
         else:  # the correction reads the state: nothing is kept
             assert patterns == {None}
+
+
+class TestStudyStep:
+    """The convergence study steps the uncut system with no path norm, bit
+    for bit as step_raw steps the cutoff system at level 1e12."""
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("zeros", [NOISELESS, UNCOUPLED, {}],
+                             ids=["noiseless", "uncoupled", "none"])
+    @pytest.mark.parametrize("space", [SpaceConfig(d=1, modes_per_axis=8,
+                                                   grid_points_per_axis=16), SP_2D],
+                             ids=["d1-N8", "d2-N8"])
+    def test_matches_the_cut_step_raw_study(self, monkeypatch, space, zeros, interpretation,
+                                            n_paths):
+        from grayscott import convergence
+
+        params = ModelParams(**{"a2": 0.4, "c1": 0.5, "c2": 0.5, **zeros})
+        noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
+        u0, v0 = bump(space, 0.5, 0.1), bump(space, 0.5, 0.3)
+        args = (params, space, noise, u0, v0, 0.25, [2.0**-5, 2.0**-6, 2.0**-7])
+        seen = []
+        error = convergence._state_error
+        monkeypatch.setattr(convergence, "_state_error",
+                            lambda a, b: seen.append((a, b)) or error(a, b))
+        out = convergence.strong_order_study(*args, n_paths=n_paths, ref_refinement=4)
+        ref, *levels = cut_study_states(*args, n_paths=n_paths, ref_refinement=4)
+        assert out["errors"] == [float(np.sqrt(np.mean(error(st, ref) ** 2)))
+                                 for st in levels]
+        assert len(seen) == len(levels)
+        for got, want in zip([seen[0][1]] + [a for a, _ in seen], [ref] + levels):
+            assert np.array_equal(got.uv, want.uv)
+            assert np.array_equal(np.signbit(got.uv), np.signbit(want.uv))

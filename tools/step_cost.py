@@ -41,6 +41,15 @@ path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
   the ``pathwise-d1`` benchmark);
 - ``d2-N8-P4``: d=2 Neumann, N=8, M=16, 4 paths.
 
+The convergence study has its own table, ``study``:
+``strong_order_study`` per path-step (the steps of every level, the
+reference's included, times the paths), at the settings of
+``tools/study_cost.py``:
+
+- ``deterministic``: coupled, no noise, 1 path (4576 steps);
+- ``strong``: uncoupled, 16 paths (2528 steps), its noise draws and
+  block sums included.
+
 Every figure is the median over ``REPEATS`` of the mean time of a
 loop of calls (about 20 ms each) divided by the batch size.  The
 inputs are fixed, so two checkouts time the same operations.  Prints
@@ -164,6 +173,21 @@ def time_forced(d: int, n: int, m: int, paths: int) -> dict:
     return {"apply_V": round(1e6 * sec / (FORCED_STEPS * paths), 3)}
 
 
+def time_study(name: str) -> dict:
+    from study_cost import settings
+
+    from grayscott.convergence import strong_order_study
+    from grayscott.integrate import step_count
+
+    *args, n_paths, refinement = settings()[name]
+    T, dts = args[5], args[6]
+    steps = step_count(T, min(dts) / refinement) + sum(step_count(T, dt) for dt in dts)
+    sec = _loop_time(lambda: strong_order_study(*args, n_paths=n_paths,
+                                                ref_refinement=refinement))
+    return {"strong_order_study": round(1e6 * sec / (steps * n_paths), 3),
+            "paths": n_paths, "steps": steps}
+
+
 def environment() -> dict:
     import numpy
     import scipy
@@ -199,6 +223,7 @@ def main(argv=None) -> int:
         "environment": environment(),
         "cases": {name: time_case(*case) for name, case in CASES.items()},
         "forced": {name: time_forced(*case) for name, case in FORCED_CASES.items()},
+        "study": {name: time_study(name) for name in ("deterministic", "strong")},
     }
     print(json.dumps(result, indent=2))
     return 0
