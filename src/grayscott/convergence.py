@@ -3,12 +3,16 @@
 One fine Brownian realization drives every step size: the fine noise is
 drawn in blocks, the reference steps on it (a one-term block sum would
 only add +0, and no draw is -0.0) and each coarse level on block sums of
-it, then the observed order in dt is fitted.  With the noise off the same
-loop measures the deterministic global error; it then draws no noise at
-all, since the integrator computes no term whose coefficient is zero.
-Every level steps the uncut system by the fixed-point sweep's norm-free
-step, as the study reads only the states at T: it keeps no path norm,
-and a path is no longer cut once its h would pass 1e12.
+it, then the observed order in dt is fitted.  Each level colors its
+increments once per fine block (``MildIntegrator.colored_noise``), which
+also synthesizes them there while the level's block fits the
+integrator's ``STACK_BUDGET``: the coarse levels at a few paths, not the
+reference.  With the noise off the same loop measures the deterministic
+global error; it then draws no noise at all, since the integrator
+computes no term whose coefficient is zero.  Every level steps the uncut
+system by the fixed-point sweep's norm-free step, as the study reads
+only the states at T: it keeps no path norm, and a path is no longer cut
+once its h would pass 1e12.
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
         fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None
         for i, (stride, dt) in enumerate(zip(strides, steps)):
             dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
+            colored = None if dw is None else integ.colored_noise(dw)
             for n in range(block // stride):
-                dw_n = None if dw is None else dw[:, :, n]
-                states[i] = integ._norm_free_step(states[i], dw_n, dt, None)
+                colored_n = None if colored is None else colored[n]
+                states[i] = integ._norm_free_step(states[i], colored_n, dt, None)
 
     ref_state, *level_states = states
     errors = [

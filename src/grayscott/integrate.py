@@ -8,10 +8,10 @@ with the same map.  Ensembles, glueing and the fixed-point operator also
 share one time loop, ``run_batch``; the fixed-point operator passes its
 frozen reaction as a forcing, and its sweep records nothing and keeps no
 path norm: it composes the feed-minus-reaction drift once per drawn
-noise block, step-major, and analyzes one contiguous slice per step
-(elementwise, so the bits are those of the per-step composition); the
-Stratonovich correction reads the state and is added per step.  The
-convergence study steps the uncut reaction by the same norm-free step,
+noise block, step-major, and under Ito analyzes the whole block in one
+call; the Stratonovich correction reads the state, so there each step
+adds it to its contiguous slice and analyzes that.  The convergence
+study steps the uncut reaction by the same norm-free step,
 ``_norm_free_step``, in its own lockstep loop: its step sizes advance on
 block sums of one shared fine draw, which a loop pass per step size
 would redraw once per level.  Internals are vectorized over a batch of
@@ -20,13 +20,18 @@ step of a small batch makes one transform call per operand instead of
 one per species (``STACK_BUDGET``).  The time loop draws the noise of
 both processes for several steps in one call (``DRAW_BUDGET``), in each
 path's current glue segment; each draw is a pure function of its
-address, so the increments are the one-step draws bit for bit.  The
-state's transforms are not batched over steps: at one path a d=1 step is
-a GEMV and a block of steps a GEMM, and the two round differently.  A
-forcing is asked for once per drawn block, so the fixed-point reaction's
-d=1 rounding follows the block shape.  A run returns one
-``BatchRecord``, whose row i of each per-path array is path path_ids[i],
-as the loop filled it.
+address, so the increments are the one-step draws bit for bit.  Each
+drawn block is colored once (``colored_noise``) and, while its grid
+values fit ``STACK_BUDGET``, synthesized in one call; past it each step
+synthesizes its own slice, as a wide step's operands fit cache only one
+species at a time.  None of this moves a bit: the compositions are
+elementwise, and a stacked transform runs the same BLAS call for each
+(P, .) matrix.  The state's transforms are not batched over steps: at
+one path a d=1 step is a GEMV and a block of steps a GEMM, and the two
+round differently.  A forcing is asked for once per drawn block, so the
+fixed-point reaction's d=1 rounding follows the block shape.  A run
+returns one ``BatchRecord``, whose row i of each per-path array is path
+path_ids[i], as the loop filled it.
 
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
@@ -189,6 +194,21 @@ class _BatchState:
         return self.sup + np.sqrt(self.intg)
 
 
+class _Operand:
+    """A state-free step operand stacked over both species, in the form
+    on_grid names: grid values (on_grid) or coefficients.  A block holds
+    (count, 2, P) + form, step-major; its [n] is step n's (2, P) + form."""
+
+    __slots__ = ("array", "on_grid")
+
+    def __init__(self, array: np.ndarray, on_grid: bool):
+        self.array = array
+        self.on_grid = on_grid
+
+    def __getitem__(self, n: int) -> _Operand:
+        return _Operand(self.array[n], self.on_grid)
+
+
 class MildIntegrator:
     """One-step map of the cutoff system for a fixed parameter set.
 
@@ -208,7 +228,9 @@ class MildIntegrator:
         self.coloring = np.stack([coloring_weights(space, noise.gamma(j), self.k_noise)
                                   for j in (1, 2)])[:, None]  # (2, 1, K_noise)
         self._exp_cache: dict[tuple[float, bool], np.ndarray] = {}
-        self._colored: np.ndarray | None = None  # g_dw's coloring buffer
+        # colored_noise's coefficient rows, grown to the largest block seen; only
+        # columns 1..k_noise are ever written, so the others stay zero
+        self._colored = np.zeros((0, space.total_modes))
         self._feed_drift: tuple = (None, None)  # (fallback pattern, drift), see _drift
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
@@ -268,17 +290,33 @@ class MildIntegrator:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         return self.basis.analyze(values, self.grid_m)
 
-    def g_dw(self, uv_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    def colored_noise(self, dw: np.ndarray) -> _Operand:
+        """The coloring (-Laplace)^(-gamma/2) dW of a drawn block dW
+        (2, P, count, K_noise) on modes 1..K_noise, step-major (count, 2, P):
+        while the block's 2 * count * P * M^d grid values fit STACK_BUDGET,
+        its grid values, synthesized in one call; past it, its coefficients,
+        which g_dw synthesizes one step at a time.  The coefficients are a
+        view of a buffer the integrator reuses, so the next call overwrites
+        them.  Bit-equal to a per-step coloring: matmul runs the same BLAS
+        call for each (P, .) matrix of a stack."""
+        _, paths, count, _ = dw.shape
+        rows = count * 2 * paths
+        if self._colored.shape[0] < rows:
+            self._colored = np.zeros((rows, self.space.total_modes))
+        colored = self._colored[:rows].reshape(count, 2, paths, -1)
+        np.multiply(self.coloring, dw.transpose(2, 0, 1, 3),
+                    out=colored[..., 1:1 + self.k_noise])
+        if rows * self.grid_m**self.space.d <= STACK_BUDGET:
+            return _Operand(self.synth(colored), True)
+        return _Operand(colored, False)
+
+    def g_dw(self, uv_vals: np.ndarray, noise: _Operand) -> np.ndarray:
         """g_gamma(u)[dW] of both species: the grid product of the grid
-        values (2, P) + grid with the coloring (-Laplace)^(-gamma/2) dW of
-        dW (2, P, K_noise) on modes 1..K_noise, projected back to the basis."""
-        shape = dw.shape[:-1] + (self.space.total_modes,)
-        colored = self._colored
-        if colored is None or colored.shape != shape:  # the non-noise columns stay zero
-            colored = self._colored = np.zeros(shape)
-        np.multiply(self.coloring, dw, out=colored[..., 1:1 + self.k_noise])
-        return self._per_species(lambda vals, c: self.analyze(vals * self.synth(c)),
-                                 uv_vals, colored)
+        values (2, P) + grid with one step's colored noise (step n of a
+        colored_noise block is its [n]), projected back to the basis."""
+        return self._per_species(
+            lambda vals, w: self.analyze(vals * (w if noise.on_grid else self.synth(w))),
+            uv_vals, noise.array)
 
     def to_ito(self, drift: np.ndarray, uv_vals: np.ndarray) -> np.ndarray:
         """The drift (grid values (2, P) + grid) plus the correction
@@ -306,14 +344,18 @@ class MildIntegrator:
         np.subtract(p.b1, p.c1 * react, out=out[0])
         np.add(p.b2, p.c2 * react, out=out[1])
 
-    def _forced_drift(self, react: np.ndarray) -> np.ndarray:
-        """Grid values (count, 2, P) + grid of the drift before the Ito
-        correction, step-major, for a block of forced reactions
-        (P, count) + grid: each step's (2, P) + grid slice is contiguous."""
+    def _forced_drift(self, react: np.ndarray) -> _Operand:
+        """The drift b1 - c1 * R, b2 + c2 * R of a block of forced reactions
+        R (P, count) + grid, step-major (count, 2, P): composed once, each
+        step's slice contiguous.  Under Ito these are its coefficients,
+        analyzed in one call; under Stratonovich, whose correction reads the
+        state, its grid values before the correction."""
         react = react.swapaxes(0, 1)
         drift = np.empty((react.shape[0], 2) + react.shape[1:])
         self._feed_minus_reaction(react, drift.swapaxes(0, 1))
-        return drift
+        if self.ito_profile is None:
+            return _Operand(self.analyze(drift), False)
+        return _Operand(drift, True)
 
     def _analyze_drift(self, drift: np.ndarray, uv_vals: np.ndarray) -> np.ndarray:
         """Coefficients of the Ito drift from its grid values before the
@@ -353,27 +395,21 @@ class MildIntegrator:
             return fn(*stacked)
         return np.stack([fn(*(a[j] for a in stacked)) for j in (0, 1)])
 
-    def step_raw(self, state: _BatchState, dw: np.ndarray | None, dt: float,
-                 react: np.ndarray | None = None,
-                 uv_vals: np.ndarray | None = None) -> _BatchState:
-        """Advance one step.  dw has shape (2, P, K_noise): process 1, then 2.
-
-        react, when given, replaces the cutoff reaction phi * u * v^q by
-        grid values per path (the reaction the time loop built from its
-        phi, or an exogenous one);
-        uv_vals passes already synthesized grid values (2, P) + grid of
-        the state.  Fallback paths have no reaction and no feed.
+    def step_raw(self, state: _BatchState, noise: _Operand | None, dt: float,
+                 react: np.ndarray | None, uv_vals: np.ndarray) -> _BatchState:
+        """Advance one step.  noise is the step's colored noise (step n of a
+        colored_noise block is its [n]), react the reaction's grid values
+        per path (the cutoff reaction phi * u * v^q the time loop builds
+        from its phi, or an exogenous one) and uv_vals the state's grid
+        values (2, P) + grid.  Fallback paths have no reaction and no feed.
 
         A term with a zero coefficient is skipped, bit-equal (see the
-        module docstring): unless ``noisy``, dw is not read (it may be
+        module docstring): unless ``noisy``, noise is not read (it may be
         None) and g_dw does not run; unless ``coupled``, react is not read
-        and no reaction is built.
+        (it may be None).
         """
         fell = state.fallback.any()
-        vals = self.synth(state.uv) if uv_vals is None else uv_vals
-        if react is None and self.coupled:
-            react = self.reaction(vals, self.phi_of(state))
-        uv = self._advance(state, self._drift(state, vals, react, fell), vals, dw, dt,
+        uv = self._advance(state, self._drift(state, uv_vals, react, fell), uv_vals, noise, dt,
                            self._semigroups(dt, state.fallback, fell))
         rho_norm, diss_sq = self.norm_terms(uv[1])
         intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
@@ -382,10 +418,11 @@ class MildIntegrator:
                            state.step + 1)
 
     def _advance(self, state: _BatchState, drift: np.ndarray, uv_vals: np.ndarray,
-                 dw: np.ndarray | None, dt: float, factors: np.ndarray) -> np.ndarray:
+                 noise: _Operand | None, dt: float, factors: np.ndarray) -> np.ndarray:
         """The coefficients (2, P, K) of the step from state, without its path
         norm: drift is the Ito drift's coefficients, uv_vals the state's grid
-        values and factors the semigroup factors.  Raises NonFinite."""
+        values, noise the step's colored noise and factors the semigroup
+        factors.  Raises NonFinite."""
         p = self.params
         # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
         # array: d=2 analysis returns K-major coefficients, which mixed into one
@@ -394,7 +431,7 @@ class MildIntegrator:
         uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
         uv += state.uv
         if self.noisy:
-            g = self.g_dw(uv_vals, dw)
+            g = self.g_dw(uv_vals, noise)
             g[0] *= p.sigma1
             g[1] *= p.sigma2
             uv += g
@@ -406,22 +443,25 @@ class MildIntegrator:
             )
         return uv
 
-    def _norm_free_step(self, state: _BatchState, dw: np.ndarray | None, dt: float,
-                        drift: np.ndarray | None) -> _BatchState:
+    def _norm_free_step(self, state: _BatchState, noise: _Operand | None, dt: float,
+                        drift: _Operand | None) -> _BatchState:
         """step_raw without the path norm, for a run with no fallback rows
         (the forced sweep, the convergence study): the new state carries
-        state's sup, intg and last_diss_sq over.  drift holds the step's grid
-        values (2, P) + grid before the Ito correction; None means those of
-        the uncut reaction u * max(v, 0)^q (step_raw's while phi is 1), or the
-        feeds alone if uncoupled.  The state is synthesized only if read."""
+        state's sup, intg and last_diss_sq over.  drift is the step's slice
+        of a _forced_drift block, grid values before the Ito correction or
+        the Ito drift's coefficients; None means the drift of the uncut
+        reaction u * max(v, 0)^q (step_raw's while phi is 1), or the feeds
+        alone if uncoupled.  The state is synthesized only if read."""
         reads = self.noisy or self.ito_profile is not None or (drift is None and self.coupled)
         vals = self.synth(state.uv) if reads else None
         if drift is None:
             react = vals[0] * self.v_power(vals[1]) if self.coupled else None
             coeffs = self._drift(state, vals, react, False)
+        elif drift.on_grid:
+            coeffs = self._analyze_drift(drift.array, vals)
         else:
-            coeffs = self._analyze_drift(drift, vals)
-        uv = self._advance(state, coeffs, vals, dw, dt, self._factors(dt, False))
+            coeffs = drift.array
+        uv = self._advance(state, coeffs, vals, noise, dt, self._factors(dt, False))
         return _BatchState(uv, state.sup, state.intg, state.last_diss_sq, state.kappa,
                            state.level, state.segment, state.fallback, state.step + 1)
 
@@ -556,12 +596,13 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     the reaction's grid values (P, count) + grid for those steps in place
     of the cutoff reaction.  A forced run evaluates no cutoff, records no
     norm and steps by ``_norm_free_step`` (start it from ``_start_state``)
-    on the drift b1 - c1 * R, b2 + c2 * R composed once per block; it has
-    no glue and no fallback rows, so no drift row is zeroed."""
+    on the drift b1 - c1 * R, b2 + c2 * R composed, and under Ito analyzed,
+    once per block; it has no glue and no fallback rows, so no drift row is
+    zeroed.  Each drawn block is colored once (``colored_noise``)."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
     start = end = 0  # the current block spans steps [start, end)
-    dw = drift = None  # its increments and forced drift
+    noise = drift = None  # its colored noise and forced drift
     if forcing is not None and (glue is not None or state.fallback.any()):
         raise ValidationError(["a forced run has no glue and no fallback rows"])
 
@@ -580,17 +621,19 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
             return state
         if n == end:
             start, end = n, min(n + block, n_steps)
-            if integ.noisy:
-                dw = source.increment_block(n, end - n, dt, state.segment)
+            noise = drift = None  # freed first: two blocks held at once raise the peak
             if forcing is not None and integ.coupled:
                 drift = integ._forced_drift(forcing(start, end - start))
-        dw_n = None if dw is None else dw[:, :, n - start]
+            if integ.noisy:
+                noise = integ.colored_noise(
+                    source.increment_block(n, end - n, dt, state.segment))
+        noise_n = None if noise is None else noise[n - start]
         if forcing is not None:
-            state = integ._norm_free_step(state, dw_n, dt,
+            state = integ._norm_free_step(state, noise_n, dt,
                                           None if drift is None else drift[n - start])
         else:
             react = integ.reaction(vals, phi) if integ.coupled else None
-            state = integ.step_raw(state, dw_n, dt, react=react, uv_vals=vals)
+            state = integ.step_raw(state, noise_n, dt, react, vals)
 
 
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,

@@ -7,14 +7,16 @@ discrete update.  counter_normals addresses one process of the noise
 generator at arbitrary steps, where WienerSource draws both processes
 at consecutive steps, and keyed_normals draws in one pass with a new
 array per operation, where the source draws in place, chunk by chunk.
-full_step is the step map with every term
-computed, whatever its coefficient, where MildIntegrator.step_raw skips
-the terms a zero coefficient silences.  forced_sweep is the fixed-point
-operator stepped by step_raw, with each drawn block's frozen reaction
-passed as react, where apply_V composes the drift once per block and
-keeps no path norm.  cut_study_states is the convergence study stepped
-by step_raw on the cutoff system at level 1e12 from initial_state, where
-strong_order_study steps the uncut system and keeps no path norm.
+full_step is the step map with every term computed, whatever its
+coefficient, where MildIntegrator.step_raw skips the terms a zero
+coefficient silences; cutoff_step is step_raw as the time loop calls it,
+on the cutoff reaction of the state's own phi.  forced_sweep is the
+fixed-point operator stepped by step_raw, with each drawn block's frozen
+reaction passed as react, where apply_V composes the drift once per
+block, analyzes it once per block under Ito and keeps no path norm.
+cut_study_states is the convergence study stepped by step_raw on the
+cutoff system at level 1e12 from initial_state, where strong_order_study
+steps the uncut system and keeps no path norm.
 """
 
 import numpy as np
@@ -136,10 +138,18 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
     return keyed_normals(keys, _role_arr(steps, _MULT_STEP))
 
 
-def full_step(integ, state, dw, dt):
+def cutoff_step(integ, state, noise, dt):
+    """step_raw on the cutoff reaction, with the state's grid values, as
+    the time loop calls it; noise is the step's colored noise."""
+    vals = integ.synth(state.uv)
+    return integ.step_raw(state, noise, dt, integ.reaction(vals, integ.phi_of(state)), vals)
+
+
+def full_step(integ, state, noise, dt):
     """One step of MildIntegrator's map with the noise term and the
     reaction always computed, however their coefficients vanish; the
-    same operations in the same order as step_raw otherwise."""
+    same operations in the same order as step_raw otherwise.  noise is
+    the step's colored noise."""
     p = integ.params
     vals = integ.synth(state.uv)
     react = integ.reaction(vals, integ.phi_of(state))
@@ -151,7 +161,7 @@ def full_step(integ, state, dw, dt):
     drift = integ._per_species(integ.analyze, integ.to_ito(drift, vals))
     uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
     uv += state.uv
-    g = integ.g_dw(vals, dw)
+    g = integ.g_dw(vals, noise)
     g[0] *= p.sigma1
     g[1] *= p.sigma2
     uv += g
@@ -180,9 +190,10 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
         rows = slice(start, min(start + block, n_steps))
         react = phi[:, rows] * (integ.synth(control.eta[:, rows])
                                 * integ.v_power(integ.synth(control.xi[:, rows])))
-        dw = source.increment_block(start, react.shape[1], dt, state.segment)
+        noise = integ.colored_noise(
+            source.increment_block(start, react.shape[1], dt, state.segment))
         for j in range(react.shape[1]):
-            state = integ.step_raw(state, dw[:, :, j], dt, react=react[:, j])
+            state = integ.step_raw(state, noise[j], dt, react[:, j], integ.synth(state.uv))
             out[:, :, start + j + 1] = state.uv
     return out
 
@@ -203,7 +214,8 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
     for b in range(step_count(T, steps[0]) // block):
         fine = source.increment_block(b * block, block, steps[0], 0)
         for i, (stride, dt) in enumerate(zip(strides, steps)):
-            dw = fine if stride == 1 else aggregate_increments(fine, stride)
+            colored = integ.colored_noise(fine if stride == 1
+                                          else aggregate_increments(fine, stride))
             for n in range(block // stride):
-                states[i] = integ.step_raw(states[i], dw[:, :, n], dt)
+                states[i] = cutoff_step(integ, states[i], colored[n], dt)
     return states

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cut_study_states, full_step, planar_ode
+from oracles import cut_study_states, cutoff_step, full_step, planar_ode
 
 from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
@@ -107,9 +107,10 @@ class TestSmoothCutoff:
         assert math.isnan(phi[0]) == nan and phi[2] == 0.0 and (phi[1] < 1.0) == band
 
 
-def first_increments(noise, dt, path_id=0):
-    source = WienerSource(noise, SP, [path_id])
-    return source.increment_block(0, 1, dt, 0)[:, :, 0]
+def first_noise(integ, dt, path_id=0):
+    """The colored noise of the first step of path path_id."""
+    source = WienerSource(integ.noise, SP, [path_id])
+    return integ.colored_noise(source.increment_block(0, 1, dt, 0))[0]
 
 
 class TestStepMild:
@@ -121,7 +122,7 @@ class TestStepMild:
         integ = MildIntegrator(params, SP, NZ)
         u, v = mode_field(SP, 5), mode_field(SP, 2)
         state = integ.initial_state(u.coeffs, v.coeffs, 1e9)
-        new = integ.step_raw(state, first_increments(NZ, 0.01), 0.01)
+        new = cutoff_step(integ, state, first_noise(integ, 0.01), 0.01)
         lam = get_basis(SP).eigenvalues
         assert new.u[0, 5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
         assert new.v[0, 2] == pytest.approx(
@@ -134,7 +135,7 @@ class TestStepMild:
                                 path_ids=[0], store_trajectory=True)
         integ = MildIntegrator(params, SP, NZ)
         state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
-        new = integ.step_raw(state, first_increments(NZ, 0.001), 0.001)
+        new = cutoff_step(integ, state, first_noise(integ, 0.001), 0.001)
         assert np.array_equal(new.u[0], rec.trajectory[0, 0, 1])
         assert np.array_equal(new.v[0], rec.trajectory[1, 0, 1])
         assert new.h[0] == pytest.approx(rec.series["h"][0, 1], rel=1e-14)
@@ -160,6 +161,61 @@ class TestStepMild:
         with pytest.warns(UserWarning, match="admissible region"):
             simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9,
                               T=0.002, dt=1e-3, path_ids=[0])
+
+
+def one_step_g_dw(integ, uv_vals, dw):
+    """g_dw of one step's increments dw (2, P, K_noise) as a per-step
+    coloring computes it: a fresh zero-padded coefficient array,
+    synthesized and analyzed with the step's grid values."""
+    colored = np.zeros(dw.shape[:-1] + (integ.space.total_modes,))
+    colored[..., 1:1 + integ.k_noise] = integ.coloring * dw
+    return integ._per_species(lambda vals, c: integ.analyze(vals * integ.synth(c)),
+                              uv_vals, colored)
+
+
+class TestColoredNoise:
+    """A drawn block is colored, and synthesized while it fits
+    STACK_BUDGET, once: each step's slice gives the g_dw of a one-step
+    block, bit for bit."""
+
+    @pytest.mark.parametrize("d, n, paths, counts, on_grid", [
+        (1, 32, 1, (64, 23), True),
+        (1, 32, 2, (64, 23), True),
+        (2, 8, 4, (32, 7), True),  # 2 * 32 * 4 * 16^2 grid values: the budget itself
+        (2, 32, 16, (2, 1), False),  # 131k grid values per step
+    ], ids=["d1-P1", "d1-P2", "d2-N8-P4", "d2-N32-P16"])
+    def test_block_slices_match_one_step_blocks(self, d, n, paths, counts, on_grid):
+        space = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=2 * n)
+        integ = MildIntegrator(ModelParams(), space, NZ)
+        source = WienerSource(NZ, space, range(paths))
+        uv = np.random.default_rng(5).standard_normal((2, paths, space.total_modes))
+        vals = integ.synth(uv)
+        step0 = 0
+        for count in counts:  # a shorter block follows a longer one
+            dw = source.increment_block(step0, count, 1e-3, 0)
+            block = integ.colored_noise(dw)
+            assert block.on_grid == on_grid
+            got = [integ.g_dw(vals, block[j]) for j in range(count)]
+            for j in range(count):
+                one = integ.g_dw(vals, integ.colored_noise(dw[:, :, j:j + 1])[0])
+                assert np.array_equal(got[j], one), (count, j)
+                assert np.array_equal(got[j], one_step_g_dw(integ, vals, dw[:, :, j]))
+            step0 += count
+
+    def test_unnoised_columns_stay_zero(self):
+        noise = replace(NZ, mode_cutoff=8)
+        space = SpaceConfig(d=1, modes_per_axis=32, grid_points_per_axis=64)
+        integ = MildIntegrator(ModelParams(), space, noise)
+        vals = integ.synth(np.random.default_rng(5).standard_normal((2, 2, 32)))
+        # a longer block, then shorter ones, the last over fewer paths
+        for paths, count in ((2, 64), (2, 5), (1, 40)):
+            dw = WienerSource(noise, space, range(paths)).increment_block(0, count, 1e-3, 0)
+            block = integ.colored_noise(dw)
+            assert integ._colored.shape == (256, 32)
+            assert not integ._colored[:, 0].any() and not integ._colored[:, 9:].any()
+            for j in range(count):
+                assert np.array_equal(integ.g_dw(vals[:, :paths], block[j]),
+                                      one_step_g_dw(integ, vals[:, :paths], dw[:, :, j]))
 
 
 class TestHomogeneousBranch:
@@ -709,8 +765,9 @@ class TestZeroCoefficients:
         state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, [1.0, 2.0])
         monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
         monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
-        dw = WienerSource(NZ, SP, [0, 1]).increment_block(0, 1, 1e-3, 0)[:, :, 0]
-        assert np.isfinite(integ.step_raw(state, dw, 1e-3).uv).all()
+        noise = integ.colored_noise(WienerSource(NZ, SP, [0, 1]).increment_block(0, 1, 1e-3, 0))
+        assert np.isfinite(integ.step_raw(state, noise[0], 1e-3, None,
+                                          integ.synth(state.uv)).uv).all()
 
     @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
     @pytest.mark.parametrize("zeros", [NOISELESS, UNCOUPLED, {**NOISELESS, **UNCOUPLED}],
@@ -720,7 +777,8 @@ class TestZeroCoefficients:
         noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
         integ = MildIntegrator(ModelParams(**{**GLUE_PARAMS, **zeros}), space, noise)
         dt, n_steps = 2e-3, 20
-        dw = WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0)
+        colored = integ.colored_noise(
+            WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         start = integ.initial_state(bump(space).coeffs, bump(space, 1.0, 0.4).coeffs, 1.0)
         # kappa puts phi on the transition band; the last path is in the fallback
         kappa = np.full(3, start.h[0] / 1.5)
@@ -728,8 +786,8 @@ class TestZeroCoefficients:
         start.fallback[2] = True
         skip = full = start
         for n in range(n_steps):
-            skip = integ.step_raw(skip, dw[:, :, n] if integ.noisy else None, dt)
-            full = full_step(integ, full, dw[:, :, n], dt)
+            skip = cutoff_step(integ, skip, colored[n] if integ.noisy else None, dt)
+            full = full_step(integ, full, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
             assert np.array_equal(skip.h, full.h), n
@@ -746,7 +804,8 @@ class TestZeroCoefficients:
         noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=99, interpretation=interpretation)
         integ = MildIntegrator(ModelParams(**{**GLUE_PARAMS, **UNCOUPLED}), SP, noise)
         dt, n_steps = 2e-3, 20
-        dw = WienerSource(noise, SP, [0, 1, 2]).increment_block(0, n_steps, dt, 0)
+        colored = integ.colored_noise(
+            WienerSource(noise, SP, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         skip = full = integ.initial_state(bump(SP).coeffs, bump(SP, 1.0, 0.4).coeffs,
                                           np.full(3, 1e9))
         falls = {6: 2, 13: 0}  # rows fall back at different steps: the pattern changes twice
@@ -754,8 +813,8 @@ class TestZeroCoefficients:
         for n in range(n_steps):
             if n in falls:
                 skip.fallback[falls[n]] = full.fallback[falls[n]] = True
-            skip = integ.step_raw(skip, dw[:, :, n], dt)
-            full = full_step(integ, full, dw[:, :, n], dt)
+            skip = cutoff_step(integ, skip, colored[n], dt)
+            full = full_step(integ, full, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
             assert np.array_equal(skip.h, full.h), n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import counter_normals
+from oracles import counter_normals, cutoff_step
 
 from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
@@ -231,7 +231,7 @@ class TestMultiplicationOperator:
         # process 1 is row 0 of the stacked (species, path) arrays
         integ = integrator(gamma1=gamma)
         vals = integ.synth(np.stack([u.coeffs, u.coeffs])[:, None])
-        return integ.g_dw(vals, np.stack([h, h])[:, None])[0, 0]
+        return integ.g_dw(vals, integ.colored_noise(np.stack([h, h])[:, None, None])[0])[0, 0]
 
     def test_single_mode_on_constant(self):
         h = np.zeros(15)
@@ -262,10 +262,10 @@ class TestMultiplicationOperator:
         for sigma in (0.0, 0.5, 1.0):
             integ = MildIntegrator(ModelParams(sigma1=sigma, sigma2=0.0), SP, CFG)
             state = integ.initial_state(u.coeffs, u.coeffs, 1e9)
-            dw = np.stack([dw1, dw2])[:, None]
-            new[sigma] = integ.step_raw(state, dw, 0.01).u[0]
+            dw = np.stack([dw1, dw2])[:, None, None]
+            new[sigma] = cutoff_step(integ, state, integ.colored_noise(dw)[0], 0.01).u[0]
             if sigma == 0.0:
-                quiet = integ.step_raw(state, 0 * dw, 0.01).u[0]
+                quiet = cutoff_step(integ, state, integ.colored_noise(0 * dw)[0], 0.01).u[0]
                 assert np.array_equal(new[0.0], quiet)
         half, one = new[0.5] - new[0.0], new[1.0] - new[0.0]
         assert np.max(np.abs(one)) > 1e-3

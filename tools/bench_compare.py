@@ -10,7 +10,9 @@ OLD_ROOT and NEW_ROOT are checkout roots, each with its own
 runs, one after another, the tools next to it:
 
 - ``code_size.py`` per tree and ``compare_outputs.py OLD/src NEW/src``;
-- ``step_cost.py`` on both trees twice, OLD first and then NEW first;
+- each tree's own ``tools/step_cost.py`` on its ``src`` twice, OLD first
+  and then NEW first (the script calls the step's API, which may differ
+  between the trees);
 - one traced perfbench run (``--trace 1``) per root of each
   ``--traced`` workload, at ``--trace-seed``: the per-layer metrics;
 - ``perfbench_pairs.py`` for every workload of OLD_ROOT's
@@ -75,7 +77,8 @@ def main(argv: list[str]) -> int:
     step_cost = {"old": [], "new": []}
     for order in ((0, 1), (1, 0)):
         for side in order:
-            cost = json.loads(_run(str(HERE / "step_cost.py"), "--src", srcs[side]))
+            cost = json.loads(_run(str(roots[side] / "tools" / "step_cost.py"),
+                                   "--src", srcs[side]))
             cost.pop("src")
             step_cost[("old", "new")[side]].append(cost)
     traced = {name: {side: _last_json(_run(

@@ -27,7 +27,8 @@ directory.  The set covers:
 - the single-path loops at the ``pathwise-d1`` benchmark config
   (``fixed-point`` with one path, ``glue`` with two; seed 3,
   ``kappa_schedule=[1.2,1.4,1.6]``, T=0.35), which draw their noise in
-  the longest blocks;
+  the longest blocks, and ``glue`` there with ``noise.mode_cutoff=8``,
+  whose long blocks color fewer noise modes than the K - 1 usable ones;
 - ``simulate`` at d=2, N=32, M=64 with 16 paths;
 - ``fixed-point`` at d=2 periodic, N=8, M=16 with 4 paths, T=0.1 and
   c1=c2=0.2, the one run that steps the fixed-point operator in d=2;
@@ -99,6 +100,8 @@ RUNS = [
     ("glue-dumps", ["glue"] + DUMPS + FALLBACK),
     ("fixed-point-pathwise", ["fixed-point", "--paths", "1"] + PATHWISE),
     ("glue-pathwise", ["glue", "--paths", "2"] + PATHWISE),
+    ("glue-pathwise-cutoff", ["glue", "--paths", "2"] + PATHWISE
+     + ["--override", "noise.mode_cutoff=8"]),
     ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
     ("fixed-point-d2", ["fixed-point"] + D2_FIXED_POINT),
     ("glue-d2", ["glue"] + D2_N8 + FALLBACK),

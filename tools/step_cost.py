@@ -22,14 +22,18 @@ Per case it times:
   (``WienerSource.increment_block``), made as the time loop makes them:
   one call for ``B`` steps, divided by ``B``, where ``B`` is
   ``integrate.draw_steps`` of the batch;
+- ``colored_noise``: the coloring of one step's draws, and their
+  synthesis where the block fits ``STACK_BUDGET``
+  (``MildIntegrator.colored_noise``), timed as ``increment_block`` is:
+  one call on a ``B``-step block, divided by ``B``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
 - ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
   grid values given as the time loop gives them; ``record_norms`` fills
-  every norm column.  ``step_raw`` is the time loop's call: it takes one
-  ``(2, P, K_noise)`` increment and the reaction built from the loop's
-  ``phi``, which is timed inside it, while ``phi_of`` runs once per step
-  in the loop;
+  every norm column.  ``step_raw`` is the time loop's call: it takes
+  the first step's slice of that ``B``-step colored block and the
+  reaction built from the loop's ``phi``, which is timed inside it, while
+  ``phi_of`` runs once per step in the loop;
 - ``record_norms_files``: one ``record_norms`` call that fills only the
   columns ``simulate`` and ``glue`` write.
 
@@ -125,22 +129,26 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     source = WienerSource(noise, space, ids)
     state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(paths, 1e6))
     for k in range(STEPS):  # a state away from the constant initial data
-        state = integ.step_raw(state, source.increment_block(k, 1, dt, 0)[:, :, 0], dt)
+        uv = integ.synth(state.uv)
+        colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
+        state = integ.step_raw(state, colored, dt, integ.reaction(uv, integ.phi_of(state)), uv)
     phi = integ.phi_of(state)
     series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
     files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
-    dw = source.increment_block(STEPS, 1, dt, 0)[:, :, 0]
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
+    dw = source.increment_block(STEPS, block, dt, 0)
+    colored = integ.colored_noise(dw)[0]  # the layer timing below rewrites the same values
 
     def record(out):
         integ.record_norms(state, out, 0, uv, phi)
 
     def step_raw():
-        integ.step_raw(state, dw, dt, react=integ.reaction(uv, phi), uv_vals=uv)
+        integ.step_raw(state, colored, dt, integ.reaction(uv, phi), uv)
 
     layers = {
         "increment_block": lambda: source.increment_block(STEPS, block, dt, 0),
+        "colored_noise": lambda: integ.colored_noise(dw),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
         "phi_of": lambda: integ.phi_of(state),
@@ -151,6 +159,7 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     for name, fn in layers.items():
         per_path[name] = _loop_time(fn)
     per_path["increment_block"] /= block
+    per_path["colored_noise"] /= block
     result = {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
     result["draw_steps"] = block
     return result
