@@ -33,6 +33,17 @@ fixed-point reaction's d=1 rounding follows the block shape.  A run
 returns one ``BatchRecord``, whose row i of each per-path array is path
 path_ids[i], as the loop filled it.
 
+The cutoff loop computes each step's path norm h once: it feeds phi, the
+glue's crossing test and the h column, and the loop writes the h and phi
+columns at every step.  The other, state-only columns read just a step's
+coefficients and grid values, which the loop keeps and records in one
+``record_norms`` call per recording block: as many steps as keep their
+2 * P * M^d grid values within RECORD_BUDGET (``record_steps``), at least
+one, the last block ending at the run's end.  A one-step block is a view
+of the step's arrays, not a copy.  The stacked calls reduce each step's
+rows and transform each step's matrices as a one-step call does, so the
+columns are the same bits.
+
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
 its step runs no g_dw.  One with c1 = c2 = 0 is not ``coupled``: no
@@ -84,11 +95,24 @@ MAX_DRAW_STEPS = 64
 # both species in one call; past it, one species at a time keeps the operands
 # of each call in cache (a stacked d=2, N=32, 16-path step was 20% slower)
 STACK_BUDGET = 1 << 16
+# grid values (2 species x paths x grid points x steps) of the steps the time
+# loop records per record_norms call: a block's stack and temporaries stay
+# within 128 KiB, where blocks of up to STACK_BUDGET values made malloc fault in
+# fresh pages on every call (at 200 d=1 paths, 28x the minor faults of a call
+# per step) and ran slower than a call per step
+RECORD_BUDGET = 1 << 14
 
 
 def draw_steps(n_paths: int, k_noise: int) -> int:
     """Steps of noise the time loop draws per call for a batch."""
     return min(max(DRAW_BUDGET // (n_paths * k_noise), 1), MAX_DRAW_STEPS)
+
+
+def record_steps(n_paths: int, grid_points: int) -> int:
+    """Steps the time loop records per ``record_norms`` call for a batch:
+    as many as keep their 2 * n_paths * grid_points grid values within
+    RECORD_BUDGET, at least one."""
+    return max(RECORD_BUDGET // (2 * n_paths * grid_points), 1)
 
 
 @dataclass(frozen=True)
@@ -232,6 +256,7 @@ class MildIntegrator:
         # columns 1..k_noise are ever written, so the others stay zero
         self._colored = np.zeros((0, space.total_modes))
         self._feed_drift: tuple = (None, None)  # (fallback pattern, drift), see _drift
+        self._sigma = np.array([params.sigma1, params.sigma2])[:, None, None]  # (2, 1, 1)
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
         self.w_alpha = sobolev_weights(space, params.alpha)
@@ -329,8 +354,11 @@ class MildIntegrator:
         """(|v|_{H^rho}, |v|^2_{H^{rho+aleph/2}}) per path: what h accumulates."""
         return _norm_terms(v, self.w_rho, self.w_rho_aleph)
 
-    def phi_of(self, state: _BatchState) -> np.ndarray:
-        x = state.h / state.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
+    def phi_of(self, state: _BatchState, h: np.ndarray) -> np.ndarray:
+        """The cutoff phi(h / kappa) per path of state at its path norm h
+        (state.h, which the time loop computes once per step); 0 on
+        fallback paths."""
+        x = h / state.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
         return np.where(state.fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
 
     # -- stepping ------------------------------------------------------------
@@ -423,7 +451,6 @@ class MildIntegrator:
         norm: drift is the Ito drift's coefficients, uv_vals the state's grid
         values, noise the step's colored noise and factors the semigroup
         factors.  Raises NonFinite."""
-        p = self.params
         # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
         # array: d=2 analysis returns K-major coefficients, which mixed into one
         # expression make numpy iterate slowly, and the H^rho sums of step_raw reduce
@@ -432,8 +459,7 @@ class MildIntegrator:
         uv += state.uv
         if self.noisy:
             g = self.g_dw(uv_vals, noise)
-            g[0] *= p.sigma1
-            g[1] *= p.sigma2
+            g *= self._sigma
             uv += g
         uv *= factors
         if not np.isfinite(uv).all():
@@ -488,38 +514,41 @@ class MildIntegrator:
             fallback=np.zeros(n, dtype=bool), step=0,
         )
 
-    # -- per-step norm recording ----------------------------------------------
+    # -- norm recording --------------------------------------------------------
 
-    def record_norms(self, state: _BatchState, out: dict[str, np.ndarray], n: int,
-                     uv_vals: np.ndarray, phi: np.ndarray):
-        """Fill column n of each norm series that out holds, and compute no
-        other; uv_vals are the grid values of (u, v), phi the state's cutoff."""
+    def record_norms(self, uv: np.ndarray, out: dict[str, np.ndarray], n0: int,
+                     uv_vals: np.ndarray):
+        """Fill columns n0, n0 + 1, ... of each state-only norm series that
+        out holds (every column but h and phi, which the time loop writes),
+        and compute no other: uv holds the coefficients (count, 2, P, K) of
+        consecutive steps and uv_vals their grid values (count, 2, P) + grid.
+        Bit-equal to one call per step: each step's rows reduce alone, and
+        matmul runs the same BLAS call for each (P, .) matrix of a stack."""
         p = self.params
-        u_vals, v_vals = uv_vals
+        u, v = uv[:, 0], uv[:, 1]
+        u_vals, v_vals = uv_vals[:, 0], uv_vals[:, 1]
         quad = self.basis.quadrature
         m = self.grid_m
+        cols = slice(n0, n0 + uv.shape[0])
         if "u_l2" in out:
-            out["u_l2"][:, n] = np.sqrt((state.u**2).sum(axis=-1))
+            out["u_l2"][:, cols] = np.sqrt((u**2).sum(axis=-1)).T
         if "u_lpstar" in out:
-            out["u_lpstar"][:, n] = quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)
+            out["u_lpstar"][:, cols] = (quad(np.abs(u_vals) ** p.p_star, m)
+                                        ** (1.0 / p.p_star)).T
         if "v_halpha" in out or "v_halpha_diss" in out:
-            halpha, diss_sq = _norm_terms(state.v, self.w_alpha, self.w_alpha_aleph)
+            halpha, diss_sq = _norm_terms(v, self.w_alpha, self.w_alpha_aleph)
             if "v_halpha" in out:
-                out["v_halpha"][:, n] = halpha
+                out["v_halpha"][:, cols] = halpha.T
             if "v_halpha_diss" in out:
-                out["v_halpha_diss"][:, n] = np.sqrt(diss_sq)
-        if "h" in out:
-            out["h"][:, n] = state.h
-        if "phi" in out:
-            out["phi"][:, n] = phi
+                out["v_halpha_diss"][:, cols] = np.sqrt(diss_sq).T
         if "u_grad_p" in out:
-            grad = self.basis.synthesize_gradient(state.u, m)
+            grad = self.basis.synthesize_gradient(u, m)
             grad_sq = (grad**2).sum(axis=0)
-            out["u_grad_p"][:, n] = quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)
+            out["u_grad_p"][:, cols] = quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m).T
         if "couple" in out:  # clip-then-power on both factors
-            out["couple"][:, n] = quad(
+            out["couple"][:, cols] = quad(
                 np.maximum(u_vals, 0.0) ** p.p_star * np.maximum(v_vals, 0.0) ** p.q, m
-            )
+            ).T
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +621,12 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     state.  Unless the integrator is noisy no noise is drawn, and unless it
     is coupled no reaction is built and the forcing is not called.
 
+    Each step computes h once and writes the h and phi columns.  The loop
+    keeps each step's coefficients and grid values and records the other
+    columns in one ``record_norms`` call per block of ``record_steps``
+    steps (grid values within RECORD_BUDGET, at least one step); a glue
+    restart changes no coefficient, so the kept states stay valid.
+
     ``forcing(start, count)``, called once per drawn noise block, gives
     the reaction's grid values (P, count) + grid for those steps in place
     of the cutoff reaction.  A forced run evaluates no cutoff, records no
@@ -605,16 +640,26 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     noise = drift = None  # its colored noise and forced drift
     if forcing is not None and (glue is not None or state.fallback.any()):
         raise ValidationError(["a forced run has no glue and no fallback rows"])
+    recorded = record_steps(state.uv.shape[1], integ.grid_m**integ.space.d)
+    kept_uv, kept_vals = [], []  # the states of the recording block so far
 
     for n in range(n_steps + 1):
         if forcing is None:
             vals = integ.synth(state.uv)
-            phi = integ.phi_of(state)
-            integ.record_norms(state, series, n, vals, phi)
+            h = state.h
+            phi = integ.phi_of(state, h)
+            series["h"][:, n] = h
+            series["phi"][:, n] = phi
+            kept_uv.append(state.uv)
+            kept_vals.append(vals)
+            if len(kept_uv) == recorded or n == n_steps:
+                integ.record_norms(_step_stack(kept_uv), series, n + 1 - len(kept_uv),
+                                   _step_stack(kept_vals))
+                kept_uv, kept_vals = [], []
             if glue is not None:
-                glued = glue(integ, state, series, n, n * dt)
+                glued = glue(integ, state, h, series, n, n * dt)
                 if glued is not state:  # restarted paths draw from a new segment
-                    state, phi, end = glued, integ.phi_of(glued), n
+                    state, phi, end = glued, integ.phi_of(glued, glued.h), n
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
@@ -634,6 +679,11 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
         else:
             react = integ.reaction(vals, phi) if integ.coupled else None
             state = integ.step_raw(state, noise_n, dt, react, vals)
+
+
+def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """arrays on a leading step axis; a single array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -709,11 +759,11 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     levels = np.asarray(schedule)
     events: list[tuple[int, float, float]] = []
 
-    def glue(integ: MildIntegrator, state: _BatchState, series: dict[str, np.ndarray],
-             n: int, t: float) -> _BatchState:
-        """Restart the paths whose norm reached their level: next level (or
-        the linear fallback), fresh path norms, next noise segment."""
-        crossed = ~state.fallback & (state.h >= state.kappa)
+    def glue(integ: MildIntegrator, state: _BatchState, h: np.ndarray,
+             series: dict[str, np.ndarray], n: int, t: float) -> _BatchState:
+        """Restart the paths whose norm h (state.h) reached their level: next
+        level (or the linear fallback), fresh path norms, next noise segment."""
+        crossed = ~state.fallback & (h >= state.kappa)
         if not crossed.any():
             return state
         if n == 0:

@@ -16,14 +16,20 @@ reaction passed as react, where apply_V composes the drift once per
 block, analyzes it once per block under Ito and keeps no path norm.
 cut_study_states is the convergence study stepped by step_raw on the
 cutoff system at level 1e12 from initial_state, where strong_order_study
-steps the uncut system and keeps no path norm.
+steps the uncut system and keeps no path norm.  per_step_series records
+every norm column of each step from that step's state alone, with noise
+drawn one step at a time, where run_batch draws blocks of steps and
+records the state-only columns once per block of kept states.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import ndtri
 
 from grayscott.integrate import (
+    NORM_COLUMNS,
     MildIntegrator,
     _BatchState,
     draw_steps,
@@ -142,7 +148,8 @@ def cutoff_step(integ, state, noise, dt):
     """step_raw on the cutoff reaction, with the state's grid values, as
     the time loop calls it; noise is the step's colored noise."""
     vals = integ.synth(state.uv)
-    return integ.step_raw(state, noise, dt, integ.reaction(vals, integ.phi_of(state)), vals)
+    react = integ.reaction(vals, integ.phi_of(state, state.h))
+    return integ.step_raw(state, noise, dt, react, vals)
 
 
 def full_step(integ, state, noise, dt):
@@ -152,7 +159,7 @@ def full_step(integ, state, noise, dt):
     the step's colored noise."""
     p = integ.params
     vals = integ.synth(state.uv)
-    react = integ.reaction(vals, integ.phi_of(state))
+    react = integ.reaction(vals, integ.phi_of(state, state.h))
     drift = np.empty(vals.shape)
     np.subtract(p.b1, p.c1 * react, out=drift[0])
     np.add(p.b2, p.c2 * react, out=drift[1])
@@ -219,3 +226,50 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
             for n in range(block // stride):
                 states[i] = cutoff_step(integ, states[i], colored[n], dt)
     return states
+
+
+def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
+    """Every norm column (P, n_steps+1) of simulate_glued over the kappa
+    schedule levels if glue, else of simulate_ensemble at the one level
+    levels[0]: each step draws its own noise, and each column of step n is
+    computed from step n's state alone."""
+    p, m, quad = integ.params, integ.grid_m, integ.basis.quadrature
+    levels = np.asarray(levels, dtype=float)
+    source = WienerSource(integ.noise, integ.space, path_ids)
+    state = integ.initial_state(u0, v0, np.full(len(path_ids), levels[0]))
+    out = {c: np.empty((len(path_ids), n_steps + 1)) for c in NORM_COLUMNS}
+    for n in range(n_steps + 1):
+        vals = integ.synth(state.uv)
+        u_vals, v_vals = vals
+        phi = integ.phi_of(state, state.h)
+        v2 = state.v**2
+        grad_sq = (integ.basis.synthesize_gradient(state.u, m) ** 2).sum(axis=0)
+        for col, values in (
+            ("u_l2", np.sqrt((state.u**2).sum(axis=-1))),
+            ("u_lpstar", quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)),
+            ("v_halpha", np.sqrt((integ.w_alpha * v2).sum(axis=-1))),
+            ("v_halpha_diss", np.sqrt((integ.w_alpha_aleph * v2).sum(axis=-1))),
+            ("h", state.h),
+            ("phi", phi),
+            ("u_grad_p", quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)),
+            ("couple", quad(np.maximum(u_vals, 0.0) ** p.p_star
+                            * np.maximum(v_vals, 0.0) ** p.q, m)),
+        ):
+            out[col][:, n] = values
+        crossed = ~state.fallback & (state.h >= state.kappa)
+        if glue and crossed.any():  # restart: next level or the linear fallback
+            last = crossed & (state.level + 1 == levels.size)
+            out["phi"][last, n] = 0.0
+            level = state.level + (crossed & ~last)
+            rho_norm, diss_sq = integ.norm_terms(state.v)
+            state = replace(
+                state, sup=np.where(crossed, rho_norm, state.sup),
+                intg=np.where(crossed, 0.0, state.intg),
+                last_diss_sq=np.where(crossed, diss_sq, state.last_diss_sq),
+                kappa=levels[level], level=level, segment=state.segment + crossed,
+                fallback=state.fallback | last)
+            phi = integ.phi_of(state, state.h)
+        if n == n_steps:
+            return out
+        noise = integ.colored_noise(source.increment_block(n, 1, dt, state.segment))[0]
+        state = integ.step_raw(state, noise, dt, integ.reaction(vals, phi), vals)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cut_study_states, cutoff_step, full_step, planar_ode
+from oracles import cut_study_states, cutoff_step, full_step, per_step_series, planar_ode
 
 from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
@@ -20,6 +20,7 @@ from grayscott.integrate import (
     draw_steps,
     path_norm_series,
     pathspace_norm,
+    record_steps,
     simulate_ensemble,
     simulate_glued,
     smooth_cutoff,
@@ -101,7 +102,7 @@ class TestSmoothCutoff:
         if nan:  # a NaN h is not on the plateau
             state.intg[0] = np.nan
         with np.errstate(invalid="ignore"):
-            phi = integ.phi_of(state)
+            phi = integ.phi_of(state, state.h)
             full = np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
         assert np.array_equal(phi, full, equal_nan=True)
         assert math.isnan(phi[0]) == nan and phi[2] == 0.0 and (phi[1] < 1.0) == band
@@ -791,7 +792,7 @@ class TestZeroCoefficients:
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
             assert np.array_equal(skip.h, full.h), n
-        assert 0.0 < integ.phi_of(skip)[0] < 1.0
+        assert 0.0 < integ.phi_of(skip, skip.h)[0] < 1.0
 
     def test_studies_evaluate_no_cutoff_and_keep_no_path_norm(self, monkeypatch):
         monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
@@ -857,3 +858,74 @@ class TestStudyStep:
         for got, want in zip([seen[0][1]] + [a for a, _ in seen], [ref] + levels):
             assert np.array_equal(got.uv, want.uv)
             assert np.array_equal(np.signbit(got.uv), np.signbit(want.uv))
+
+
+class TestBlockRecord:
+    """The time loop writes h and phi at every step and the state-only
+    columns once per recording block, bit for bit as a per-step record."""
+
+    @pytest.mark.parametrize("glue", [False, True], ids=["ensemble", "glued"])
+    @pytest.mark.parametrize("space, paths", [(SP, 16), (SP_2D, 4)], ids=["d1", "d2"])
+    def test_columns_match_the_per_step_record(self, space, paths, glue):
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, space, NZ)
+        n_steps, dt = 150, 2e-3
+        block = record_steps(paths, integ.grid_m**space.d)
+        assert (n_steps + 1) % block and n_steps + 1 > 2 * block  # 16 or 8 steps a block
+        u0, v0 = bump(space), bump(space)
+        levels = [1.3, 1.5] if glue else [1.0]  # h(0) is past 1.0: phi starts on its band
+        if glue:
+            rec = simulate_glued(params, space, NZ, u0, v0, levels, T=n_steps * dt, dt=dt,
+                                 path_ids=range(paths))
+            assert any(round(t / dt) % block for _, _, t in rec.glue_events)
+            assert any(len(events_of(rec, i)) == len(levels) for i in range(paths))
+        else:
+            rec = simulate_ensemble(params, space, NZ, u0, v0, levels[0], T=n_steps * dt,
+                                    dt=dt, path_ids=range(paths), check_gate=False)
+            assert np.any(rec.series["phi"] < 1.0)
+        want = per_step_series(integ, u0.coeffs, v0.coeffs, levels, n_steps, dt,
+                               np.arange(paths), glue)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+
+    def _record_calls(self, monkeypatch) -> list:
+        calls = []
+        record = MildIntegrator.record_norms
+
+        def counted(integ, uv, out, n0, uv_vals):
+            calls.append((n0, uv.shape[0], uv.flags.owndata or uv_vals.flags.owndata))
+            return record(integ, uv, out, n0, uv_vals)
+
+        monkeypatch.setattr(MildIntegrator, "record_norms", counted)
+        return calls
+
+    @pytest.mark.parametrize("space, paths, n_steps, block", [
+        (SP, 16, 150, 16),  # 2 * 16 * 32 grid values a step
+        (SpaceConfig(d=2, modes_per_axis=32, grid_points_per_axis=64), 9, 3, 1),  # 73,728
+    ], ids=["d1-blocks", "d2-past-budget"])
+    def test_one_record_call_per_block(self, monkeypatch, space, paths, n_steps, block):
+        calls = self._record_calls(monkeypatch)
+        simulate_ensemble(ModelParams(), space, NZ, bump(space), bump(space), 1e9,
+                          T=n_steps * 1e-3, dt=1e-3, path_ids=range(paths), check_gate=False)
+        assert [n0 for n0, _, _ in calls] == list(range(0, n_steps + 1, block))
+        assert sum(count for _, count, _ in calls) == n_steps + 1
+        if block == 1:  # a step past RECORD_BUDGET is recorded from views of its arrays
+            assert not any(copied for _, _, copied in calls)
+
+    def test_nonfinite_mid_block_names_its_step(self, monkeypatch):
+        bad, dt = 100, 1e-3  # inside the recording block of steps 96..111
+        draw = WienerSource.increment_block
+
+        def poisoned(source, step0, count, dt_, segment):
+            dw = draw(source, step0, count, dt_, segment)
+            if step0 <= bad < step0 + count:
+                dw[:, 0, bad - step0] = np.nan
+            return dw
+
+        monkeypatch.setattr(WienerSource, "increment_block", poisoned)
+        calls = self._record_calls(monkeypatch)
+        with pytest.raises(NonFinite) as err:
+            simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9, T=0.15, dt=dt,
+                              path_ids=range(16), check_gate=False)
+        assert (err.value.step, err.value.time) == (bad + 1, (bad + 1) * dt)
+        assert [n0 for n0, _, _ in calls] == [0, 16, 32, 48, 64, 80]

@@ -28,14 +28,18 @@ Per case it times:
   one call on a ``B``-step block, divided by ``B``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
-- ``phi_of``, ``step_raw`` and ``record_norms``: one call each, with the
-  grid values given as the time loop gives them; ``record_norms`` fills
-  every norm column.  ``step_raw`` is the time loop's call: it takes
-  the first step's slice of that ``B``-step colored block and the
-  reaction built from the loop's ``phi``, which is timed inside it, while
-  ``phi_of`` runs once per step in the loop;
-- ``record_norms_files``: one ``record_norms`` call that fills only the
-  columns ``simulate`` and ``glue`` write.
+- ``phi_of`` and ``step_raw``: one call each, with the path norm and
+  the grid values given as the time loop gives them.  ``step_raw`` is the
+  time loop's call: it takes the first step's slice of that ``B``-step
+  colored block and the reaction built from the loop's ``phi``, which is
+  timed inside it, while ``phi_of`` runs once per step in the loop;
+- ``record_norms``: the state-only norm columns (all but ``h`` and
+  ``phi``, which the loop writes at every step), made as the time loop
+  makes them: one ``MildIntegrator.record_norms`` call on a block of
+  ``R`` steps, divided by ``R``, where ``R`` is
+  ``integrate.record_steps`` of the batch;
+- ``record_norms_files``: the same block call filling only the state-only
+  columns that ``simulate`` and ``glue`` write.
 
 The fixed-point loop has its own table, ``forced``: ``apply_V`` per
 path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
@@ -131,17 +135,23 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     for k in range(STEPS):  # a state away from the constant initial data
         uv = integ.synth(state.uv)
         colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
-        state = integ.step_raw(state, colored, dt, integ.reaction(uv, integ.phi_of(state)), uv)
-    phi = integ.phi_of(state)
-    series = {c: np.empty((paths, 1)) for c in NORM_COLUMNS}
-    files = {c: np.empty((paths, 1)) for _, c in NORM_FILE_COLUMNS[1:]}
+        phi = integ.phi_of(state, state.h)
+        state = integ.step_raw(state, colored, dt, integ.reaction(uv, phi), uv)
+    h = state.h
+    phi = integ.phi_of(state, h)
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
     dw = source.increment_block(STEPS, block, dt, 0)
     colored = integ.colored_noise(dw)[0]  # the layer timing below rewrites the same values
+    recorded = integrate.record_steps(paths, m**d)
+    kept_uv = np.repeat(state.uv[None], recorded, axis=0)  # the loop's stacked block
+    kept_vals = np.repeat(uv[None], recorded, axis=0)
+    state_only = [c for c in NORM_COLUMNS if c not in ("h", "phi")]
+    series = {c: np.empty((paths, recorded)) for c in state_only}
+    files = {c: series[c] for _, c in NORM_FILE_COLUMNS[1:] if c in state_only}
 
     def record(out):
-        integ.record_norms(state, out, 0, uv, phi)
+        integ.record_norms(kept_uv, out, 0, kept_vals)
 
     def step_raw():
         integ.step_raw(state, colored, dt, integ.reaction(uv, phi), uv)
@@ -151,7 +161,7 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         "colored_noise": lambda: integ.colored_noise(dw),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
-        "phi_of": lambda: integ.phi_of(state),
+        "phi_of": lambda: integ.phi_of(state, h),
         "step_raw": step_raw,
         "record_norms": lambda: record(series),
         "record_norms_files": lambda: record(files),
@@ -160,8 +170,11 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         per_path[name] = _loop_time(fn)
     per_path["increment_block"] /= block
     per_path["colored_noise"] /= block
+    per_path["record_norms"] /= recorded
+    per_path["record_norms_files"] /= recorded
     result = {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
     result["draw_steps"] = block
+    result["record_steps"] = recorded
     return result
 
 
