@@ -10,9 +10,9 @@ integrator's ``STACK_BUDGET``: the coarse levels at a few paths, not the
 reference.  With the noise off the same loop measures the deterministic
 global error; it then draws no noise at all, since the integrator
 computes no term whose coefficient is zero.  Every level steps the uncut
-system by the fixed-point sweep's norm-free step, as the study reads
-only the states at T: it keeps no path norm, and a path is no longer cut
-once its h would pass 1e12.
+system by the integrator's one step map, ``step_raw``, as the study
+reads only the states at T: it keeps no path norm, and a path is no
+longer cut once its h would pass 1e12.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, np.arange(n_paths))
-    states = [integ._start_state(u0.coeffs, v0.coeffs, np.full(n_paths, math.inf))
+    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, math.inf))
               for _ in steps]
 
     for b in range(n_fine // block):
@@ -85,7 +85,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
             colored = None if dw is None else integ.colored_noise(dw)
             for n in range(block // stride):
                 colored_n = None if colored is None else colored[n]
-                states[i] = integ._norm_free_step(states[i], colored_n, dt, None)
+                states[i] = integ.step_raw(states[i], colored_n, dt, None, None)
 
     ref_state, *level_states = states
     errors = [

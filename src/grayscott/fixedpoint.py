@@ -114,7 +114,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
         return phi[:, rows] * (integ.synth(control.eta[:, rows])
                                * integ.v_power(integ.synth(control.xi[:, rows])))
 
-    state = integ._start_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
     out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
     run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
     return ControlPair(out[0], out[1], dt, integ.space)

@@ -4,34 +4,36 @@ detection and glueing of local solutions.
 
 The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver steps
-with the same map.  Ensembles, glueing and the fixed-point operator also
-share one time loop, ``run_batch``; the fixed-point operator passes its
-frozen reaction as a forcing, and its sweep records nothing and keeps no
-path norm: it composes the feed-minus-reaction drift once per drawn
-noise block, step-major, and under Ito analyzes the whole block in one
-call; the Stratonovich correction reads the state, so there each step
-adds it to its contiguous slice and analyzes that.  The convergence
-study steps the uncut reaction by the same norm-free step,
-``_norm_free_step``, in its own lockstep loop: its step sizes advance on
-block sums of one shared fine draw, which a loop pass per step size
-would redraw once per level.  Internals are vectorized over a batch of
-independent paths, and both species live in one (2, P, K) array, so a
-step of a small batch makes one transform call per operand instead of
-one per species (``STACK_BUDGET``).  The time loop draws the noise of
-both processes for several steps in one call (``DRAW_BUDGET``), in each
-path's current glue segment; each draw is a pure function of its
-address, so the increments are the one-step draws bit for bit.  Each
-drawn block is colored once (``colored_noise``) and, while its grid
-values fit ``STACK_BUDGET``, synthesized in one call; past it each step
-synthesizes its own slice, as a wide step's operands fit cache only one
-species at a time.  None of this moves a bit: the compositions are
-elementwise, and a stacked transform runs the same BLAS call for each
-(P, .) matrix.  The state's transforms are not batched over steps: at
-one path a d=1 step is a GEMV and a block of steps a GEMM, and the two
-round differently.  A forcing is asked for once per drawn block, so the
-fixed-point reaction's d=1 rounding follows the block shape.  A run
-returns one ``BatchRecord``, whose row i of each per-path array is path
-path_ids[i], as the loop filled it.
+with the same map, ``MildIntegrator.step_raw``, which advances only the
+coefficients; its drift is the state's own reaction or one the caller
+composed.  Ensembles, glueing and the fixed-point operator also share
+one time loop, ``run_batch``, whose cutoff branch alone keeps the path
+norm (``_PathNorm``); the fixed-point operator passes its frozen
+reaction as a forcing, and its sweep records nothing and keeps no path
+norm: it composes the feed-minus-reaction drift once per drawn noise
+block, step-major, and under Ito analyzes the whole block in one call;
+the Stratonovich correction reads the state, so there each step adds it
+to its contiguous slice and analyzes that.  The convergence study steps
+the uncut reaction with no path norm in its own lockstep loop: its step
+sizes advance on block sums of one shared fine draw, which a loop pass
+per step size would redraw once per level.  Internals are vectorized
+over a batch of independent paths, and both species live in one
+(2, P, K) array, so a step of a small batch makes one transform call per
+operand instead of one per species (``STACK_BUDGET``).  The time loop
+draws the noise of both processes for several steps in one call
+(``DRAW_BUDGET``), in each path's current glue segment; each draw is a
+pure function of its address, so the increments are the one-step draws
+bit for bit.  Each drawn block is colored once (``colored_noise``) and,
+while its grid values fit ``STACK_BUDGET``, synthesized in one call;
+past it each step synthesizes its own slice, as a wide step's operands
+fit cache only one species at a time.  None of this moves a bit: the
+compositions are elementwise, and a stacked transform runs the same BLAS
+call for each (P, .) matrix.  The state's transforms are not batched
+over steps: at one path a d=1 step is a GEMV and a block of steps a
+GEMM, and the two round differently.  A forcing is asked for once per
+drawn block, so the fixed-point reaction's d=1 rounding follows the
+block shape.  A run returns one ``BatchRecord``, whose row i of each
+per-path array is path path_ids[i], as the loop filled it.
 
 The cutoff loop computes each step's path norm h once: it feeds phi, the
 glue's crossing test and the h column, and the loop writes the h and phi
@@ -192,13 +194,10 @@ def _norm_terms(v: np.ndarray, w: np.ndarray, w_diss: np.ndarray):
 
 @dataclass
 class _BatchState:
-    """A batch of paths: coefficients, running path norms, and per path
-    the cutoff level, glue level, noise segment and fallback flag."""
+    """A batch of paths: coefficients, and per path the cutoff level,
+    glue level, noise segment and fallback flag."""
 
     uv: np.ndarray  # (2, P, K), C-contiguous: u and v stacked
-    sup: np.ndarray  # (P,)
-    intg: np.ndarray
-    last_diss_sq: np.ndarray
     kappa: np.ndarray  # (P,) cutoff level
     level: np.ndarray  # (P,) index into the glue schedule
     segment: np.ndarray  # (P,) noise segment
@@ -214,13 +213,43 @@ class _BatchState:
         return self.uv[1]
 
     @property
-    def h(self) -> np.ndarray:
-        return self.sup + np.sqrt(self.intg)
+    def fell(self) -> bool:
+        """fallback.any(), read off the flags' bytes: a reduction costs 1-2 us."""
+        return 1 in self.fallback.tobytes()
+
+
+class _PathNorm:
+    """The running path norm of a batch, which the cutoff loop alone keeps
+    and its glue restarts: per path h = sup |v|_{H^rho} + (int
+    |v|^2_{H^{rho+aleph/2}})^(1/2) over the steps so far, the integral by
+    the trapezoid rule, whose last integrand is last_diss_sq."""
+
+    def __init__(self, integ: MildIntegrator, v: np.ndarray):
+        self.norm_terms = integ.norm_terms
+        self.sup, self.last_diss_sq = self.norm_terms(v)
+        self.intg = np.zeros(self.sup.shape)
+        self.h = self.sup + np.sqrt(self.intg)
+
+    def advance(self, v: np.ndarray, dt: float):
+        """Take in v (P, K), the inhibitor one step of dt on."""
+        rho_norm, diss_sq = self.norm_terms(v)
+        self.intg = self.intg + 0.5 * dt * (self.last_diss_sq + diss_sq)
+        self.sup = np.maximum(self.sup, rho_norm)
+        self.last_diss_sq = diss_sq
+        self.h = self.sup + np.sqrt(self.intg)
+
+    def restart(self, rows: np.ndarray, v: np.ndarray):
+        """Start the norm of the rows (a (P,) mask) afresh at v (P, K)."""
+        rho_norm, diss_sq = self.norm_terms(v)
+        self.sup = np.where(rows, rho_norm, self.sup)
+        self.intg = np.where(rows, 0.0, self.intg)
+        self.last_diss_sq = np.where(rows, diss_sq, self.last_diss_sq)
+        self.h = self.sup + np.sqrt(self.intg)
 
 
 class _Operand:
-    """A state-free step operand stacked over both species, in the form
-    on_grid names: grid values (on_grid) or coefficients.  A block holds
+    """A step operand stacked over both species, in the form on_grid
+    names: grid values (on_grid) or coefficients.  A block holds
     (count, 2, P) + form, step-major; its [n] is step n's (2, P) + form."""
 
     __slots__ = ("array", "on_grid")
@@ -356,8 +385,7 @@ class MildIntegrator:
 
     def phi_of(self, state: _BatchState, h: np.ndarray) -> np.ndarray:
         """The cutoff phi(h / kappa) per path of state at its path norm h
-        (state.h, which the time loop computes once per step); 0 on
-        fallback paths."""
+        (the cutoff loop's, computed once per step); 0 on fallback paths."""
         x = h / state.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
         return np.where(state.fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
 
@@ -391,12 +419,12 @@ class MildIntegrator:
         return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
 
     def _drift(self, state: _BatchState, uv_vals: np.ndarray | None,
-               react: np.ndarray | None, fell: bool) -> np.ndarray:
-        """Coefficients of the Ito drift of both species; fallback paths
-        have no reaction and no feed (fell: any path has), and an uncoupled
-        integrator has the feeds alone (react is then unused; under Ito, so
-        is uv_vals, and they are kept per fallback pattern).  Its grid values
-        are freed before g_dw runs."""
+               react: np.ndarray | None) -> np.ndarray:
+        """Coefficients of the Ito drift of both species for the reaction's
+        grid values react; fallback paths have no reaction and no feed, and
+        an uncoupled integrator has the feeds alone (react is then unused;
+        under Ito, so is uv_vals, and they are kept per fallback pattern).
+        Its grid values are freed before g_dw runs."""
         key = None if self.coupled or self.ito_profile is not None else state.fallback.tobytes()
         if key is not None and self._feed_drift[0] == key:
             return self._feed_drift[1]
@@ -406,7 +434,7 @@ class MildIntegrator:
         else:  # b -+ c * react with c = 0 is b
             drift[0] = self.params.b1
             drift[1] = self.params.b2
-        if fell:
+        if state.fell:
             drift[:, state.fallback] = 0.0
         drift = self._analyze_drift(drift, uv_vals)
         if key is not None:
@@ -424,94 +452,61 @@ class MildIntegrator:
         return np.stack([fn(*(a[j] for a in stacked)) for j in (0, 1)])
 
     def step_raw(self, state: _BatchState, noise: _Operand | None, dt: float,
-                 react: np.ndarray | None, uv_vals: np.ndarray) -> _BatchState:
-        """Advance one step.  noise is the step's colored noise (step n of a
-        colored_noise block is its [n]), react the reaction's grid values
-        per path (the cutoff reaction phi * u * v^q the time loop builds
-        from its phi, or an exogenous one) and uv_vals the state's grid
-        values (2, P) + grid.  Fallback paths have no reaction and no feed.
+                 drift: _Operand | None, uv_vals: np.ndarray | None) -> _BatchState:
+        """Advance the coefficients one step: the step map of every driver.
+        noise is the step's colored noise (step n of a colored_noise block
+        is its [n]); drift the step's drift, as grid values before the Ito
+        correction or as the Ito drift's coefficients (the cutoff loop's
+        ``_drift``, a ``_forced_drift`` block's [n]), or None for the drift
+        of the state's own uncut reaction; uv_vals the state's grid values
+        (2, P) + grid, or None to synthesize them only if read.  Fallback
+        paths take the linear continuation's semigroup.  Raises NonFinite.
 
         A term with a zero coefficient is skipped, bit-equal (see the
         module docstring): unless ``noisy``, noise is not read (it may be
-        None) and g_dw does not run; unless ``coupled``, react is not read
-        (it may be None).
+        None) and g_dw does not run; unless ``coupled``, no reaction is
+        built.
         """
-        fell = state.fallback.any()
-        uv = self._advance(state, self._drift(state, uv_vals, react, fell), uv_vals, noise, dt,
-                           self._semigroups(dt, state.fallback, fell))
-        rho_norm, diss_sq = self.norm_terms(uv[1])
-        intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
-        return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
-                           state.kappa, state.level, state.segment, state.fallback,
-                           state.step + 1)
-
-    def _advance(self, state: _BatchState, drift: np.ndarray, uv_vals: np.ndarray,
-                 noise: _Operand | None, dt: float, factors: np.ndarray) -> np.ndarray:
-        """The coefficients (2, P, K) of the step from state, without its path
-        norm: drift is the Ito drift's coefficients, uv_vals the state's grid
-        values, noise the step's colored noise and factors the semigroup
-        factors.  Raises NonFinite."""
+        if uv_vals is None and (self.noisy or self.ito_profile is not None
+                                or (drift is None and self.coupled)):
+            uv_vals = self.synth(state.uv)
+        if drift is None:  # the uncut reaction; it lives to the step's end, as run_batch's does
+            react = uv_vals[0] * self.v_power(uv_vals[1]) if self.coupled else None
+            coeffs = self._drift(state, uv_vals, react)
+        elif drift.on_grid:
+            coeffs = self._analyze_drift(drift.array, uv_vals)
+        else:
+            coeffs = drift.array
         # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
         # array: d=2 analysis returns K-major coefficients, which mixed into one
-        # expression make numpy iterate slowly, and the H^rho sums of step_raw reduce
-        # in memory order, so a K-major state would round them differently
-        uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
+        # expression make numpy iterate slowly, and the cutoff loop's H^rho sums
+        # reduce in memory order, so a K-major state would round them differently
+        uv = np.multiply(coeffs, dt, out=np.empty(state.uv.shape))
         uv += state.uv
         if self.noisy:
             g = self.g_dw(uv_vals, noise)
             g *= self._sigma
             uv += g
-        uv *= factors
+        uv *= self._semigroups(dt, state.fallback, state.fell)
         if not np.isfinite(uv).all():
             raise NonFinite(
                 f"non-finite coefficients at step {state.step + 1}",
                 step=state.step + 1, time=(state.step + 1) * dt,
             )
-        return uv
-
-    def _norm_free_step(self, state: _BatchState, noise: _Operand | None, dt: float,
-                        drift: _Operand | None) -> _BatchState:
-        """step_raw without the path norm, for a run with no fallback rows
-        (the forced sweep, the convergence study): the new state carries
-        state's sup, intg and last_diss_sq over.  drift is the step's slice
-        of a _forced_drift block, grid values before the Ito correction or
-        the Ito drift's coefficients; None means the drift of the uncut
-        reaction u * max(v, 0)^q (step_raw's while phi is 1), or the feeds
-        alone if uncoupled.  The state is synthesized only if read."""
-        reads = self.noisy or self.ito_profile is not None or (drift is None and self.coupled)
-        vals = self.synth(state.uv) if reads else None
-        if drift is None:
-            react = vals[0] * self.v_power(vals[1]) if self.coupled else None
-            coeffs = self._drift(state, vals, react, False)
-        elif drift.on_grid:
-            coeffs = self._analyze_drift(drift.array, vals)
-        else:
-            coeffs = drift.array
-        uv = self._advance(state, coeffs, vals, noise, dt, self._factors(dt, False))
-        return _BatchState(uv, state.sup, state.intg, state.last_diss_sq, state.kappa,
-                           state.level, state.segment, state.fallback, state.step + 1)
+        return _BatchState(uv, state.kappa, state.level, state.segment, state.fallback,
+                           state.step + 1)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
         """Batch state at t=0 with one path per cutoff level in kappa (a
         scalar is one path); u0 and v0 are one coefficient vector for every
         path or one row per path."""
-        state = self._start_state(u0, v0, kappa)
-        state.sup, state.last_diss_sq = self.norm_terms(state.v)
-        state.intg = np.zeros(state.sup.shape)
-        return state
-
-    def _start_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
-        """initial_state without its path norm, for a norm-free run (the
-        forced sweep, the study): sup, intg and last_diss_sq are NaN."""
         kappa = np.atleast_1d(np.asarray(kappa, dtype=float)).copy()
         n = kappa.size
         uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n, np.shape(f)[-1]))
                        for f in (u0, v0)])
-        unkept = np.full(n, np.nan)
         return _BatchState(
-            uv, unkept, unkept, unkept, kappa=kappa,
-            level=np.zeros(n, dtype=np.int64), segment=np.zeros(n, dtype=np.int64),
-            fallback=np.zeros(n, dtype=bool), step=0,
+            uv, kappa=kappa, level=np.zeros(n, dtype=np.int64),
+            segment=np.zeros(n, dtype=np.int64), fallback=np.zeros(n, dtype=bool), step=0,
         )
 
     # -- norm recording --------------------------------------------------------
@@ -621,7 +616,9 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     state.  Unless the integrator is noisy no noise is drawn, and unless it
     is coupled no reaction is built and the forcing is not called.
 
-    Each step computes h once and writes the h and phi columns.  The loop
+    Unforced, it is the cutoff loop, which alone keeps the path norm
+    (``_PathNorm``): it advances it after each step and lets ``glue``
+    restart it, reads h once a step and writes the h and phi columns.  It
     keeps each step's coefficients and grid values and records the other
     columns in one ``record_norms`` call per block of ``record_steps``
     steps (grid values within RECORD_BUDGET, at least one step); a glue
@@ -630,10 +627,11 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
     ``forcing(start, count)``, called once per drawn noise block, gives
     the reaction's grid values (P, count) + grid for those steps in place
     of the cutoff reaction.  A forced run evaluates no cutoff, records no
-    norm and steps by ``_norm_free_step`` (start it from ``_start_state``)
-    on the drift b1 - c1 * R, b2 + c2 * R composed, and under Ito analyzed,
-    once per block; it has no glue and no fallback rows, so no drift row is
-    zeroed.  Each drawn block is colored once (``colored_noise``)."""
+    norm and keeps no path norm; its steps take the drift b1 - c1 * R,
+    b2 + c2 * R composed, and under Ito analyzed, once per block.  It has
+    no glue and no fallback rows, so no drift row is zeroed.  Either way
+    every step is ``step_raw``, and each drawn block is colored once
+    (``colored_noise``)."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
     start = end = 0  # the current block spans steps [start, end)
@@ -642,13 +640,13 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
         raise ValidationError(["a forced run has no glue and no fallback rows"])
     recorded = record_steps(state.uv.shape[1], integ.grid_m**integ.space.d)
     kept_uv, kept_vals = [], []  # the states of the recording block so far
+    norm = _PathNorm(integ, state.v) if forcing is None else None
 
     for n in range(n_steps + 1):
         if forcing is None:
             vals = integ.synth(state.uv)
-            h = state.h
-            phi = integ.phi_of(state, h)
-            series["h"][:, n] = h
+            phi = integ.phi_of(state, norm.h)
+            series["h"][:, n] = norm.h
             series["phi"][:, n] = phi
             kept_uv.append(state.uv)
             kept_vals.append(vals)
@@ -657,9 +655,9 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
                                    _step_stack(kept_vals))
                 kept_uv, kept_vals = [], []
             if glue is not None:
-                glued = glue(integ, state, h, series, n, n * dt)
+                glued = glue(integ, state, norm, series, n, n * dt)
                 if glued is not state:  # restarted paths draw from a new segment
-                    state, phi, end = glued, integ.phi_of(glued, glued.h), n
+                    state, phi, end = glued, integ.phi_of(glued, norm.h), n
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
@@ -674,11 +672,15 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
                     source.increment_block(n, end - n, dt, state.segment))
         noise_n = None if noise is None else noise[n - start]
         if forcing is not None:
-            state = integ._norm_free_step(state, noise_n, dt,
-                                          None if drift is None else drift[n - start])
+            state = integ.step_raw(state, noise_n, dt,
+                                   None if drift is None else drift[n - start], None)
         else:
+            # react lives until the next step's replaces it: freed inside the step,
+            # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
             react = integ.reaction(vals, phi) if integ.coupled else None
-            state = integ.step_raw(state, noise_n, dt, react, vals)
+            state = integ.step_raw(state, noise_n, dt,
+                                   _Operand(integ._drift(state, vals, react), False), vals)
+            norm.advance(state.v, dt)
 
 
 def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -759,11 +761,11 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     levels = np.asarray(schedule)
     events: list[tuple[int, float, float]] = []
 
-    def glue(integ: MildIntegrator, state: _BatchState, h: np.ndarray,
+    def glue(integ: MildIntegrator, state: _BatchState, norm: _PathNorm,
              series: dict[str, np.ndarray], n: int, t: float) -> _BatchState:
-        """Restart the paths whose norm h (state.h) reached their level: next
-        level (or the linear fallback), fresh path norms, next noise segment."""
-        crossed = ~state.fallback & (h >= state.kappa)
+        """Restart the paths whose path norm reached their level: next level
+        (or the linear fallback), a fresh path norm, next noise segment."""
+        crossed = ~state.fallback & (norm.h >= state.kappa)
         if not crossed.any():
             return state
         if n == 0:
@@ -773,14 +775,9 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         events.extend((int(i), float(state.kappa[i]), t) for i in np.flatnonzero(crossed))
         series["phi"][last, n] = 0.0
         level = state.level + (crossed & ~last)
-        rho_norm, diss_sq = integ.norm_terms(state.v)
-        return replace(
-            state, sup=np.where(crossed, rho_norm, state.sup),
-            intg=np.where(crossed, 0.0, state.intg),
-            last_diss_sq=np.where(crossed, diss_sq, state.last_diss_sq),
-            kappa=levels[level], level=level,
-            segment=state.segment + crossed, fallback=state.fallback | last,
-        )
+        norm.restart(crossed, state.v)
+        return replace(state, kappa=levels[level], level=level,
+                       segment=state.segment + crossed, fallback=state.fallback | last)
 
     record = _simulate(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
                        store_trajectory, columns, glue)

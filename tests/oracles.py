@@ -9,17 +9,20 @@ at consecutive steps, and keyed_normals draws in one pass with a new
 array per operation, where the source draws in place, chunk by chunk.
 full_step is the step map with every term computed, whatever its
 coefficient, where MildIntegrator.step_raw skips the terms a zero
-coefficient silences; cutoff_step is step_raw as the time loop calls it,
-on the cutoff reaction of the state's own phi.  forced_sweep is the
-fixed-point operator stepped by step_raw, with each drawn block's frozen
-reaction passed as react, where apply_V composes the drift once per
-block, analyzes it once per block under Ito and keeps no path norm.
-cut_study_states is the convergence study stepped by step_raw on the
-cutoff system at level 1e12 from initial_state, where strong_order_study
-steps the uncut system and keeps no path norm.  per_step_series records
-every norm column of each step from that step's state alone, with noise
-drawn one step at a time, where run_batch draws blocks of steps and
-records the state-only columns once per block of kept states.
+coefficient silences, and it keeps its own path norm (start_norm,
+next_norm, norm_h), where the time loop keeps a _PathNorm; cutoff_step
+is step_raw as the time loop calls it, on the cutoff drift of the
+state's own phi, with the loop's _PathNorm advanced after the step.
+forced_sweep is the fixed-point operator stepped by step_raw, with each
+step's feed-minus-reaction drift composed on the grid from that step's
+frozen reaction, where apply_V composes the drift once per block and
+analyzes it once per block under Ito.  cut_study_states is the
+convergence study stepped by cutoff_step on the cutoff system at level
+1e12, where strong_order_study steps the uncut system and keeps no path
+norm.  per_step_series records every norm column of each step from that
+step's state alone, h from its own path norm, with noise drawn one step
+at a time, where run_batch draws blocks of steps and records the
+state-only columns once per block of kept states.
 """
 
 from dataclasses import replace
@@ -32,6 +35,8 @@ from grayscott.integrate import (
     NORM_COLUMNS,
     MildIntegrator,
     _BatchState,
+    _Operand,
+    _PathNorm,
     draw_steps,
     path_norm_series,
     smooth_cutoff,
@@ -144,22 +149,48 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
     return keyed_normals(keys, _role_arr(steps, _MULT_STEP))
 
 
-def cutoff_step(integ, state, noise, dt):
-    """step_raw on the cutoff reaction, with the state's grid values, as
-    the time loop calls it; noise is the step's colored noise."""
+def start_norm(integ, v):
+    """A path norm (sup, intg, last_diss_sq) of the paths at v (P, K),
+    accumulated apart from the time loop's _PathNorm."""
+    v2 = v**2
+    diss_sq = (integ.w_rho_aleph * v2).sum(axis=-1)
+    return np.sqrt((integ.w_rho * v2).sum(axis=-1)), np.zeros(diss_sq.shape), diss_sq
+
+
+def next_norm(integ, norm, v, dt):
+    """The path norm norm taken one step of dt on, to v (P, K): running
+    max, trapezoid rule."""
+    sup, intg, last_diss_sq = norm
+    rho_norm, _, diss_sq = start_norm(integ, v)
+    return np.maximum(sup, rho_norm), intg + 0.5 * dt * (last_diss_sq + diss_sq), diss_sq
+
+
+def norm_h(norm):
+    """h = sup + sqrt(intg) of a start_norm/next_norm path norm."""
+    return norm[0] + np.sqrt(norm[1])
+
+
+def cutoff_step(integ, state, norm, noise, dt):
+    """step_raw on the cutoff drift of the state's own phi, with the
+    state's grid values, then the path norm norm (a _PathNorm) advanced,
+    as the time loop calls them; noise is the step's colored noise."""
     vals = integ.synth(state.uv)
-    react = integ.reaction(vals, integ.phi_of(state, state.h))
-    return integ.step_raw(state, noise, dt, react, vals)
+    react = integ.reaction(vals, integ.phi_of(state, norm.h))
+    new = integ.step_raw(state, noise, dt, _Operand(integ._drift(state, vals, react), False),
+                         vals)
+    norm.advance(new.v, dt)
+    return new
 
 
-def full_step(integ, state, noise, dt):
+def full_step(integ, state, norm, noise, dt):
     """One step of MildIntegrator's map with the noise term and the
     reaction always computed, however their coefficients vanish; the
     same operations in the same order as step_raw otherwise.  noise is
-    the step's colored noise."""
+    the step's colored noise, norm a start_norm/next_norm path norm;
+    returns the new state and its path norm."""
     p = integ.params
     vals = integ.synth(state.uv)
-    react = integ.reaction(vals, integ.phi_of(state, state.h))
+    react = integ.reaction(vals, integ.phi_of(state, norm_h(norm)))
     drift = np.empty(vals.shape)
     np.subtract(p.b1, p.c1 * react, out=drift[0])
     np.add(p.b2, p.c2 * react, out=drift[1])
@@ -173,17 +204,16 @@ def full_step(integ, state, noise, dt):
     g[1] *= p.sigma2
     uv += g
     uv *= integ._semigroups(dt, state.fallback, state.fallback.any())
-    rho_norm, diss_sq = integ.norm_terms(uv[1])
-    intg = state.intg + 0.5 * dt * (state.last_diss_sq + diss_sq)
-    return _BatchState(uv, np.maximum(state.sup, rho_norm), intg, diss_sq,
-                       state.kappa, state.level, state.segment, state.fallback,
-                       state.step + 1)
+    new = _BatchState(uv, state.kappa, state.level, state.segment, state.fallback,
+                      state.step + 1)
+    return new, next_norm(integ, norm, new.v, dt)
 
 
 def forced_sweep(control, integ, u0, v0, kappa, path_ids):
     """apply_V's trajectory (2, P, n_steps+1, K) by step_raw: the reaction
     phi * eta * max(xi, 0)^q of each drawn noise block, built as apply_V's
-    forcing builds it, passed to step_raw one step at a time."""
+    forcing builds it, and each step's drift b1 - c1 * R, b2 + c2 * R
+    composed on the grid and passed to step_raw one step at a time."""
     p, d = integ.params, integ.space.d
     dt, n_steps = control.dt, control.eta.shape[1] - 1
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
@@ -200,16 +230,20 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
         noise = integ.colored_noise(
             source.increment_block(start, react.shape[1], dt, state.segment))
         for j in range(react.shape[1]):
-            state = integ.step_raw(state, noise[j], dt, react[:, j], integ.synth(state.uv))
+            drift = np.empty((2,) + react[:, j].shape)
+            np.subtract(p.b1, p.c1 * react[:, j], out=drift[0])
+            np.add(p.b2, p.c2 * react[:, j], out=drift[1])
+            state = integ.step_raw(state, noise[j], dt, _Operand(drift, True),
+                                   integ.synth(state.uv))
             out[:, :, start + j + 1] = state.uv
     return out
 
 
 def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refinement):
     """strong_order_study's states at T, the reference first and then the
-    dts from the largest down, by step_raw on the cutoff system at level
-    1e12 from initial_state: each level steps on block sums of one fine
-    draw, as the study does."""
+    dts from the largest down, by cutoff_step on the cutoff system at level
+    1e12: each level steps on block sums of one fine draw, as the study
+    does."""
     dts = sorted(dts, reverse=True)
     steps = [min(dts) / ref_refinement] + dts
     strides = [step_count(dt, steps[0]) for dt in steps]
@@ -217,6 +251,7 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
     source = WienerSource(noise, space, np.arange(n_paths))
     states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, 1e12))
               for _ in steps]
+    norms = [_PathNorm(integ, state.v) for state in states]
     block = np.lcm.reduce(strides)
     for b in range(step_count(T, steps[0]) // block):
         fine = source.increment_block(b * block, block, steps[0], 0)
@@ -224,7 +259,7 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
             colored = integ.colored_noise(fine if stride == 1
                                           else aggregate_increments(fine, stride))
             for n in range(block // stride):
-                states[i] = cutoff_step(integ, states[i], colored[n], dt)
+                states[i] = cutoff_step(integ, states[i], norms[i], colored[n], dt)
     return states
 
 
@@ -232,16 +267,19 @@ def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
     """Every norm column (P, n_steps+1) of simulate_glued over the kappa
     schedule levels if glue, else of simulate_ensemble at the one level
     levels[0]: each step draws its own noise, and each column of step n is
-    computed from step n's state alone."""
+    computed from step n's state alone, and h from the path norm that
+    start_norm and next_norm keep."""
     p, m, quad = integ.params, integ.grid_m, integ.basis.quadrature
     levels = np.asarray(levels, dtype=float)
     source = WienerSource(integ.noise, integ.space, path_ids)
     state = integ.initial_state(u0, v0, np.full(len(path_ids), levels[0]))
+    norm = start_norm(integ, state.v)
     out = {c: np.empty((len(path_ids), n_steps + 1)) for c in NORM_COLUMNS}
     for n in range(n_steps + 1):
         vals = integ.synth(state.uv)
         u_vals, v_vals = vals
-        phi = integ.phi_of(state, state.h)
+        h = norm_h(norm)
+        phi = integ.phi_of(state, h)
         v2 = state.v**2
         grad_sq = (integ.basis.synthesize_gradient(state.u, m) ** 2).sum(axis=0)
         for col, values in (
@@ -249,27 +287,26 @@ def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
             ("u_lpstar", quad(np.abs(u_vals) ** p.p_star, m) ** (1.0 / p.p_star)),
             ("v_halpha", np.sqrt((integ.w_alpha * v2).sum(axis=-1))),
             ("v_halpha_diss", np.sqrt((integ.w_alpha_aleph * v2).sum(axis=-1))),
-            ("h", state.h),
+            ("h", h),
             ("phi", phi),
             ("u_grad_p", quad(np.abs(u_vals) ** (p.p_star - 2.0) * grad_sq, m)),
             ("couple", quad(np.maximum(u_vals, 0.0) ** p.p_star
                             * np.maximum(v_vals, 0.0) ** p.q, m)),
         ):
             out[col][:, n] = values
-        crossed = ~state.fallback & (state.h >= state.kappa)
+        crossed = ~state.fallback & (h >= state.kappa)
         if glue and crossed.any():  # restart: next level or the linear fallback
             last = crossed & (state.level + 1 == levels.size)
             out["phi"][last, n] = 0.0
             level = state.level + (crossed & ~last)
-            rho_norm, diss_sq = integ.norm_terms(state.v)
-            state = replace(
-                state, sup=np.where(crossed, rho_norm, state.sup),
-                intg=np.where(crossed, 0.0, state.intg),
-                last_diss_sq=np.where(crossed, diss_sq, state.last_diss_sq),
-                kappa=levels[level], level=level, segment=state.segment + crossed,
-                fallback=state.fallback | last)
-            phi = integ.phi_of(state, state.h)
+            norm = tuple(np.where(crossed, fresh, kept)
+                         for fresh, kept in zip(start_norm(integ, state.v), norm))
+            state = replace(state, kappa=levels[level], level=level,
+                            segment=state.segment + crossed, fallback=state.fallback | last)
+            phi = integ.phi_of(state, norm_h(norm))
         if n == n_steps:
             return out
         noise = integ.colored_noise(source.increment_block(n, 1, dt, state.segment))[0]
-        state = integ.step_raw(state, noise, dt, integ.reaction(vals, phi), vals)
+        drift = _Operand(integ._drift(state, vals, integ.reaction(vals, phi)), False)
+        state = integ.step_raw(state, noise, dt, drift, vals)
+        norm = next_norm(integ, norm, state.v, dt)

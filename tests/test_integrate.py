@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cut_study_states, cutoff_step, full_step, per_step_series, planar_ode
+from oracles import (
+    cut_study_states,
+    cutoff_step,
+    full_step,
+    next_norm,
+    norm_h,
+    per_step_series,
+    planar_ode,
+    start_norm,
+)
 
 from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
@@ -17,6 +26,7 @@ from grayscott.integrate import (
     NORM_COLUMNS,
     MildIntegrator,
     ModelParams,
+    _PathNorm,
     draw_steps,
     path_norm_series,
     pathspace_norm,
@@ -94,16 +104,17 @@ class TestSmoothCutoff:
     @pytest.mark.parametrize("nan", [False, True])
     def test_phi_of_is_the_cutoff_on_unfallen_paths(self, band, nan):
         integ = MildIntegrator(ModelParams(), SP, NZ)
-        h0 = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 1.0).h[0]
+        h0 = _PathNorm(integ, integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 1.0).v).h[0]
         # h/kappa is 0.5 on every path, or 1/0.7 on path 1; path 2 has fallen back
         kappa = h0 * np.array([2.0, 0.7 if band else 2.0, 2.0])
         state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, kappa)
         state.fallback[2] = True
+        norm = _PathNorm(integ, state.v)
         if nan:  # a NaN h is not on the plateau
-            state.intg[0] = np.nan
+            norm.h[0] = np.nan
         with np.errstate(invalid="ignore"):
-            phi = integ.phi_of(state, state.h)
-            full = np.where(state.fallback, 0.0, smooth_cutoff(state.h / state.kappa))
+            phi = integ.phi_of(state, norm.h)
+            full = np.where(state.fallback, 0.0, smooth_cutoff(norm.h / state.kappa))
         assert np.array_equal(phi, full, equal_nan=True)
         assert math.isnan(phi[0]) == nan and phi[2] == 0.0 and (phi[1] < 1.0) == band
 
@@ -123,7 +134,7 @@ class TestStepMild:
         integ = MildIntegrator(params, SP, NZ)
         u, v = mode_field(SP, 5), mode_field(SP, 2)
         state = integ.initial_state(u.coeffs, v.coeffs, 1e9)
-        new = cutoff_step(integ, state, first_noise(integ, 0.01), 0.01)
+        new = cutoff_step(integ, state, _PathNorm(integ, state.v), first_noise(integ, 0.01), 0.01)
         lam = get_basis(SP).eigenvalues
         assert new.u[0, 5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
         assert new.v[0, 2] == pytest.approx(
@@ -136,10 +147,12 @@ class TestStepMild:
                                 path_ids=[0], store_trajectory=True)
         integ = MildIntegrator(params, SP, NZ)
         state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
-        new = cutoff_step(integ, state, first_noise(integ, 0.001), 0.001)
+        new = cutoff_step(integ, state, _PathNorm(integ, state.v), first_noise(integ, 0.001),
+                          0.001)
         assert np.array_equal(new.u[0], rec.trajectory[0, 0, 1])
         assert np.array_equal(new.v[0], rec.trajectory[1, 0, 1])
-        assert new.h[0] == pytest.approx(rec.series["h"][0, 1], rel=1e-14)
+        h = norm_h(next_norm(integ, start_norm(integ, state.v), new.v, 0.001))
+        assert h[0] == pytest.approx(rec.series["h"][0, 1], rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_detection(self):
@@ -782,17 +795,18 @@ class TestZeroCoefficients:
             WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         start = integ.initial_state(bump(space).coeffs, bump(space, 1.0, 0.4).coeffs, 1.0)
         # kappa puts phi on the transition band; the last path is in the fallback
-        kappa = np.full(3, start.h[0] / 1.5)
+        kappa = np.full(3, norm_h(start_norm(integ, start.v))[0] / 1.5)
         start = integ.initial_state(start.u[0], start.v[0], kappa)
         start.fallback[2] = True
         skip = full = start
+        skip_norm, full_norm = _PathNorm(integ, start.v), start_norm(integ, start.v)
         for n in range(n_steps):
-            skip = cutoff_step(integ, skip, colored[n] if integ.noisy else None, dt)
-            full = full_step(integ, full, colored[n], dt)
+            skip = cutoff_step(integ, skip, skip_norm, colored[n] if integ.noisy else None, dt)
+            full, full_norm = full_step(integ, full, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
-            assert np.array_equal(skip.h, full.h), n
-        assert 0.0 < integ.phi_of(skip, skip.h)[0] < 1.0
+            assert np.array_equal(skip_norm.h, norm_h(full_norm)), n
+        assert 0.0 < integ.phi_of(skip, skip_norm.h)[0] < 1.0
 
     def test_studies_evaluate_no_cutoff_and_keep_no_path_norm(self, monkeypatch):
         monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
@@ -809,16 +823,17 @@ class TestZeroCoefficients:
             WienerSource(noise, SP, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         skip = full = integ.initial_state(bump(SP).coeffs, bump(SP, 1.0, 0.4).coeffs,
                                           np.full(3, 1e9))
+        skip_norm, full_norm = _PathNorm(integ, skip.v), start_norm(integ, full.v)
         falls = {6: 2, 13: 0}  # rows fall back at different steps: the pattern changes twice
         patterns = set()
         for n in range(n_steps):
             if n in falls:
                 skip.fallback[falls[n]] = full.fallback[falls[n]] = True
-            skip = cutoff_step(integ, skip, colored[n], dt)
-            full = full_step(integ, full, colored[n], dt)
+            skip = cutoff_step(integ, skip, skip_norm, colored[n], dt)
+            full, full_norm = full_step(integ, full, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
-            assert np.array_equal(skip.h, full.h), n
+            assert np.array_equal(skip_norm.h, norm_h(full_norm)), n
             patterns.add(integ._feed_drift[0])
         if interpretation == "ito":
             assert len(patterns) == 3
@@ -858,6 +873,89 @@ class TestStudyStep:
         for got, want in zip([seen[0][1]] + [a for a, _ in seen], [ref] + levels):
             assert np.array_equal(got.uv, want.uv)
             assert np.array_equal(np.signbit(got.uv), np.signbit(want.uv))
+
+
+class TestUncutStep:
+    """At any level kappa at or above a path's running max of h the cutoff
+    is exactly 1, so the cut step is the study's uncut one, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(space=st.sampled_from([SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16),
+                                  SP_2D]),
+           interpretation=st.sampled_from(["ito", "stratonovich"]),
+           coupling=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           above=st.lists(st.floats(1.0, 1e6), min_size=3, max_size=3))
+    def test_uncut_step_is_the_cut_step_at_levels_above_h(self, space, interpretation,
+                                                          coupling, seed, above):
+        params = ModelParams(a2=0.4, c1=coupling, c2=coupling)
+        noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=seed, interpretation=interpretation)
+        integ = MildIntegrator(params, space, noise)
+        dt, n_steps = 2e-3, 8
+        colored = integ.colored_noise(
+            WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
+        start = integ.initial_state(bump(space, 0.5, 0.1).coeffs,
+                                    bump(space, 0.5, 0.3).coeffs, np.ones(3))
+        uncut, norm = [start], _PathNorm(integ, start.v)
+        h_max = norm.h
+        for n in range(n_steps - 1):  # the last step's phi reads h up to step n_steps - 1
+            uncut.append(integ.step_raw(uncut[-1], colored[n], dt, None, None))
+            norm.advance(uncut[-1].v, dt)
+            h_max = np.maximum(h_max, norm.h)
+        uncut.append(integ.step_raw(uncut[-1], colored[n_steps - 1], dt, None, None))
+        cut = integ.initial_state(start.u, start.v, h_max * np.array(above))
+        cut_norm = _PathNorm(integ, cut.v)
+        for n in range(n_steps):
+            cut = cutoff_step(integ, cut, cut_norm, colored[n], dt)
+            assert np.array_equal(cut.uv, uncut[n + 1].uv), n
+            assert np.array_equal(np.signbit(cut.uv), np.signbit(uncut[n + 1].uv)), n
+
+
+class TestOneStepMap:
+    """Every driver advances its paths by MildIntegrator.step_raw, and the
+    batch state carries no path norm: only the cutoff loop keeps one."""
+
+    def test_every_driver_steps_through_step_raw(self, monkeypatch):
+        from grayscott.convergence import strong_order_study
+        from grayscott.fixedpoint import apply_V, constant_control, picard_solve
+        from grayscott.integrate import step_count
+
+        calls = []
+        step = MildIntegrator.step_raw
+
+        def counted(integ, state, *args):
+            calls.append(state.step)
+            return step(integ, state, *args)
+
+        monkeypatch.setattr(MildIntegrator, "step_raw", counted)
+        params, dt, n_steps = ModelParams(**GLUE_PARAMS), 1e-3, 150
+        simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=n_steps * dt, dt=dt,
+                          path_ids=[0, 1], check_gate=False)
+        assert calls == list(range(n_steps))
+        calls.clear()
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.3, 1.5], T=n_steps * dt,
+                             dt=dt, path_ids=[0, 1])
+        assert rec.glue_events and calls == list(range(n_steps))
+        calls.clear()
+        control = constant_control(bump(SP), bump(SP), T=n_steps * dt, dt=dt, n_paths=2)
+        apply_V(control, MildIntegrator(params, SP, NZ), bump(SP), bump(SP), 1.0, [0, 1])
+        assert calls == list(range(n_steps))
+        calls.clear()
+        res = picard_solve(params, SP, NZ, bump(SP), bump(SP), 1e9, path_ids=[0], T=0.05, dt=dt)
+        assert calls == list(range(50)) * res["iterates"][0]
+        calls.clear()
+        sp = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+        dts = [2.0**-5, 2.0**-6]
+        strong_order_study(params, sp, NZ, bump(sp, 0.5, 0.1), bump(sp, 0.5, 0.1), 0.25, dts,
+                           n_paths=2, ref_refinement=4)
+        assert len(calls) == sum(step_count(0.25, dt) for dt in [min(dts) / 4] + dts)
+
+    def test_batch_state_has_no_path_norm(self):
+        from dataclasses import fields
+
+        from grayscott.integrate import _BatchState
+
+        names = {f.name for f in fields(_BatchState)} | set(dir(_BatchState))
+        assert not names & {"sup", "intg", "last_diss_sq", "h"}
 
 
 class TestBlockRecord:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import counter_normals, cutoff_step
 
 from grayscott.errors import ValidationError
-from grayscott.integrate import MildIntegrator, ModelParams
+from grayscott.integrate import MildIntegrator, ModelParams, _PathNorm
 from grayscott.noise import (
     NoiseConfig,
     WienerSource,
@@ -263,9 +263,11 @@ class TestMultiplicationOperator:
             integ = MildIntegrator(ModelParams(sigma1=sigma, sigma2=0.0), SP, CFG)
             state = integ.initial_state(u.coeffs, u.coeffs, 1e9)
             dw = np.stack([dw1, dw2])[:, None, None]
-            new[sigma] = cutoff_step(integ, state, integ.colored_noise(dw)[0], 0.01).u[0]
+            new[sigma] = cutoff_step(integ, state, _PathNorm(integ, state.v),
+                                     integ.colored_noise(dw)[0], 0.01).u[0]
             if sigma == 0.0:
-                quiet = cutoff_step(integ, state, integ.colored_noise(0 * dw)[0], 0.01).u[0]
+                quiet = cutoff_step(integ, state, _PathNorm(integ, state.v),
+                                    integ.colored_noise(0 * dw)[0], 0.01).u[0]
                 assert np.array_equal(new[0.0], quiet)
         half, one = new[0.5] - new[0.0], new[1.0] - new[0.0]
         assert np.max(np.abs(one)) > 1e-3

@@ -28,11 +28,16 @@ Per case it times:
   one call on a ``B``-step block, divided by ``B``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
-- ``phi_of`` and ``step_raw``: one call each, with the path norm and
-  the grid values given as the time loop gives them.  ``step_raw`` is the
-  time loop's call: it takes the first step's slice of that ``B``-step
-  colored block and the reaction built from the loop's ``phi``, which is
-  timed inside it, while ``phi_of`` runs once per step in the loop;
+- ``phi_of``, ``step_raw`` and ``path_norm``: one call each, as the
+  cutoff loop makes them.  ``step_raw`` is the one step map that every
+  driver calls, called as the cutoff loop calls it: on the first step's
+  slice of that ``B``-step colored block, the state's grid values and
+  the drift of the cutoff reaction built from the loop's ``phi``, whose
+  composition (``MildIntegrator._drift``) is timed inside it; ``phi_of``
+  runs once per step in the loop.  ``path_norm`` is the loop's update
+  of its running path norm after the step (``_PathNorm.advance``), which
+  the step map made itself before the norm moved to the loop, so
+  ``step_raw`` + ``path_norm`` compares with an earlier ``step_raw``;
 - ``record_norms``: the state-only norm columns (all but ``h`` and
   ``phi``, which the loop writes at every step), made as the time loop
   makes them: one ``MildIntegrator.record_norms`` call on a block of
@@ -112,7 +117,14 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
 
     from grayscott import integrate
     from grayscott.cli import NORM_FILE_COLUMNS
-    from grayscott.integrate import NORM_COLUMNS, MildIntegrator, ModelParams, simulate_ensemble
+    from grayscott.integrate import (
+        NORM_COLUMNS,
+        MildIntegrator,
+        ModelParams,
+        _Operand,
+        _PathNorm,
+        simulate_ensemble,
+    )
     from grayscott.noise import NoiseConfig, WienerSource
     from grayscott.spectral import SpaceConfig, constant_field
 
@@ -132,12 +144,19 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
     state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(paths, 1e6))
+    norm = _PathNorm(integ, state.v)
+
+    def loop_step(state, colored, uv, phi):
+        """The cutoff loop's step: the step map on its cutoff drift."""
+        drift = _Operand(integ._drift(state, uv, integ.reaction(uv, phi)), False)
+        return integ.step_raw(state, colored, dt, drift, uv)
+
     for k in range(STEPS):  # a state away from the constant initial data
         uv = integ.synth(state.uv)
         colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
-        phi = integ.phi_of(state, state.h)
-        state = integ.step_raw(state, colored, dt, integ.reaction(uv, phi), uv)
-    h = state.h
+        state = loop_step(state, colored, uv, integ.phi_of(state, norm.h))
+        norm.advance(state.v, dt)
+    h = norm.h
     phi = integ.phi_of(state, h)
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
@@ -153,16 +172,14 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     def record(out):
         integ.record_norms(kept_uv, out, 0, kept_vals)
 
-    def step_raw():
-        integ.step_raw(state, colored, dt, integ.reaction(uv, phi), uv)
-
     layers = {
         "increment_block": lambda: source.increment_block(STEPS, block, dt, 0),
         "colored_noise": lambda: integ.colored_noise(dw),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
         "phi_of": lambda: integ.phi_of(state, h),
-        "step_raw": step_raw,
+        "step_raw": lambda: loop_step(state, colored, uv, phi),
+        "path_norm": lambda: norm.advance(state.v, dt),  # grows intg, at the same cost
         "record_norms": lambda: record(series),
         "record_norms_files": lambda: record(files),
     }
