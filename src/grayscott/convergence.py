@@ -75,8 +75,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, np.arange(n_paths))
-    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, math.inf))
-              for _ in steps]
+    states = [integ.initial_state(u0.coeffs, v0.coeffs, n_paths) for _ in steps]
 
     for b in range(n_fine // block):
         fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None

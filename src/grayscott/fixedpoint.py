@@ -24,7 +24,7 @@ from .integrate import (
     smooth_cutoff,
     step_count,
 )
-from .noise import NoiseConfig
+from .noise import NoiseConfig, path_id_array
 from .spectral import SpaceConfig, SpectralField, get_basis
 
 # steps of eta whose grid values kset_functionals holds at once
@@ -98,7 +98,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     noise factor and the Stratonovich correction depend on the evolving
     state, and the sweep keeps no path norm of it.
     """
-    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    path_ids = path_id_array(path_ids)
     v = [] if kappa > 0 else [f"cutoff level kappa must be > 0, got {kappa}"]  # also rejects NaN
     if path_ids.size != control.eta.shape[0]:
         v.append(f"{path_ids.size} path ids for {control.eta.shape[0]} paths")
@@ -114,7 +114,7 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
         return phi[:, rows] * (integ.synth(control.eta[:, rows])
                                * integ.v_power(integ.synth(control.xi[:, rows])))
 
-    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    state = integ.initial_state(u0.coeffs, v0.coeffs, path_ids.size)
     out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
     run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
     return ControlPair(out[0], out[1], dt, integ.space)
@@ -148,7 +148,7 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
         v.append(f"max_iter must be >= 1, got {max_iter}")
     if v:
         raise ValidationError(v)
-    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+    path_ids = path_id_array(path_ids)
     current = constant_control(u0, v0, T, dt, path_ids.size)
     integ = MildIntegrator(params, space, noise)
     residuals: list[list[float]] = [[] for _ in path_ids]

@@ -7,13 +7,14 @@ factors) and the reaction/noise parts explicitly.  Every driver steps
 with the same map, ``MildIntegrator.step_raw``, which advances only the
 coefficients; its drift is the state's own reaction or one the caller
 composed.  Ensembles, glueing and the fixed-point operator also share
-one time loop, ``run_batch``, whose cutoff branch alone keeps the path
-norm (``_PathNorm``); the fixed-point operator passes its frozen
-reaction as a forcing, and its sweep records nothing and keeps no path
-norm: it composes the feed-minus-reaction drift once per drawn noise
-block, step-major, and under Ito analyzes the whole block in one call;
-the Stratonovich correction reads the state, so there each step adds it
-to its contiguous slice and analyzes that.  The convergence study steps
+one time loop, ``run_batch``, whose cutoff branch alone keeps the cutoff
+(``_Cutoff``: each path's level, path norm and phi, and the glue
+restart); the fixed-point operator passes its frozen reaction as a
+forcing, and its sweep records nothing and keeps no cutoff: it composes
+the feed-minus-reaction drift once per drawn noise block, step-major,
+and under Ito analyzes the whole block in one call; the Stratonovich
+correction reads the state, so there each step adds it to its
+contiguous slice and analyzes that.  The convergence study steps
 the uncut reaction with no path norm in its own lockstep loop: its step
 sizes advance on block sums of one shared fine draw, which a loop pass
 per step size would redraw once per level.  Internals are vectorized
@@ -35,16 +36,15 @@ drawn block, so the fixed-point reaction's d=1 rounding follows the
 block shape.  A run returns one ``BatchRecord``, whose row i of each
 per-path array is path path_ids[i], as the loop filled it.
 
-The cutoff loop computes each step's path norm h once: it feeds phi, the
-glue's crossing test and the h column, and the loop writes the h and phi
-columns at every step.  The other, state-only columns read just a step's
-coefficients and grid values, which the loop keeps and records in one
-``record_norms`` call per recording block: as many steps as keep their
-2 * P * M^d grid values within RECORD_BUDGET (``record_steps``), at least
-one, the last block ending at the run's end.  A one-step block is a view
-of the step's arrays, not a copy.  The stacked calls reduce each step's
-rows and transform each step's matrices as a one-step call does, so the
-columns are the same bits.
+The cutoff loop writes the h and phi columns at every step; h is the
+cutoff's, advanced once a step.  The other, state-only columns read just
+a step's coefficients and grid values, which the loop keeps and records
+in one ``record_norms`` call per recording block: as many steps as keep
+their 2 * P * M^d grid values within RECORD_BUDGET (``record_steps``),
+at least one, the last block ending at the run's end.  A one-step block
+is a view of the step's arrays, not a copy.  The stacked calls reduce
+each step's rows and transform each step's matrices as a one-step call
+does, so the columns are the same bits.
 
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
@@ -75,6 +75,7 @@ from .noise import (
     WienerSource,
     coloring_weights,
     noise_modes,
+    path_id_array,
     squared_eigenfunction_sum,
 )
 from .spectral import (
@@ -194,12 +195,10 @@ def _norm_terms(v: np.ndarray, w: np.ndarray, w_diss: np.ndarray):
 
 @dataclass
 class _BatchState:
-    """A batch of paths: coefficients, and per path the cutoff level,
-    glue level, noise segment and fallback flag."""
+    """A batch of paths: coefficients, and per path the noise segment and
+    fallback flag, all that the step map and the noise draw read."""
 
     uv: np.ndarray  # (2, P, K), C-contiguous: u and v stacked
-    kappa: np.ndarray  # (P,) cutoff level
-    level: np.ndarray  # (P,) index into the glue schedule
     segment: np.ndarray  # (P,) noise segment
     fallback: np.ndarray  # (P,) past the last level: linear continuation
     step: int  # the state is at time step * dt
@@ -218,14 +217,20 @@ class _BatchState:
         return 1 in self.fallback.tobytes()
 
 
-class _PathNorm:
-    """The running path norm of a batch, which the cutoff loop alone keeps
-    and its glue restarts: per path h = sup |v|_{H^rho} + (int
-    |v|^2_{H^{rho+aleph/2}})^(1/2) over the steps so far, the integral by
-    the trapezoid rule, whose last integrand is last_diss_sq."""
+class _Cutoff:
+    """The cutoff of a batch, which the cutoff loop alone keeps.  Per path:
+    the level kappa, its index ``level`` into ``levels``, and the path norm
+    h = sup |v|_{H^rho} + (int |v|^2_{H^{rho+aleph/2}})^(1/2) so far, the
+    integral by the trapezoid rule, whose last integrand is last_diss_sq.
+    If ``glued``, ``glue`` restarts paths and keeps their ``events``."""
 
-    def __init__(self, integ: MildIntegrator, v: np.ndarray):
+    def __init__(self, integ: MildIntegrator, v: np.ndarray, levels: np.ndarray,
+                 glued: bool, path_ids: np.ndarray):
         self.norm_terms = integ.norm_terms
+        self.levels, self.glued, self.path_ids = levels, glued, path_ids
+        self.level = np.zeros(path_ids.size, dtype=np.int64)
+        self.kappa = levels[self.level]
+        self.events: list[tuple[int, float, float]] = []
         self.sup, self.last_diss_sq = self.norm_terms(v)
         self.intg = np.zeros(self.sup.shape)
         self.h = self.sup + np.sqrt(self.intg)
@@ -238,13 +243,33 @@ class _PathNorm:
         self.last_diss_sq = diss_sq
         self.h = self.sup + np.sqrt(self.intg)
 
-    def restart(self, rows: np.ndarray, v: np.ndarray):
-        """Start the norm of the rows (a (P,) mask) afresh at v (P, K)."""
-        rho_norm, diss_sq = self.norm_terms(v)
-        self.sup = np.where(rows, rho_norm, self.sup)
-        self.intg = np.where(rows, 0.0, self.intg)
-        self.last_diss_sq = np.where(rows, diss_sq, self.last_diss_sq)
+    def phi(self, fallback: np.ndarray) -> np.ndarray:
+        """The cutoff phi(h / kappa) per path; 0 on the fallback rows."""
+        x = self.h / self.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
+        return np.where(fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
+
+    def glue(self, state: _BatchState, series: dict[str, np.ndarray], n: int,
+             t: float) -> _BatchState:
+        """Restart the paths of state (step n, time t) that reached their level:
+        next level or the linear fallback, fresh path norm, next segment."""
+        crossed = ~state.fallback & (self.h >= self.kappa)
+        if not crossed.any():
+            return state
+        levels, path_ids = self.levels, self.path_ids
+        if n == 0:
+            warnings.warn(f"h(0) >= kappa_0 = {levels[0]:g} on paths "
+                          f"{path_ids[crossed].tolist()}; they glue at t=0")
+        last = crossed & (self.level + 1 == levels.size)
+        self.events.extend((int(i), float(self.kappa[i]), t) for i in np.flatnonzero(crossed))
+        series["phi"][last, n] = 0.0
+        self.level = self.level + (crossed & ~last)
+        self.kappa = levels[self.level]
+        rho_norm, diss_sq = self.norm_terms(state.v)
+        self.sup = np.where(crossed, rho_norm, self.sup)
+        self.intg = np.where(crossed, 0.0, self.intg)
+        self.last_diss_sq = np.where(crossed, diss_sq, self.last_diss_sq)
         self.h = self.sup + np.sqrt(self.intg)
+        return replace(state, segment=state.segment + crossed, fallback=state.fallback | last)
 
 
 class _Operand:
@@ -267,8 +292,9 @@ class MildIntegrator:
 
     Precomputes semigroup factors, Sobolev weights, noise coloring and
     the Stratonovich correction profile, each stacked over the two
-    species; all heavy per-step work is batched numpy.  Cutoff levels
-    live on the batch state, so one integrator serves every level.
+    species; all heavy per-step work is batched numpy.  The cutoff loop
+    keeps the cutoff levels (``_Cutoff``), so one integrator serves every
+    level.
     """
 
     def __init__(self, params: ModelParams, space: SpaceConfig, noise: NoiseConfig):
@@ -383,12 +409,6 @@ class MildIntegrator:
         """(|v|_{H^rho}, |v|^2_{H^{rho+aleph/2}}) per path: what h accumulates."""
         return _norm_terms(v, self.w_rho, self.w_rho_aleph)
 
-    def phi_of(self, state: _BatchState, h: np.ndarray) -> np.ndarray:
-        """The cutoff phi(h / kappa) per path of state at its path norm h
-        (the cutoff loop's, computed once per step); 0 on fallback paths."""
-        x = h / state.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
-        return np.where(state.fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
-
     # -- stepping ------------------------------------------------------------
 
     def _feed_minus_reaction(self, react: np.ndarray, out: np.ndarray):
@@ -493,21 +513,14 @@ class MildIntegrator:
                 f"non-finite coefficients at step {state.step + 1}",
                 step=state.step + 1, time=(state.step + 1) * dt,
             )
-        return _BatchState(uv, state.kappa, state.level, state.segment, state.fallback,
-                           state.step + 1)
+        return _BatchState(uv, state.segment, state.fallback, state.step + 1)
 
-    def initial_state(self, u0: np.ndarray, v0: np.ndarray, kappa) -> _BatchState:
-        """Batch state at t=0 with one path per cutoff level in kappa (a
-        scalar is one path); u0 and v0 are one coefficient vector for every
-        path or one row per path."""
-        kappa = np.atleast_1d(np.asarray(kappa, dtype=float)).copy()
-        n = kappa.size
-        uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n, np.shape(f)[-1]))
+    def initial_state(self, u0: np.ndarray, v0: np.ndarray, n_paths: int) -> _BatchState:
+        """Batch state at t=0 of n_paths paths; u0 and v0 are one
+        coefficient vector for every path or one row per path."""
+        uv = np.stack([np.broadcast_to(np.asarray(f, dtype=float), (n_paths, np.shape(f)[-1]))
                        for f in (u0, v0)])
-        return _BatchState(
-            uv, kappa=kappa, level=np.zeros(n, dtype=np.int64),
-            segment=np.zeros(n, dtype=np.int64), fallback=np.zeros(n, dtype=bool), step=0,
-        )
+        return _BatchState(uv, np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths, bool), 0)
 
     # -- norm recording --------------------------------------------------------
 
@@ -609,44 +622,41 @@ def schedule_violations(schedule) -> list[str]:
 
 
 def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
-              dt: float, traj, series=None, glue=None, forcing=None) -> _BatchState:
-    """The time loop: record the norm columns ``series`` holds, let
-    ``glue`` restart the paths that reached their level, store the state in
-    ``traj`` (2, P, n_steps+1, K), then step every path; returns the final
-    state.  Unless the integrator is noisy no noise is drawn, and unless it
-    is coupled no reaction is built and the forcing is not called.
+              dt: float, traj, series=None, cutoff=None, forcing=None) -> _BatchState:
+    """The time loop: record the norm columns ``series`` holds, let the
+    ``cutoff`` glue, store the state in ``traj`` (2, P, n_steps+1, K), then
+    step every path; returns the final state.  Unless the integrator is
+    noisy no noise is drawn, and unless it is coupled no reaction is built
+    and the forcing is not called.
 
-    Unforced, it is the cutoff loop, which alone keeps the path norm
-    (``_PathNorm``): it advances it after each step and lets ``glue``
-    restart it, reads h once a step and writes the h and phi columns.  It
-    keeps each step's coefficients and grid values and records the other
-    columns in one ``record_norms`` call per block of ``record_steps``
-    steps (grid values within RECORD_BUDGET, at least one step); a glue
-    restart changes no coefficient, so the kept states stay valid.
+    With a ``_Cutoff`` it is the cutoff loop: each step it writes the h and
+    phi columns, lets a glued cutoff restart paths, and advances the path
+    norm after the step.  It records the other columns from the kept
+    coefficients and grid values in one ``record_norms`` call per block
+    of ``record_steps`` steps; a glue changes no coefficient.
 
     ``forcing(start, count)``, called once per drawn noise block, gives
     the reaction's grid values (P, count) + grid for those steps in place
-    of the cutoff reaction.  A forced run evaluates no cutoff, records no
-    norm and keeps no path norm; its steps take the drift b1 - c1 * R,
-    b2 + c2 * R composed, and under Ito analyzed, once per block.  It has
-    no glue and no fallback rows, so no drift row is zeroed.  Either way
-    every step is ``step_raw``, and each drawn block is colored once
-    (``colored_noise``)."""
+    of the cutoff reaction; its steps take the drift b1 - c1 * R,
+    b2 + c2 * R composed, and under Ito analyzed, once per block.  A run
+    has exactly one of cutoff and forcing, and a forced one records
+    nothing and has no fallback rows, so no drift row is zeroed.  Every
+    step is ``step_raw``, and each drawn block is colored once."""
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
     start = end = 0  # the current block spans steps [start, end)
     noise = drift = None  # its colored noise and forced drift
-    if forcing is not None and (glue is not None or state.fallback.any()):
-        raise ValidationError(["a forced run has no glue and no fallback rows"])
+    if (cutoff is None) == (forcing is None) or forcing is not None and state.fell:
+        raise ValidationError(["a run has exactly one of cutoff and forcing, and a forced run "
+                               "has no fallback rows"])
     recorded = record_steps(state.uv.shape[1], integ.grid_m**integ.space.d)
     kept_uv, kept_vals = [], []  # the states of the recording block so far
-    norm = _PathNorm(integ, state.v) if forcing is None else None
 
     for n in range(n_steps + 1):
-        if forcing is None:
+        if cutoff is not None:
             vals = integ.synth(state.uv)
-            phi = integ.phi_of(state, norm.h)
-            series["h"][:, n] = norm.h
+            phi = cutoff.phi(state.fallback)
+            series["h"][:, n] = cutoff.h
             series["phi"][:, n] = phi
             kept_uv.append(state.uv)
             kept_vals.append(vals)
@@ -654,10 +664,10 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
                 integ.record_norms(_step_stack(kept_uv), series, n + 1 - len(kept_uv),
                                    _step_stack(kept_vals))
                 kept_uv, kept_vals = [], []
-            if glue is not None:
-                glued = glue(integ, state, norm, series, n, n * dt)
+            if cutoff.glued:
+                glued = cutoff.glue(state, series, n, n * dt)
                 if glued is not state:  # restarted paths draw from a new segment
-                    state, phi, end = glued, integ.phi_of(glued, norm.h), n
+                    state, phi, end = glued, cutoff.phi(glued.fallback), n
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
@@ -680,7 +690,7 @@ def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
             react = integ.reaction(vals, phi) if integ.coupled else None
             state = integ.step_raw(state, noise_n, dt,
                                    _Operand(integ._drift(state, vals, react), False), vals)
-            norm.advance(state.v, dt)
+            cutoff.advance(state.v, dt)
 
 
 def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -689,34 +699,35 @@ def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
-              u0: SpectralField, v0: SpectralField, kappa: float,
+              u0: SpectralField, v0: SpectralField, levels, glued: bool,
               T: float, dt: float, path_ids, store_trajectory: bool,
-              columns, glue) -> BatchRecord:
-    """Check the run, step it through the time loop and record the batch:
-    the norm columns asked for plus h (the stopping time reads it) and
-    phi (glueing writes it), stopping steps and the state at T."""
+              columns) -> BatchRecord:
+    """Check the run, step it through the cutoff loop at ``levels`` (glued
+    along them if ``glued``) and record the batch: the norm columns asked
+    for plus h and phi, stopping steps, glue events and the state at T."""
     n_steps = step_count(T, dt)
-    if not kappa > 0:  # also rejects NaN
-        raise ValidationError([f"cutoff level kappa must be > 0, got {kappa}"])
+    if not levels[0] > 0:  # also rejects NaN
+        raise ValidationError([f"cutoff level kappa must be > 0, got {levels[0]}"])
     if unknown := [c for c in columns if c not in NORM_COLUMNS]:
         raise ValidationError([f"unknown norm column(s) {unknown}; the columns are "
                                f"{list(NORM_COLUMNS)}"])
     columns = [c for c in NORM_COLUMNS if c in set(columns) | {"h", "phi"}]
+    path_ids = path_id_array(path_ids)
     for name, f in (("u0", u0), ("v0", v0)):
         if np.min(get_basis(space).synthesize(f.coeffs)) < -1e-12:
             warnings.warn(f"initial datum {name} is negative somewhere on the grid")
     integ = MildIntegrator(params, space, noise)
-    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(path_ids.size, kappa))
+    state = integ.initial_state(u0.coeffs, v0.coeffs, path_ids.size)
+    cutoff = _Cutoff(integ, state.v, np.asarray(levels, dtype=float), glued, path_ids)
     series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
     traj = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size)) if store_trajectory else None
-    final = run_batch(integ, state, path_ids, n_steps, dt, traj, series, glue)
-    crossed = series["h"] >= kappa
+    final = run_batch(integ, state, path_ids, n_steps, dt, traj, series, cutoff)
+    crossed = series["h"] >= levels[0]
     return BatchRecord(
         path_ids=path_ids, dt=dt, series=series,
         stop_step=np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), -1),
-        glue_events=(), u0=u0.coeffs.copy(), v0=v0.coeffs.copy(), final=final.uv,
-        trajectory=traj, params=params, space=space,
+        glue_events=tuple(cutoff.events), u0=u0.coeffs.copy(), v0=v0.coeffs.copy(),
+        final=final.uv, trajectory=traj, params=params, space=space,
     )
 
 
@@ -735,8 +746,8 @@ def simulate_ensemble(params: ModelParams, space: SpaceConfig, noise: NoiseConfi
     """
     if check_gate:
         _warn_if_inadmissible(params, noise, space)
-    return _simulate(params, space, noise, u0, v0, kappa, T, dt, path_ids,
-                     store_trajectory, columns, None)
+    return _simulate(params, space, noise, u0, v0, [kappa], False, T, dt, path_ids,
+                     store_trajectory, columns)
 
 
 def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
@@ -754,34 +765,10 @@ def simulate_glued(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     ``columns`` as in simulate_ensemble.
     """
     schedule = [float(k) for k in kappa_schedule]
-    violations = schedule_violations(schedule)
-    if violations:
+    if violations := schedule_violations(schedule):
         raise ValidationError(violations)
-    path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-    levels = np.asarray(schedule)
-    events: list[tuple[int, float, float]] = []
-
-    def glue(integ: MildIntegrator, state: _BatchState, norm: _PathNorm,
-             series: dict[str, np.ndarray], n: int, t: float) -> _BatchState:
-        """Restart the paths whose path norm reached their level: next level
-        (or the linear fallback), a fresh path norm, next noise segment."""
-        crossed = ~state.fallback & (norm.h >= state.kappa)
-        if not crossed.any():
-            return state
-        if n == 0:
-            warnings.warn(f"h(0) >= kappa_0 = {levels[0]:g} on paths "
-                          f"{path_ids[crossed].tolist()}; they glue at t=0")
-        last = crossed & (state.level + 1 == levels.size)
-        events.extend((int(i), float(state.kappa[i]), t) for i in np.flatnonzero(crossed))
-        series["phi"][last, n] = 0.0
-        level = state.level + (crossed & ~last)
-        norm.restart(crossed, state.v)
-        return replace(state, kappa=levels[level], level=level,
-                       segment=state.segment + crossed, fallback=state.fallback | last)
-
-    record = _simulate(params, space, noise, u0, v0, schedule[0], T, dt, path_ids,
-                       store_trajectory, columns, glue)
-    return replace(record, glue_events=tuple(events))
+    return _simulate(params, space, noise, u0, v0, schedule, True, T, dt, path_ids,
+                     store_trajectory, columns)
 
 
 def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
@@ -810,6 +797,8 @@ def pathspace_norm(record: BatchRecord, rho: float, aleph: float, t: float,
     n = int(np.searchsorted(times, t + 1e-12) - 1) if t > 0 else 0
     p = record.params
     rows = np.arange(record.path_ids.size)
+    if row is not None and not -rows.size <= row < rows.size:
+        raise ValidationError([f"row {row} is out of range for {rows.size} paths"])
     rows = rows if row is None else rows[[row]]  # a negative row counts from the end
     glued = np.isin(rows, [i for i, _, _ in record.glue_events])
     need = glued | ((rho, aleph) != (p.rho, p.aleph))

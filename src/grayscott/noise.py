@@ -109,6 +109,17 @@ class NoiseConfig:
         return self.gamma1 if process == 1 else self.gamma2
 
 
+def path_id_array(path_ids) -> np.ndarray:
+    """path_ids as a 1-D int64 array (a scalar is one path); raises
+    ValidationError on none, on a second dimension and on fractions."""
+    raw = np.asarray(path_ids)
+    if raw.ndim > 1 or raw.size == 0:
+        raise ValidationError([f"path_ids must be non-empty and 1-D, got shape {raw.shape}"])
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all():
+        raise ValidationError([f"path_ids must be whole numbers, got {raw.tolist()}"])
+    return np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+
+
 def noise_modes(space: SpaceConfig, k_noise: int | None) -> int:
     """How many modes carry noise: the modes 1..k_noise, every mode but the
     constant one when k_noise is None."""
@@ -137,7 +148,7 @@ class WienerSource:
 
     def __init__(self, config: NoiseConfig, space: SpaceConfig, path_ids):
         self.config = config
-        self.path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
+        self.path_ids = path_id_array(path_ids)
         self.k_noise = noise_modes(space, config.mode_cutoff)
         self._keys: tuple[np.ndarray, np.ndarray] | None = None  # (segment, keys)
 

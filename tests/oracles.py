@@ -9,10 +9,11 @@ at consecutive steps, and keyed_normals draws in one pass with a new
 array per operation, where the source draws in place, chunk by chunk.
 full_step is the step map with every term computed, whatever its
 coefficient, where MildIntegrator.step_raw skips the terms a zero
-coefficient silences, and it keeps its own path norm (start_norm,
-next_norm, norm_h), where the time loop keeps a _PathNorm; cutoff_step
-is step_raw as the time loop calls it, on the cutoff drift of the
-state's own phi, with the loop's _PathNorm advanced after the step.
+coefficient silences.  cutoff_step is step_raw as the time loop calls
+it, on the cutoff drift of the paths' phi.  Both keep their own path norm
+(start_norm, next_norm, norm_h) and take their own cutoff levels, and
+cutoff_phi calls smooth_cutoff on them directly, where the time loop
+keeps a _Cutoff.
 forced_sweep is the fixed-point operator stepped by step_raw, with each
 step's feed-minus-reaction drift composed on the grid from that step's
 frozen reaction, where apply_V composes the drift once per block and
@@ -20,9 +21,10 @@ analyzes it once per block under Ito.  cut_study_states is the
 convergence study stepped by cutoff_step on the cutoff system at level
 1e12, where strong_order_study steps the uncut system and keeps no path
 norm.  per_step_series records every norm column of each step from that
-step's state alone, h from its own path norm, with noise drawn one step
-at a time, where run_batch draws blocks of steps and records the
-state-only columns once per block of kept states.
+step's state alone, h from its own path norm, glues along its own level
+bookkeeping, and draws noise one step at a time, where run_batch draws
+blocks of steps and records the state-only columns once per block of
+kept states.
 """
 
 from dataclasses import replace
@@ -36,7 +38,6 @@ from grayscott.integrate import (
     MildIntegrator,
     _BatchState,
     _Operand,
-    _PathNorm,
     draw_steps,
     path_norm_series,
     smooth_cutoff,
@@ -151,7 +152,7 @@ def counter_normals(seed: int, path_ids: np.ndarray, process: int, segment,
 
 def start_norm(integ, v):
     """A path norm (sup, intg, last_diss_sq) of the paths at v (P, K),
-    accumulated apart from the time loop's _PathNorm."""
+    accumulated apart from the time loop's _Cutoff."""
     v2 = v**2
     diss_sq = (integ.w_rho_aleph * v2).sum(axis=-1)
     return np.sqrt((integ.w_rho * v2).sum(axis=-1)), np.zeros(diss_sq.shape), diss_sq
@@ -170,27 +171,34 @@ def norm_h(norm):
     return norm[0] + np.sqrt(norm[1])
 
 
-def cutoff_step(integ, state, norm, noise, dt):
-    """step_raw on the cutoff drift of the state's own phi, with the
-    state's grid values, then the path norm norm (a _PathNorm) advanced,
-    as the time loop calls them; noise is the step's colored noise."""
+def cutoff_phi(state, kappa, norm):
+    """phi(h / kappa) per path of state at the path norm norm (a
+    start_norm/next_norm one) and the levels kappa; 0 on fallback paths."""
+    return np.where(state.fallback, 0.0, smooth_cutoff(norm_h(norm) / kappa))
+
+
+def cutoff_step(integ, state, kappa, norm, noise, dt):
+    """step_raw on the cutoff drift of the paths' phi at the levels kappa
+    and the path norm norm, with the state's grid values, as the time
+    loop calls it; noise is the step's colored noise.  Returns the new
+    state and its path norm."""
     vals = integ.synth(state.uv)
-    react = integ.reaction(vals, integ.phi_of(state, norm.h))
+    react = integ.reaction(vals, cutoff_phi(state, kappa, norm))
     new = integ.step_raw(state, noise, dt, _Operand(integ._drift(state, vals, react), False),
                          vals)
-    norm.advance(new.v, dt)
-    return new
+    return new, next_norm(integ, norm, new.v, dt)
 
 
-def full_step(integ, state, norm, noise, dt):
+def full_step(integ, state, kappa, norm, noise, dt):
     """One step of MildIntegrator's map with the noise term and the
     reaction always computed, however their coefficients vanish; the
     same operations in the same order as step_raw otherwise.  noise is
-    the step's colored noise, norm a start_norm/next_norm path norm;
-    returns the new state and its path norm."""
+    the step's colored noise, kappa the paths' levels and norm a
+    start_norm/next_norm path norm; returns the new state and its path
+    norm."""
     p = integ.params
     vals = integ.synth(state.uv)
-    react = integ.reaction(vals, integ.phi_of(state, norm_h(norm)))
+    react = integ.reaction(vals, cutoff_phi(state, kappa, norm))
     drift = np.empty(vals.shape)
     np.subtract(p.b1, p.c1 * react, out=drift[0])
     np.add(p.b2, p.c2 * react, out=drift[1])
@@ -204,8 +212,7 @@ def full_step(integ, state, norm, noise, dt):
     g[1] *= p.sigma2
     uv += g
     uv *= integ._semigroups(dt, state.fallback, state.fallback.any())
-    new = _BatchState(uv, state.kappa, state.level, state.segment, state.fallback,
-                      state.step + 1)
+    new = _BatchState(uv, state.segment, state.fallback, state.step + 1)
     return new, next_norm(integ, norm, new.v, dt)
 
 
@@ -220,7 +227,7 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
     phi = phi.reshape(phi.shape + (1,) * d)
     source = WienerSource(integ.noise, integ.space, path_ids)
     block = draw_steps(len(path_ids), source.k_noise)
-    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(len(path_ids), kappa))
+    state = integ.initial_state(u0.coeffs, v0.coeffs, len(path_ids))
     out = np.empty((2, len(path_ids), n_steps + 1, u0.coeffs.size))
     out[:, :, 0] = state.uv
     for start in range(0, n_steps, block):
@@ -249,9 +256,8 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
     strides = [step_count(dt, steps[0]) for dt in steps]
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, np.arange(n_paths))
-    states = [integ.initial_state(u0.coeffs, v0.coeffs, np.full(n_paths, 1e12))
-              for _ in steps]
-    norms = [_PathNorm(integ, state.v) for state in states]
+    states = [integ.initial_state(u0.coeffs, v0.coeffs, n_paths) for _ in steps]
+    norms = [start_norm(integ, state.v) for state in states]
     block = np.lcm.reduce(strides)
     for b in range(step_count(T, steps[0]) // block):
         fine = source.increment_block(b * block, block, steps[0], 0)
@@ -259,7 +265,8 @@ def cut_study_states(params, space, noise, u0, v0, T, dts, n_paths, ref_refineme
             colored = integ.colored_noise(fine if stride == 1
                                           else aggregate_increments(fine, stride))
             for n in range(block // stride):
-                states[i] = cutoff_step(integ, states[i], norms[i], colored[n], dt)
+                states[i], norms[i] = cutoff_step(integ, states[i], 1e12, norms[i],
+                                                  colored[n], dt)
     return states
 
 
@@ -272,14 +279,15 @@ def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
     p, m, quad = integ.params, integ.grid_m, integ.basis.quadrature
     levels = np.asarray(levels, dtype=float)
     source = WienerSource(integ.noise, integ.space, path_ids)
-    state = integ.initial_state(u0, v0, np.full(len(path_ids), levels[0]))
+    state = integ.initial_state(u0, v0, len(path_ids))
+    level = np.zeros(len(path_ids), dtype=np.int64)  # each path's index into levels
     norm = start_norm(integ, state.v)
     out = {c: np.empty((len(path_ids), n_steps + 1)) for c in NORM_COLUMNS}
     for n in range(n_steps + 1):
         vals = integ.synth(state.uv)
         u_vals, v_vals = vals
         h = norm_h(norm)
-        phi = integ.phi_of(state, h)
+        phi = cutoff_phi(state, levels[level], norm)
         v2 = state.v**2
         grad_sq = (integ.basis.synthesize_gradient(state.u, m) ** 2).sum(axis=0)
         for col, values in (
@@ -294,16 +302,16 @@ def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
                             * np.maximum(v_vals, 0.0) ** p.q, m)),
         ):
             out[col][:, n] = values
-        crossed = ~state.fallback & (h >= state.kappa)
+        crossed = ~state.fallback & (h >= levels[level])
         if glue and crossed.any():  # restart: next level or the linear fallback
-            last = crossed & (state.level + 1 == levels.size)
+            last = crossed & (level + 1 == levels.size)
             out["phi"][last, n] = 0.0
-            level = state.level + (crossed & ~last)
+            level = level + (crossed & ~last)
             norm = tuple(np.where(crossed, fresh, kept)
                          for fresh, kept in zip(start_norm(integ, state.v), norm))
-            state = replace(state, kappa=levels[level], level=level,
-                            segment=state.segment + crossed, fallback=state.fallback | last)
-            phi = integ.phi_of(state, norm_h(norm))
+            state = replace(state, segment=state.segment + crossed,
+                            fallback=state.fallback | last)
+            phi = cutoff_phi(state, levels[level], norm)
         if n == n_steps:
             return out
         noise = integ.colored_noise(source.increment_block(n, 1, dt, state.segment))[0]

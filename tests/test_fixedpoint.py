@@ -124,9 +124,9 @@ class TestForcedSweep:
 
     def test_forced_run_has_no_fallback_rows(self):
         integ = MildIntegrator(ModelParams(), SP, NZ)
-        state = integ.initial_state(bump().coeffs, bump().coeffs, [1.0, 2.0])
+        state = integ.initial_state(bump().coeffs, bump().coeffs, 2)
         state.fallback = np.array([False, True])
-        with pytest.raises(ValidationError, match="no glue and no fallback rows"):
+        with pytest.raises(ValidationError, match="a forced run has no fallback rows"):
             run_batch(integ, state, [0, 1], 4, 1e-3, None,
                       forcing=lambda start, count: np.zeros((2, count, 32)))
 

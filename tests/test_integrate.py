@@ -26,7 +26,7 @@ from grayscott.integrate import (
     NORM_COLUMNS,
     MildIntegrator,
     ModelParams,
-    _PathNorm,
+    _Cutoff,
     draw_steps,
     path_norm_series,
     pathspace_norm,
@@ -104,17 +104,16 @@ class TestSmoothCutoff:
     @pytest.mark.parametrize("nan", [False, True])
     def test_phi_of_is_the_cutoff_on_unfallen_paths(self, band, nan):
         integ = MildIntegrator(ModelParams(), SP, NZ)
-        h0 = _PathNorm(integ, integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 1.0).v).h[0]
-        # h/kappa is 0.5 on every path, or 1/0.7 on path 1; path 2 has fallen back
-        kappa = h0 * np.array([2.0, 0.7 if band else 2.0, 2.0])
-        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, kappa)
+        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 3)
         state.fallback[2] = True
-        norm = _PathNorm(integ, state.v)
+        cutoff = _Cutoff(integ, state.v, np.ones(1), False, np.arange(3))
+        # h/kappa is 0.5 on every path, or 1/0.7 on path 1; path 2 has fallen back
+        cutoff.kappa = cutoff.h[0] * np.array([2.0, 0.7 if band else 2.0, 2.0])
         if nan:  # a NaN h is not on the plateau
-            norm.h[0] = np.nan
+            cutoff.h[0] = np.nan
         with np.errstate(invalid="ignore"):
-            phi = integ.phi_of(state, norm.h)
-            full = np.where(state.fallback, 0.0, smooth_cutoff(norm.h / state.kappa))
+            phi = cutoff.phi(state.fallback)
+            full = np.where(state.fallback, 0.0, smooth_cutoff(cutoff.h / cutoff.kappa))
         assert np.array_equal(phi, full, equal_nan=True)
         assert math.isnan(phi[0]) == nan and phi[2] == 0.0 and (phi[1] < 1.0) == band
 
@@ -133,8 +132,9 @@ class TestStepMild:
                              b1=0.0, b2=0.0, a1=-1.0, a2=0.5, aleph=1.5)
         integ = MildIntegrator(params, SP, NZ)
         u, v = mode_field(SP, 5), mode_field(SP, 2)
-        state = integ.initial_state(u.coeffs, v.coeffs, 1e9)
-        new = cutoff_step(integ, state, _PathNorm(integ, state.v), first_noise(integ, 0.01), 0.01)
+        state = integ.initial_state(u.coeffs, v.coeffs, 1)
+        new, _ = cutoff_step(integ, state, 1e9, start_norm(integ, state.v),
+                             first_noise(integ, 0.01), 0.01)
         lam = get_basis(SP).eigenvalues
         assert new.u[0, 5] == pytest.approx(math.exp((-lam[5] - 1.0) * 0.01), rel=1e-14)
         assert new.v[0, 2] == pytest.approx(
@@ -146,12 +146,12 @@ class TestStepMild:
         rec = simulate_ensemble(params, SP, NZ, u0, v0, 1e9, T=0.002, dt=0.001,
                                 path_ids=[0], store_trajectory=True)
         integ = MildIntegrator(params, SP, NZ)
-        state = integ.initial_state(u0.coeffs, v0.coeffs, 1e9)
-        new = cutoff_step(integ, state, _PathNorm(integ, state.v), first_noise(integ, 0.001),
-                          0.001)
+        state = integ.initial_state(u0.coeffs, v0.coeffs, 1)
+        new, norm = cutoff_step(integ, state, 1e9, start_norm(integ, state.v),
+                                first_noise(integ, 0.001), 0.001)
         assert np.array_equal(new.u[0], rec.trajectory[0, 0, 1])
         assert np.array_equal(new.v[0], rec.trajectory[1, 0, 1])
-        h = norm_h(next_norm(integ, start_norm(integ, state.v), new.v, 0.001))
+        h = norm_h(norm)
         assert h[0] == pytest.approx(rec.series["h"][0, 1], rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -704,6 +704,9 @@ class TestPathspaceNorm:
         for row in (0, None):
             with pytest.raises(ValidationError, match="glued record"):
                 pathspace_norm(bare, params.rho, params.aleph, 0.21, row)
+        for row in (3, -4):
+            with pytest.raises(ValidationError, match=f"row {row} is out of range for 3 paths"):
+                pathspace_norm(rec, params.rho, params.aleph, 0.21, row)
 
 
 class TestStratonovichFlag:
@@ -776,9 +779,9 @@ class TestZeroCoefficients:
 
     def test_uncoupled_step_evaluates_no_cutoff(self, monkeypatch):
         integ = MildIntegrator(ModelParams(**UNCOUPLED), SP, NZ)
-        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, [1.0, 2.0])
+        state = integ.initial_state(bump(SP).coeffs, bump(SP).coeffs, 2)
         monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
-        monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
+        monkeypatch.setattr(_Cutoff, "phi", _refuse)
         noise = integ.colored_noise(WienerSource(NZ, SP, [0, 1]).increment_block(0, 1, 1e-3, 0))
         assert np.isfinite(integ.step_raw(state, noise[0], 1e-3, None,
                                           integ.synth(state.uv)).uv).all()
@@ -793,23 +796,25 @@ class TestZeroCoefficients:
         dt, n_steps = 2e-3, 20
         colored = integ.colored_noise(
             WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
-        start = integ.initial_state(bump(space).coeffs, bump(space, 1.0, 0.4).coeffs, 1.0)
+        start = integ.initial_state(bump(space).coeffs, bump(space, 1.0, 0.4).coeffs, 3)
         # kappa puts phi on the transition band; the last path is in the fallback
         kappa = np.full(3, norm_h(start_norm(integ, start.v))[0] / 1.5)
-        start = integ.initial_state(start.u[0], start.v[0], kappa)
         start.fallback[2] = True
         skip = full = start
-        skip_norm, full_norm = _PathNorm(integ, start.v), start_norm(integ, start.v)
+        skip_norm = full_norm = start_norm(integ, start.v)
+        cutoff = _Cutoff(integ, start.v, kappa[:1], False, np.arange(3))  # the loop's
         for n in range(n_steps):
-            skip = cutoff_step(integ, skip, skip_norm, colored[n] if integ.noisy else None, dt)
-            full, full_norm = full_step(integ, full, full_norm, colored[n], dt)
+            skip, skip_norm = cutoff_step(integ, skip, kappa, skip_norm,
+                                          colored[n] if integ.noisy else None, dt)
+            cutoff.advance(skip.v, dt)
+            full, full_norm = full_step(integ, full, kappa, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
-            assert np.array_equal(skip_norm.h, norm_h(full_norm)), n
-        assert 0.0 < integ.phi_of(skip, skip_norm.h)[0] < 1.0
+            assert np.array_equal(cutoff.h, norm_h(full_norm)), n
+        assert 0.0 < cutoff.phi(skip.fallback)[0] < 1.0
 
     def test_studies_evaluate_no_cutoff_and_keep_no_path_norm(self, monkeypatch):
-        monkeypatch.setattr(MildIntegrator, "phi_of", _refuse)
+        monkeypatch.setattr(_Cutoff, "phi", _refuse)
         monkeypatch.setattr(MildIntegrator, "norm_terms", _refuse)
         assert self.study(ModelParams(**NOISELESS), n_paths=1)["errors"][0] > 0
         assert self.study(ModelParams(**UNCOUPLED), n_paths=4)["errors"][0] > 0
@@ -821,19 +826,20 @@ class TestZeroCoefficients:
         dt, n_steps = 2e-3, 20
         colored = integ.colored_noise(
             WienerSource(noise, SP, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
-        skip = full = integ.initial_state(bump(SP).coeffs, bump(SP, 1.0, 0.4).coeffs,
-                                          np.full(3, 1e9))
-        skip_norm, full_norm = _PathNorm(integ, skip.v), start_norm(integ, full.v)
+        skip = full = integ.initial_state(bump(SP).coeffs, bump(SP, 1.0, 0.4).coeffs, 3)
+        skip_norm = full_norm = start_norm(integ, full.v)
+        cutoff = _Cutoff(integ, skip.v, np.array([1e9]), False, np.arange(3))  # the loop's
         falls = {6: 2, 13: 0}  # rows fall back at different steps: the pattern changes twice
         patterns = set()
         for n in range(n_steps):
             if n in falls:
                 skip.fallback[falls[n]] = full.fallback[falls[n]] = True
-            skip = cutoff_step(integ, skip, skip_norm, colored[n], dt)
-            full, full_norm = full_step(integ, full, full_norm, colored[n], dt)
+            skip, skip_norm = cutoff_step(integ, skip, 1e9, skip_norm, colored[n], dt)
+            cutoff.advance(skip.v, dt)
+            full, full_norm = full_step(integ, full, 1e9, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
-            assert np.array_equal(skip_norm.h, norm_h(full_norm)), n
+            assert np.array_equal(cutoff.h, norm_h(full_norm)), n
             patterns.add(integ._feed_drift[0])
         if interpretation == "ito":
             assert len(patterns) == 3
@@ -894,25 +900,26 @@ class TestUncutStep:
         colored = integ.colored_noise(
             WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         start = integ.initial_state(bump(space, 0.5, 0.1).coeffs,
-                                    bump(space, 0.5, 0.3).coeffs, np.ones(3))
-        uncut, norm = [start], _PathNorm(integ, start.v)
-        h_max = norm.h
+                                    bump(space, 0.5, 0.3).coeffs, 3)
+        uncut, norm = [start], start_norm(integ, start.v)
+        h_max = norm_h(norm)
         for n in range(n_steps - 1):  # the last step's phi reads h up to step n_steps - 1
             uncut.append(integ.step_raw(uncut[-1], colored[n], dt, None, None))
-            norm.advance(uncut[-1].v, dt)
-            h_max = np.maximum(h_max, norm.h)
+            norm = next_norm(integ, norm, uncut[-1].v, dt)
+            h_max = np.maximum(h_max, norm_h(norm))
         uncut.append(integ.step_raw(uncut[-1], colored[n_steps - 1], dt, None, None))
-        cut = integ.initial_state(start.u, start.v, h_max * np.array(above))
-        cut_norm = _PathNorm(integ, cut.v)
+        kappa = h_max * np.array(above)
+        cut, cut_norm = start, start_norm(integ, start.v)
         for n in range(n_steps):
-            cut = cutoff_step(integ, cut, cut_norm, colored[n], dt)
+            cut, cut_norm = cutoff_step(integ, cut, kappa, cut_norm, colored[n], dt)
             assert np.array_equal(cut.uv, uncut[n + 1].uv), n
             assert np.array_equal(np.signbit(cut.uv), np.signbit(uncut[n + 1].uv)), n
 
 
 class TestOneStepMap:
     """Every driver advances its paths by MildIntegrator.step_raw, and the
-    batch state carries no path norm: only the cutoff loop keeps one."""
+    batch state carries no path norm and no cutoff level: only the cutoff
+    loop keeps them."""
 
     def test_every_driver_steps_through_step_raw(self, monkeypatch):
         from grayscott.convergence import strong_order_study
@@ -955,7 +962,37 @@ class TestOneStepMap:
         from grayscott.integrate import _BatchState
 
         names = {f.name for f in fields(_BatchState)} | set(dir(_BatchState))
-        assert not names & {"sup", "intg", "last_diss_sq", "h"}
+        assert not names & {"sup", "intg", "last_diss_sq", "h", "kappa", "level"}
+
+
+class TestPathIds:
+    """Every run entry point checks its path ids in one place."""
+
+    @pytest.mark.parametrize("ids, needle", [
+        ([], "non-empty and 1-D"),
+        ([[0, 1]], "non-empty and 1-D"),
+        ([0.7], "whole numbers"),
+    ], ids=["empty", "2-D", "fraction"])
+    @pytest.mark.parametrize("entry", ["simulate_ensemble", "simulate_glued", "apply_V",
+                                       "picard_solve", "WienerSource"])
+    def test_bad_path_ids_raise(self, entry, ids, needle):
+        from grayscott.fixedpoint import apply_V, constant_control, picard_solve
+
+        params, T, dt = ModelParams(), 0.01, 1e-3
+        runs = {
+            "simulate_ensemble": lambda: simulate_ensemble(
+                params, SP, NZ, bump(SP), bump(SP), 1e9, T, dt, ids, check_gate=False),
+            "simulate_glued": lambda: simulate_glued(
+                params, SP, NZ, bump(SP), bump(SP), [1e9], T, dt, ids),
+            "apply_V": lambda: apply_V(
+                constant_control(bump(SP), bump(SP), T, dt, np.size(ids)),
+                MildIntegrator(params, SP, NZ), bump(SP), bump(SP), 1e9, ids),
+            "picard_solve": lambda: picard_solve(
+                params, SP, NZ, bump(SP), bump(SP), 1e9, ids, T, dt),
+            "WienerSource": lambda: WienerSource(NZ, SP, ids),
+        }
+        with pytest.raises(ValidationError, match=f"path_ids must be .*{needle}"):
+            runs[entry]()
 
 
 class TestBlockRecord:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import counter_normals, cutoff_step
+from oracles import counter_normals, cutoff_step, start_norm
 
 from grayscott.errors import ValidationError
-from grayscott.integrate import MildIntegrator, ModelParams, _PathNorm
+from grayscott.integrate import MildIntegrator, ModelParams
 from grayscott.noise import (
     NoiseConfig,
     WienerSource,
@@ -261,13 +261,14 @@ class TestMultiplicationOperator:
         new = {}
         for sigma in (0.0, 0.5, 1.0):
             integ = MildIntegrator(ModelParams(sigma1=sigma, sigma2=0.0), SP, CFG)
-            state = integ.initial_state(u.coeffs, u.coeffs, 1e9)
+            state = integ.initial_state(u.coeffs, u.coeffs, 1)
+            norm = start_norm(integ, state.v)
             dw = np.stack([dw1, dw2])[:, None, None]
-            new[sigma] = cutoff_step(integ, state, _PathNorm(integ, state.v),
-                                     integ.colored_noise(dw)[0], 0.01).u[0]
+            new[sigma] = cutoff_step(integ, state, 1e9, norm,
+                                     integ.colored_noise(dw)[0], 0.01)[0].u[0]
             if sigma == 0.0:
-                quiet = cutoff_step(integ, state, _PathNorm(integ, state.v),
-                                    integ.colored_noise(0 * dw)[0], 0.01).u[0]
+                quiet = cutoff_step(integ, state, 1e9, norm,
+                                    integ.colored_noise(0 * dw)[0], 0.01)[0].u[0]
                 assert np.array_equal(new[0.0], quiet)
         half, one = new[0.5] - new[0.0], new[1.0] - new[0.0]
         assert np.max(np.abs(one)) > 1e-3

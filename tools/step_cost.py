@@ -33,11 +33,13 @@ Per case it times:
   driver calls, called as the cutoff loop calls it: on the first step's
   slice of that ``B``-step colored block, the state's grid values and
   the drift of the cutoff reaction built from the loop's ``phi``, whose
-  composition (``MildIntegrator._drift``) is timed inside it; ``phi_of``
-  runs once per step in the loop.  ``path_norm`` is the loop's update
-  of its running path norm after the step (``_PathNorm.advance``), which
-  the step map made itself before the norm moved to the loop, so
-  ``step_raw`` + ``path_norm`` compares with an earlier ``step_raw``;
+  composition (``MildIntegrator._drift``) is timed inside it.
+  ``phi_of`` is the loop's cutoff ``phi`` (``_Cutoff.phi``, once per
+  step; the column keeps the name of the integrator method it was).
+  ``path_norm`` is the loop's update of its running path norm after the
+  step (``_Cutoff.advance``), which the step map made itself before the
+  norm moved to the loop, so ``step_raw`` + ``path_norm`` compares with
+  an earlier ``step_raw``;
 - ``record_norms``: the state-only norm columns (all but ``h`` and
   ``phi``, which the loop writes at every step), made as the time loop
   makes them: one ``MildIntegrator.record_norms`` call on a block of
@@ -121,8 +123,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         NORM_COLUMNS,
         MildIntegrator,
         ModelParams,
+        _Cutoff,
         _Operand,
-        _PathNorm,
         simulate_ensemble,
     )
     from grayscott.noise import NoiseConfig, WienerSource
@@ -143,8 +145,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
-    state = integ.initial_state(u0.coeffs, v0.coeffs, np.full(paths, 1e6))
-    norm = _PathNorm(integ, state.v)
+    state = integ.initial_state(u0.coeffs, v0.coeffs, paths)
+    cutoff = _Cutoff(integ, state.v, np.array([1e6]), False, ids)
 
     def loop_step(state, colored, uv, phi):
         """The cutoff loop's step: the step map on its cutoff drift."""
@@ -154,10 +156,9 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     for k in range(STEPS):  # a state away from the constant initial data
         uv = integ.synth(state.uv)
         colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
-        state = loop_step(state, colored, uv, integ.phi_of(state, norm.h))
-        norm.advance(state.v, dt)
-    h = norm.h
-    phi = integ.phi_of(state, h)
+        state = loop_step(state, colored, uv, cutoff.phi(state.fallback))
+        cutoff.advance(state.v, dt)
+    phi = cutoff.phi(state.fallback)
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
     dw = source.increment_block(STEPS, block, dt, 0)
@@ -177,9 +178,9 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         "colored_noise": lambda: integ.colored_noise(dw),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
-        "phi_of": lambda: integ.phi_of(state, h),
+        "phi_of": lambda: cutoff.phi(state.fallback),
         "step_raw": lambda: loop_step(state, colored, uv, phi),
-        "path_norm": lambda: norm.advance(state.v, dt),  # grows intg, at the same cost
+        "path_norm": lambda: cutoff.advance(state.v, dt),  # grows intg, at the same cost
         "record_norms": lambda: record(series),
         "record_norms_files": lambda: record(files),
     }
