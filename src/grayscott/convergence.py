@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .integrate import MildIntegrator, ModelParams, step_count
 from .noise import NoiseConfig, WienerSource, aggregate_increments
-from .spectral import SpaceConfig, SpectralField
+from .spectral import SpaceConfig, SpectralField, require_space
 
 
 def _fit_order(dts, errors) -> float:
@@ -65,6 +65,7 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
             v.append(f"{name} must be an integer >= 1, got {value!r}")
     if v:
         raise ValidationError(v)
+    require_space(space, u0=u0, v0=v0)
     dt_ref = min(dts) / ref_refinement
     n_fine = step_count(T, dt_ref)
     for dt in dts:

@@ -19,13 +19,13 @@ from .errors import NoConvergence, ValidationError
 from .integrate import (
     MildIntegrator,
     ModelParams,
+    draw_steps,
     path_norm_series,
-    run_batch,
     smooth_cutoff,
     step_count,
 )
-from .noise import NoiseConfig, path_id_array
-from .spectral import SpaceConfig, SpectralField, get_basis
+from .noise import NoiseConfig, WienerSource, path_id_array
+from .spectral import SpaceConfig, SpectralField, get_basis, require_space
 
 # steps of eta whose grid values kset_functionals holds at once
 KSET_CHUNK_STEPS = 16
@@ -91,10 +91,10 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     """Solve the linear decoupled system forced by the frozen control.
 
     Row i of the control is driven by the frozen noise of path_ids[i].
-    The reaction phi * eta * max(xi, 0)^q is exogenous (the integrator's
-    v_power, as in the direct step), with the cutoff phi evaluated once on
-    xi's running path norm; the shared time loop asks for it one drawn
-    noise block at a time, so no whole-run grid array is built.  Only the
+    The reaction phi * eta * max(xi, 0)^q is exogenous, with the cutoff phi
+    evaluated once on xi's running path norm.  Per drawn noise block the
+    sweep composes the drift of those rows (``forced_drift``), so no
+    whole-run grid array is built, and steps by ``step_raw``.  Only the
     noise factor and the Stratonovich correction depend on the evolving
     state, and the sweep keeps no path norm of it.
     """
@@ -104,19 +104,28 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
         v.append(f"{path_ids.size} path ids for {control.eta.shape[0]} paths")
     if v:
         raise ValidationError(v)
+    require_space(integ.space, control=control, u0=u0, v0=v0)
     dt, n_steps = control.dt, control.eta.shape[1] - 1
     p = integ.params
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
     phi = phi.reshape(phi.shape + (1,) * integ.space.d)
-
-    def forcing(start: int, count: int) -> np.ndarray:
-        rows = slice(start, start + count)
-        return phi[:, rows] * (integ.synth(control.eta[:, rows])
-                               * integ.v_power(integ.synth(control.xi[:, rows])))
-
     state = integ.initial_state(u0.coeffs, v0.coeffs, path_ids.size)
     out = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size))
-    run_batch(integ, state, path_ids, n_steps, dt, out, forcing=forcing)
+    source = WienerSource(integ.noise, integ.space, path_ids)
+    block = draw_steps(path_ids.size, source.k_noise)
+    for start in range(0, n_steps, block):
+        rows = slice(start, min(start + block, n_steps))
+        noise = drift = None  # freed first: two blocks held at once raise the peak
+        if integ.coupled:
+            drift = integ.forced_drift(phi[:, rows], control.eta[:, rows], control.xi[:, rows])
+        if integ.noisy:
+            noise = integ.colored_noise(
+                source.increment_block(start, rows.stop - start, dt, state.segment))
+        for j in range(rows.stop - start):
+            out[:, :, start + j] = state.uv
+            state = integ.step_raw(state, None if noise is None else noise[j], dt,
+                                   None if drift is None else drift[j], None)
+    out[:, :, n_steps] = state.uv
     return ControlPair(out[0], out[1], dt, integ.space)
 
 
@@ -149,6 +158,7 @@ def picard_solve(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     if v:
         raise ValidationError(v)
     path_ids = path_id_array(path_ids)
+    require_space(space, u0=u0, v0=v0)
     current = constant_control(u0, v0, T, dt, path_ids.size)
     integ = MildIntegrator(params, space, noise)
     residuals: list[list[float]] = [[] for _ in path_ids]

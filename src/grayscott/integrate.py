@@ -6,35 +6,34 @@ The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver steps
 with the same map, ``MildIntegrator.step_raw``, which advances only the
 coefficients; its drift is the state's own reaction or one the caller
-composed.  Ensembles, glueing and the fixed-point operator also share
-one time loop, ``run_batch``, whose cutoff branch alone keeps the cutoff
-(``_Cutoff``: each path's level, path norm and phi, and the glue
-restart); the fixed-point operator passes its frozen reaction as a
-forcing, and its sweep records nothing and keeps no cutoff: it composes
-the feed-minus-reaction drift once per drawn noise block, step-major,
-and under Ito analyzes the whole block in one call; the Stratonovich
-correction reads the state, so there each step adds it to its
-contiguous slice and analyzes that.  The convergence study steps
+composed, and each keeps its own loop around it.  Ensembles and glueing
+run the cutoff loop, ``run_batch``, the one loop that keeps the cutoff
+(``_Cutoff``) and records norms.  The fixed-point sweep
+(``fixedpoint.apply_V``) records nothing and keeps no cutoff: it
+composes the feed-minus-reaction drift once per drawn noise block,
+step-major (``forced_drift``), and under Ito analyzes it in one call;
+the Stratonovich correction reads the state, so there each step adds it
+to its contiguous slice and analyzes that.  The convergence study steps
 the uncut reaction with no path norm in its own lockstep loop: its step
 sizes advance on block sums of one shared fine draw, which a loop pass
 per step size would redraw once per level.  Internals are vectorized
 over a batch of independent paths, and both species live in one
 (2, P, K) array, so a step of a small batch makes one transform call per
-operand instead of one per species (``STACK_BUDGET``).  The time loop
-draws the noise of both processes for several steps in one call
-(``DRAW_BUDGET``), in each path's current glue segment; each draw is a
-pure function of its address, so the increments are the one-step draws
-bit for bit.  Each drawn block is colored once (``colored_noise``) and,
-while its grid values fit ``STACK_BUDGET``, synthesized in one call;
-past it each step synthesizes its own slice, as a wide step's operands
-fit cache only one species at a time.  None of this moves a bit: the
-compositions are elementwise, and a stacked transform runs the same BLAS
-call for each (P, .) matrix.  The state's transforms are not batched
-over steps: at one path a d=1 step is a GEMV and a block of steps a
-GEMM, and the two round differently.  A forcing is asked for once per
-drawn block, so the fixed-point reaction's d=1 rounding follows the
-block shape.  A run returns one ``BatchRecord``, whose row i of each
-per-path array is path path_ids[i], as the loop filled it.
+operand instead of one per species (``STACK_BUDGET``).  The cutoff loop
+and the sweep draw the noise of both processes for several steps in one
+call (``DRAW_BUDGET``), in each path's current glue segment; each draw
+is a pure function of its address, so the increments are the one-step
+draws bit for bit.  Each drawn block is colored once (``colored_noise``)
+and, while its grid values fit ``STACK_BUDGET``, synthesized in one
+call; past it each step synthesizes its own slice, as a wide step's
+operands fit cache only one species at a time.  None of this moves a
+bit: the compositions are elementwise, and a stacked transform runs the
+same BLAS call for each (P, .) matrix.  The state's transforms are not
+batched over steps: at one path a d=1 step is a GEMV and a block of
+steps a GEMM, and the two round differently; the sweep composes its
+frozen reaction per drawn block, so its d=1 rounding follows the block
+shape.  A simulation returns one ``BatchRecord``, whose row i of each
+per-path array is path path_ids[i].
 
 The cutoff loop writes the h and phi columns at every step; h is the
 cutoff's, advanced once a step.  The other, state-only columns read just
@@ -49,7 +48,7 @@ does, so the columns are the same bits.
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
 its step runs no g_dw.  One with c1 = c2 = 0 is not ``coupled``: no
-driver builds its reaction (nor asks a forcing for it), and its drift is
+driver builds its reaction (nor composes a forced one), and its drift is
 the feeds b1, b2; under Ito that drift reads only the batch shape and
 the fallback rows, so it is analyzed once per fallback pattern (the whole
 pattern: a d=1 analysis rounds with the batch shape) and kept read-only.
@@ -82,6 +81,7 @@ from .spectral import (
     SpaceConfig,
     SpectralField,
     get_basis,
+    require_space,
     semigroup_factors,
     sobolev_weights,
 )
@@ -89,7 +89,7 @@ from .spectral import (
 NORM_COLUMNS = (
     "u_l2", "u_lpstar", "v_halpha", "v_halpha_diss", "h", "phi", "u_grad_p", "couple",
 )
-# noise elements (paths x noise modes x steps) the time loop draws per call,
+# noise elements (paths x noise modes x steps) a driver's loop draws per call,
 # for at most MAX_DRAW_STEPS steps: small batches gain from long blocks, while
 # a wide batch draws one step at a time, where a block no longer fits in cache
 DRAW_BUDGET = 8192
@@ -107,12 +107,12 @@ RECORD_BUDGET = 1 << 14
 
 
 def draw_steps(n_paths: int, k_noise: int) -> int:
-    """Steps of noise the time loop draws per call for a batch."""
+    """Steps of noise a driver's loop draws per call for a batch."""
     return min(max(DRAW_BUDGET // (n_paths * k_noise), 1), MAX_DRAW_STEPS)
 
 
 def record_steps(n_paths: int, grid_points: int) -> int:
-    """Steps the time loop records per ``record_norms`` call for a batch:
+    """Steps the cutoff loop records per ``record_norms`` call for a batch:
     as many as keep their 2 * n_paths * grid_points grid values within
     RECORD_BUDGET, at least one."""
     return max(RECORD_BUDGET // (2 * n_paths * grid_points), 1)
@@ -356,7 +356,7 @@ class MildIntegrator:
         return np.where(fallback[:, None], self._factors(dt, True), e) if fell else e
 
     def v_power(self, v_vals: np.ndarray) -> np.ndarray:
-        """max(v, 0)^q, for the direct step and the fixed-point forcing alike."""
+        """max(v, 0)^q, for the direct step and the fixed-point sweep alike."""
         return np.maximum(v_vals, 0.0) ** self.params.q
 
     def reaction(self, uv_vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -420,13 +420,14 @@ class MildIntegrator:
         np.subtract(p.b1, p.c1 * react, out=out[0])
         np.add(p.b2, p.c2 * react, out=out[1])
 
-    def _forced_drift(self, react: np.ndarray) -> _Operand:
-        """The drift b1 - c1 * R, b2 + c2 * R of a block of forced reactions
-        R (P, count) + grid, step-major (count, 2, P): composed once, each
-        step's slice contiguous.  Under Ito these are its coefficients,
-        analyzed in one call; under Stratonovich, whose correction reads the
-        state, its grid values before the correction."""
-        react = react.swapaxes(0, 1)
+    def forced_drift(self, phi: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> _Operand:
+        """The drift b1 - c1 * R, b2 + c2 * R of the frozen reaction
+        R = phi * eta * max(xi, 0)^q of control rows eta, xi (P, count, K) and
+        cutoffs phi (P, count) + (1,) * d, step-major (count, 2, P): composed
+        once, each step's slice contiguous.  Under Ito these are its
+        coefficients, analyzed in one call; under Stratonovich, whose
+        correction reads the state, its grid values before the correction."""
+        react = (phi * (self.synth(eta) * self.v_power(self.synth(xi)))).swapaxes(0, 1)
         drift = np.empty((react.shape[0], 2) + react.shape[1:])
         self._feed_minus_reaction(react, drift.swapaxes(0, 1))
         if self.ito_profile is None:
@@ -477,7 +478,7 @@ class MildIntegrator:
         noise is the step's colored noise (step n of a colored_noise block
         is its [n]); drift the step's drift, as grid values before the Ito
         correction or as the Ito drift's coefficients (the cutoff loop's
-        ``_drift``, a ``_forced_drift`` block's [n]), or None for the drift
+        ``_drift``, a ``forced_drift`` block's [n]), or None for the drift
         of the state's own uncut reaction; uv_vals the state's grid values
         (2, P) + grid, or None to synthesize them only if read.  Fallback
         paths take the linear continuation's semigroup.  Raises NonFinite.
@@ -527,7 +528,7 @@ class MildIntegrator:
     def record_norms(self, uv: np.ndarray, out: dict[str, np.ndarray], n0: int,
                      uv_vals: np.ndarray):
         """Fill columns n0, n0 + 1, ... of each state-only norm series that
-        out holds (every column but h and phi, which the time loop writes),
+        out holds (every column but h and phi, which the cutoff loop writes),
         and compute no other: uv holds the coefficients (count, 2, P, K) of
         consecutive steps and uv_vals their grid values (count, 2, P) + grid.
         Bit-equal to one call per step: each step's rows reduce alone, and
@@ -621,76 +622,51 @@ def schedule_violations(schedule) -> list[str]:
     return v
 
 
-def run_batch(integ: MildIntegrator, state: _BatchState, path_ids, n_steps: int,
-              dt: float, traj, series=None, cutoff=None, forcing=None) -> _BatchState:
-    """The time loop: record the norm columns ``series`` holds, let the
-    ``cutoff`` glue, store the state in ``traj`` (2, P, n_steps+1, K), then
-    step every path; returns the final state.  Unless the integrator is
-    noisy no noise is drawn, and unless it is coupled no reaction is built
-    and the forcing is not called.
-
-    With a ``_Cutoff`` it is the cutoff loop: each step it writes the h and
-    phi columns, lets a glued cutoff restart paths, and advances the path
-    norm after the step.  It records the other columns from the kept
-    coefficients and grid values in one ``record_norms`` call per block
-    of ``record_steps`` steps; a glue changes no coefficient.
-
-    ``forcing(start, count)``, called once per drawn noise block, gives
-    the reaction's grid values (P, count) + grid for those steps in place
-    of the cutoff reaction; its steps take the drift b1 - c1 * R,
-    b2 + c2 * R composed, and under Ito analyzed, once per block.  A run
-    has exactly one of cutoff and forcing, and a forced one records
-    nothing and has no fallback rows, so no drift row is zeroed.  Every
-    step is ``step_raw``, and each drawn block is colored once."""
-    source = WienerSource(integ.noise, integ.space, path_ids)
+def run_batch(integ: MildIntegrator, state: _BatchState, cutoff: _Cutoff, n_steps: int,
+              dt: float, traj: np.ndarray | None, series: dict[str, np.ndarray]) -> _BatchState:
+    """The cutoff loop: each step write the h and phi columns, let a glued
+    ``cutoff`` restart paths, store the state in ``traj`` (2, P, n_steps+1,
+    K) if given, step by ``step_raw`` on the cutoff reaction and advance
+    the path norm; returns the final state.  The other ``series`` columns
+    are recorded in one ``record_norms`` call per ``record_steps`` kept
+    states (a glue changes no coefficient).  Noise is drawn in blocks."""
+    source = WienerSource(integ.noise, integ.space, cutoff.path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
-    start = end = 0  # the current block spans steps [start, end)
-    noise = drift = None  # its colored noise and forced drift
-    if (cutoff is None) == (forcing is None) or forcing is not None and state.fell:
-        raise ValidationError(["a run has exactly one of cutoff and forcing, and a forced run "
-                               "has no fallback rows"])
+    end = 0  # the current noise block spans steps [start, end): one opens at step 0
     recorded = record_steps(state.uv.shape[1], integ.grid_m**integ.space.d)
     kept_uv, kept_vals = [], []  # the states of the recording block so far
 
     for n in range(n_steps + 1):
-        if cutoff is not None:
-            vals = integ.synth(state.uv)
-            phi = cutoff.phi(state.fallback)
-            series["h"][:, n] = cutoff.h
-            series["phi"][:, n] = phi
-            kept_uv.append(state.uv)
-            kept_vals.append(vals)
-            if len(kept_uv) == recorded or n == n_steps:
-                integ.record_norms(_step_stack(kept_uv), series, n + 1 - len(kept_uv),
-                                   _step_stack(kept_vals))
-                kept_uv, kept_vals = [], []
-            if cutoff.glued:
-                glued = cutoff.glue(state, series, n, n * dt)
-                if glued is not state:  # restarted paths draw from a new segment
-                    state, phi, end = glued, cutoff.phi(glued.fallback), n
+        vals = integ.synth(state.uv)
+        phi = cutoff.phi(state.fallback)
+        series["h"][:, n] = cutoff.h
+        series["phi"][:, n] = phi
+        kept_uv.append(state.uv)
+        kept_vals.append(vals)
+        if len(kept_uv) == recorded or n == n_steps:
+            integ.record_norms(_step_stack(kept_uv), series, n + 1 - len(kept_uv),
+                               _step_stack(kept_vals))
+            kept_uv, kept_vals = [], []
+        if cutoff.glued:
+            glued = cutoff.glue(state, series, n, n * dt)
+            if glued is not state:  # restarted paths draw from a new segment
+                state, phi, end = glued, cutoff.phi(glued.fallback), n
         if traj is not None:
             traj[:, :, n] = state.uv
         if n == n_steps:
             return state
         if n == end:
             start, end = n, min(n + block, n_steps)
-            noise = drift = None  # freed first: two blocks held at once raise the peak
-            if forcing is not None and integ.coupled:
-                drift = integ._forced_drift(forcing(start, end - start))
+            noise = None  # freed first: two blocks held at once raise the peak
             if integ.noisy:
                 noise = integ.colored_noise(
                     source.increment_block(n, end - n, dt, state.segment))
-        noise_n = None if noise is None else noise[n - start]
-        if forcing is not None:
-            state = integ.step_raw(state, noise_n, dt,
-                                   None if drift is None else drift[n - start], None)
-        else:
-            # react lives until the next step's replaces it: freed inside the step,
-            # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
-            react = integ.reaction(vals, phi) if integ.coupled else None
-            state = integ.step_raw(state, noise_n, dt,
-                                   _Operand(integ._drift(state, vals, react), False), vals)
-            cutoff.advance(state.v, dt)
+        # react lives until the next step's replaces it: freed inside the step,
+        # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
+        react = integ.reaction(vals, phi) if integ.coupled else None
+        state = integ.step_raw(state, None if noise is None else noise[n - start], dt,
+                               _Operand(integ._drift(state, vals, react), False), vals)
+        cutoff.advance(state.v, dt)
 
 
 def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -713,6 +689,7 @@ def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
                                f"{list(NORM_COLUMNS)}"])
     columns = [c for c in NORM_COLUMNS if c in set(columns) | {"h", "phi"}]
     path_ids = path_id_array(path_ids)
+    require_space(space, u0=u0, v0=v0)
     for name, f in (("u0", u0), ("v0", v0)):
         if np.min(get_basis(space).synthesize(f.coeffs)) < -1e-12:
             warnings.warn(f"initial datum {name} is negative somewhere on the grid")
@@ -721,7 +698,7 @@ def _simulate(params: ModelParams, space: SpaceConfig, noise: NoiseConfig,
     cutoff = _Cutoff(integ, state.v, np.asarray(levels, dtype=float), glued, path_ids)
     series = {c: np.empty((path_ids.size, n_steps + 1)) for c in columns}
     traj = np.empty((2, path_ids.size, n_steps + 1, u0.coeffs.size)) if store_trajectory else None
-    final = run_batch(integ, state, path_ids, n_steps, dt, traj, series, cutoff)
+    final = run_batch(integ, state, cutoff, n_steps, dt, traj, series)
     crossed = series["h"] >= levels[0]
     return BatchRecord(
         path_ids=path_ids, dt=dt, series=series,

@@ -111,12 +111,15 @@ class NoiseConfig:
 
 def path_id_array(path_ids) -> np.ndarray:
     """path_ids as a 1-D int64 array (a scalar is one path); raises
-    ValidationError on none, on a second dimension and on fractions."""
+    ValidationError on none, on a second dimension, on fractions and on
+    ids outside [-2**63, 2**63)."""
     raw = np.asarray(path_ids)
     if raw.ndim > 1 or raw.size == 0:
         raise ValidationError([f"path_ids must be non-empty and 1-D, got shape {raw.shape}"])
     if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all():
         raise ValidationError([f"path_ids must be whole numbers, got {raw.tolist()}"])
+    if raw.dtype.kind in "ufO" and not ((raw >= -2**63) & (raw < 2**63)).all():
+        raise ValidationError([f"path_ids must be within int64, got {raw.tolist()}"])
     return np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
 
 

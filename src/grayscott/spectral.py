@@ -270,6 +270,14 @@ class SpectralField:
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
 
+def require_space(space: SpaceConfig, **fields):
+    """Raise ValidationError naming each field or control (anything with a
+    ``space``) that is not on the run's ``space``."""
+    if v := [f"{name} is on {f.space} ({f.space.total_modes} modes), the run on {space} "
+             f"({space.total_modes} modes)" for name, f in fields.items() if f.space != space]:
+        raise ValidationError(v)
+
+
 def constant_field(value: float, space: SpaceConfig) -> SpectralField:
     coeffs = np.zeros(space.total_modes)
     coeffs[0] = value  # phi_0 is the constant function 1

@@ -218,8 +218,8 @@ def full_step(integ, state, kappa, norm, noise, dt):
 
 def forced_sweep(control, integ, u0, v0, kappa, path_ids):
     """apply_V's trajectory (2, P, n_steps+1, K) by step_raw: the reaction
-    phi * eta * max(xi, 0)^q of each drawn noise block, built as apply_V's
-    forcing builds it, and each step's drift b1 - c1 * R, b2 + c2 * R
+    phi * eta * max(xi, 0)^q of each drawn noise block, composed as
+    apply_V's sweep composes it, and each step's drift b1 - c1 * R, b2 + c2 * R
     composed on the grid and passed to step_raw one step at a time."""
     p, d = integ.params, integ.space.d
     dt, n_steps = control.dt, control.eta.shape[1] - 1

@@ -23,7 +23,6 @@ from grayscott.integrate import (
     MildIntegrator,
     ModelParams,
     draw_steps,
-    run_batch,
     simulate_ensemble,
 )
 from grayscott.noise import NoiseConfig
@@ -121,14 +120,6 @@ class TestForcedSweep:
         for a, b in ((got.eta, want[0]), (got.xi, want[1])):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
-
-    def test_forced_run_has_no_fallback_rows(self):
-        integ = MildIntegrator(ModelParams(), SP, NZ)
-        state = integ.initial_state(bump().coeffs, bump().coeffs, 2)
-        state.fallback = np.array([False, True])
-        with pytest.raises(ValidationError, match="a forced run has no fallback rows"):
-            run_batch(integ, state, [0, 1], 4, 1e-3, None,
-                      forcing=lambda start, count: np.zeros((2, count, 32)))
 
 
 class TestControlTimes:

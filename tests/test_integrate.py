@@ -972,7 +972,11 @@ class TestPathIds:
         ([], "non-empty and 1-D"),
         ([[0, 1]], "non-empty and 1-D"),
         ([0.7], "whole numbers"),
-    ], ids=["empty", "2-D", "fraction"])
+        ([2**63], "within int64"),
+        ([2**64 - 1], "within int64"),
+        ([1e19], "within int64"),
+        (np.array([2**63], dtype=np.uint64), "within int64"),
+    ], ids=["empty", "2-D", "fraction", "2**63", "2**64-1", "1e19", "uint64-2**63"])
     @pytest.mark.parametrize("entry", ["simulate_ensemble", "simulate_glued", "apply_V",
                                        "picard_solve", "WienerSource"])
     def test_bad_path_ids_raise(self, entry, ids, needle):
@@ -992,6 +996,44 @@ class TestPathIds:
             "WienerSource": lambda: WienerSource(NZ, SP, ids),
         }
         with pytest.raises(ValidationError, match=f"path_ids must be .*{needle}"):
+            runs[entry]()
+
+
+class TestFieldSpace:
+    """Every run entry point rejects initial data or a control on another
+    space than the run's."""
+
+    @pytest.mark.parametrize("other", [
+        SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16),
+        SpaceConfig(d=2, modes_per_axis=4, grid_points_per_axis=8),  # 16 modes, as SP
+    ], ids=["d1-N8", "d2-N4"])
+    @pytest.mark.parametrize("entry, field", [
+        (entry, field)
+        for entry in ("simulate_ensemble", "simulate_glued", "strong_order_study", "apply_V",
+                      "picard_solve")
+        for field in ("u0", "v0")] + [("apply_V", "control")])
+    def test_field_on_another_space_raises(self, entry, field, other):
+        from grayscott.convergence import strong_order_study
+        from grayscott.fixedpoint import apply_V, constant_control, picard_solve
+
+        params, T, dt = ModelParams(), 0.01, 1e-3
+        f = {"u0": bump(SP), "v0": bump(SP), "control": constant_control(bump(SP), bump(SP),
+                                                                        T, dt, 1)}
+        f[field] = (constant_control(bump(other), bump(other), T, dt, 1)
+                    if field == "control" else bump(other))
+        u0, v0 = f["u0"], f["v0"]
+        runs = {
+            "simulate_ensemble": lambda: simulate_ensemble(
+                params, SP, NZ, u0, v0, 1e9, T, dt, [0], check_gate=False),
+            "simulate_glued": lambda: simulate_glued(params, SP, NZ, u0, v0, [1e9], T, dt, [0]),
+            "strong_order_study": lambda: strong_order_study(
+                params, SP, NZ, u0, v0, T, [5e-3], n_paths=1, ref_refinement=2),
+            "apply_V": lambda: apply_V(f["control"], MildIntegrator(params, SP, NZ), u0, v0,
+                                       1e9, [0]),
+            "picard_solve": lambda: picard_solve(params, SP, NZ, u0, v0, 1e9, [0], T, dt),
+        }
+        want = f"{field} is on {other} ({other.total_modes} modes), the run on {SP} (16 modes)"
+        with pytest.raises(ValidationError, match=re.escape(want)):
             runs[entry]()
 
 

@@ -38,7 +38,9 @@ directory.  The set covers:
 - ``simulate`` at sigma1=sigma2=0 and ``glue`` at c1=c2=0 (fallback
   schedule), both with ``field_dumps=true`` and 4 paths: the steps that
   skip the noise term and the reaction, where the field dumps are the
-  only outputs that show the sign of a zero coefficient.
+  only outputs that show the sign of a zero coefficient;
+- ``fixed-point`` at sigma1=sigma2=0 and at c1=c2=0, 4 paths each: the
+  forced sweeps that draw no noise and compose no drift.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -107,6 +109,8 @@ RUNS = [
     ("glue-d2", ["glue"] + D2_N8 + FALLBACK),
     ("simulate-noiseless-dumps", ["simulate"] + DUMPS + NOISELESS),
     ("glue-uncoupled-dumps", ["glue"] + DUMPS + FALLBACK + UNCOUPLED),
+    ("fixed-point-noiseless", ["fixed-point", "--paths", "4"] + NOISELESS),
+    ("fixed-point-uncoupled", ["fixed-point", "--paths", "4"] + UNCOUPLED),
 ]
 
 
