@@ -4,6 +4,15 @@ persistence of norm series, reports and field dumps.
 Artifacts are plain CSV (full-precision floats) plus raw little-endian
 field dumps behind a 64-byte text header; a JSON manifest recording
 every knob is written last.
+
+Every float in a CSV is written as ``'%.17g'`` writes it.  The norm
+series of a batch are formatted by one exact vectorized kernel
+(``_csv_bytes``), a chunk of whole paths (at most ``_CHUNK_VALUES``
+values) at a time, and split into the path files: a value in [1e-4, 1e15)
+takes its 17 significant digits from Dekker's error-free product, any
+other (zero, negative, non-finite or out of that range) goes through
+``'%.17g' % v`` on its own.  ``write_csv`` formats every cell with
+``_fmt`` and is the reference for those bytes.
 """
 
 from __future__ import annotations
@@ -58,20 +67,151 @@ NORM_FILE_COLUMNS = (
 )
 FILE_SERIES = tuple(col for _, col in NORM_FILE_COLUMNS[1:])  # what simulate and glue record
 MAX_SWEEP_ROWS = 100_000  # rows of one --sweep; N is checked before any row is built
+_CHUNK_VALUES = 1 << 14  # values per call of the exact kernel: a few MiB of cells
+
+# The exact kernel's cell: slots 0.._ZEROS hold '0', digit j of a value
+# goes to slot _ZEROS + 1 + j, and the longest '%.17g' text (24 bytes)
+# fits with its separator.
+_ZEROS, _CELL = 5, 25
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _cell_slots() -> np.ndarray:
+    """The slots a cell keeps, by row (E + 4) * 18 + nd for a value with
+    decimal exponent E in [-4, 15] and nd significant digits: %g's fixed
+    notation and the separator after it."""
+    keep = np.zeros((20, 18, _CELL), bool)
+    for e in range(-4, 16):
+        for nd in range(1, 18):
+            end = _ZEROS + 1 + nd if nd > e + 1 else _ZEROS + 1 + e
+            keep[e + 4, nd, _ZEROS + min(e, 0):end + 1] = True
+    return keep.reshape(-1, _CELL)
+
+
+_KEPT = _cell_slots()
+_KEPT_BYTES = _KEPT.sum(axis=1)
+_RANKS = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit j is the (j+1)-th
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_norm_series(path: str, record: BatchRecord, row: int):
-    """The norm series CSV of path row ``row``, formatted in one call:
-    '%.17g' writes what _fmt writes."""
-    table = np.column_stack([record.times] + [record.series[col][row] for col in FILE_SERIES])
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(name for name, _ in NORM_FILE_COLUMNS) + "\n")
-        fh.write((row_fmt * table.shape[0]) % tuple(table.ravel().tolist()))
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: big + small == a, each with at most 26 bits."""
+    t = _VELTKAMP * a
+    big = t - (t - a)
+    return big, a - big
+
+
+_POW10_HALVES = _halves(_POW10)
+
+
+def _scaled(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == x * 10**(16 - e) exactly: Dekker's
+    TwoProduct, which needs no fused multiply-add."""
+    k = 16 - e
+    hi = x * _POW10[k]
+    xb, xs = _halves(x)
+    pb, ps = (half[k] for half in _POW10_HALVES)
+    lo = xb * pb - hi
+    lo += xb * ps
+    lo += xs * pb
+    lo += xs * ps
+    return hi, lo
+
+
+def _csv_bytes(table: np.ndarray) -> list[memoryview]:
+    """The CSV text of each table[g] of a (G, R, C) float64 table: every
+    value as '%.17g' writes it, ',' between columns and '\n' after each
+    row.
+
+    A value x in [1e-4, 1e15) is converted exactly.  With E = floor(log10
+    x), 10**(16 - E) is an exact double and hi + lo == x * 10**(16 - E)
+    exactly (``_scaled``); hi lies in [1e16, 1e17], above 2**53, so it is
+    an even whole number and the 17 correctly rounded digits are hi +
+    rint(lo), half to even.  A product outside [1e16, 1e17) (log10 rounded
+    across a power of ten) is redone once at E -/+ 1.  Every other value
+    goes through '%.17g' % v on its own.
+    """
+    x = table.reshape(-1)
+    n = x.size
+    seps = np.full(table.shape, ord(","), np.uint8)
+    seps[..., -1] = ord("\n")
+    seps = seps.reshape(-1)
+    exact = (x >= 1e-4) & (x < 1e15)
+    xs = np.where(exact, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.intp)
+    hi, lo = _scaled(xs, e)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    redo = low | high
+    if redo.any():
+        e[redo] += high[redo].astype(np.intp) - low[redo]
+        hi[redo], lo[redo] = _scaled(xs[redo], e[redo])
+    # No digits round up to 10**17: the closest double below a power of
+    # ten in the range is 8.3e-17 of it away, relatively, not 5e-18.
+    digits17 = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    slots = np.empty((_CELL, n), np.uint8)  # slot s of every cell
+    slots[:_ZEROS + 1] = ord("0")
+    digits = slots[_ZEROS + 1:_ZEROS + 18]
+    upper, lower = (part.astype(np.uint32) for part in np.divmod(digits17, 10**9))
+    for part, js in ((lower, range(16, 7, -1)), (upper, range(7, -1, -1))):
+        for j in js:
+            quot = part // 10
+            np.subtract(part, quot * 10, out=digits[j], casting="unsafe")
+            part = quot
+    nd = ((digits != 0) * _RANKS).max(axis=0)  # significant digits, trailing zeros dropped
+    digits += ord("0")
+    for j in range(e.max() + 1):  # the integer digits move one slot left, before the point
+        np.copyto(slots[_ZEROS + j], digits[j], where=e >= j)
+    flat = slots.reshape(-1)
+    cell = np.arange(_ZEROS * n, (_ZEROS + 1) * n)
+    flat[cell + (e + 1) * n] = ord(".")
+    flat[cell + np.where(nd > e + 1, nd + 1, e + 1) * n] = seps
+    row = (e + 4) * 18 + nd
+    keep = _KEPT.take(row, axis=0)
+    size = _KEPT_BYTES.take(row)
+    cells = slots.T
+    if not exact.all():
+        fall = np.flatnonzero(~exact)
+        text = np.array(["%.17g" % v for v in x[fall].tolist()], dtype="S24")
+        width = np.strings.str_len(text)
+        cells[fall, :24] = text.view(np.uint8).reshape(-1, 24)
+        cells[fall, width] = seps[fall]
+        keep[fall] = np.arange(_CELL) <= width[:, None]
+        size[fall] = width + 1
+    data = memoryview(cells[keep])
+    ends = np.cumsum(size.reshape(table.shape[0], -1).sum(axis=1)).tolist()
+    return [data[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def write_norm_series(paths: list[str], record: BatchRecord):
+    """The norm series CSV of every path of ``record``, row i to
+    ``paths[i]``: each value as '%.17g' writes it, what _fmt writes.  The
+    exact kernel formats a chunk of whole paths per call, at most
+    _CHUNK_VALUES values (a path longer than that, a block of its rows)."""
+    header = (",".join(name for name, _ in NORM_FILE_COLUMNS) + "\n").encode()
+    times = record.times
+    steps, width = times.size, len(NORM_FILE_COLUMNS)
+    block = max(1, _CHUNK_VALUES // width)  # table rows per call
+    group = max(1, block // steps)  # whole paths per call
+    for first in range(0, len(paths), group):
+        batch = slice(first, min(first + group, len(paths)))
+        texts = [[header] for _ in paths[batch]]
+        for start in range(0, steps, block):
+            span = slice(start, min(start + block, steps))
+            table = np.empty((len(texts), span.stop - start, width))
+            table[..., 0] = times[span]
+            for j, col in enumerate(FILE_SERIES, 1):
+                table[..., j] = record.series[col][batch, span]
+            for text, part in zip(texts, _csv_bytes(table)):
+                text.append(part)
+        for path, text in zip(paths[batch], texts):
+            with open(path, "wb") as fh:
+                fh.writelines(text)
 
 
 def write_field_dump(path: str, coeffs: np.ndarray, space, name: str, t: float):
@@ -195,13 +335,15 @@ def cmd_check_params(cfg: RunConfig, ctx: RunContext, args) -> int:
 
 def _write_records(cfg: RunConfig, ctx: RunContext, record: BatchRecord):
     t_end = float(record.times[-1])
-    for i, pid in enumerate(record.path_ids.tolist()):
-        write_norm_series(ctx.path(f"path_{pid:05d}.csv"), record, i)
-        if cfg.field_dumps:
-            for t, uv in ((0.0, (record.u0, record.v0)), (t_end, record.final[:, i])):
-                for name, coeffs in zip("uv", uv):
-                    write_field_dump(ctx.path(f"field_{name}_{pid:05d}_t{t:.6g}.bin"),
-                                     coeffs, cfg.space, name, t)
+    ids = record.path_ids.tolist()
+    write_norm_series([ctx.path(f"path_{pid:05d}.csv") for pid in ids], record)
+    if not cfg.field_dumps:
+        return
+    for i, pid in enumerate(ids):
+        for t, uv in ((0.0, (record.u0, record.v0)), (t_end, record.final[:, i])):
+            for name, coeffs in zip("uv", uv):
+                write_field_dump(ctx.path(f"field_{name}_{pid:05d}_t{t:.6g}.bin"),
+                                 coeffs, cfg.space, name, t)
 
 
 def cmd_simulate(cfg: RunConfig, ctx: RunContext, args) -> int:

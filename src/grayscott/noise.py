@@ -111,11 +111,16 @@ class NoiseConfig:
 
 def path_id_array(path_ids) -> np.ndarray:
     """path_ids as a 1-D int64 array (a scalar is one path); raises
-    ValidationError on none, on a second dimension, on fractions and on
-    ids outside [-2**63, 2**63)."""
+    ValidationError on none, on a second dimension, on anything but int
+    or float numbers (strings, bools, None), on fractions and on ids
+    outside [-2**63, 2**63)."""
     raw = np.asarray(path_ids)
     if raw.ndim > 1 or raw.size == 0:
         raise ValidationError([f"path_ids must be non-empty and 1-D, got shape {raw.shape}"])
+    numeric = (int, float, np.integer, np.floating)
+    if not (raw.dtype.kind in "iuf" or raw.dtype.kind == "O" and all(
+            isinstance(v, numeric) and not isinstance(v, bool) for v in raw.ravel().tolist())):
+        raise ValidationError([f"path_ids must be int or float numbers, got {raw.tolist()!r}"])
     if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all():
         raise ValidationError([f"path_ids must be whole numbers, got {raw.tolist()}"])
     if raw.dtype.kind in "ufO" and not ((raw >= -2**63) & (raw < 2**63)).all():

@@ -287,6 +287,43 @@ class TestConfigProperties:
             assert code == 2 and "Traceback" not in err.getvalue()
 
 
+def _power_neighbours():
+    """10**k for k in [-5, 16], the range edges 1e-4 and 1e15 among them,
+    and up to four nextafter steps either side."""
+    def walk(k, steps):
+        x = float(f"1e{k}")
+        for _ in range(abs(steps)):
+            x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+        return x
+    return st.builds(walk, st.integers(-5, 16), st.integers(-4, 4))
+
+
+def _half_way():
+    """Values whose 17-digit decimal lies exactly half way between two:
+    x = a / 2**(k+1) with a odd, so x * 10**k = a * 5**k / 2 in [1e16, 1e17)."""
+    def odd(k):
+        lo = -(-2 * 10**16 // 5**k)
+        hi = min(2 * 10**17 // 5**k, 2**53 - 1)
+        return st.integers(lo // 2, (hi - 1) // 2).map(lambda m: (2 * m + 1) / 2 ** (k + 1))
+    return st.integers(1, 22).flatmap(odd)
+
+
+class TestExactCsvKernel:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats() | st.floats(1e-4, 1e15) | _power_neighbours()
+                           | _half_way(), min_size=1, max_size=40),
+           columns=st.integers(1, 3))
+    def test_bytes_match_percent_format(self, values, columns):
+        from grayscott.cli import _csv_bytes
+
+        rows = -(-len(values) // columns)
+        values = values + [1.0] * (rows * columns - len(values))
+        table = np.array(values).reshape(1, rows, columns)
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                           for row in table[0].tolist())
+        assert bytes(_csv_bytes(table)[0]) == expected.encode()
+
+
 class TestCliRuns:
     def test_simulate_row_count_and_manifest(self, tmp_path):
         cfg_path = write_config(tmp_path, {**FAST_DOC, "paths": 1, "T": 0.01})
@@ -312,25 +349,45 @@ class TestCliRuns:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_norm_series_bytes_match_per_cell_format(self, tmp_path):
-        # the one-call writer against write_csv's per-cell '.17g' on values
-        # whose text is easy to get wrong
-        from grayscott.cli import NORM_FILE_COLUMNS, write_csv, write_norm_series
+        # the exact kernel, a chunk of paths at a time and split into the
+        # path files, against write_csv's per-cell '.17g', file by file: on
+        # values whose text is easy to get wrong, and on batches whose paths
+        # cross chunk boundaries (or one path, a chunk) with values that
+        # take the per-value fallback
+        from grayscott.cli import (
+            _CHUNK_VALUES,
+            NORM_FILE_COLUMNS,
+            write_csv,
+            write_norm_series,
+        )
         from grayscott.integrate import BatchRecord, ModelParams
         from grayscott.spectral import SpaceConfig
 
+        rng = np.random.default_rng(3)
         tricky = [0.1, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, 2.0 / 3.0,
                   math.nan, math.inf, -math.inf, 1e16, 123456789.0, -1.5e-7]
-        rng = np.random.default_rng(3)
-        times = np.arange(len(tricky)) * 1e-3
-        series = {col: rng.permutation(tricky) for _, col in NORM_FILE_COLUMNS[1:]}
-        rows = {c: np.stack([s[::-1], s]) for c, s in series.items()}  # write row 1
-        rec = BatchRecord(np.arange(2), 1e-3, rows, np.full(2, -1), (), None, None, None,
-                          None, ModelParams(), SpaceConfig())
-        write_norm_series(tmp_path / "one_call.csv", rec, 1)
-        write_csv(tmp_path / "per_cell.csv", [name for name, _ in NORM_FILE_COLUMNS],
-                  zip(times, *(series[col] for _, col in NORM_FILE_COLUMNS[1:])))
-        assert ((tmp_path / "one_call.csv").read_bytes()
-                == (tmp_path / "per_cell.csv").read_bytes())
+        fallback = [0.0, -0.0, -2.5, 1e-7, 3e15, math.nan, math.inf]
+        pool = np.concatenate([10.0 ** rng.uniform(-6, 16, 500), fallback])
+        batches = {
+            "tricky": {col: np.stack([rng.permutation(tricky) for _ in range(2)])
+                       for _, col in NORM_FILE_COLUMNS[1:]},
+            "paths across chunks": {col: rng.choice(pool, (5, 1000))
+                                    for _, col in NORM_FILE_COLUMNS[1:]},
+            "a path over a chunk": {col: rng.choice(pool, (2, 2500))
+                                    for _, col in NORM_FILE_COLUMNS[1:]},
+        }
+        width = len(NORM_FILE_COLUMNS)  # a chunk holds two of the 1000-step paths
+        assert 2 * 1000 * width <= _CHUNK_VALUES < min(3 * 1000, 2500) * width
+        for case, series in batches.items():
+            paths = series["h"].shape[0]
+            rec = BatchRecord(np.arange(paths), 1e-3, series, np.full(paths, -1), (), None,
+                              None, None, None, ModelParams(), SpaceConfig())
+            write_norm_series([tmp_path / f"kernel_{i}.csv" for i in range(paths)], rec)
+            for i in range(paths):
+                write_csv(tmp_path / "per_cell.csv", [name for name, _ in NORM_FILE_COLUMNS],
+                          zip(rec.times, *(series[col][i] for _, col in NORM_FILE_COLUMNS[1:])))
+                assert ((tmp_path / f"kernel_{i}.csv").read_bytes()
+                        == (tmp_path / "per_cell.csv").read_bytes()), f"{case}, path row {i}"
 
     def test_seed_changes_output(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_DOC)

@@ -976,7 +976,12 @@ class TestPathIds:
         ([2**64 - 1], "within int64"),
         ([1e19], "within int64"),
         (np.array([2**63], dtype=np.uint64), "within int64"),
-    ], ids=["empty", "2-D", "fraction", "2**63", "2**64-1", "1e19", "uint64-2**63"])
+        (["3"], r"int or float numbers, got \['3'\]"),
+        (["a"], r"int or float numbers, got \['a'\]"),
+        ([None], r"int or float numbers, got \[None\]"),
+        ([True, False], r"int or float numbers, got \[True, False\]"),
+    ], ids=["empty", "2-D", "fraction", "2**63", "2**64-1", "1e19", "uint64-2**63", "str-digit",
+            "str", "None", "bool"])
     @pytest.mark.parametrize("entry", ["simulate_ensemble", "simulate_glued", "apply_V",
                                        "picard_solve", "WienerSource"])
     def test_bad_path_ids_raise(self, entry, ids, needle):

@@ -12,7 +12,9 @@ runs, one after another, the tools next to it:
 - ``code_size.py`` per tree and ``compare_outputs.py OLD/src NEW/src``;
 - each tree's own ``tools/step_cost.py`` on its ``src`` twice, OLD first
   and then NEW first (the script calls the step's API, which may differ
-  between the trees);
+  between the trees), and NEW's script on OLD's ``src`` next to each OLD
+  run, for the columns OLD's script lacks (an error, if NEW's script
+  cannot time OLD's tree);
 - one traced perfbench run (``--trace 1``) per root of each
   ``--traced`` workload, at ``--trace-seed``: the per-layer metrics;
 - ``perfbench_pairs.py`` for every workload of OLD_ROOT's
@@ -74,13 +76,21 @@ def main(argv: list[str]) -> int:
     compare = subprocess.run(
         [sys.executable, str(HERE / "compare_outputs.py"), *srcs],
         capture_output=True, text=True, check=False).stdout.strip().splitlines()
-    step_cost = {"old": [], "new": []}
+    step_cost = {"old": [], "new": [], "old_by_new_script": []}
     for order in ((0, 1), (1, 0)):
         for side in order:
             cost = json.loads(_run(str(roots[side] / "tools" / "step_cost.py"),
                                    "--src", srcs[side]))
             cost.pop("src")
             step_cost[("old", "new")[side]].append(cost)
+            if side == 0:
+                try:
+                    cost = json.loads(_run(str(roots[1] / "tools" / "step_cost.py"),
+                                           "--src", srcs[0]))
+                    cost.pop("src")
+                except subprocess.CalledProcessError as err:
+                    cost = {"error": err.stderr.strip().splitlines()[-1:]}
+                step_cost["old_by_new_script"].append(cost)
     traced = {name: {side: _last_json(_run(
         str(root / "perfbench" / "run.py"), "--workload", name, "--seed",
         str(args.trace_seed), "--seconds", f"{args.seconds:g}", "--trace", "1"))["metrics"]

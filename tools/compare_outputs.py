@@ -40,7 +40,11 @@ directory.  The set covers:
   skip the noise term and the reaction, where the field dumps are the
   only outputs that show the sign of a zero coefficient;
 - ``fixed-point`` at sigma1=sigma2=0 and at c1=c2=0, 4 paths each: the
-  forced sweeps that draw no noise and compose no drift.
+  forced sweeps that draw no noise and compose no drift;
+- ``simulate`` at ``u0.value=1e-6`` with 4 paths, the one run whose norm
+  series print in exponent notation: the u norms at t=0 are about 1e-6,
+  below 1e-4, where the norm-series writer leaves its exact kernel for
+  ``'%.17g' % v``.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -111,6 +115,7 @@ RUNS = [
     ("glue-uncoupled-dumps", ["glue"] + DUMPS + FALLBACK + UNCOUPLED),
     ("fixed-point-noiseless", ["fixed-point", "--paths", "4"] + NOISELESS),
     ("fixed-point-uncoupled", ["fixed-point", "--paths", "4"] + UNCOUPLED),
+    ("simulate-tiny-u0", ["simulate", "--paths", "4", "--override", "u0.value=1e-6"]),
 ]
 
 

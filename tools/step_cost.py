@@ -46,7 +46,12 @@ Per case it times:
   ``R`` steps, divided by ``R``, where ``R`` is
   ``integrate.record_steps`` of the batch;
 - ``record_norms_files``: the same block call filling only the state-only
-  columns that ``simulate`` and ``glue`` write.
+  columns that ``simulate`` and ``glue`` write;
+- ``write_norm_series``: writing the norm series CSVs of the ``total``
+  run's record (``STEPS`` steps, one file per path) into a temporary
+  directory, as ``simulate`` writes them (``cli.write_norm_series``: one
+  call for the batch, or one per path in a checkout whose writer takes a
+  path row), divided by the paths and ``STEPS``.
 
 The fixed-point loop has its own table, ``forced``: ``apply_V`` per
 path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
@@ -74,11 +79,13 @@ one JSON object, with an environment block.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -138,10 +145,12 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     per_path = {}
 
     def total():
-        simulate_ensemble(params, space, noise, u0, v0, 1e6, STEPS * dt, dt, ids,
-                          check_gate=False)
+        return simulate_ensemble(params, space, noise, u0, v0, 1e6, STEPS * dt, dt, ids,
+                                 check_gate=False)
 
     per_path["total"] = _loop_time(total) / STEPS
+    with tempfile.TemporaryDirectory() as out:
+        per_path["write_norm_series"] = _loop_time(_norm_writer(out, total())) / STEPS
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
@@ -194,6 +203,17 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     result["draw_steps"] = block
     result["record_steps"] = recorded
     return result
+
+
+def _norm_writer(out: str, record):
+    """A call writing the record's norm series CSVs into ``out``, one
+    file per path, through the checkout's ``write_norm_series``."""
+    from grayscott.cli import write_norm_series
+
+    names = [os.path.join(out, f"path_{pid:05d}.csv") for pid in record.path_ids.tolist()]
+    if "row" in inspect.signature(write_norm_series).parameters:  # a writer per path row
+        return lambda: [write_norm_series(name, record, i) for i, name in enumerate(names)]
+    return lambda: write_norm_series(names, record)
 
 
 def time_forced(d: int, n: int, m: int, paths: int) -> dict:
