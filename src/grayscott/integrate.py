@@ -4,46 +4,33 @@ detection and glueing of local solutions.
 
 The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver steps
-with the same map, ``MildIntegrator.step_raw``, which advances only the
-coefficients; its drift is the state's own reaction or one the caller
-composed, and each keeps its own loop around it.  Ensembles and glueing
-run the cutoff loop, ``run_batch``, the one loop that keeps the cutoff
-(``_Cutoff``) and records norms.  The fixed-point sweep
-(``fixedpoint.apply_V``) records nothing and keeps no cutoff: it
-composes the feed-minus-reaction drift once per drawn noise block,
-step-major (``forced_drift``), and under Ito analyzes it in one call;
-the Stratonovich correction reads the state, so there each step adds it
-to its contiguous slice and analyzes that.  The convergence study steps
-the uncut reaction with no path norm in its own lockstep loop: its step
-sizes advance on block sums of one shared fine draw, which a loop pass
-per step size would redraw once per level.  Internals are vectorized
-over a batch of independent paths, and both species live in one
-(2, P, K) array, so a step of a small batch makes one transform call per
-operand instead of one per species (``STACK_BUDGET``).  The cutoff loop
-and the sweep draw the noise of both processes for several steps in one
-call (``DRAW_BUDGET``), in each path's current glue segment; each draw
-is a pure function of its address, so the increments are the one-step
-draws bit for bit.  Each drawn block is colored once (``colored_noise``)
-and, while its grid values fit ``STACK_BUDGET``, synthesized in one
-call; past it each step synthesizes its own slice, as a wide step's
-operands fit cache only one species at a time.  None of this moves a
-bit: the compositions are elementwise, and a stacked transform runs the
-same BLAS call for each (P, .) matrix.  The state's transforms are not
-batched over steps: at one path a d=1 step is a GEMV and a block of
-steps a GEMM, and the two round differently; the sweep composes its
-frozen reaction per drawn block, so its d=1 rounding follows the block
-shape.  A simulation returns one ``BatchRecord``, whose row i of each
-per-path array is path path_ids[i].
+with the same map, ``MildIntegrator.step_raw``, on the state's own
+reaction or a drift the caller composed, in its own loop: ensembles and
+glueing in the cutoff loop, ``run_batch``, the one that keeps the cutoff
+(``_Cutoff``) and records norms; the fixed-point sweep
+(``fixedpoint.apply_V``, on ``forced_drift``); the convergence study, in
+lockstep on block sums of one fine draw.  Internals are vectorized over
+a batch of paths, both species in one (2, P, K) array, so a small
+batch's step makes one transform call per operand (``STACK_BUDGET``).
+The loops draw several steps of noise per call (``DRAW_BUDGET``), in
+each path's glue segment, and color each block once
+(``colored_noise``); each draw is a pure function of its address, so
+the increments are the one-step draws bit for bit.  None of this moves
+a bit: the compositions are elementwise, and a stacked transform runs
+the same BLAS call for each (P, .) matrix.  The state's transforms are
+not batched over steps: at one path a d=1 step is a GEMV and a block of
+steps a GEMM, and the two round differently.  A simulation returns one
+``BatchRecord``, whose row i of each per-path array is path path_ids[i].
 
-The cutoff loop writes the h and phi columns at every step; h is the
-cutoff's, advanced once a step.  The other, state-only columns read just
-a step's coefficients and grid values, which the loop keeps and records
-in one ``record_norms`` call per recording block: as many steps as keep
-their 2 * P * M^d grid values within RECORD_BUDGET (``record_steps``),
-at least one, the last block ending at the run's end.  A one-step block
-is a view of the step's arrays, not a copy.  The stacked calls reduce
-each step's rows and transform each step's matrices as a one-step call
-does, so the columns are the same bits.
+The cutoff loop settles each state: its h and phi, a glue if it reached
+a level, and the state-only columns, recorded in one ``record_norms``
+call per ``record_steps`` states (within RECORD_BUDGET grid values; one
+state is a view, not a copy).  While every path outside the fallback is
+on the plateau h <= kappa, where phi is exactly 1, it steps a block of
+states at that phi and extends the path norm (``_PathNorm``) over them
+at once, rolled back to its first state off the plateau.  Stacked calls
+reduce rows and transform matrices as one-step calls do, and 1.0 * x is
+x, so none of this moves a bit.
 
 A term whose coefficient is exactly zero is not computed.  An integrator
 with sigma1 = sigma2 = 0 is not ``noisy``: no driver draws its noise and
@@ -104,6 +91,8 @@ STACK_BUDGET = 1 << 16
 # fresh pages on every call (at 200 d=1 paths, 28x the minor faults of a call
 # per step) and ran slower than a call per step
 RECORD_BUDGET = 1 << 14
+# steps of a cutoff loop plateau block at most; a rollback retakes those after it
+MAX_PLATEAU_STEPS = 32
 
 
 def draw_steps(n_paths: int, k_noise: int) -> int:
@@ -171,8 +160,11 @@ class ModelParams:
 
 
 def smooth_cutoff(x):
-    """C-infinity transition: 1 on |x| <= 1, 0 on |x| >= 2, monotone between."""
+    """C-infinity transition: 1 on |x| <= 1, 0 on |x| >= 2, monotone between;
+    while every |x| <= 1 (NaN is not), ones without the transition's terms."""
     ax = np.abs(np.asarray(x, dtype=float))
+    if (ax <= 1.0).all():
+        return 1.0 if ax.ndim == 0 else np.ones(ax.shape)
     t = 2.0 - ax  # in (0, 1) on the transition band
     with np.errstate(divide="ignore", over="ignore"):
         f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
@@ -217,36 +209,68 @@ class _BatchState:
         return 1 in self.fallback.tobytes()
 
 
-class _Cutoff:
-    """The cutoff of a batch, which the cutoff loop alone keeps.  Per path:
-    the level kappa, its index ``level`` into ``levels``, and the path norm
-    h = sup |v|_{H^rho} + (int |v|^2_{H^{rho+aleph/2}})^(1/2) so far, the
-    integral by the trapezoid rule, whose last integrand is last_diss_sq.
-    If ``glued``, ``glue`` restarts paths and keeps their ``events``."""
+class _PathNorm:
+    """The running path norm h = sup_m |v_m|_{H^s} + (int |v|^2_{H^{s+aleph/2}})^(1/2)
+    of a batch of series, carried per row as (sup, intg, last_diss_sq), the
+    integral by the trapezoid rule; ``terms`` maps states (..., K) to
+    (|v|_{H^s}, |v|^2_{H^{s+aleph/2}}).  ``extend`` adds a block in a per-step
+    loop's order: the carry enters the first term, then the running max and
+    the sums (intg + a) + b, and 0 + a is a, so any split has the same bits."""
+
+    def __init__(self, terms, v: np.ndarray):
+        self.terms, self.carry = terms, [np.zeros(v.shape[:-1])] * 3
+        self.restart(True, v)
+
+    def restart(self, rows, v: np.ndarray):
+        """Start the norm of the rows ``rows`` (a mask) afresh at their states v."""
+        sup, diss_sq = self.terms(v)
+        self.carry = [np.where(rows, a, b) for a, b in zip((sup, 0.0, diss_sq), self.carry)]
+        self.h = self.carry[0] + np.sqrt(self.carry[1])
+
+    def extend(self, v: np.ndarray, dt) -> np.ndarray:
+        """h at each of the states v (..., count, K) that follow, a step of
+        dt apart (a scalar, or one per step); the norm moves to the last."""
+        sup, diss_sq = self.terms(v)
+        if not diss_sq.shape[-1]:
+            return sup
+        np.maximum(sup[..., 0], self.carry[0], out=sup[..., 0])
+        intg = 0.5 * dt * (np.concatenate([self.carry[2][..., None], diss_sq[..., :-1]], axis=-1)
+                           + diss_sq)
+        intg[..., 0] += self.carry[1]
+        if diss_sq.shape[-1] > 1:  # over one state, both are the identity
+            np.maximum.accumulate(sup, axis=-1, out=sup)
+            np.add.accumulate(intg, axis=-1, out=intg)
+        self.block = sup, intg, diss_sq, sup + np.sqrt(intg)
+        return self.keep(diss_sq.shape[-1])
+
+    def keep(self, count: int) -> np.ndarray:
+        """Move the norm to the count-th state of the last extend; returns its h."""
+        *self.carry, self.h = (a[..., count - 1] for a in self.block)
+        return self.block[3]
+
+
+class _Cutoff(_PathNorm):
+    """The cutoff of a batch, kept by the cutoff loop alone: per path the
+    level kappa, its index ``level`` into ``levels`` and the path norm h of
+    v at rho; if ``glued``, ``glue`` restarts paths and keeps ``events``."""
 
     def __init__(self, integ: MildIntegrator, v: np.ndarray, levels: np.ndarray,
                  glued: bool, path_ids: np.ndarray):
-        self.norm_terms = integ.norm_terms
+        super().__init__(integ.norm_terms, v)
         self.levels, self.glued, self.path_ids = levels, glued, path_ids
         self.level = np.zeros(path_ids.size, dtype=np.int64)
         self.kappa = levels[self.level]
         self.events: list[tuple[int, float, float]] = []
-        self.sup, self.last_diss_sq = self.norm_terms(v)
-        self.intg = np.zeros(self.sup.shape)
-        self.h = self.sup + np.sqrt(self.intg)
-
-    def advance(self, v: np.ndarray, dt: float):
-        """Take in v (P, K), the inhibitor one step of dt on."""
-        rho_norm, diss_sq = self.norm_terms(v)
-        self.intg = self.intg + 0.5 * dt * (self.last_diss_sq + diss_sq)
-        self.sup = np.maximum(self.sup, rho_norm)
-        self.last_diss_sq = diss_sq
-        self.h = self.sup + np.sqrt(self.intg)
 
     def phi(self, fallback: np.ndarray) -> np.ndarray:
         """The cutoff phi(h / kappa) per path; 0 on the fallback rows."""
-        x = self.h / self.kappa  # smooth_cutoff is 1 on the plateau |x| <= 1 (NaN is not on it)
-        return np.where(fallback, 0.0, 1.0 if (np.abs(x) <= 1.0).all() else smooth_cutoff(x))
+        return np.where(fallback, 0.0, smooth_cutoff(self.h / self.kappa))
+
+    def clean(self, h: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+        """Per state of path norms h (P, count): whether every path outside the
+        fallback is on the plateau h <= kappa (phi is 1) and, if glued, below it."""
+        kappa = self.kappa[:, None]  # h <= kappa is h / kappa <= 1: division rounds correctly
+        return ((h < kappa if self.glued else h <= kappa) | fallback[:, None]).all(axis=0)
 
     def glue(self, state: _BatchState, series: dict[str, np.ndarray], n: int,
              t: float) -> _BatchState:
@@ -264,11 +288,7 @@ class _Cutoff:
         series["phi"][last, n] = 0.0
         self.level = self.level + (crossed & ~last)
         self.kappa = levels[self.level]
-        rho_norm, diss_sq = self.norm_terms(state.v)
-        self.sup = np.where(crossed, rho_norm, self.sup)
-        self.intg = np.where(crossed, 0.0, self.intg)
-        self.last_diss_sq = np.where(crossed, diss_sq, self.last_diss_sq)
-        self.h = self.sup + np.sqrt(self.intg)
+        self.restart(crossed, state.v)
         return replace(state, segment=state.segment + crossed, fallback=state.fallback | last)
 
 
@@ -624,49 +644,77 @@ def schedule_violations(schedule) -> list[str]:
 
 def run_batch(integ: MildIntegrator, state: _BatchState, cutoff: _Cutoff, n_steps: int,
               dt: float, traj: np.ndarray | None, series: dict[str, np.ndarray]) -> _BatchState:
-    """The cutoff loop: each step write the h and phi columns, let a glued
-    ``cutoff`` restart paths, store the state in ``traj`` (2, P, n_steps+1,
-    K) if given, step by ``step_raw`` on the cutoff reaction and advance
-    the path norm; returns the final state.  The other ``series`` columns
-    are recorded in one ``record_norms`` call per ``record_steps`` kept
-    states (a glue changes no coefficient).  Noise is drawn in blocks."""
+    """The cutoff loop: step by ``step_raw`` on the cutoff reaction, in
+    plateau blocks where it can, and settle each state (h, phi, glue, the
+    state-only columns and ``traj`` (2, P, n_steps+1, K) if given); returns
+    the final state.  A block's first state off the plateau read phi only
+    before it, so it is settled as a per-step loop settles it, and the
+    steps after it are taken again.  A non-finite step ends its block, and
+    raises when taken from a clean state."""
     source = WienerSource(integ.noise, integ.space, cutoff.path_ids)
     block = draw_steps(state.uv.shape[1], source.k_noise)
-    end = 0  # the current noise block spans steps [start, end): one opens at step 0
+    span = min(block, MAX_PLATEAU_STEPS)  # the steps of a plateau block
+    start = end = 0  # the current noise block spans steps [start, end): one opens at step 0
     recorded = record_steps(state.uv.shape[1], integ.grid_m**integ.space.d)
     kept_uv, kept_vals = [], []  # the states of the recording block so far
+    uvs, vals, h, n = [state.uv], [integ.synth(state.uv)], cutoff.h[:, None], 0
+    rate = np.zeros(h.shape[0])  # the growth of each path's h a step, over the last block
 
-    for n in range(n_steps + 1):
-        vals = integ.synth(state.uv)
-        phi = cutoff.phi(state.fallback)
-        series["h"][:, n] = cutoff.h
-        series["phi"][:, n] = phi
-        kept_uv.append(state.uv)
-        kept_vals.append(vals)
-        if len(kept_uv) == recorded or n == n_steps:
-            integ.record_norms(_step_stack(kept_uv), series, n + 1 - len(kept_uv),
-                               _step_stack(kept_vals))
-            kept_uv, kept_vals = [], []
+    while True:  # settle the states uvs, steps n + 1 - len(uvs) .. n; all but the last are clean
+        first = n + 1 - len(uvs)
+        series["h"][:, first:n + 1] = h
+        series["phi"][:, first:n] = ~state.fallback[:, None]
+        for k, uv, uv_vals in zip(range(first, n + 1), uvs, vals):
+            kept_uv.append(uv)
+            kept_vals.append(uv_vals)
+            if len(kept_uv) == recorded or k == n_steps:
+                integ.record_norms(_step_stack(kept_uv), series, k + 1 - len(kept_uv),
+                                   _step_stack(kept_vals))
+                kept_uv, kept_vals = [], []
+            if traj is not None:
+                traj[:, :, k] = uv
+        series["phi"][:, n] = phi = cutoff.phi(state.fallback)
         if cutoff.glued:
             glued = cutoff.glue(state, series, n, n * dt)
             if glued is not state:  # restarted paths draw from a new segment
                 state, phi, end = glued, cutoff.phi(glued.fallback), n
-        if traj is not None:
-            traj[:, :, n] = state.uv
         if n == n_steps:
             return state
-        if n == end:
-            start, end = n, min(n + block, n_steps)
-            noise = None  # freed first: two blocks held at once raise the peak
-            if integ.noisy:
-                noise = integ.colored_noise(
-                    source.increment_block(n, end - n, dt, state.segment))
-        # react lives until the next step's replaces it: freed inside the step,
-        # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
-        react = integ.reaction(vals, phi) if integ.coupled else None
-        state = integ.step_raw(state, None if noise is None else noise[n - start], dt,
-                               _Operand(integ._drift(state, vals, react), False), vals)
-        cutoff.advance(state.v, dt)
+        if h.shape[1] > 1:
+            rate = (h[:, -1] - h[:, 0]) / (h.shape[1] - 1)
+        count = 1
+        if span > 1 and cutoff.clean(cutoff.h[:, None], state.fallback)[0]:
+            ok = ~state.fallback & (rate > 0)  # the block ends where a path would reach its level
+            count = max(1, math.ceil(((cutoff.kappa - cutoff.h)[ok] / rate[ok]).min(initial=span)))
+        uv_vals, uvs, vals = vals[-1], [], []
+        for k in range(n, min(n + count, n_steps)):
+            if k == end:
+                start, end = k, min(k + block, n_steps)
+                noise = None  # freed first: two blocks held at once raise the peak
+                if integ.noisy:
+                    noise = integ.colored_noise(
+                        source.increment_block(k, end - k, dt, state.segment))
+            # react lives until the next step's replaces it: freed inside the step,
+            # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
+            react = integ.reaction(uv_vals, phi) if integ.coupled else None
+            try:
+                state = integ.step_raw(state, None if noise is None else noise[k - start], dt,
+                                       _Operand(integ._drift(state, uv_vals, react), False),
+                                       uv_vals)
+            except NonFinite:
+                if not uvs:
+                    raise
+                break
+            uvs.append(state.uv)
+            vals.append(uv_vals := integ.synth(state.uv))
+        h = cutoff.extend(_step_stack(uvs)[:, 1].swapaxes(0, 1), dt)
+        count = len(uvs) if len(uvs) == 1 else 1 + int(np.argmin(np.append(
+            cutoff.clean(h[:, :-1], state.fallback), False)))  # to the first state off the plateau
+        if count < len(uvs):  # roll back: drop the states, and the noise block, after it
+            cutoff.keep(count)
+            uvs, vals, h = uvs[:count], vals[:count], h[:, :count]
+            state, end = _BatchState(uvs[-1], state.segment, state.fallback, n + count), n + count
+        n += count
 
 
 def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -753,11 +801,9 @@ def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
     """The running path norm of a coefficient series v of shape (..., n+1, K),
     sup_{m<=n} |v_m|_{H^s} + (int_0^{t_n} |v|^2_{H^{s+aleph/2}})^(1/2);
     trapezoid rule with step dt (a scalar, or one per step)."""
-    norms, diss_sq = _norm_terms(v, sobolev_weights(space, s),
-                                 sobolev_weights(space, s + aleph / 2.0))
-    steps = np.cumsum(0.5 * dt * (diss_sq[..., :-1] + diss_sq[..., 1:]), axis=-1)
-    intg = np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
-    return np.maximum.accumulate(norms, axis=-1) + np.sqrt(intg)
+    w, w_diss = sobolev_weights(space, s), sobolev_weights(space, s + aleph / 2.0)
+    norm = _PathNorm(lambda x: _norm_terms(x, w, w_diss), v[..., 0, :])
+    return np.concatenate([norm.h[..., None], norm.extend(v[..., 1:, :], dt)], axis=-1)
 
 
 def pathspace_norm(record: BatchRecord, rho: float, aleph: float, t: float,

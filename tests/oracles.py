@@ -23,8 +23,11 @@ convergence study stepped by cutoff_step on the cutoff system at level
 norm.  per_step_series records every norm column of each step from that
 step's state alone, h from its own path norm, glues along its own level
 bookkeeping, and draws noise one step at a time, where run_batch draws
-blocks of steps and records the state-only columns once per block of
-kept states.
+blocks of steps, records the state-only columns once per block of
+kept states, and steps plateau blocks at phi = 1 that it rolls back to
+their first state off the plateau.  start_norm and next_norm keep the
+path norm one step at a time, where the time loop and path_norm_series
+extend integrate._PathNorm over blocks of states.
 """
 
 from dataclasses import replace

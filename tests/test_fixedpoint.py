@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import forced_sweep
 
 from grayscott.errors import NoConvergence, ValidationError
@@ -168,6 +170,32 @@ class TestPicard:
                            T=0.25, dt=2e-3, tol=1e-8)
         rec = simulate_ensemble(params, SP, noise, bump(), bump(), 1e9, T=0.25,
                                 dt=2e-3, path_ids=[3], store_trajectory=True)
+        fp = res["fixed_point"]
+        diff = control_m_norm(fp.eta[0] - rec.trajectory[0, 0], fp.xi[0] - rec.trajectory[1, 0],
+                              fp.times, SP, params.rho, params.aleph)
+        assert diff < 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(interpretation=st.sampled_from(["ito", "stratonovich"]), path_id=st.integers(0, 2**16),
+           band=st.none() | st.floats(0.1, 0.6))
+    def test_fixed_point_matches_simulate_on_and_off_the_plateau(self, interpretation, path_id,
+                                                                  band):
+        # kappa = 1e9, or a level the path norm passes mid-run (band: how far
+        # between h(0) and h(T)), so that phi < 1 on the steps after it: the
+        # sweep and the cutoff loop share one phi
+        params = ModelParams(c1=0.01, c2=0.01)
+        noise = replace(NZ, interpretation=interpretation)
+        T, dt, kappa = 0.25, 2e-3, 1e9
+        if band is not None:
+            h = simulate_ensemble(params, SP, noise, bump(), bump(), kappa, T, dt,
+                                  path_ids=[path_id]).series["h"][0]
+            kappa = h[0] + band * (h[-1] - h[0])
+        res = picard_solve(params, SP, noise, bump(), bump(), kappa, path_ids=[path_id], T=T,
+                           dt=dt, tol=1e-8)
+        rec = simulate_ensemble(params, SP, noise, bump(), bump(), kappa, T, dt,
+                                path_ids=[path_id], store_trajectory=True)
+        phi = rec.series["phi"][0]
+        assert phi[0] == 1.0 and np.any(phi < 1.0) == (band is not None)
         fp = res["fixed_point"]
         diff = control_m_norm(fp.eta[0] - rec.trajectory[0, 0], fp.xi[0] - rec.trajectory[1, 0],
                               fp.times, SP, params.rho, params.aleph)

@@ -23,10 +23,12 @@ from grayscott.errors import NonFinite, ValidationError
 from grayscott.cli import FILE_SERIES, main
 from grayscott.estimators import ESTIMATED_COLUMNS
 from grayscott.integrate import (
+    MAX_PLATEAU_STEPS,
     NORM_COLUMNS,
     MildIntegrator,
     ModelParams,
     _Cutoff,
+    _PathNorm,
     draw_steps,
     path_norm_series,
     pathspace_norm,
@@ -806,7 +808,7 @@ class TestZeroCoefficients:
         for n in range(n_steps):
             skip, skip_norm = cutoff_step(integ, skip, kappa, skip_norm,
                                           colored[n] if integ.noisy else None, dt)
-            cutoff.advance(skip.v, dt)
+            cutoff.extend(skip.v[:, None], dt)
             full, full_norm = full_step(integ, full, kappa, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
@@ -835,7 +837,7 @@ class TestZeroCoefficients:
             if n in falls:
                 skip.fallback[falls[n]] = full.fallback[falls[n]] = True
             skip, skip_norm = cutoff_step(integ, skip, 1e9, skip_norm, colored[n], dt)
-            cutoff.advance(skip.v, dt)
+            cutoff.extend(skip.v[:, None], dt)
             full, full_norm = full_step(integ, full, 1e9, full_norm, colored[n], dt)
             assert np.array_equal(skip.uv, full.uv), n
             assert np.array_equal(np.signbit(skip.uv), np.signbit(full.uv)), n
@@ -941,7 +943,13 @@ class TestOneStepMap:
         calls.clear()
         rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.3, 1.5], T=n_steps * dt,
                              dt=dt, path_ids=[0, 1])
-        assert rec.glue_events and calls == list(range(n_steps))
+        # a restart inside a plateau block rolls it back: the steps after it
+        # are taken again, each from the state the last call before it made
+        taken = []
+        for n in calls:
+            del taken[n:]
+            taken.append(n)
+        assert rec.glue_events and taken == list(range(n_steps))
         calls.clear()
         control = constant_control(bump(SP), bump(SP), T=n_steps * dt, dt=dt, n_paths=2)
         apply_V(control, MildIntegrator(params, SP, NZ), bump(SP), bump(SP), 1.0, [0, 1])
@@ -1111,3 +1119,198 @@ class TestBlockRecord:
                               path_ids=range(16), check_gate=False)
         assert (err.value.step, err.value.time) == (bad + 1, (bad + 1) * dt)
         assert [n0 for n0, _, _ in calls] == [0, 16, 32, 48, 64, 80]
+
+
+def _counted_steps(monkeypatch) -> list:
+    """The step of each state that step_raw is called on, in call order."""
+    calls = []
+    step = MildIntegrator.step_raw
+
+    def counted(integ, state, *args):
+        calls.append(state.step)
+        return step(integ, state, *args)
+
+    monkeypatch.setattr(MildIntegrator, "step_raw", counted)
+    return calls
+
+
+def _retaken(calls: list) -> set:
+    """The steps a rolled-back block takes again from."""
+    return {n for last, n in zip(calls, calls[1:]) if n <= last}
+
+
+class TestPlateauBlocks:
+    """The cutoff loop steps whole blocks while every path is on the
+    plateau, and rolls a block back to its first state off it: bit for bit
+    the per-step record of tests/oracles.py."""
+
+    @pytest.mark.parametrize("space", [SP, SP_2D], ids=["d1", "d2"])
+    def test_glue_and_redraw_inside_a_block(self, monkeypatch, space):
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, space, NZ)
+        n_steps, dt, levels = 150, 2e-3, [1.3, 1.5]
+        calls = _counted_steps(monkeypatch)
+        rec = simulate_glued(params, space, NZ, bump(space), bump(space), levels,
+                             T=n_steps * dt, dt=dt, path_ids=[0, 1])
+        drawn = draw_steps(2, space.total_modes - 1)
+        glue_steps = {round(t / dt) for _, _, t in rec.glue_events}
+        # a block rolled back to a restart whose new segment is redrawn mid-block
+        assert any(n % drawn for n in glue_steps & _retaken(calls))
+        want = per_step_series(integ, bump(space).coeffs, bump(space).coeffs, levels, n_steps,
+                               dt, np.arange(2), True)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+
+    def test_unglued_run_leaves_the_plateau_inside_a_block(self, monkeypatch):
+        # the first block, of MAX_PLATEAU_STEPS states, leaves it at state 10
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, SP, NZ)
+        n_steps, dt, left = 60, 1e-3, 10
+        free = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=n_steps * dt,
+                                 dt=dt, path_ids=[0], check_gate=False)
+        kappa = (free.series["h"][0, left - 1] + free.series["h"][0, left]) / 2
+        calls = _counted_steps(monkeypatch)
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), kappa, T=n_steps * dt,
+                                dt=dt, path_ids=[0], check_gate=False)
+        assert left in _retaken(calls) and np.any(rec.series["phi"] < 1.0)
+        want = per_step_series(integ, bump(SP).coeffs, bump(SP).coeffs, [kappa], n_steps, dt,
+                               np.arange(1), False)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+
+    def test_glue_at_exactly_its_level_inside_a_block(self):
+        # a level equal to the path norm at step 37: the path reaches it there
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, SP, NZ)
+        n_steps, dt, at = 60, 1e-3, 37
+        assert at % MAX_PLATEAU_STEPS not in (0, MAX_PLATEAU_STEPS - 1)
+        free = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=n_steps * dt,
+                                 dt=dt, path_ids=[0], check_gate=False)
+        levels = [free.series["h"][0, at], 1e9]
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), levels, T=n_steps * dt,
+                             dt=dt, path_ids=[0])
+        assert rec.glue_events == ((0, levels[0], at * dt),)
+        want = per_step_series(integ, bump(SP).coeffs, bump(SP).coeffs, levels, n_steps, dt,
+                               np.arange(1), True)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+
+    def test_rollback_before_the_next_drawn_noise_block(self, monkeypatch):
+        # 16 paths draw 34 steps of noise a block.  Draws 50x the size at step
+        # 32 make h jump at state 33, past a level the block from state 32 was
+        # not expected to reach: it has drawn the next noise block at step 34
+        # when it is rolled back to state 33, whose step reads the block before
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, SP, NZ)
+        n_steps, dt, paths = 60, 1e-3, 16
+        assert draw_steps(paths, SP.total_modes - 1) == 34 and MAX_PLATEAU_STEPS == 32
+        draw = WienerSource.increment_block
+
+        def jump(source, step0, count, dt_, segment):
+            dw = draw(source, step0, count, dt_, segment)
+            if step0 <= 32 < step0 + count:
+                dw[:, :, 32 - step0] *= 50.0
+            return dw
+
+        monkeypatch.setattr(WienerSource, "increment_block", jump)
+        free = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=n_steps * dt,
+                                 dt=dt, path_ids=range(paths), check_gate=False)
+        kappa = (free.series["h"][:, 32].max() + free.series["h"][:, 33].max()) / 2
+        calls = _counted_steps(monkeypatch)
+        rec = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), kappa, T=n_steps * dt,
+                                dt=dt, path_ids=range(paths), check_gate=False)
+        assert 34 in calls[:calls.index(33, 34)] and 33 in _retaken(calls)
+        want = per_step_series(integ, bump(SP).coeffs, bump(SP).coeffs, [kappa], n_steps, dt,
+                               np.arange(paths), False)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+
+    def _poison(self, monkeypatch, steps, segment=None):
+        """NaN draws at the given steps, in segment ``segment`` or in every one."""
+        draw = WienerSource.increment_block
+
+        def poisoned(source, step0, count, dt_, seg):
+            dw = draw(source, step0, count, dt_, seg)
+            rows = np.ones(dw.shape[1], bool) if segment is None else seg == segment
+            for n in steps:
+                if step0 <= n < step0 + count:
+                    dw[:, rows, n - step0] = np.nan
+            return dw
+
+        monkeypatch.setattr(WienerSource, "increment_block", poisoned)
+
+    def test_nonfinite_inside_a_block_names_the_per_step_step(self, monkeypatch):
+        params, dt, bad = ModelParams(), 1e-3, 20  # step 20 is inside the block of states 17..32
+        integ = MildIntegrator(params, SP, NZ)
+        self._poison(monkeypatch, [bad])
+        calls = _counted_steps(monkeypatch)
+        with pytest.raises(NonFinite) as err:
+            simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=0.05, dt=dt,
+                              path_ids=[0], check_gate=False)
+        assert calls.count(bad) == 2  # ended its block, then raised when taken again
+        with pytest.raises(NonFinite) as oracle:
+            per_step_series(integ, bump(SP).coeffs, bump(SP).coeffs, [1e9], 50, dt,
+                            np.arange(1), False)
+        assert (err.value.step, err.value.time) == (oracle.value.step, oracle.value.time)
+        assert (err.value.step, err.value.time) == (bad + 1, (bad + 1) * dt)
+
+    def test_nonfinite_after_a_restart_inside_a_block_is_rolled_back(self, monkeypatch):
+        # the path reaches its first level at state 10, inside the first block
+        params = ModelParams(**GLUE_PARAMS)
+        integ = MildIntegrator(params, SP, NZ)
+        n_steps, dt, glue = 60, 1e-3, 10
+        free = simulate_ensemble(params, SP, NZ, bump(SP), bump(SP), 1e9, T=n_steps * dt,
+                                 dt=dt, path_ids=[0], check_gate=False)
+        levels = [(free.series["h"][0, glue - 1] + free.series["h"][0, glue]) / 2, 1e9]
+        clean = simulate_glued(params, SP, NZ, bump(SP), bump(SP), levels, T=n_steps * dt,
+                               dt=dt, path_ids=[0])
+        assert clean.glue_events == ((0, levels[0], glue * dt),)
+        # the draws of the step after the restart, in the old segment only: the
+        # block takes it before it sees the restart, and drops it
+        self._poison(monkeypatch, [glue + 1], segment=0)
+        calls = _counted_steps(monkeypatch)
+        rec = simulate_glued(params, SP, NZ, bump(SP), bump(SP), levels, T=n_steps * dt,
+                             dt=dt, path_ids=[0])
+        assert glue + 1 in calls[:calls.index(glue, glue + 1)] and glue in _retaken(calls)
+        assert rec.glue_events == clean.glue_events
+        want = per_step_series(integ, bump(SP).coeffs, bump(SP).coeffs, levels, n_steps, dt,
+                               np.arange(1), True)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(rec.series[col], want[col]), col
+            assert np.array_equal(rec.series[col], clean.series[col]), col
+
+
+class TestPathNormKernel:
+    """One kernel keeps the running path norm: extended over any split of a
+    series, with blocks rolled back and rows restarted, it has the bits of
+    the whole-series call on each row's states since its last restart."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data(), paths=st.integers(1, 3), n=st.integers(1, 40),
+           per_step_dt=st.booleans())
+    def test_block_splits_match_the_whole_series(self, data, paths, n, per_step_dt):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = rng.normal(size=(paths, n + 1, SP.total_modes)) * rng.uniform(0.1, 10.0)
+        dt = rng.uniform(1e-4, 1e-2, n) if per_step_dt else 2e-3
+        steps_dt = (lambda a, b: dt[a:b]) if per_step_dt else (lambda a, b: dt)
+        cuts = sorted(data.draw(st.sets(st.integers(2, n + 1), max_size=6), label="cuts") | {n + 1})
+        params = ModelParams()
+        norm = _PathNorm(MildIntegrator(params, SP, NZ).norm_terms, v[:, 0])
+        got, restarts = [norm.h[:, None]], [[0] for _ in range(paths)]
+        for a, b in zip([1] + cuts, cuts):  # states a..b-1, and some after them rolled back
+            more = data.draw(st.integers(0, n + 1 - b), label="rolled back")
+            h = norm.extend(v[:, a:b + more], steps_dt(a - 1, b - 1 + more))
+            norm.keep(b - a)
+            got.append(h[:, :b - a])
+            rows = np.array(data.draw(st.lists(st.booleans(), min_size=paths, max_size=paths),
+                                      label="restarted"))
+            norm.restart(rows, v[:, b - 1])  # h at b - 1 was taken before the restart
+            for i in np.flatnonzero(rows):
+                restarts[i].append(b - 1)
+        got = np.concatenate(got, axis=1)
+        for i in range(paths):
+            want = [path_norm_series(SP, v[i, :1], params.rho, params.aleph, dt)]
+            for r, e in zip(restarts[i], restarts[i][1:] + [n]):
+                want.append(path_norm_series(SP, v[i, r:e + 1], params.rho, params.aleph,
+                                             steps_dt(r, e))[1:])
+            assert np.array_equal(got[i], np.concatenate(want)), (i, restarts[i])

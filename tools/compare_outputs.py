@@ -44,7 +44,11 @@ directory.  The set covers:
 - ``simulate`` at ``u0.value=1e-6`` with 4 paths, the one run whose norm
   series print in exponent notation: the u norms at t=0 are about 1e-6,
   below 1e-4, where the norm-series writer leaves its exact kernel for
-  ``'%.17g' % v``.
+  ``'%.17g' % v``;
+- ``simulate`` with 2 paths at the ``pathwise-d1`` config and
+  ``kappa=1.2``: the unglued cutoff loop leaves the plateau inside a
+  plateau block (at t~0.03), rolls the block back and steps the rest of
+  the run one step at a time on the cutoff's transition band.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -116,6 +120,8 @@ RUNS = [
     ("fixed-point-noiseless", ["fixed-point", "--paths", "4"] + NOISELESS),
     ("fixed-point-uncoupled", ["fixed-point", "--paths", "4"] + UNCOUPLED),
     ("simulate-tiny-u0", ["simulate", "--paths", "4", "--override", "u0.value=1e-6"]),
+    ("simulate-pathwise-band", ["simulate", "--paths", "2", "--override", "kappa=1.2"]
+     + PATHWISE),
 ]
 
 

@@ -28,30 +28,38 @@ Per case it times:
   one call on a ``B``-step block, divided by ``B``;
 - ``synthesize`` and ``analyze``: one transform of a state on the
   integrator's product grid;
-- ``phi_of``, ``step_raw`` and ``path_norm``: one call each, as the
-  cutoff loop makes them.  ``step_raw`` is the one step map that every
-  driver calls, called as the cutoff loop calls it: on the first step's
-  slice of that ``B``-step colored block, the state's grid values and
-  the drift of the cutoff reaction built from the loop's ``phi``, whose
-  composition (``MildIntegrator._drift``) is timed inside it.
-  ``phi_of`` is the loop's cutoff ``phi`` (``_Cutoff.phi``, once per
-  step; the column keeps the name of the integrator method it was).
-  ``path_norm`` is the loop's update of its running path norm after the
-  step (``_Cutoff.advance``), which the step map made itself before the
-  norm moved to the loop, so ``step_raw`` + ``path_norm`` compares with
-  an earlier ``step_raw``;
+- ``step_raw``: one call of the one step map that every driver calls,
+  called as the cutoff loop calls it: on the first step's slice of that
+  ``B``-step colored block, the state's grid values and the drift of the
+  cutoff reaction built from the loop's ``phi``, whose composition
+  (``MildIntegrator._drift``) is timed inside it;
+- ``cutoff_block`` and ``cutoff_step``: the cutoff's own bookkeeping per
+  step, as the cutoff loop pays it.  ``cutoff_block`` is one plateau
+  block of ``P`` steps, far from a level (``P`` is ``plateau_steps``,
+  the smaller of ``integrate.draw_steps`` of the batch and
+  ``MAX_PLATEAU_STEPS``): its
+  states stacked, the path norm extended over them
+  (``_Cutoff.extend``), their plateau check (``_Cutoff.clean``) and the
+  settled state's ``phi`` and plateau check, divided by ``P``.
+  ``cutoff_step`` is the per-step form, which a batch with a path off
+  the plateau takes: the norm extended over one state and ``phi``.  On
+  a checkout without plateau blocks both are its per-step update of the
+  path norm (``_Cutoff.advance``) and ``phi``, and ``plateau_steps`` is 1;
 - ``record_norms``: the state-only norm columns (all but ``h`` and
   ``phi``, which the loop writes at every step), made as the time loop
   makes them: one ``MildIntegrator.record_norms`` call on a block of
   ``R`` steps, divided by ``R``, where ``R`` is
   ``integrate.record_steps`` of the batch;
 - ``record_norms_files``: the same block call filling only the state-only
-  columns that ``simulate`` and ``glue`` write;
-- ``write_norm_series``: writing the norm series CSVs of the ``total``
-  run's record (``STEPS`` steps, one file per path) into a temporary
-  directory, as ``simulate`` writes them (``cli.write_norm_series``: one
-  call for the batch, or one per path in a checkout whose writer takes a
-  path row), divided by the paths and ``STEPS``.
+  columns that ``simulate`` and ``glue`` write.
+
+The norm series writer has its own figure, ``write_norm_series``: the
+CSVs of a ``WRITER_PATHS``-path, ``WRITER_STEPS``-step record of the
+``d1-N32`` space (the shape ``ensemble-d1`` writes), written as
+``simulate`` writes them (``cli.write_norm_series``: one call for the
+batch, or one per path in a checkout whose writer takes a path row), per
+path-step.  Each file goes to an in-memory buffer: the creation of short
+files dominated the figure, and is not timed.
 
 The fixed-point loop has its own table, ``forced``: ``apply_V`` per
 path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
@@ -80,12 +88,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import os
 import platform
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -100,6 +108,7 @@ CASES = {
     "d1-N4-P1": (1, 4, 8, 1),
 }
 FORCED_STEPS = 350  # the steps of one fixed-point sweep in the pathwise-d1 benchmark
+WRITER_PATHS, WRITER_STEPS = 200, 200  # the record ensemble-d1's simulate writes
 FORCED_CASES = {
     "d1-N32-P1": (1, 32, 64, 1),
     "d2-N8-P4": (2, 8, 16, 4),
@@ -149,8 +158,6 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
                                  check_gate=False)
 
     per_path["total"] = _loop_time(total) / STEPS
-    with tempfile.TemporaryDirectory() as out:
-        per_path["write_norm_series"] = _loop_time(_norm_writer(out, total())) / STEPS
 
     integ = MildIntegrator(params, space, noise)
     source = WienerSource(noise, space, ids)
@@ -162,12 +169,27 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         drift = _Operand(integ._drift(state, uv, integ.reaction(uv, phi)), False)
         return integ.step_raw(state, colored, dt, drift, uv)
 
+    blocks = hasattr(cutoff, "extend")  # a checkout with plateau blocks
+    advance = ((lambda uvs: cutoff.extend(integrate._step_stack(uvs)[:, 1].swapaxes(0, 1), dt))
+               if blocks else (lambda uvs: cutoff.advance(uvs[0][1], dt)))
     for k in range(STEPS):  # a state away from the constant initial data
         uv = integ.synth(state.uv)
         colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
         state = loop_step(state, colored, uv, cutoff.phi(state.fallback))
-        cutoff.advance(state.v, dt)
+        advance([state.uv])
     phi = cutoff.phi(state.fallback)
+    plateau = min(integrate.draw_steps(paths, source.k_noise),
+                  integrate.MAX_PLATEAU_STEPS) if blocks else 1
+    settled, block_uvs = cutoff.h[:, None], [state.uv] * plateau
+
+    def cutoff_block():
+        """The cutoff's books of one plateau block, as the loop keeps them."""
+        h = advance(block_uvs)
+        if plateau > 1:
+            cutoff.clean(h[:, :-1], state.fallback)
+            cutoff.clean(settled, state.fallback)
+        cutoff.phi(state.fallback)
+
     uv = integ.synth(state.uv)
     block = integrate.draw_steps(paths, source.k_noise)
     dw = source.increment_block(STEPS, block, dt, 0)
@@ -187,9 +209,10 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         "colored_noise": lambda: integ.colored_noise(dw),
         "synthesize": lambda: integ.synth(state.u),
         "analyze": lambda: integ.analyze(uv[0]),
-        "phi_of": lambda: cutoff.phi(state.fallback),
         "step_raw": lambda: loop_step(state, colored, uv, phi),
-        "path_norm": lambda: cutoff.advance(state.v, dt),  # grows intg, at the same cost
+        # each grows intg, at the same cost
+        "cutoff_block": cutoff_block,
+        "cutoff_step": lambda: (advance([state.uv]), cutoff.phi(state.fallback)),
         "record_norms": lambda: record(series),
         "record_norms_files": lambda: record(files),
     }
@@ -197,23 +220,44 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         per_path[name] = _loop_time(fn)
     per_path["increment_block"] /= block
     per_path["colored_noise"] /= block
+    per_path["cutoff_block"] /= plateau
     per_path["record_norms"] /= recorded
     per_path["record_norms_files"] /= recorded
     result = {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
     result["draw_steps"] = block
+    result["plateau_steps"] = plateau
     result["record_steps"] = recorded
     return result
 
 
-def _norm_writer(out: str, record):
-    """A call writing the record's norm series CSVs into ``out``, one
-    file per path, through the checkout's ``write_norm_series``."""
-    from grayscott.cli import write_norm_series
+def time_writer() -> dict:
+    """write_norm_series per path-step on a WRITER_PATHS x WRITER_STEPS
+    record, each file written to memory."""
+    import numpy as np
 
-    names = [os.path.join(out, f"path_{pid:05d}.csv") for pid in record.path_ids.tolist()]
-    if "row" in inspect.signature(write_norm_series).parameters:  # a writer per path row
-        return lambda: [write_norm_series(name, record, i) for i, name in enumerate(names)]
-    return lambda: write_norm_series(names, record)
+    from grayscott import cli
+    from grayscott.integrate import ModelParams, simulate_ensemble
+    from grayscott.noise import NoiseConfig
+    from grayscott.spectral import SpaceConfig, constant_field
+
+    space = SpaceConfig(d=1, modes_per_axis=32, grid_points_per_axis=64)
+    u0 = constant_field(1.0, space)
+    record = simulate_ensemble(ModelParams(), space, NoiseConfig(seed=0), u0, u0, 1e6,
+                               WRITER_STEPS * 1e-3, 1e-3, np.arange(WRITER_PATHS),
+                               check_gate=False, columns=cli.FILE_SERIES)
+    names = [f"path_{pid:05d}.csv" for pid in record.path_ids.tolist()]
+    writer = cli.write_norm_series
+    if "row" in inspect.signature(writer).parameters:  # a writer per path row
+        call = lambda: [writer(name, record, i) for i, name in enumerate(names)]  # noqa: E731
+    else:
+        call = lambda: writer(names, record)  # noqa: E731
+    cli.open = lambda path, mode: io.BytesIO()  # shadows the builtin in cli's functions
+    try:
+        sec = _loop_time(call)
+    finally:
+        del cli.open
+    return {"write_norm_series": round(1e6 * sec / (WRITER_PATHS * WRITER_STEPS), 3),
+            "paths": WRITER_PATHS, "steps": WRITER_STEPS}
 
 
 def time_forced(d: int, n: int, m: int, paths: int) -> dict:
@@ -283,6 +327,7 @@ def main(argv=None) -> int:
         "environment": environment(),
         "cases": {name: time_case(*case) for name, case in CASES.items()},
         "forced": {name: time_forced(*case) for name, case in FORCED_CASES.items()},
+        "writer": time_writer(),
         "study": {name: time_study(name) for name in ("deterministic", "strong")},
     }
     print(json.dumps(result, indent=2))
