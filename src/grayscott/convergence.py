@@ -10,9 +10,9 @@ integrator's ``STACK_BUDGET``: the coarse levels at a few paths, not the
 reference.  With the noise off the same loop measures the deterministic
 global error; it then draws no noise at all, since the integrator
 computes no term whose coefficient is zero.  Every level steps the uncut
-system by the integrator's one step map, ``step_raw``, as the study
-reads only the states at T: it keeps no path norm, and a path is no
-longer cut once its h would pass 1e12.
+system by the integrator's one step map, ``step_raw``, on the state drift
+of the uncut reaction, as the study reads only the states at T: it keeps
+no path norm, and a path is no longer cut once its h would pass 1e12.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     elif len(set(dts)) < len(dts):
         v.append(f"dts must be distinct, got {dts}")
     for name, value in (("ref_refinement", ref_refinement), ("n_paths", n_paths)):
-        if not (isinstance(value, numbers.Integral) and value >= 1):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= 1):
             v.append(f"{name} must be an integer >= 1, got {value!r}")
     if v:
         raise ValidationError(v)
@@ -84,8 +85,11 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
             dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
             colored = None if dw is None else integ.colored_noise(dw)
             for n in range(block // stride):
-                colored_n = None if colored is None else colored[n]
-                states[i] = integ.step_raw(states[i], colored_n, dt, None, None)
+                state = states[i]
+                vals = integ.synth(state.uv) if integ.coupled else None
+                react = None if vals is None else vals[0] * integ.v_power(vals[1])
+                states[i] = integ.step_raw(state, None if colored is None else colored[n], dt,
+                                           integ.drift(state, react), vals)
 
     ref_state, *level_states = states
     errors = [

@@ -12,8 +12,6 @@ class ValidationError(GrayScottError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
@@ -28,7 +26,7 @@ class ParseError(GrayScottError):
 class NonFinite(GrayScottError):
     """A field coefficient became NaN or Inf during time stepping."""
 
-    def __init__(self, message, step=None, time=None):
+    def __init__(self, message, step, time):
         super().__init__(message)
         self.step = step
         self.time = time
@@ -37,6 +35,6 @@ class NonFinite(GrayScottError):
 class NoConvergence(GrayScottError):
     """Picard iteration did not reach the requested tolerance."""
 
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals):
         super().__init__(message)
-        self.residuals = list(residuals) if residuals is not None else []
+        self.residuals = list(residuals)

@@ -93,10 +93,11 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
     Row i of the control is driven by the frozen noise of path_ids[i].
     The reaction phi * eta * max(xi, 0)^q is exogenous, with the cutoff phi
     evaluated once on xi's running path norm.  Per drawn noise block the
-    sweep composes the drift of those rows (``forced_drift``), so no
-    whole-run grid array is built, and steps by ``step_raw``.  Only the
-    noise factor and the Stratonovich correction depend on the evolving
-    state, and the sweep keeps no path norm of it.
+    sweep composes the drift of those rows (``forced_drift``; uncoupled,
+    the feeds' state drift), so no whole-run grid array is built, and
+    steps by ``step_raw``.  Only the noise factor and the Stratonovich
+    correction depend on the evolving state, and the sweep keeps no path
+    norm of it.
     """
     path_ids = path_id_array(path_ids)
     v = [] if kappa > 0 else [f"cutoff level kappa must be > 0, got {kappa}"]  # also rejects NaN
@@ -124,7 +125,8 @@ def apply_V(control: ControlPair, integ: MildIntegrator, u0: SpectralField,
         for j in range(rows.stop - start):
             out[:, :, start + j] = state.uv
             state = integ.step_raw(state, None if noise is None else noise[j], dt,
-                                   None if drift is None else drift[j], None)
+                                   integ.drift(state, None) if drift is None else drift[j],
+                                   None)
     out[:, :, n_steps] = state.uv
     return ControlPair(out[0], out[1], dt, integ.space)
 

@@ -4,29 +4,32 @@ detection and glueing of local solutions.
 
 The scheme treats the stiff linear parts exactly (per-mode semigroup
 factors) and the reaction/noise parts explicitly.  Every driver steps
-with the same map, ``MildIntegrator.step_raw``, on the state's own
-reaction or a drift the caller composed, in its own loop: ensembles and
-glueing in the cutoff loop, ``run_batch``, the one that keeps the cutoff
-(``_Cutoff``) and records norms; the fixed-point sweep
-(``fixedpoint.apply_V``, on ``forced_drift``); the convergence study, in
-lockstep on block sums of one fine draw.  Internals are vectorized over
-a batch of paths, both species in one (2, P, K) array, so a small
-batch's step makes one transform call per operand (``STACK_BUDGET``).
-The loops draw several steps of noise per call (``DRAW_BUDGET``), in
-each path's glue segment, and color each block once
-(``colored_noise``); each draw is a pure function of its address, so
-the increments are the one-step draws bit for bit.  None of this moves
-a bit: the compositions are elementwise, and a stacked transform runs
-the same BLAS call for each (P, .) matrix.  The state's transforms are
-not batched over steps: at one path a d=1 step is a GEMV and a block of
-steps a GEMM, and the two round differently.  A simulation returns one
-``BatchRecord``, whose row i of each per-path array is path path_ids[i].
+with the same map, ``MildIntegrator.step_raw``, in its own loop, on a
+drift it composes in the form the interpretation sets (Ito: coefficients;
+Stratonovich: grid values, to which the step adds the Ito correction):
+ensembles and glueing in the cutoff loop, ``run_batch``, the one that
+keeps the cutoff (``_Cutoff``) and records norms, on the state drift
+(``drift``) of the cutoff reaction; the fixed-point sweep
+(``fixedpoint.apply_V``) on ``forced_drift``; the convergence study, in
+lockstep on block sums of one fine draw, on the uncut one.  Internals
+are vectorized over a batch of paths, both species in one (2, P, K)
+array, so a small batch's step makes one transform call per operand
+(``STACK_BUDGET``).  The loops draw several steps of noise per call
+(``DRAW_BUDGET``), in each path's glue segment, and color each block
+once (``colored_noise``); each draw is a pure function of its address,
+so the increments are the one-step draws bit for bit.  None of this
+moves a bit: the compositions are elementwise, and a stacked transform
+runs the same BLAS call for each (P, .) matrix.  The state's transforms
+are not batched over steps: at one path a d=1 step is a GEMV and a block
+of steps a GEMM, and the two round differently.  A simulation returns
+one ``BatchRecord``, whose row i of each per-path array is path
+path_ids[i].
 
 The cutoff loop settles each state: its h and phi, a glue if it reached
 a level, and the state-only columns, recorded in one ``record_norms``
 call per ``record_steps`` states (within RECORD_BUDGET grid values; one
 state is a view, not a copy).  While every path outside the fallback is
-on the plateau h <= kappa, where phi is exactly 1, it steps a block of
+on the plateau h < kappa, where phi is exactly 1, it steps a block of
 states at that phi and extends the path norm (``_PathNorm``) over them
 at once, rolled back to its first state off the plateau.  Stacked calls
 reduce rows and transform matrices as one-step calls do, and 1.0 * x is
@@ -268,9 +271,8 @@ class _Cutoff(_PathNorm):
 
     def clean(self, h: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         """Per state of path norms h (P, count): whether every path outside the
-        fallback is on the plateau h <= kappa (phi is 1) and, if glued, below it."""
-        kappa = self.kappa[:, None]  # h <= kappa is h / kappa <= 1: division rounds correctly
-        return ((h < kappa if self.glued else h <= kappa) | fallback[:, None]).all(axis=0)
+        fallback is on the plateau h < kappa, where phi is 1."""
+        return ((h < self.kappa[:, None]) | fallback[:, None]).all(axis=0)
 
     def glue(self, state: _BatchState, series: dict[str, np.ndarray], n: int,
              t: float) -> _BatchState:
@@ -293,7 +295,7 @@ class _Cutoff(_PathNorm):
 
 
 class _Operand:
-    """A step operand stacked over both species, in the form on_grid
+    """Colored noise stacked over both species, in the form on_grid
     names: grid values (on_grid) or coefficients.  A block holds
     (count, 2, P) + form, step-major; its [n] is step n's (2, P) + form."""
 
@@ -330,7 +332,7 @@ class MildIntegrator:
         # colored_noise's coefficient rows, grown to the largest block seen; only
         # columns 1..k_noise are ever written, so the others stay zero
         self._colored = np.zeros((0, space.total_modes))
-        self._feed_drift: tuple = (None, None)  # (fallback pattern, drift), see _drift
+        self._feed_drift: tuple = (None, None)  # (fallback pattern, drift), see drift
         self._sigma = np.array([params.sigma1, params.sigma2])[:, None, None]  # (2, 1, 1)
         self.w_rho = sobolev_weights(space, params.rho)
         self.w_rho_aleph = sobolev_weights(space, params.rho + params.aleph / 2.0)
@@ -440,32 +442,23 @@ class MildIntegrator:
         np.subtract(p.b1, p.c1 * react, out=out[0])
         np.add(p.b2, p.c2 * react, out=out[1])
 
-    def forced_drift(self, phi: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> _Operand:
+    def forced_drift(self, phi: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The drift b1 - c1 * R, b2 + c2 * R of the frozen reaction
         R = phi * eta * max(xi, 0)^q of control rows eta, xi (P, count, K) and
         cutoffs phi (P, count) + (1,) * d, step-major (count, 2, P): composed
-        once, each step's slice contiguous.  Under Ito these are its
-        coefficients, analyzed in one call; under Stratonovich, whose
-        correction reads the state, its grid values before the correction."""
+        once, each step's slice contiguous, in the form step_raw takes: under
+        Ito its coefficients, analyzed in one call; under Stratonovich its
+        grid values, to which step_raw adds the correction."""
         react = (phi * (self.synth(eta) * self.v_power(self.synth(xi)))).swapaxes(0, 1)
         drift = np.empty((react.shape[0], 2) + react.shape[1:])
         self._feed_minus_reaction(react, drift.swapaxes(0, 1))
-        if self.ito_profile is None:
-            return _Operand(self.analyze(drift), False)
-        return _Operand(drift, True)
+        return drift if self.ito_profile is not None else self.analyze(drift)
 
-    def _analyze_drift(self, drift: np.ndarray, uv_vals: np.ndarray) -> np.ndarray:
-        """Coefficients of the Ito drift from its grid values before the
-        Ito correction, which reads the state's grid values uv_vals."""
-        return self._per_species(self.analyze, self.to_ito(drift, uv_vals))
-
-    def _drift(self, state: _BatchState, uv_vals: np.ndarray | None,
-               react: np.ndarray | None) -> np.ndarray:
-        """Coefficients of the Ito drift of both species for the reaction's
-        grid values react; fallback paths have no reaction and no feed, and
-        an uncoupled integrator has the feeds alone (react is then unused;
-        under Ito, so is uv_vals, and they are kept per fallback pattern).
-        Its grid values are freed before g_dw runs."""
+    def drift(self, state: _BatchState, react: np.ndarray | None) -> np.ndarray:
+        """The state's drift, in step_raw's form, for the reaction's grid
+        values react; fallback paths have no reaction and no feed, and an
+        uncoupled integrator has the feeds alone (react is then unused, and
+        may be None; under Ito they are kept per fallback pattern)."""
         key = None if self.coupled or self.ito_profile is not None else state.fallback.tobytes()
         if key is not None and self._feed_drift[0] == key:
             return self._feed_drift[1]
@@ -477,7 +470,9 @@ class MildIntegrator:
             drift[1] = self.params.b2
         if state.fell:
             drift[:, state.fallback] = 0.0
-        drift = self._analyze_drift(drift, uv_vals)
+        if self.ito_profile is not None:
+            return drift
+        drift = self._per_species(self.analyze, drift)
         if key is not None:
             drift.flags.writeable = False
             self._feed_drift = (key, drift)
@@ -493,36 +488,29 @@ class MildIntegrator:
         return np.stack([fn(*(a[j] for a in stacked)) for j in (0, 1)])
 
     def step_raw(self, state: _BatchState, noise: _Operand | None, dt: float,
-                 drift: _Operand | None, uv_vals: np.ndarray | None) -> _BatchState:
+                 drift: np.ndarray, uv_vals: np.ndarray | None) -> _BatchState:
         """Advance the coefficients one step: the step map of every driver.
         noise is the step's colored noise (step n of a colored_noise block
-        is its [n]); drift the step's drift, as grid values before the Ito
-        correction or as the Ito drift's coefficients (the cutoff loop's
-        ``_drift``, a ``forced_drift`` block's [n]), or None for the drift
-        of the state's own uncut reaction; uv_vals the state's grid values
-        (2, P) + grid, or None to synthesize them only if read.  Fallback
-        paths take the linear continuation's semigroup.  Raises NonFinite.
+        is its [n]); drift the step's drift as its driver composed it: under
+        Ito its coefficients, under Stratonovich its grid values, to which
+        the step adds the Ito correction (``to_ito``); uv_vals the state's
+        grid values (2, P) + grid, or None to synthesize them only if read.
+        Fallback paths take the linear continuation's semigroup.  Raises
+        NonFinite.
 
         A term with a zero coefficient is skipped, bit-equal (see the
         module docstring): unless ``noisy``, noise is not read (it may be
-        None) and g_dw does not run; unless ``coupled``, no reaction is
-        built.
+        None) and g_dw does not run.
         """
-        if uv_vals is None and (self.noisy or self.ito_profile is not None
-                                or (drift is None and self.coupled)):
+        if uv_vals is None and (self.noisy or self.ito_profile is not None):
             uv_vals = self.synth(state.uv)
-        if drift is None:  # the uncut reaction; it lives to the step's end, as run_batch's does
-            react = uv_vals[0] * self.v_power(uv_vals[1]) if self.coupled else None
-            coeffs = self._drift(state, uv_vals, react)
-        elif drift.on_grid:
-            coeffs = self._analyze_drift(drift.array, uv_vals)
-        else:
-            coeffs = drift.array
+        if self.ito_profile is not None:
+            drift = self._per_species(self.analyze, self.to_ito(drift, uv_vals))
         # e * ((uv + dt * du) + sigma * g), written op by op into a fresh C-ordered
         # array: d=2 analysis returns K-major coefficients, which mixed into one
         # expression make numpy iterate slowly, and the cutoff loop's H^rho sums
         # reduce in memory order, so a K-major state would round them differently
-        uv = np.multiply(coeffs, dt, out=np.empty(state.uv.shape))
+        uv = np.multiply(drift, dt, out=np.empty(state.uv.shape))
         uv += state.uv
         if self.noisy:
             g = self.g_dw(uv_vals, noise)
@@ -644,10 +632,10 @@ def schedule_violations(schedule) -> list[str]:
 
 def run_batch(integ: MildIntegrator, state: _BatchState, cutoff: _Cutoff, n_steps: int,
               dt: float, traj: np.ndarray | None, series: dict[str, np.ndarray]) -> _BatchState:
-    """The cutoff loop: step by ``step_raw`` on the cutoff reaction, in
-    plateau blocks where it can, and settle each state (h, phi, glue, the
-    state-only columns and ``traj`` (2, P, n_steps+1, K) if given); returns
-    the final state.  A block's first state off the plateau read phi only
+    """The cutoff loop: step by ``step_raw`` on the state drift of the
+    cutoff reaction, in plateau blocks where it can, and settle each state
+    (h, phi, glue, the state-only columns and ``traj`` (2, P, n_steps+1, K)
+    if given); returns the final state.  A block's first state off the plateau read phi only
     before it, so it is settled as a per-step loop settles it, and the
     steps after it are taken again.  A non-finite step ends its block, and
     raises when taken from a clean state."""
@@ -699,8 +687,7 @@ def run_batch(integ: MildIntegrator, state: _BatchState, cutoff: _Cutoff, n_step
             react = integ.reaction(uv_vals, phi) if integ.coupled else None
             try:
                 state = integ.step_raw(state, None if noise is None else noise[k - start], dt,
-                                       _Operand(integ._drift(state, uv_vals, react), False),
-                                       uv_vals)
+                                       integ.drift(state, react), uv_vals)
             except NonFinite:
                 if not uvs:
                     raise

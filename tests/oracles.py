@@ -16,15 +16,15 @@ cutoff_phi calls smooth_cutoff on them directly, where the time loop
 keeps a _Cutoff.
 forced_sweep is the fixed-point operator stepped by step_raw, with each
 step's feed-minus-reaction drift composed on the grid from that step's
-frozen reaction, where apply_V composes the drift once per block and
-analyzes it once per block under Ito.  cut_study_states is the
-convergence study stepped by cutoff_step on the cutoff system at level
-1e12, where strong_order_study steps the uncut system and keeps no path
-norm.  per_step_series records every norm column of each step from that
-step's state alone, h from its own path norm, glues along its own level
-bookkeeping, and draws noise one step at a time, where run_batch draws
-blocks of steps, records the state-only columns once per block of
-kept states, and steps plateau blocks at phi = 1 that it rolls back to
+frozen reaction and, under Ito, analyzed alone, where apply_V composes
+the drift once per block and analyzes it once per block under Ito.
+cut_study_states is the convergence study stepped by cutoff_step on the
+cutoff system at level 1e12, where strong_order_study steps the uncut
+system and keeps no path norm.  per_step_series records every norm
+column of each step from that step's state alone, h from its own path
+norm, glues along its own level bookkeeping, and draws noise one step at
+a time, where run_batch draws blocks of steps, records the state-only
+columns once per block of kept states, and steps plateau blocks at phi = 1 that it rolls back to
 their first state off the plateau.  start_norm and next_norm keep the
 path norm one step at a time, where the time loop and path_norm_series
 extend integrate._PathNorm over blocks of states.
@@ -40,7 +40,6 @@ from grayscott.integrate import (
     NORM_COLUMNS,
     MildIntegrator,
     _BatchState,
-    _Operand,
     draw_steps,
     path_norm_series,
     smooth_cutoff,
@@ -187,8 +186,7 @@ def cutoff_step(integ, state, kappa, norm, noise, dt):
     state and its path norm."""
     vals = integ.synth(state.uv)
     react = integ.reaction(vals, cutoff_phi(state, kappa, norm))
-    new = integ.step_raw(state, noise, dt, _Operand(integ._drift(state, vals, react), False),
-                         vals)
+    new = integ.step_raw(state, noise, dt, integ.drift(state, react), vals)
     return new, next_norm(integ, norm, new.v, dt)
 
 
@@ -223,7 +221,8 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
     """apply_V's trajectory (2, P, n_steps+1, K) by step_raw: the reaction
     phi * eta * max(xi, 0)^q of each drawn noise block, composed as
     apply_V's sweep composes it, and each step's drift b1 - c1 * R, b2 + c2 * R
-    composed on the grid and passed to step_raw one step at a time."""
+    composed on the grid (and analyzed under Ito) and passed to step_raw one
+    step at a time."""
     p, d = integ.params, integ.space.d
     dt, n_steps = control.dt, control.eta.shape[1] - 1
     phi = smooth_cutoff(path_norm_series(integ.space, control.xi, p.rho, p.aleph, dt) / kappa)
@@ -243,8 +242,9 @@ def forced_sweep(control, integ, u0, v0, kappa, path_ids):
             drift = np.empty((2,) + react[:, j].shape)
             np.subtract(p.b1, p.c1 * react[:, j], out=drift[0])
             np.add(p.b2, p.c2 * react[:, j], out=drift[1])
-            state = integ.step_raw(state, noise[j], dt, _Operand(drift, True),
-                                   integ.synth(state.uv))
+            if integ.ito_profile is None:  # Ito: the step takes the drift's coefficients
+                drift = integ._per_species(integ.analyze, drift)
+            state = integ.step_raw(state, noise[j], dt, drift, integ.synth(state.uv))
             out[:, :, start + j + 1] = state.uv
     return out
 
@@ -318,6 +318,6 @@ def per_step_series(integ, u0, v0, levels, n_steps, dt, path_ids, glue):
         if n == n_steps:
             return out
         noise = integ.colored_noise(source.increment_block(n, 1, dt, state.segment))[0]
-        drift = _Operand(integ._drift(state, vals, integ.reaction(vals, phi)), False)
-        state = integ.step_raw(state, noise, dt, drift, vals)
+        state = integ.step_raw(state, noise, dt, integ.drift(state, integ.reaction(vals, phi)),
+                               vals)
         norm = next_norm(integ, norm, state.v, dt)

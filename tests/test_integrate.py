@@ -342,6 +342,8 @@ class TestDeterministicOrder:
         ({"n_paths": -1}, "n_paths must be an integer >= 1, got -1"),
         ({"ref_refinement": 0}, "ref_refinement must be an integer >= 1, got 0"),
         ({"ref_refinement": 2.5}, "ref_refinement must be an integer >= 1, got 2.5"),
+        ({"n_paths": True}, "n_paths must be an integer >= 1, got True"),
+        ({"ref_refinement": True}, "ref_refinement must be an integer >= 1, got True"),
     ])
     def test_bad_study_arguments_rejected(self, kwargs, needle):
         from grayscott.convergence import strong_order_study
@@ -398,6 +400,62 @@ class TestEnsembleAndNonNegativity:
                                 0.2, 1e-3, np.arange(10), store_trajectory=True)
         tol = 10 * 1e-3
         assert get_basis(SP).synthesize(rec.trajectory).min() >= -tol
+
+
+class TestSubBatchReplay:
+    """Any sub-batch of any small valid run replays its paths: every
+    series column, glue event, stopping step and final state, bit-equal in
+    d=2 and within 1e-14 relative in d=1, where the transforms round
+    differently with the batch shape."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2]),
+           interpretation=st.sampled_from(["ito", "stratonovich"]),
+           a2=st.floats(0.0, 0.6), b2=st.floats(0.5, 1.5), sigma2=st.floats(0.0, 0.3),
+           c=st.one_of(st.just(0.0), st.floats(0.05, 0.5)), seed=st.integers(0, 2**16),
+           n_steps=st.integers(1, 40), levels=st.lists(st.floats(1.001, 1.5), min_size=1,
+                                                         max_size=3),
+           glued=st.booleans())
+    def test_sub_batch_replays_the_batch(self, data, d, interpretation, a2, b2, sigma2, c,
+                                         seed, n_steps, levels, glued):
+        space = (SpaceConfig(d=1, modes_per_axis=data.draw(st.sampled_from([4, 8]), label="N"))
+                 if d == 1 else SpaceConfig(d=2, modes_per_axis=4, grid_points_per_axis=8))
+        params = ModelParams(a2=a2, b2=b2, sigma2=sigma2, c1=c, c2=c)
+        noise = NoiseConfig(gamma1=1.0, gamma2=0.75, seed=seed, interpretation=interpretation)
+        u0, v0 = bump(space), bump(space)
+        ids = data.draw(st.lists(st.integers(0, 2**20), min_size=2, max_size=6, unique=True),
+                        label="path ids")
+        sub = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True), label="sub")
+        # levels above h(0), as multiples of it: each a factor over the one before
+        h0 = path_norm_series(space, v0.coeffs[None], params.rho, params.aleph, 1.0)[0]
+        schedule = (h0 * np.cumprod(levels)).tolist()
+        dt = 2e-3
+
+        def run(path_ids):
+            if glued:
+                return simulate_glued(params, space, noise, u0, v0, schedule, n_steps * dt,
+                                      dt, path_ids)
+            return simulate_ensemble(params, space, noise, u0, v0, schedule[0], n_steps * dt,
+                                     dt, path_ids, check_gate=False)
+
+        batch, rec = run(ids), run(sub)
+        rows = [ids.index(pid) for pid in sub]
+        assert rec.path_ids.tolist() == sub
+        assert rec.stop_step.tolist() == batch.stop_step[rows].tolist()
+        assert [events_of(rec, i) for i in range(len(sub))] == [events_of(batch, r)
+                                                                for r in rows]
+        final = batch.final[:, rows]
+        if d == 2:
+            assert np.array_equal(rec.final, final)
+        else:  # relative to each state's size: a coefficient may be at roundoff, 1e-20
+            scale = np.abs(final).max(axis=-1, keepdims=True)
+            assert (np.abs(rec.final - final) <= 1e-14 * scale).all()
+        for col in NORM_COLUMNS:
+            got, want = rec.series[col], batch.series[col][rows]
+            if d == 2:
+                assert np.array_equal(got, want), col
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=col)
 
 
 class TestGlueing:
@@ -785,7 +843,7 @@ class TestZeroCoefficients:
         monkeypatch.setattr(MildIntegrator, "reaction", _refuse)
         monkeypatch.setattr(_Cutoff, "phi", _refuse)
         noise = integ.colored_noise(WienerSource(NZ, SP, [0, 1]).increment_block(0, 1, 1e-3, 0))
-        assert np.isfinite(integ.step_raw(state, noise[0], 1e-3, None,
+        assert np.isfinite(integ.step_raw(state, noise[0], 1e-3, integ.drift(state, None),
                                           integ.synth(state.uv)).uv).all()
 
     @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
@@ -903,13 +961,19 @@ class TestUncutStep:
             WienerSource(noise, space, [0, 1, 2]).increment_block(0, n_steps, dt, 0))
         start = integ.initial_state(bump(space, 0.5, 0.1).coeffs,
                                     bump(space, 0.5, 0.3).coeffs, 3)
+
+        def uncut_step(state, noise):  # as the study steps: the uncut reaction's drift
+            vals = integ.synth(state.uv)
+            react = vals[0] * integ.v_power(vals[1])
+            return integ.step_raw(state, noise, dt, integ.drift(state, react), vals)
+
         uncut, norm = [start], start_norm(integ, start.v)
         h_max = norm_h(norm)
         for n in range(n_steps - 1):  # the last step's phi reads h up to step n_steps - 1
-            uncut.append(integ.step_raw(uncut[-1], colored[n], dt, None, None))
+            uncut.append(uncut_step(uncut[-1], colored[n]))
             norm = next_norm(integ, norm, uncut[-1].v, dt)
             h_max = np.maximum(h_max, norm_h(norm))
-        uncut.append(integ.step_raw(uncut[-1], colored[n_steps - 1], dt, None, None))
+        uncut.append(uncut_step(uncut[-1], colored[n_steps - 1]))
         kappa = h_max * np.array(above)
         cut, cut_norm = start, start_norm(integ, start.v)
         for n in range(n_steps):

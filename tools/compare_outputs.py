@@ -29,7 +29,9 @@ directory.  The set covers:
   ``kappa_schedule=[1.2,1.4,1.6]``, T=0.35), which draw their noise in
   the longest blocks, and ``glue`` there with ``noise.mode_cutoff=8``,
   whose long blocks color fewer noise modes than the K - 1 usable ones;
-- ``simulate`` at d=2, N=32, M=64 with 16 paths;
+- ``simulate`` at d=2, N=32, M=64 with 16 paths, plain and under
+  Stratonovich (the one run whose cutoff loop corrects and analyzes its
+  drift one species at a time, past ``STACK_BUDGET``);
 - ``fixed-point`` at d=2 periodic, N=8, M=16 with 4 paths, T=0.1 and
   c1=c2=0.2, the one run that steps the fixed-point operator in d=2;
 - ``glue`` at d=2 periodic, N=8, M=16 with 4 paths and
@@ -40,7 +42,9 @@ directory.  The set covers:
   skip the noise term and the reaction, where the field dumps are the
   only outputs that show the sign of a zero coefficient;
 - ``fixed-point`` at sigma1=sigma2=0 and at c1=c2=0, 4 paths each: the
-  forced sweeps that draw no noise and compose no drift;
+  forced sweeps that draw no noise and compose no drift, and at c1=c2=0
+  under Stratonovich, the one sweep whose step corrects the feeds' state
+  drift;
 - ``simulate`` at ``u0.value=1e-6`` with 4 paths, the one run whose norm
   series print in exponent notation: the u norms at t=0 are about 1e-6,
   below 1e-4, where the norm-series writer leaves its exact kernel for
@@ -113,12 +117,14 @@ RUNS = [
     ("glue-pathwise-cutoff", ["glue", "--paths", "2"] + PATHWISE
      + ["--override", "noise.mode_cutoff=8"]),
     ("simulate-d2-n32", ["simulate", "--paths", "16"] + D2_N32),
+    ("simulate-d2-n32-strat", ["simulate", "--paths", "16"] + D2_N32 + STRAT),
     ("fixed-point-d2", ["fixed-point"] + D2_FIXED_POINT),
     ("glue-d2", ["glue"] + D2_N8 + FALLBACK),
     ("simulate-noiseless-dumps", ["simulate"] + DUMPS + NOISELESS),
     ("glue-uncoupled-dumps", ["glue"] + DUMPS + FALLBACK + UNCOUPLED),
     ("fixed-point-noiseless", ["fixed-point", "--paths", "4"] + NOISELESS),
     ("fixed-point-uncoupled", ["fixed-point", "--paths", "4"] + UNCOUPLED),
+    ("fixed-point-uncoupled-strat", ["fixed-point", "--paths", "4"] + UNCOUPLED + STRAT),
     ("simulate-tiny-u0", ["simulate", "--paths", "4", "--override", "u0.value=1e-6"]),
     ("simulate-pathwise-band", ["simulate", "--paths", "2", "--override", "kappa=1.2"]
      + PATHWISE),

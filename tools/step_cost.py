@@ -30,9 +30,9 @@ Per case it times:
   integrator's product grid;
 - ``step_raw``: one call of the one step map that every driver calls,
   called as the cutoff loop calls it: on the first step's slice of that
-  ``B``-step colored block, the state's grid values and the drift of the
-  cutoff reaction built from the loop's ``phi``, whose composition
-  (``MildIntegrator._drift``) is timed inside it;
+  ``B``-step colored block, the state's grid values and the state drift
+  of the cutoff reaction built from the loop's ``phi``, whose composition
+  (``MildIntegrator.drift``) is timed with it;
 - ``cutoff_block`` and ``cutoff_step``: the cutoff's own bookkeeping per
   step, as the cutoff loop pays it.  ``cutoff_block`` is one plateau
   block of ``P`` steps, far from a level (``P`` is ``plateau_steps``,
@@ -42,9 +42,7 @@ Per case it times:
   (``_Cutoff.extend``), their plateau check (``_Cutoff.clean``) and the
   settled state's ``phi`` and plateau check, divided by ``P``.
   ``cutoff_step`` is the per-step form, which a batch with a path off
-  the plateau takes: the norm extended over one state and ``phi``.  On
-  a checkout without plateau blocks both are its per-step update of the
-  path norm (``_Cutoff.advance``) and ``phi``, and ``plateau_steps`` is 1;
+  the plateau takes: the norm extended over one state and ``phi``;
 - ``record_norms``: the state-only norm columns (all but ``h`` and
   ``phi``, which the loop writes at every step), made as the time loop
   makes them: one ``MildIntegrator.record_norms`` call on a block of
@@ -57,8 +55,7 @@ The norm series writer has its own figure, ``write_norm_series``: the
 CSVs of a ``WRITER_PATHS``-path, ``WRITER_STEPS``-step record of the
 ``d1-N32`` space (the shape ``ensemble-d1`` writes), written as
 ``simulate`` writes them (``cli.write_norm_series``: one call for the
-batch, or one per path in a checkout whose writer takes a path row), per
-path-step.  Each file goes to an in-memory buffer: the creation of short
+batch), per path-step.  Each file goes to an in-memory buffer: the creation of short
 files dominated the figure, and is not timed.
 
 The fixed-point loop has its own table, ``forced``: ``apply_V`` per
@@ -87,7 +84,6 @@ one JSON object, with an environment block.
 from __future__ import annotations
 
 import argparse
-import inspect
 import io
 import json
 import os
@@ -140,7 +136,6 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         MildIntegrator,
         ModelParams,
         _Cutoff,
-        _Operand,
         simulate_ensemble,
     )
     from grayscott.noise import NoiseConfig, WienerSource
@@ -166,20 +161,18 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
 
     def loop_step(state, colored, uv, phi):
         """The cutoff loop's step: the step map on its cutoff drift."""
-        drift = _Operand(integ._drift(state, uv, integ.reaction(uv, phi)), False)
-        return integ.step_raw(state, colored, dt, drift, uv)
+        return integ.step_raw(state, colored, dt, integ.drift(state, integ.reaction(uv, phi)), uv)
 
-    blocks = hasattr(cutoff, "extend")  # a checkout with plateau blocks
-    advance = ((lambda uvs: cutoff.extend(integrate._step_stack(uvs)[:, 1].swapaxes(0, 1), dt))
-               if blocks else (lambda uvs: cutoff.advance(uvs[0][1], dt)))
+    def advance(uvs):
+        return cutoff.extend(integrate._step_stack(uvs)[:, 1].swapaxes(0, 1), dt)
+
     for k in range(STEPS):  # a state away from the constant initial data
         uv = integ.synth(state.uv)
         colored = integ.colored_noise(source.increment_block(k, 1, dt, 0))[0]
         state = loop_step(state, colored, uv, cutoff.phi(state.fallback))
         advance([state.uv])
     phi = cutoff.phi(state.fallback)
-    plateau = min(integrate.draw_steps(paths, source.k_noise),
-                  integrate.MAX_PLATEAU_STEPS) if blocks else 1
+    plateau = min(integrate.draw_steps(paths, source.k_noise), integrate.MAX_PLATEAU_STEPS)
     settled, block_uvs = cutoff.h[:, None], [state.uv] * plateau
 
     def cutoff_block():
@@ -246,14 +239,9 @@ def time_writer() -> dict:
                                WRITER_STEPS * 1e-3, 1e-3, np.arange(WRITER_PATHS),
                                check_gate=False, columns=cli.FILE_SERIES)
     names = [f"path_{pid:05d}.csv" for pid in record.path_ids.tolist()]
-    writer = cli.write_norm_series
-    if "row" in inspect.signature(writer).parameters:  # a writer per path row
-        call = lambda: [writer(name, record, i) for i, name in enumerate(names)]  # noqa: E731
-    else:
-        call = lambda: writer(names, record)  # noqa: E731
     cli.open = lambda path, mode: io.BytesIO()  # shadows the builtin in cli's functions
     try:
-        sec = _loop_time(call)
+        sec = _loop_time(lambda: cli.write_norm_series(names, record))
     finally:
         del cli.open
     return {"write_norm_series": round(1e6 * sec / (WRITER_PATHS * WRITER_STEPS), 3),
