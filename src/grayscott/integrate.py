@@ -9,8 +9,9 @@ drift it composes in the form the interpretation sets (Ito: coefficients;
 Stratonovich: grid values, to which the step adds the Ito correction):
 ensembles and glueing in the cutoff loop, ``run_batch``, the one that
 keeps the cutoff (``_Cutoff``) and records norms, on the state drift
-(``drift``) of the cutoff reaction; the fixed-point sweep
-(``fixedpoint.apply_V``) on ``forced_drift``; the convergence study, in
+(``drift``) of the cutoff reaction; the fixed-point sweeps
+(``fixedpoint._sweeps``, several in flight on a leading sweep axis) on
+``forced_drift``; the convergence study, in
 lockstep on block sums of one fine draw, on the uncut one.  Internals
 are vectorized over a batch of paths, both species in one (2, P, K)
 array, so a small batch's step makes one transform call per operand
@@ -788,9 +789,15 @@ def path_norm_series(space: SpaceConfig, v: np.ndarray, s: float, aleph: float,
     """The running path norm of a coefficient series v of shape (..., n+1, K),
     sup_{m<=n} |v_m|_{H^s} + (int_0^{t_n} |v|^2_{H^{s+aleph/2}})^(1/2);
     trapezoid rule with step dt (a scalar, or one per step)."""
-    w, w_diss = sobolev_weights(space, s), sobolev_weights(space, s + aleph / 2.0)
-    norm = _PathNorm(lambda x: _norm_terms(x, w, w_diss), v[..., 0, :])
+    norm = path_norm(space, v[..., 0, :], s, aleph)
     return np.concatenate([norm.h[..., None], norm.extend(v[..., 1:, :], dt)], axis=-1)
+
+
+def path_norm(space: SpaceConfig, v: np.ndarray, s: float, aleph: float) -> _PathNorm:
+    """The running path norm of ``path_norm_series`` at its first states v
+    (..., K), carried (``_PathNorm``): ``extend`` adds the states after."""
+    w, w_diss = sobolev_weights(space, s), sobolev_weights(space, s + aleph / 2.0)
+    return _PathNorm(lambda x: _norm_terms(x, w, w_diss), v)
 
 
 def pathspace_norm(record: BatchRecord, rho: float, aleph: float, t: float,

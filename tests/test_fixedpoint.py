@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import forced_sweep
 
-from grayscott.errors import NoConvergence, ValidationError
+from grayscott import fixedpoint
+from grayscott.errors import NoConvergence, NonFinite, ValidationError
 from grayscott.fixedpoint import (
     ControlPair,
     KSetConstants,
@@ -227,11 +228,20 @@ class TestPicard:
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"tol": math.nan}, "tol must be > 0, got nan"),
         ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+        ({"max_iter": True}, "max_iter must be a whole number, got True"),
+        ({"max_iter": 2.5}, "max_iter must be a whole number, got 2.5"),
     ])
     def test_bad_iteration_controls_rejected(self, kwargs, needle):
         with pytest.raises(ValidationError, match=re.escape(needle)):
             picard_solve(ModelParams(), SP, NZ, bump(), bump(), 1e9, [0], 0.01, 1e-3,
                          **kwargs)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        params = ModelParams(c1=0.01, c2=0.01)
+        with pytest.raises(NoConvergence, match="after 2 iterations") as err:
+            picard_solve(params, SP, NZ, bump(), bump(), 1e9, [0], 0.1, 1e-3, tol=1e-16,
+                         max_iter=np.int64(2))
+        assert len(err.value.residuals) == 2
 
     def test_batch_matches_per_path_runs(self):
         # sigma=3 makes the paths converge at different iterations
@@ -255,6 +265,117 @@ class TestPicard:
                          max_iter=4)
         assert len(err.value.residuals) == 4
         assert err.value.residuals[-1] >= 1e-8
+
+
+class TestPicardPipeline:
+    """picard_solve's pipeline of sweeps in flight against its depth-1 loop
+    (PIPELINE_BUDGET = 0): the same residual traces, iteration counts and
+    fixed point, or the same exception, bit for bit."""
+
+    SP2 = SpaceConfig(d=2, modes_per_axis=4, grid_points_per_axis=8)
+    SP8 = SpaceConfig(d=1, modes_per_axis=8, grid_points_per_axis=16)
+    # the pathwise-d1 benchmark's fixed point: 350 steps in 6 drawn blocks, 7 sweeps
+    PATHWISE = SpaceConfig(d=1, modes_per_axis=32, grid_points_per_axis=64)
+
+    @staticmethod
+    def outcome(solve):
+        """What solve() returns or raises, in a form == compares bit for bit."""
+        try:
+            res = solve()
+        except (NoConvergence, NonFinite) as err:
+            return type(err).__name__, str(err), getattr(err, "residuals", None)
+        fp = res["fixed_point"]
+        return res["iterates"], res["residuals"], fp.eta.tobytes(), fp.xi.tobytes()
+
+    def both(self, solve):
+        """The outcomes of solve() pipelined and at depth 1."""
+        pipelined = self.outcome(solve)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fixedpoint, "PIPELINE_BUDGET", 0)
+            return pipelined, self.outcome(solve)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(d=st.sampled_from([1, 2]), n_paths=st.integers(1, 4),
+           interpretation=st.sampled_from(["ito", "stratonovich"]), coupled=st.booleans(),
+           T=st.sampled_from([0.2, 0.256]), first_id=st.integers(0, 2**16),
+           tol=st.floats(-7.0, -1.0).map(lambda e: 10.0**e), max_iter=st.integers(2, 10))
+    def test_pipeline_matches_depth_one(self, d, n_paths, interpretation, coupled, T, first_id,
+                                        tol, max_iter):
+        # blocks of 64 steps: T=0.2 ends in a ragged one of 8; at c=5, sigma=3 the
+        # paths' residuals lie decades apart, so they retire at different sweeps
+        space = self.SP8 if d == 1 else self.SP2
+        c = 5.0 if coupled else 0.0
+        params = ModelParams(c1=c, c2=c, sigma1=3.0, sigma2=3.0)
+        noise = replace(NZ, interpretation=interpretation)
+        ids = range(first_id, first_id + n_paths)
+        assert fixedpoint._depth(MildIntegrator(params, space, noise), n_paths,
+                                 round(T / 1e-3), max_iter) >= 2
+        pipelined, serial = self.both(lambda: picard_solve(
+            params, space, noise, bump(space), bump(space, 1.0, 0.4), 1.5, ids, T, 1e-3,
+            tol=tol, max_iter=max_iter))
+        assert pipelined == serial
+
+    def test_overflow_raises_the_depth_one_nonfinite(self):
+        # a huge coupling: sweep 1 stays finite and sweep 2 overflows
+        params = ModelParams(c1=1e150, c2=1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pipelined, serial = self.both(lambda: picard_solve(
+                params, self.SP8, NZ, bump(self.SP8), bump(self.SP8), 1e9, [0, 1], 0.2, 1e-3))
+        assert pipelined[0] == "NonFinite"
+        assert pipelined == serial
+
+    def test_stacked_nonfinite_replays_at_depth_one(self, monkeypatch):
+        # tol=1e300 freezes both paths after sweep 1, whose output is finite;
+        # sweep 2, stacked beside it, overflows: the pipeline replays sweep 1
+        # alone and returns what the depth-1 loop returns
+        failed = []
+        step_raw = MildIntegrator.step_raw
+
+        def spy(self, state, *args):
+            try:
+                return step_raw(self, state, *args)
+            except NonFinite:
+                failed.append(state.uv.shape)
+                raise
+
+        monkeypatch.setattr(MildIntegrator, "step_raw", spy)
+        params = ModelParams(c1=1e150, c2=1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pipelined, serial = self.both(lambda: picard_solve(
+                params, self.SP8, NZ, bump(self.SP8), bump(self.SP8), 1e9, [0, 1], 0.2, 1e-3,
+                tol=1e300))
+        assert failed == [(2, 2, 2, self.SP8.total_modes)]  # two sweeps in flight
+        assert pipelined[0] == [1, 1]
+        assert pipelined == serial
+
+    def test_sweep_output_outlives_its_successors_residual(self):
+        # 6 sweeps in flight: sweep k's output is sweep k + 1's control, and its
+        # buffer is reused only once sweep k + 1's residual has read it
+        params = ModelParams()
+        noise = replace(NZ, seed=3)
+        f = constant_field(1.0, self.PATHWISE)
+        assert fixedpoint._depth(MildIntegrator(params, self.PATHWISE, noise), 1, 350, 20) == 6
+        pipelined, serial = self.both(lambda: picard_solve(
+            params, self.PATHWISE, noise, f, f, 1e6, [0], 0.35, 1e-3))
+        assert pipelined[0] == [7]
+        assert pipelined == serial
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_uncoupled_drift_is_composed_on_the_batch(self, interpretation, monkeypatch):
+        # drift and _per_species index the species on axis 0: the feeds are
+        # composed on the (2, P) batch and broadcast over the sweeps in flight
+        shapes = []
+        drift = MildIntegrator.drift
+        monkeypatch.setattr(MildIntegrator, "drift", lambda self, state, react: (
+            shapes.append(state.uv.shape) or drift(self, state, react)))
+        params = ModelParams(c1=0.0, c2=0.0, sigma1=2.0, sigma2=2.0)
+        noise = replace(NZ, interpretation=interpretation)
+        assert fixedpoint._depth(MildIntegrator(params, self.SP8, noise), 2, 200, 20) >= 2
+        pipelined, serial = self.both(lambda: picard_solve(
+            params, self.SP8, noise, bump(self.SP8), bump(self.SP8), 1e9, [3, 4], 0.2, 1e-3))
+        assert pipelined[0] == [2, 2]
+        assert pipelined == serial
+        assert shapes and {s[0] for s in shapes} == {2} and {len(s) for s in shapes} == {3}
 
 
 class TestKSet:
@@ -360,7 +481,8 @@ class TestMemory:
     def control(self):
         return constant_control(bump(self.SP2), bump(self.SP2), T=1.0, dt=1e-3, n_paths=4)
 
-    def peak_arrays(self, fn, control) -> float:
+    @staticmethod
+    def peak_bytes(fn) -> int:
         fn()  # warm the caches
         tracemalloc.start()
         try:
@@ -370,7 +492,10 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return (peak - entry) / control.eta.nbytes
+        return peak - entry
+
+    def peak_arrays(self, fn, control) -> float:
+        return self.peak_bytes(fn) / control.eta.nbytes
 
     def test_apply_V_peak(self):
         params = ModelParams(c1=0.2, c2=0.2)
@@ -396,3 +521,18 @@ class TestMemory:
         control = self.control()
         assert self.peak_arrays(lambda: kset_functionals(control, 0.25, 2.0, 4.5, 0.0),
                                 control) <= 3
+
+    def test_picard_pipeline_peak(self):
+        # the pathwise-d1 benchmark's fixed point runs 6 sweeps in flight: its
+        # peak exceeds the depth-1 loop's by at most PIPELINE_BUDGET values
+        space = TestPicardPipeline.PATHWISE
+        f = constant_field(1.0, space)
+
+        def solve():
+            picard_solve(ModelParams(), space, replace(NZ, seed=3), f, f, 1e6, [0], 0.35, 1e-3)
+
+        pipelined = self.peak_bytes(solve)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fixedpoint, "PIPELINE_BUDGET", 0)
+            serial = self.peak_bytes(solve)
+        assert pipelined <= serial + 8 * fixedpoint.PIPELINE_BUDGET

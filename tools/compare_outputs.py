@@ -52,7 +52,18 @@ directory.  The set covers:
 - ``simulate`` with 2 paths at the ``pathwise-d1`` config and
   ``kappa=1.2``: the unglued cutoff loop leaves the plateau inside a
   plateau block (at t~0.03), rolls the block back and steps the rest of
-  the run one step at a time on the cutoff's transition band.
+  the run one step at a time on the cutoff's transition band;
+- the branches of the Picard pipeline, whose narrow runs keep several
+  sweeps in flight: one-path ``fixed-point`` at the ``pathwise-d1``
+  config under Stratonovich (the stacked step adds the Ito correction,
+  and a sweep joining it synthesizes its initial state alone) and at
+  c1=c2=0 (the feeds' drift, composed on the batch, broadcast over the
+  sweeps); one-path ``fixed-point`` at d=2 periodic, N=8, M=16, T=0.1
+  (two sweeps in flight in d=2); 4 paths at d=1, N=8, seed 3,
+  sigma1=sigma2=1.5, c1=c2=3, T=0.3, which retire at sweeps 11, 13, 12
+  and 11, so the pipeline restarts on the rows left; and the
+  ``pathwise-d1`` ``fixed-point`` at ``max_iter=3``, which ends in
+  ``NoConvergence`` (exit 1) with three sweeps in flight.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -91,6 +102,10 @@ D2_FIXED_POINT = D2_N8 + ["--override", "T=0.1",
                           "--override", "model.c1=0.2", "--override", "model.c2=0.2"]
 NOISELESS = ["--override", "model.sigma1=0", "--override", "model.sigma2=0"]
 UNCOUPLED = ["--override", "model.c1=0", "--override", "model.c2=0"]
+RETIRING = ["--paths", "4", "--seed", "3", "--override", "space.modes_per_axis=8",
+            "--override", "space.grid_points_per_axis=16", "--override", "model.sigma1=1.5",
+            "--override", "model.sigma2=1.5", "--override", "model.c1=3",
+            "--override", "model.c2=3", "--override", "T=0.3"]
 D2_N32 = ["--override", "space.d=2", "--override", "space.modes_per_axis=32",
           "--override", "space.grid_points_per_axis=64", "--override", "T=0.1"]
 
@@ -128,6 +143,12 @@ RUNS = [
     ("simulate-tiny-u0", ["simulate", "--paths", "4", "--override", "u0.value=1e-6"]),
     ("simulate-pathwise-band", ["simulate", "--paths", "2", "--override", "kappa=1.2"]
      + PATHWISE),
+    ("fixed-point-pathwise-strat", ["fixed-point", "--paths", "1"] + PATHWISE + STRAT),
+    ("fixed-point-pathwise-uncoupled", ["fixed-point", "--paths", "1"] + PATHWISE + UNCOUPLED),
+    ("fixed-point-d2-one-path", ["fixed-point"] + D2_FIXED_POINT + ["--paths", "1"]),
+    ("fixed-point-retiring", ["fixed-point"] + RETIRING),
+    ("fixed-point-pathwise-no-convergence", ["fixed-point", "--paths", "1"] + PATHWISE
+     + ["--override", "max_iter=3"]),
 ]
 
 

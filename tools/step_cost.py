@@ -58,13 +58,17 @@ CSVs of a ``WRITER_PATHS``-path, ``WRITER_STEPS``-step record of the
 batch), per path-step.  Each file goes to an in-memory buffer: the creation of short
 files dominated the figure, and is not timed.
 
-The fixed-point loop has its own table, ``forced``: ``apply_V`` per
-path-step, one sweep of ``FORCED_STEPS`` steps from the constant control
-(the first Picard iterate), at
+The fixed-point loop has its own table, ``forced``, at
 
 - ``d1-N32-P1``: d=1 Neumann, N=32, M=64, one path (``fixed-point`` in
-  the ``pathwise-d1`` benchmark);
-- ``d2-N8-P4``: d=2 Neumann, N=8, M=16, 4 paths.
+  the ``pathwise-d1`` benchmark, whose Picard sweeps run 6 in flight);
+- ``d2-N8-P4``: d=2 Neumann, N=8, M=16, 4 paths (one sweep at a time).
+
+It times ``apply_V`` per path-step, one sweep of ``FORCED_STEPS`` steps
+from the constant control (the first Picard iterate), and
+``picard_solve`` per path-sweep-step: the whole solve over
+``FORCED_STEPS`` steps, divided by the steps of the sweeps its result
+counts (``iterates``, summed over the paths).
 
 The convergence study has its own table, ``study``:
 ``strong_order_study`` per path-step (the steps of every level, the
@@ -251,18 +255,26 @@ def time_writer() -> dict:
 def time_forced(d: int, n: int, m: int, paths: int) -> dict:
     import numpy as np
 
-    from grayscott.fixedpoint import apply_V, constant_control
+    from grayscott.fixedpoint import apply_V, constant_control, picard_solve
     from grayscott.integrate import MildIntegrator, ModelParams
     from grayscott.noise import NoiseConfig
     from grayscott.spectral import SpaceConfig, constant_field
 
     space = SpaceConfig(d=d, modes_per_axis=n, grid_points_per_axis=m)
     u0, v0 = constant_field(1.0, space), constant_field(1.0, space)
-    integ = MildIntegrator(ModelParams(), space, NoiseConfig(seed=0))
+    params, noise = ModelParams(), NoiseConfig(seed=0)
+    integ = MildIntegrator(params, space, noise)
     dt, ids = 1e-3, np.arange(paths)
     control = constant_control(u0, v0, FORCED_STEPS * dt, dt, paths)
     sec = _loop_time(lambda: apply_V(control, integ, u0, v0, 1e6, ids))
-    return {"apply_V": round(1e6 * sec / (FORCED_STEPS * paths), 3)}
+
+    def solve():
+        return picard_solve(params, space, noise, u0, v0, 1e6, ids, FORCED_STEPS * dt, dt)
+
+    sweeps = sum(solve()["iterates"])
+    return {"apply_V": round(1e6 * sec / (FORCED_STEPS * paths), 3),
+            "picard_solve": round(1e6 * _loop_time(solve) / (FORCED_STEPS * sweeps), 3),
+            "picard_sweeps": sweeps}
 
 
 def time_study(name: str) -> dict:
