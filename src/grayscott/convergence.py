@@ -79,17 +79,18 @@ def strong_order_study(params: ModelParams, space: SpaceConfig, noise: NoiseConf
     source = WienerSource(noise, space, np.arange(n_paths))
     states = [integ.initial_state(u0.coeffs, v0.coeffs, n_paths) for _ in steps]
 
-    for b in range(n_fine // block):
-        fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None
-        for i, (stride, dt) in enumerate(zip(strides, steps)):
-            dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
-            colored = None if dw is None else integ.colored_noise(dw)
-            for n in range(block // stride):
-                state = states[i]
-                vals = integ.synth(state.uv) if integ.coupled else None
-                react = None if vals is None else vals[0] * integ.v_power(vals[1])
-                states[i] = integ.step_raw(state, None if colored is None else colored[n], dt,
-                                           integ.drift(state, react), vals)
+    with source:  # open: it draws the next fine block while this one steps
+        for b in range(n_fine // block):
+            fine = source.increment_block(b * block, block, dt_ref, 0) if integ.noisy else None
+            for i, (stride, dt) in enumerate(zip(strides, steps)):
+                dw = fine if fine is None or stride == 1 else aggregate_increments(fine, stride)
+                colored = None if dw is None else integ.colored_noise(dw)
+                for n in range(block // stride):
+                    state = states[i]
+                    vals = integ.synth(state.uv) if integ.coupled else None
+                    react = None if vals is None else vals[0] * integ.v_power(vals[1])
+                    states[i] = integ.step_raw(state, None if colored is None else colored[n],
+                                               dt, integ.drift(state, react), vals)
 
     ref_state, *level_states = states
     errors = [

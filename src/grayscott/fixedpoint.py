@@ -32,13 +32,12 @@ from .integrate import (
     MildIntegrator,
     ModelParams,
     _Operand,
-    draw_steps,
     path_norm,
     path_norm_series,
     smooth_cutoff,
     step_count,
 )
-from .noise import NoiseConfig, WienerSource, path_id_array
+from .noise import NoiseConfig, WienerSource, draw_steps, path_id_array
 from .spectral import SpaceConfig, SpectralField, get_basis, require_space
 
 # steps of eta whose grid values kset_functionals holds at once
@@ -200,79 +199,82 @@ def _sweeps(integ: MildIntegrator, eta: np.ndarray, xi: np.ndarray, u0: Spectral
     # a pass's states and, deeper than 1, its sweeps' drifts, step-major; one
     # buffer for all passes, as one per pass cost more resident memory
     states, drifts = np.empty((block, depth) + init.uv.shape), None
-    while True:
-        joined = len(flight) < min(depth, count - done)
-        if joined:
-            out = free.pop() if free else np.empty((2,) + eta.shape)
-            out[:, :, 0] = init.uv
-            flight.append(_Sweep(eta, xi, held, path_norm(integ.space, xi[:, 0], p.rho, p.aleph),
-                                 out))
-            (eta, xi), held = out, out
-            uv = (init.uv if depth == 1 else
-                  np.concatenate([uv, init.uv[None]]) if len(flight) > 1 else init.uv[None])
-        if not flight:
-            return
-        lens = [min(block, n_steps - s.n) for s in flight]
-        span = max(lens)
-        drift = noise = None  # freed first: two passes' held at once raise the peak
-        if integ.coupled and depth == 1:
-            drift = flight[0].drift(integ, flight[0].n + span, kappa, dt)
-        elif integ.coupled:
+    with source:  # open: it draws the next noise block while this one steps
+        while True:
+            joined = len(flight) < min(depth, count - done)
+            if joined:
+                out = free.pop() if free else np.empty((2,) + eta.shape)
+                out[:, :, 0] = init.uv
+                norm = path_norm(integ.space, xi[:, 0], p.rho, p.aleph)
+                flight.append(_Sweep(eta, xi, held, norm, out))
+                (eta, xi), held = out, out
+                uv = (init.uv if depth == 1 else
+                      np.concatenate([uv, init.uv[None]]) if len(flight) > 1 else init.uv[None])
+            if not flight:
+                return
+            lens = [min(block, n_steps - s.n) for s in flight]
+            span = max(lens)
+            drift = noise = None  # freed first: two passes' held at once raise the peak
+            if integ.coupled and depth == 1:
+                drift = flight[0].drift(integ, flight[0].n + span, kappa, dt)
+            elif integ.coupled:
+                for i, (s, c) in enumerate(zip(flight, lens)):
+                    rows = s.drift(integ, s.n + c, kappa, dt)
+                    if drifts is None:
+                        drifts = np.empty((block, depth) + rows.shape[1:])
+                    drifts[:c, i] = rows
+                drift = drifts[:, :len(flight)]
+            if integ.noisy and depth == 1:
+                noise = integ.colored_noise(
+                    source.increment_block(flight[0].n, span, dt, init.segment))
+            elif integ.noisy:
+                if flight[0].n == drawn:  # the oldest sweep opens a block: draw it for all
+                    if noise_run is None:
+                        noise_run = _Operand(np.empty((n_steps, 2, path_ids.size)
+                                                      + (integ.grid_m,) * integ.space.d), True)
+                    colored = integ.colored_noise(
+                        source.increment_block(drawn, lens[0], dt, init.segment))
+                    noise_run.array[drawn:drawn + lens[0]] = (
+                        colored.array if colored.on_grid else integ.synth(colored.array))
+                    drawn += lens[0]
+                noise = noise_run
+                at = np.array([s.n for s in flight])[None] + np.arange(span)[:, None]
+            state, first = replace(init, uv=uv, step=flight[0].n), 0
+            try:
+                for j in range(span):
+                    if j == lens[0]:  # the oldest sweep ended its last, shorter, block
+                        state.uv, first = state.uv[1:], 1
+                    step_noise = (None if noise is None else
+                                  noise[j if depth == 1 else at[j, first:]])
+                    vals = None
+                    if j == 0 and joined and depth > 1:
+                        # initial_state's uv is not in C order, and a d=1 synthesis of it
+                        # rounds otherwise than of its stacked copy: synthesized alone
+                        vals = np.concatenate([integ.synth(state.uv[:-1]),
+                                               integ.synth(init.uv)[None]])
+                    state = integ.step_raw(state, step_noise, dt,
+                                           feed if drift is None else drift[j, first:], vals)
+                    states[j, first:len(flight)] = state.uv
+            except NonFinite:
+                if depth == 1:
+                    raise
+                oldest = flight[0]
+                free += [s.out for s in flight]
+                (eta, xi), held = (oldest.eta, oldest.xi), oldest.held
+                flight, depth, noise_run = [], 1, None
+                continue
             for i, (s, c) in enumerate(zip(flight, lens)):
-                rows = s.drift(integ, s.n + c, kappa, dt)
-                if drifts is None:
-                    drifts = np.empty((block, depth) + rows.shape[1:])
-                drifts[:c, i] = rows
-            drift = drifts[:, :len(flight)]
-        if integ.noisy and depth == 1:
-            noise = integ.colored_noise(
-                source.increment_block(flight[0].n, span, dt, init.segment))
-        elif integ.noisy:
-            if flight[0].n == drawn:  # the oldest sweep opens a block: draw it for all
-                if noise_run is None:
-                    noise_run = _Operand(np.empty((n_steps, 2, path_ids.size)
-                                                  + (integ.grid_m,) * integ.space.d), True)
-                colored = integ.colored_noise(
-                    source.increment_block(drawn, lens[0], dt, init.segment))
-                noise_run.array[drawn:drawn + lens[0]] = (
-                    colored.array if colored.on_grid else integ.synth(colored.array))
-                drawn += lens[0]
-            noise = noise_run
-            at = np.array([s.n for s in flight])[None] + np.arange(span)[:, None]
-        state, first = replace(init, uv=uv, step=flight[0].n), 0
-        try:
-            for j in range(span):
-                if j == lens[0]:  # the oldest sweep ended its last, shorter, block
-                    state.uv, first = state.uv[1:], 1
-                step_noise = None if noise is None else noise[j if depth == 1 else at[j, first:]]
-                vals = None
-                if j == 0 and joined and depth > 1:
-                    # initial_state's uv is not in C order, and a d=1 synthesis of it
-                    # rounds otherwise than of its stacked copy: synthesized alone
-                    vals = np.concatenate([integ.synth(state.uv[:-1]), integ.synth(init.uv)[None]])
-                state = integ.step_raw(state, step_noise, dt,
-                                       feed if drift is None else drift[j, first:], vals)
-                states[j, first:len(flight)] = state.uv
-        except NonFinite:
-            if depth == 1:
-                raise
-            oldest = flight[0]
-            free += [s.out for s in flight]
-            (eta, xi), held = (oldest.eta, oldest.xi), oldest.held
-            flight, depth, noise_run = [], 1, None
-            continue
-        for i, (s, c) in enumerate(zip(flight, lens)):
-            s.out[:, :, s.n + 1:s.n + 1 + c] = states[:c, i].transpose(1, 2, 0, 3)
-            s.n += c
-        uv = state.uv
-        if flight[0].n == n_steps:
-            s = flight.pop(0)
-            if depth > 1 and not first:
-                uv = uv[1:]
-            done += 1
-            yield s.eta, s.xi, s.out
-            if s.held is not None:
-                free.append(s.held)
+                s.out[:, :, s.n + 1:s.n + 1 + c] = states[:c, i].transpose(1, 2, 0, 3)
+                s.n += c
+            uv = state.uv
+            if flight[0].n == n_steps:
+                s = flight.pop(0)
+                if depth > 1 and not first:
+                    uv = uv[1:]
+                done += 1
+                yield s.eta, s.xi, s.out
+                if s.held is not None:
+                    free.append(s.held)
 
 
 def control_m_norm(eta: np.ndarray, xi: np.ndarray, times: np.ndarray,

@@ -16,9 +16,10 @@ lockstep on block sums of one fine draw, on the uncut one.  Internals
 are vectorized over a batch of paths, both species in one (2, P, K)
 array, so a small batch's step makes one transform call per operand
 (``STACK_BUDGET``).  The loops draw several steps of noise per call
-(``DRAW_BUDGET``), in each path's glue segment, and color each block
-once (``colored_noise``); each draw is a pure function of its address,
-so the increments are the one-step draws bit for bit.  None of this
+(``DRAW_BUDGET``), in each path's glue segment, from an open source that
+draws a wide batch's next block ahead on its worker thread, and color
+each block once (``colored_noise``); each draw is a pure function of its
+address, so the increments are the one-step draws bit for bit.  None of this
 moves a bit: the compositions are elementwise, and a stacked transform
 runs the same BLAS call for each (P, .) matrix.  The state's transforms
 are not batched over steps: at one path a d=1 step is a GEMV and a block
@@ -64,6 +65,7 @@ from .noise import (
     NoiseConfig,
     WienerSource,
     coloring_weights,
+    draw_steps,
     noise_modes,
     path_id_array,
     squared_eigenfunction_sum,
@@ -80,11 +82,6 @@ from .spectral import (
 NORM_COLUMNS = (
     "u_l2", "u_lpstar", "v_halpha", "v_halpha_diss", "h", "phi", "u_grad_p", "couple",
 )
-# noise elements (paths x noise modes x steps) a driver's loop draws per call,
-# for at most MAX_DRAW_STEPS steps: small batches gain from long blocks, while
-# a wide batch draws one step at a time, where a block no longer fits in cache
-DRAW_BUDGET = 8192
-MAX_DRAW_STEPS = 64
 # grid values (2 species x paths x grid points) up to which a step transforms
 # both species in one call; past it, one species at a time keeps the operands
 # of each call in cache (a stacked d=2, N=32, 16-path step was 20% slower)
@@ -97,11 +94,6 @@ STACK_BUDGET = 1 << 16
 RECORD_BUDGET = 1 << 14
 # steps of a cutoff loop plateau block at most; a rollback retakes those after it
 MAX_PLATEAU_STEPS = 32
-
-
-def draw_steps(n_paths: int, k_noise: int) -> int:
-    """Steps of noise a driver's loop draws per call for a batch."""
-    return min(max(DRAW_BUDGET // (n_paths * k_noise), 1), MAX_DRAW_STEPS)
 
 
 def record_steps(n_paths: int, grid_points: int) -> int:
@@ -648,61 +640,66 @@ def run_batch(integ: MildIntegrator, state: _BatchState, cutoff: _Cutoff, n_step
     kept_uv, kept_vals = [], []  # the states of the recording block so far
     uvs, vals, h, n = [state.uv], [integ.synth(state.uv)], cutoff.h[:, None], 0
     rate = np.zeros(h.shape[0])  # the growth of each path's h a step, over the last block
-
-    while True:  # settle the states uvs, steps n + 1 - len(uvs) .. n; all but the last are clean
-        first = n + 1 - len(uvs)
-        series["h"][:, first:n + 1] = h
-        series["phi"][:, first:n] = ~state.fallback[:, None]
-        for k, uv, uv_vals in zip(range(first, n + 1), uvs, vals):
-            kept_uv.append(uv)
-            kept_vals.append(uv_vals)
-            if len(kept_uv) == recorded or k == n_steps:
-                integ.record_norms(_step_stack(kept_uv), series, k + 1 - len(kept_uv),
-                                   _step_stack(kept_vals))
-                kept_uv, kept_vals = [], []
-            if traj is not None:
-                traj[:, :, k] = uv
-        series["phi"][:, n] = phi = cutoff.phi(state.fallback)
-        if cutoff.glued:
-            glued = cutoff.glue(state, series, n, n * dt)
-            if glued is not state:  # restarted paths draw from a new segment
-                state, phi, end = glued, cutoff.phi(glued.fallback), n
-        if n == n_steps:
-            return state
-        if h.shape[1] > 1:
-            rate = (h[:, -1] - h[:, 0]) / (h.shape[1] - 1)
-        count = 1
-        if span > 1 and cutoff.clean(cutoff.h[:, None], state.fallback)[0]:
-            ok = ~state.fallback & (rate > 0)  # the block ends where a path would reach its level
-            count = max(1, math.ceil(((cutoff.kappa - cutoff.h)[ok] / rate[ok]).min(initial=span)))
-        uv_vals, uvs, vals = vals[-1], [], []
-        for k in range(n, min(n + count, n_steps)):
-            if k == end:
-                start, end = k, min(k + block, n_steps)
-                noise = None  # freed first: two blocks held at once raise the peak
-                if integ.noisy:
-                    noise = integ.colored_noise(
-                        source.increment_block(k, end - k, dt, state.segment))
-            # react lives until the next step's replaces it: freed inside the step,
-            # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
-            react = integ.reaction(uv_vals, phi) if integ.coupled else None
-            try:
-                state = integ.step_raw(state, None if noise is None else noise[k - start], dt,
-                                       integ.drift(state, react), uv_vals)
-            except NonFinite:
-                if not uvs:
-                    raise
-                break
-            uvs.append(state.uv)
-            vals.append(uv_vals := integ.synth(state.uv))
-        h = cutoff.extend(_step_stack(uvs)[:, 1].swapaxes(0, 1), dt)
-        count = len(uvs) if len(uvs) == 1 else 1 + int(np.argmin(np.append(
-            cutoff.clean(h[:, :-1], state.fallback), False)))  # to the first state off the plateau
-        if count < len(uvs):  # roll back: drop the states, and the noise block, after it
-            cutoff.keep(count)
-            uvs, vals, h = uvs[:count], vals[:count], h[:, :count]
-            state, end = _BatchState(uvs[-1], state.segment, state.fallback, n + count), n + count
-        n += count
+    with source:  # open: it draws the next noise block while this one steps
+        # settle the states uvs, steps n + 1 - len(uvs) .. n; all but the last are clean
+        while True:
+            first = n + 1 - len(uvs)
+            series["h"][:, first:n + 1] = h
+            series["phi"][:, first:n] = ~state.fallback[:, None]
+            for k, uv, uv_vals in zip(range(first, n + 1), uvs, vals):
+                kept_uv.append(uv)
+                kept_vals.append(uv_vals)
+                if len(kept_uv) == recorded or k == n_steps:
+                    integ.record_norms(_step_stack(kept_uv), series, k + 1 - len(kept_uv),
+                                       _step_stack(kept_vals))
+                    kept_uv, kept_vals = [], []
+                if traj is not None:
+                    traj[:, :, k] = uv
+            series["phi"][:, n] = phi = cutoff.phi(state.fallback)
+            if cutoff.glued:
+                glued = cutoff.glue(state, series, n, n * dt)
+                if glued is not state:  # restarted paths draw from a new segment
+                    state, phi, end = glued, cutoff.phi(glued.fallback), n
+            if n == n_steps:
+                return state
+            if h.shape[1] > 1:
+                rate = (h[:, -1] - h[:, 0]) / (h.shape[1] - 1)
+            count = 1
+            if span > 1 and cutoff.clean(cutoff.h[:, None], state.fallback)[0]:
+                # the block ends where a path would reach its level
+                ok = ~state.fallback & (rate > 0)
+                count = max(1, math.ceil(
+                    ((cutoff.kappa - cutoff.h)[ok] / rate[ok]).min(initial=span)))
+            uv_vals, uvs, vals = vals[-1], [], []
+            for k in range(n, min(n + count, n_steps)):
+                if k == end:
+                    start, end = k, min(k + block, n_steps)
+                    noise = None  # freed first: two blocks held at once raise the peak
+                    if integ.noisy:
+                        noise = integ.colored_noise(
+                            source.increment_block(k, end - k, dt, state.segment))
+                # react lives until the next step's replaces it: freed inside the step,
+                # a 100-step d=2 N=32 16-path run faulted in 74k pages, not 54k
+                react = integ.reaction(uv_vals, phi) if integ.coupled else None
+                try:
+                    state = integ.step_raw(state, None if noise is None else noise[k - start],
+                                           dt, integ.drift(state, react), uv_vals)
+                except NonFinite:
+                    if not uvs:
+                        raise
+                    break
+                uvs.append(state.uv)
+                vals.append(uv_vals := integ.synth(state.uv))
+            h = cutoff.extend(_step_stack(uvs)[:, 1].swapaxes(0, 1), dt)
+            # to the first state off the plateau
+            count = len(uvs) if len(uvs) == 1 else 1 + int(np.argmin(np.append(
+                cutoff.clean(h[:, :-1], state.fallback), False)))
+            if count < len(uvs):  # roll back: drop the states, and the noise block, after it
+                cutoff.keep(count)
+                uvs, vals, h = uvs[:count], vals[:count], h[:, :count]
+                state = _BatchState(uvs[-1], state.segment, state.fallback, n + count)
+                end = n + count
+            n += count
 
 
 def _step_stack(arrays: list[np.ndarray]) -> np.ndarray:

@@ -6,10 +6,18 @@ mode), so parallel paths, glue segments and dt refinements never need
 stream coordination.  One SplitMix64 finalizer mixes every word of the
 address.  A source draws both Wiener processes in one call, in place, a
 chunk of rows at a time: a draw reads only its address, so no bit moves.
+
+An open source (``with WienerSource(...) as source``) draws the block
+after the one it hands out on one worker thread, while the caller steps:
+a wide block only (``DRAW_BUDGET``), and returned only if the next request
+asks for that very address.  Each draw is a pure function of its
+address, so which thread drew it moves no bit.
 """
 
 from __future__ import annotations
 
+import numbers
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,14 @@ _MULT_PROC = 0x165667B19E3779F9
 _MULT_SEG = 0xD6E8FEB86659FD93
 # values a draw mixes and converts per pass, so its words and output rows stay in cache
 _CHUNK_VALUES = 1 << 14
+# noise elements (paths x noise modes x steps) a driver's loop draws per call,
+# for at most MAX_DRAW_STEPS steps: small batches gain from long blocks, while
+# a wide batch draws one step at a time, where a block no longer fits in cache.
+# An open source draws ahead the blocks of at least DRAW_BUDGET values per
+# process: at half that, a 4-path d=2 N=8 forced sweep holds a second block
+# and its peak passes the bound of its memory test
+DRAW_BUDGET = 8192
+MAX_DRAW_STEPS = 64
 
 
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -109,6 +125,11 @@ class NoiseConfig:
         return self.gamma1 if process == 1 else self.gamma2
 
 
+def draw_steps(n_paths: int, k_noise: int) -> int:
+    """Steps of noise a driver's loop draws per call for a batch."""
+    return min(max(DRAW_BUDGET // (n_paths * k_noise), 1), MAX_DRAW_STEPS)
+
+
 def path_id_array(path_ids) -> np.ndarray:
     """path_ids as a 1-D int64 array (a scalar is one path); raises
     ValidationError on none, on a second dimension, on anything but int
@@ -152,26 +173,56 @@ class WienerSource:
     by its step index, so two sources with overlapping keys replay
     bit-equal increments.  Keys are mixed once per segment; a draw mixes
     in only its step words.
+
+    Open as a context manager, the source draws ahead: after handing out
+    a block of at least DRAW_BUDGET values per process it draws, on its
+    one worker thread, the block of the same count, dt and segment that
+    follows it.  The next request gets that block if it names the same
+    address; otherwise the look-ahead is cancelled, or waited for if it
+    has started, and the request is drawn in the caller's thread.  The
+    worker keeps its own keys; leaving the context shuts it down.
     """
 
     def __init__(self, config: NoiseConfig, space: SpaceConfig, path_ids):
         self.config = config
         self.path_ids = path_id_array(path_ids)
         self.k_noise = noise_modes(space, config.mode_cutoff)
-        self._keys: tuple[np.ndarray, np.ndarray] | None = None  # (segment, keys)
+        self._keys: list = []  # [segment, keys] of the caller's draws
+        self._ahead_keys: list = []  # the same of the worker's
+        self._pool: ThreadPoolExecutor | None = None  # the worker, while open
+        # the drawn-ahead block: ((step0, count, dt), segment, its future)
+        self._ahead: tuple[tuple, np.ndarray, Future] | None = None
+
+    def __enter__(self) -> WienerSource:
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-ahead")
+        return self
+
+    def __exit__(self, *exc):
+        self._drop_ahead()
+        self._pool.shutdown()
+        self._pool = None
+
+    def _drop_ahead(self):
+        """Cancel the look-ahead, or wait for it if it has started: a
+        discarded draw runs beside no other."""
+        if self._ahead is not None:
+            future = self._ahead[2]
+            self._ahead = None
+            if not future.cancel():
+                future.exception()  # waits; a discarded draw's error is nobody's
 
     def increment_block(self, step0: int, count: int, dt: float, segment) -> np.ndarray:
         """(2, n_paths, count, K_noise) increments of variance dt for
         consecutive steps, process 1 first, drawn in glue segment
         ``segment`` (one for all paths or one per path)."""
         seg = np.array(segment, dtype=np.int64)  # a copy, detached from the caller's
-        v = []
-        if not dt > 0:  # also rejects NaN
-            v.append(f"dt must be > 0, got {dt}")
-        if count < 1:
-            v.append(f"count must be >= 1, got {count}")
-        if step0 < 0:
-            v.append(f"step0 must be >= 0, got {step0}")
+        v = [] if dt > 0 else [f"dt must be > 0, got {dt}"]  # also rejects NaN
+        # exact addresses: a fraction or a bool would be rounded or read as a step
+        for name, value, low in (("count", count, 1), ("step0", step0, 0)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                v.append(f"{name} must be a whole number, got {value!r}")
+            elif value < low:
+                v.append(f"{name} must be >= {low}, got {value}")
         if seg.ndim > 1 or seg.ndim == 1 and seg.size != self.path_ids.size:
             v.append(f"segment must be one value or one per path ({self.path_ids.size}), "
                      f"got shape {seg.shape}")
@@ -179,11 +230,27 @@ class WienerSource:
             v.append(f"segment must be >= 0, got {segment}")
         if v:
             raise ValidationError(v)
-        if self._keys is None or not np.array_equal(self._keys[0], seg):
-            self._keys = (seg, _stream_keys(self.config.seed, self.path_ids, seg, self.k_noise))
+        step0, count = int(step0), int(count)
+        ahead = self._ahead
+        if ahead is not None and ahead[0] == (step0, count, dt) and np.array_equal(ahead[1], seg):
+            self._ahead = None
+            out = ahead[2].result()
+        else:
+            self._drop_ahead()
+            out = self._draw(self._keys, step0, count, dt, seg)
+        if self._pool is not None and self.path_ids.size * count * self.k_noise >= DRAW_BUDGET:
+            self._ahead = ((step0 + count, count, dt), seg, self._pool.submit(
+                self._draw, self._ahead_keys, step0 + count, count, dt, seg))
+        return out
+
+    def _draw(self, keys: list, step0: int, count: int, dt: float, seg: np.ndarray) -> np.ndarray:
+        """The block at this address, keyed from the [segment, keys] cache
+        of the thread drawing it."""
+        if not keys or not np.array_equal(keys[0], seg):
+            keys[:] = seg, _stream_keys(self.config.seed, self.path_ids, seg, self.k_noise)
         words = _role_arr(np.arange(step0, step0 + count), _MULT_STEP)
         out = np.empty((2, self.path_ids.size, count, self.k_noise))
-        _keyed_normals(self._keys[1].reshape(-1, self.k_noise), words, np.sqrt(dt),
+        _keyed_normals(keys[1].reshape(-1, self.k_noise), words, np.sqrt(dt),
                        out.reshape(-1, count, self.k_noise))
         return out
 

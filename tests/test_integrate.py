@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,12 @@ from oracles import (
     start_norm,
 )
 
-from grayscott.errors import NonFinite, ValidationError
+from grayscott import noise
 from grayscott.cli import FILE_SERIES, main
+from grayscott.convergence import strong_order_study
+from grayscott.errors import NoConvergence, NonFinite, ValidationError
 from grayscott.estimators import ESTIMATED_COLUMNS
+from grayscott.fixedpoint import picard_solve
 from grayscott.integrate import (
     MAX_PLATEAU_STEPS,
     NORM_COLUMNS,
@@ -1378,3 +1382,108 @@ class TestPathNormKernel:
                 want.append(path_norm_series(SP, v[i, r:e + 1], params.rho, params.aleph,
                                              steps_dt(r, e))[1:])
             assert np.array_equal(got[i], np.concatenate(want)), (i, restarts[i])
+
+
+def _draw_threads(monkeypatch) -> list[str]:
+    """The name of the thread of each noise draw, in draw order."""
+    names = []
+    keyed = noise._keyed_normals
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return keyed(*args)
+
+    monkeypatch.setattr(noise, "_keyed_normals", spy)
+    return names
+
+
+def _no_draw_ahead(monkeypatch):
+    """Every source a bare one: opening it starts no worker."""
+    monkeypatch.setattr(WienerSource, "__enter__", lambda source: source)
+    monkeypatch.setattr(WienerSource, "__exit__", lambda source, *exc: None)
+
+
+class TestDrawAhead:
+    """The drivers open their source, which draws the next noise block on
+    its worker thread: bit for bit the run drawn in the caller's thread,
+    and no worker outlives the run, however it ends."""
+
+    WIDE = range(560)  # 560 paths x 15 modes: every block is drawn ahead
+    MAIN = threading.main_thread().name
+
+    def _both(self, monkeypatch, run):
+        """run() drawing ahead, then with every source bare."""
+        names = _draw_threads(monkeypatch)
+        entry = threading.active_count()
+        ahead = run()
+        assert threading.active_count() == entry
+        assert any(n != self.MAIN for n in names)  # some blocks came from the worker
+        assert names.count(self.MAIN) > 1  # and some requests missed them
+        with pytest.MonkeyPatch.context() as mp:
+            _no_draw_ahead(mp)
+            return ahead, run()
+
+    def test_glued_run_with_restarts(self, monkeypatch):
+        params = ModelParams(**GLUE_PARAMS)
+
+        def run():
+            return simulate_glued(params, SP, NZ, bump(SP), bump(SP), [1.3, 1.5], T=0.1,
+                                  dt=2e-3, path_ids=self.WIDE)
+
+        ahead, bare = self._both(monkeypatch, run)
+        assert ahead.glue_events and ahead.glue_events == bare.glue_events
+        assert np.array_equal(ahead.final, bare.final)
+        for col in NORM_COLUMNS:
+            assert np.array_equal(ahead.series[col], bare.series[col]), col
+
+    def test_picard_solve_at_depth_one(self, monkeypatch):
+        # each sweep restarts at step 0, and misses the block drawn past its end
+        params = ModelParams(c1=0.2, c2=0.2)
+
+        def run():
+            return picard_solve(params, SP, NZ, bump(SP), bump(SP), 1e9, self.WIDE, T=0.02,
+                                dt=1e-3, tol=1e-6)
+
+        ahead, bare = self._both(monkeypatch, run)
+        assert ahead["iterates"] == bare["iterates"] and ahead["residuals"] == bare["residuals"]
+        for name in ("eta", "xi"):
+            assert np.array_equal(getattr(ahead["fixed_point"], name),
+                                  getattr(bare["fixed_point"], name))
+
+    def test_no_worker_outlives_a_run(self, monkeypatch):
+        names = _draw_threads(monkeypatch)
+        entry = threading.active_count()
+        simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9, T=0.01, dt=1e-3,
+                          path_ids=self.WIDE, check_gate=False)
+        assert threading.active_count() == entry
+        strong_order_study(ModelParams(c1=0.0, c2=0.0), SP, NZ, bump(SP), bump(SP), 0.016,
+                           [0.004, 0.002], n_paths=560, ref_refinement=2)
+        assert threading.active_count() == entry
+        assert any(n != self.MAIN for n in names)
+
+    def test_no_worker_outlives_a_nonfinite_run(self, monkeypatch):
+        draw = WienerSource.increment_block
+
+        def poisoned(source, step0, count, dt_, seg):
+            dw = draw(source, step0, count, dt_, seg)
+            if step0 <= 5 < step0 + count:
+                dw[:, 0, 5 - step0] = np.nan
+            return dw
+
+        monkeypatch.setattr(WienerSource, "increment_block", poisoned)
+        entry = threading.active_count()
+        with pytest.raises(NonFinite):
+            simulate_ensemble(ModelParams(), SP, NZ, bump(SP), bump(SP), 1e9, T=0.02,
+                              dt=1e-3, path_ids=self.WIDE, check_gate=False)
+        assert threading.active_count() == entry
+        with pytest.raises(NonFinite):
+            picard_solve(ModelParams(c1=0.2, c2=0.2), SP, NZ, bump(SP), bump(SP), 1e9,
+                         self.WIDE, T=0.02, dt=1e-3)
+        assert threading.active_count() == entry
+
+    def test_no_worker_outlives_a_solve_without_convergence(self):
+        entry = threading.active_count()
+        with pytest.raises(NoConvergence):
+            picard_solve(ModelParams(c1=0.2, c2=0.2), SP, NZ, bump(SP), bump(SP), 1e9,
+                         self.WIDE, T=0.02, dt=1e-3, tol=1e-300, max_iter=2)
+        assert threading.active_count() == entry

@@ -1,4 +1,6 @@
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import counter_normals, cutoff_step, start_norm
 
+from grayscott import noise
 from grayscott.errors import ValidationError
 from grayscott.integrate import MildIntegrator, ModelParams
 from grayscott.noise import (
+    DRAW_BUDGET,
     NoiseConfig,
     WienerSource,
     aggregate_increments,
@@ -171,6 +175,25 @@ class TestNoiseAddress:
         with pytest.raises(ValidationError, match=needle):
             source.increment_block(step0, count, dt, segment)
 
+    @pytest.mark.parametrize("step0, count, needle", [
+        (1.5, 2, "step0 must be a whole number, got 1.5"),
+        (True, 2, "step0 must be a whole number, got True"),
+        (np.float64(1.0), 2, "step0 must be a whole number, got np.float64(1.0)"),
+        (0, 2.5, "count must be a whole number, got 2.5"),
+        (0, True, "count must be a whole number, got True"),
+        (0, 2.0, "count must be a whole number, got 2.0"),
+    ])
+    def test_fractional_or_bool_address_rejected(self, step0, count, needle):
+        # an address is never rounded: arange(1.5, 3.5) would draw steps 1 and 2
+        source = WienerSource(CFG, SP, [0, 1])
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            source.increment_block(step0, count, 0.01, 0)
+
+    def test_numpy_integer_address_accepted(self):
+        source = WienerSource(CFG, SP, [0, 1])
+        assert np.array_equal(source.increment_block(np.int64(3), np.uint8(2), 0.01, 0),
+                              source.increment_block(3, 2, 0.01, 0))
+
 
 class TestBlockedDraws:
     """The time loop draws the noise of several steps per call; these are
@@ -217,6 +240,78 @@ class TestBlockedDraws:
         rows = rows[:data.draw(st.integers(1, self.PATHS.size), label="rows kept")]
         sub = WienerSource(CFG, SP, self.PATHS[rows]).increment_block(step0, count, 0.01, 0)
         assert np.array_equal(sub, whole[:, rows])
+
+
+def draw_threads(monkeypatch) -> list[bool]:
+    """Per noise draw, in draw order, whether the worker thread made it."""
+    drawn = []
+    keyed = noise._keyed_normals
+
+    def spy(*args):
+        drawn.append(threading.current_thread() is not threading.main_thread())
+        return keyed(*args)
+
+    monkeypatch.setattr(noise, "_keyed_normals", spy)
+    return drawn
+
+
+class TestDrawAhead:
+    """An open source draws the block after the one it hands out on its
+    worker thread: a request at that address gets it, any other is drawn
+    in the caller's thread, and both equal a bare source's draws."""
+
+    WIDE = np.arange(560)  # 560 paths x 15 modes: one step reaches DRAW_BUDGET
+
+    def test_hits_and_each_kind_of_miss_equal_a_bare_source(self, monkeypatch):
+        assert self.WIDE.size * 15 >= DRAW_BUDGET
+        per_path = self.WIDE % 3
+        requests = [  # (step0, count, dt, segment, served by the look-ahead)
+            (0, 1, 0.01, 0, False), (1, 1, 0.01, 0, True), (2, 1, 0.01, 0, True),
+            (3, 1, 0.01, 1, False),  # a glue restart's new segment
+            (4, 1, 0.01, 1, True),
+            (2, 1, 0.01, 1, False),  # a rollback to an earlier step
+            (3, 2, 0.01, 1, False),  # another count
+            (5, 2, 0.02, 1, False),  # another dt
+            (7, 2, 0.02, 1, True),
+            (9, 2, 0.02, per_path, False), (11, 2, 0.02, per_path, True),
+            (0, 2, 0.02, per_path, False),  # a sweep restarting at step 0
+        ]
+        bare = WienerSource(CFG, SP, self.WIDE)
+        want = [bare.increment_block(*r[:4]) for r in requests]
+        drawn = draw_threads(monkeypatch)
+        entry = threading.active_count()
+        with WienerSource(CFG, SP, self.WIDE) as source:
+            got = []
+            for r in requests:
+                before = drawn.count(False)
+                got.append(source.increment_block(*r[:4]))
+                assert drawn.count(False) - before == (not r[4]), r[:3]
+        assert threading.active_count() == entry
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert any(drawn)  # the hits were drawn on the worker
+
+    def test_narrow_blocks_and_bare_sources_draw_in_the_caller(self, monkeypatch):
+        drawn = draw_threads(monkeypatch)
+        narrow = np.arange(4)  # 4 paths x 15 modes x 64 steps: below DRAW_BUDGET
+        with WienerSource(CFG, SP, narrow) as source:
+            for step0 in range(0, 256, 64):
+                source.increment_block(step0, 64, 0.01, 0)
+        bare = WienerSource(CFG, SP, self.WIDE)
+        for step0 in range(4):
+            bare.increment_block(step0, 1, 0.01, 0)
+        assert drawn == [False] * 8
+
+    def test_caller_may_overwrite_a_served_block(self):
+        # the source keeps no reference to what it hands out
+        with WienerSource(CFG, SP, self.WIDE) as source:
+            first = source.increment_block(0, 1, 0.01, 0)
+            first[...] = np.nan
+            second = source.increment_block(1, 1, 0.01, 0)
+            second[...] = np.nan
+            third = source.increment_block(2, 1, 0.01, 0)
+        assert np.array_equal(third, WienerSource(CFG, SP, self.WIDE).increment_block(
+            2, 1, 0.01, 0))
 
 
 def integrator(gamma1=1.0, sigma1=0.1, interpretation="ito"):

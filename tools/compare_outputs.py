@@ -63,7 +63,12 @@ directory.  The set covers:
   sigma1=sigma2=1.5, c1=c2=3, T=0.3, which retire at sweeps 11, 13, 12
   and 11, so the pipeline restarts on the rows left; and the
   ``pathwise-d1`` ``fixed-point`` at ``max_iter=3``, which ends in
-  ``NoConvergence`` (exit 1) with three sweeps in flight.
+  ``NoConvergence`` (exit 1) with three sweeps in flight;
+- the wide runs whose source draws each next noise block ahead on its
+  worker thread and then misses it: ``glue`` at d=2, N=32, M=64 with 16
+  paths, T=0.1 and ``kappa_schedule=[1.05,1.1]``, whose restarted paths
+  ask for their next block in a new segment, and ``fixed-point`` there
+  with c1=c2=0.2, one sweep at a time, each sweep restarting at step 0.
 
 Every output file is compared byte for byte (``cmp``), except
 ``manifest.json``, which is compared as JSON without ``wall_time_s``.
@@ -149,6 +154,9 @@ RUNS = [
     ("fixed-point-retiring", ["fixed-point"] + RETIRING),
     ("fixed-point-pathwise-no-convergence", ["fixed-point", "--paths", "1"] + PATHWISE
      + ["--override", "max_iter=3"]),
+    ("glue-d2-n32", ["glue", "--paths", "16"] + D2_N32 + FALLBACK),
+    ("fixed-point-d2-n32", ["fixed-point", "--paths", "16"] + D2_N32
+     + ["--override", "model.c1=0.2", "--override", "model.c2=0.2"]),
 ]
 
 

@@ -21,7 +21,15 @@ Per case it times:
 - ``increment_block``: the draws of one step for processes 1 and 2
   (``WienerSource.increment_block``), made as the time loop makes them:
   one call for ``B`` steps, divided by ``B``, where ``B`` is
-  ``integrate.draw_steps`` of the batch;
+  ``integrate.draw_steps`` of the batch.  The source is a bare one, which
+  draws in the caller's thread, so the figure is the draw's own cost;
+- ``increment_block_ahead``: what the caller waits for those draws from
+  an open source, which draws the next block on its worker thread while
+  the caller steps (for blocks of at least ``noise.DRAW_BUDGET`` values
+  per process): consecutive ``B``-step blocks, each asked for after the
+  ``B`` steps of ``step_raw`` (timed below) that a loop takes on the
+  block before it, which are not timed; the wait per call divided by
+  ``B`` (null for a checkout whose source does not draw ahead);
 - ``colored_noise``: the coloring of one step's draws, and their
   synthesis where the block fits ``STACK_BUDGET``
   (``MildIntegrator.colored_noise``), timed as ``increment_block`` is:
@@ -130,6 +138,24 @@ def _loop_time(fn) -> float:
     return statistics.median(samples)
 
 
+def _wait_time(request, work) -> float:
+    """Median over REPEATS of the mean seconds per request() call, each
+    made after one untimed work() call, over loops of about 20 ms."""
+    work()
+    request()
+    samples = []
+    for _ in range(REPEATS):
+        waited, calls, start = 0.0, 0, time.perf_counter()
+        while calls < 3 or time.perf_counter() - start < 0.02:
+            work()
+            t0 = time.perf_counter()
+            request()
+            waited += time.perf_counter() - t0
+            calls += 1
+        samples.append(waited / calls)
+    return statistics.median(samples)
+
+
 def time_case(d: int, n: int, m: int, paths: int) -> dict:
     import numpy as np
 
@@ -176,7 +202,8 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         state = loop_step(state, colored, uv, cutoff.phi(state.fallback))
         advance([state.uv])
     phi = cutoff.phi(state.fallback)
-    plateau = min(integrate.draw_steps(paths, source.k_noise), integrate.MAX_PLATEAU_STEPS)
+    block = integrate.draw_steps(paths, source.k_noise)
+    plateau = min(block, integrate.MAX_PLATEAU_STEPS)
     settled, block_uvs = cutoff.h[:, None], [state.uv] * plateau
 
     def cutoff_block():
@@ -188,7 +215,6 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
         cutoff.phi(state.fallback)
 
     uv = integ.synth(state.uv)
-    block = integrate.draw_steps(paths, source.k_noise)
     dw = source.increment_block(STEPS, block, dt, 0)
     colored = integ.colored_noise(dw)[0]  # the layer timing below rewrites the same values
     recorded = integrate.record_steps(paths, m**d)
@@ -215,12 +241,19 @@ def time_case(d: int, n: int, m: int, paths: int) -> dict:
     }
     for name, fn in layers.items():
         per_path[name] = _loop_time(fn)
+    if hasattr(WienerSource, "__enter__"):
+        with WienerSource(noise, space, ids) as ahead:
+            step0s = iter(range(STEPS, 2**62, block))  # consecutive blocks, as the loop asks
+            per_path["increment_block_ahead"] = _wait_time(
+                lambda: ahead.increment_block(next(step0s), block, dt, 0),
+                lambda: [loop_step(state, colored, uv, phi) for _ in range(block)]) / block
     per_path["increment_block"] /= block
     per_path["colored_noise"] /= block
     per_path["cutoff_block"] /= plateau
     per_path["record_norms"] /= recorded
     per_path["record_norms_files"] /= recorded
     result = {name: round(1e6 * sec / paths, 3) for name, sec in per_path.items()}
+    result.setdefault("increment_block_ahead", None)
     result["draw_steps"] = block
     result["plateau_steps"] = plateau
     result["record_steps"] = recorded
